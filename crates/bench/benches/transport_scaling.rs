@@ -1,6 +1,6 @@
 //! Transport overhead: one full fast bilinear multiplication (`fast_mm`) on
 //! cliques of `n ∈ {64, 128, 256}` nodes, with the traffic carried by each
-//! star-topology transport backend — the in-memory sharded flush, per-node
+//! star-topology transport backend — the in-memory slab move, per-node
 //! thread queues (`channel`), multi-process unix-socket workers (`socket`),
 //! and TCP-stream workers (`tcp`) — plus a program-resident workload
 //! (`TriangleProgram` via `count_triangles_program`) that additionally runs

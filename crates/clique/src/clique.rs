@@ -6,7 +6,7 @@ use crate::stats::Stats;
 use crate::word::Word;
 use cc_netsim::{NetsimConfig, NetsimTransport};
 use cc_runtime::{Engine, Executor, ExecutorKind, LinkLoads, NodeProgram, WireProgram};
-use cc_transport::{TransportFabric, TransportKind};
+use cc_transport::{LinkSlab, SlabWriter, TransportFabric, TransportKind};
 use std::sync::Arc;
 
 /// Communication regime of the simulated clique.
@@ -67,9 +67,9 @@ pub struct CliqueConfig {
     /// environment variable).
     pub exec_cutover: Option<usize>,
     /// Message fabric carrying every communication step (see
-    /// [`TransportKind`]): the in-memory sharded flush (the default),
+    /// [`TransportKind`]): the in-memory slab move (the default),
     /// cross-thread channels with one inbox queue per node, or true
-    /// multi-process unix-socket workers. Deliveries, rounds, words, and
+    /// multi-process unix-socket / TCP workers. Deliveries, rounds, words, and
     /// pattern fingerprints are bit-identical across backends. The default
     /// consults the `CC_TRANSPORT` environment variable — mirroring
     /// `CC_EXECUTOR` — so CI can force every simulation in the process onto
@@ -407,11 +407,15 @@ impl Clique {
         F: FnMut(usize) -> Vec<(usize, Vec<Word>)>,
     {
         self.require_unicast("exchange");
-        for v in 0..self.n {
-            for (dst, words) in messages(v) {
-                self.net.enqueue(v, dst, &words);
-            }
-        }
+        // The whole step is one slab, counting-sorted by link; on the
+        // in-memory fabric the barrier hands the same buffer back as the
+        // inboxes.
+        let msgs: Vec<Vec<(usize, Vec<Word>)>> = (0..self.n).map(&mut messages).collect();
+        let runs = msgs.iter().enumerate().flat_map(|(v, out)| {
+            out.iter()
+                .map(move |(dst, words)| (v, *dst, words.as_slice()))
+        });
+        self.net.send_slab(LinkSlab::from_runs(self.n, runs));
         let (inboxes, loads) = self.net.flush();
         self.charge_loads(&loads);
         inboxes
@@ -514,26 +518,26 @@ impl Clique {
         // which keeps per-link loads within a small constant of the ideal
         // ⌈load/n⌉ — the guarantee of the routing schemes the paper invokes.
         //
-        // Both phases physically travel through the transport: each word
-        // (plus its destination header when the pattern is data-dependent)
-        // is shipped to its relay, the round barrier runs, and the relays'
-        // forwards are shipped and flushed in turn. Charged loads come from
-        // the fabric's accounting of that traffic.
-        let mut a_out = vec![0usize; n * n];
-        let mut b_out = vec![0usize; n * n];
-        let mut relays: Vec<Vec<usize>> = Vec::with_capacity(msgs.len());
+        // The draw is pass one of a counting sort: it records every word's
+        // relay and counts the words on every (src -> relay) and
+        // (relay -> dst) link. `a_load` and `b_load` are laid out like the
+        // slabs they size (`[relay * n + src]` and `[dst * n + relay]`) and
+        // double as the two-choice rule's load tables.
+        let payload = if charge_headers { 2 } else { 1 };
+        let total: usize = msgs.iter().map(|(_, _, words)| words.len()).sum();
+        let mut a_load = vec![0usize; n * n];
+        let mut b_load = vec![0usize; n * n];
+        let mut relays: Vec<u32> = Vec::with_capacity(total);
         for (src, dst, words) in &msgs {
-            let mut msg_relays = Vec::with_capacity(words.len());
-            for (j, w) in words.iter().enumerate() {
-                let h = splitmix(
-                    self.cfg.route_seed ^ ((*src as u64) << 42) ^ ((*dst as u64) << 21) ^ j as u64,
-                );
+            let base = self.cfg.route_seed ^ ((*src as u64) << 42) ^ ((*dst as u64) << 21);
+            for j in 0..words.len() {
+                let h = splitmix(base ^ j as u64);
                 let r1 = (h % n as u64) as usize;
                 let relay = match self.cfg.relay_policy {
                     RelayPolicy::SingleHash => r1,
                     RelayPolicy::TwoChoice => {
                         let r2 = ((h >> 32) % n as u64) as usize;
-                        let cost = |r: usize| a_out[src * n + r].max(b_out[r * n + dst]);
+                        let cost = |r: usize| a_load[r * n + src].max(b_load[dst * n + r]);
                         if cost(r1) <= cost(r2) {
                             r1
                         } else {
@@ -541,44 +545,58 @@ impl Clique {
                         }
                     }
                 };
-                let payload = if charge_headers { 2 } else { 1 };
-                a_out[src * n + relay] += payload;
-                b_out[relay * n + dst] += payload;
-                if charge_headers {
-                    self.net.enqueue(*src, relay, &[*w, *dst as Word]);
-                } else {
-                    self.net.enqueue(*src, relay, &[*w]);
-                }
-                msg_relays.push(relay);
+                a_load[relay * n + src] += payload;
+                b_load[dst * n + relay] += payload;
+                relays.push(relay as u32);
             }
-            relays.push(msg_relays);
         }
-        let (_, phase_a) = self.net.flush();
-        self.charge_loads(&phase_a);
 
-        // Phase B: every relay forwards its words to their destinations.
-        for ((_src, dst, words), msg_relays) in msgs.iter().zip(&relays) {
-            for (w, &relay) in words.iter().zip(msg_relays) {
-                if charge_headers {
-                    self.net.enqueue(relay, *dst, &[*w, *dst as Word]);
-                } else {
-                    self.net.enqueue(relay, *dst, &[*w]);
-                }
-            }
-        }
-        let (_, phase_b) = self.net.flush();
-        self.charge_loads(&phase_b);
+        // Both phases physically travel through the transport: every word
+        // to its relay, the round barrier, then the relays' forwards and the
+        // barrier again. Charged loads come from the fabric's accounting of
+        // that traffic; what the relays received is dropped with the
+        // barrier's delivery.
+        self.ship_phase(&msgs, &relays, a_load, charge_headers, |src, relay, _| {
+            (src, relay)
+        });
+        self.ship_phase(&msgs, &relays, b_load, charge_headers, |_, relay, dst| {
+            (relay, dst)
+        });
 
         // Deliver whole messages in collection order: per-link word streams
         // are interleaved across relays on the wire, so reassembly per
         // (dst, src) pair is modelled (the pattern is known; headers were
-        // charged when it is not), and the concatenation is identical to
-        // the historical word-by-word push.
-        let mut inboxes = Inboxes::new(n);
+        // charged when it is not).
+        Inboxes::from_messages(n, &msgs)
+    }
+
+    /// One phase of [`Clique::route`], pass two of its counting sort: scatters
+    /// each word (plus its destination header when the pattern is
+    /// data-dependent) onto the link `link(src, relay, dst)` picks, hands
+    /// the slab to the fabric in one call, and runs and charges the barrier.
+    /// `counts` sizes the slab: words per link, headers included.
+    fn ship_phase(
+        &mut self,
+        msgs: &[(usize, usize, Vec<Word>)],
+        relays: &[u32],
+        counts: Vec<usize>,
+        charge_headers: bool,
+        link: impl Fn(usize, usize, usize) -> (usize, usize),
+    ) {
+        let mut slab = SlabWriter::from_counts(self.n, counts);
+        let mut relay = relays.iter();
         for (src, dst, words) in msgs {
-            inboxes.push(dst, src, words);
+            for (w, &r) in words.iter().zip(&mut relay) {
+                let (from, to) = link(*src, r as usize, *dst);
+                slab.push(from, to, *w);
+                if charge_headers {
+                    slab.push(from, to, *dst as Word);
+                }
+            }
         }
-        inboxes
+        self.net.send_slab(slab.finish());
+        let (_, loads) = self.net.flush();
+        self.charge_loads(&loads);
     }
 
     /// Runs one [`NodeProgram`] per node on the runtime engine, charging the
@@ -653,11 +671,9 @@ impl Clique {
         }
         let round = self.net.flush_full();
         self.charge_loads(&round.loads);
-        // The returned knowledge is what the fabric delivered (node 0's
-        // view; every node's view is identical by the broadcast contract).
-        let delivered: Vec<Word> = (0..n)
-            .map(|src| round.inboxes[0].broadcast[src][0][0])
-            .collect();
+        // The returned knowledge is what the fabric delivered (every
+        // node's view is the same shared lanes, by the broadcast contract).
+        let delivered: Vec<Word> = (0..n).map(|src| round.broadcast[src][0][0]).collect();
         debug_assert_eq!(delivered, words);
         delivered
     }
@@ -680,7 +696,7 @@ impl Clique {
         self.charge_loads(&round.loads);
         let delivered: Vec<Vec<Word>> = (0..n)
             .map(|src| {
-                round.inboxes[0].broadcast[src]
+                round.broadcast[src]
                     .iter()
                     .flat_map(|slab| slab.iter().copied())
                     .collect()
@@ -733,15 +749,23 @@ impl Clique {
         // the phase is charged from the fabric's accounting.
         let mut relay_load = vec![0usize; n];
         let mut assigned: Vec<Vec<Word>> = vec![Vec::new(); n];
+        let mut relays: Vec<usize> = Vec::new();
         for (src, words) in contributions.iter().enumerate() {
             for (j, w) in words.iter().enumerate() {
                 let relay =
                     splitmix(self.cfg.route_seed ^ ((src as u64) << 32) ^ j as u64) as usize % n;
                 relay_load[relay] += 1;
                 assigned[relay].push(*w);
-                self.net.enqueue(src, relay, &[*w]);
+                relays.push(relay);
             }
         }
+        let spread = contributions
+            .iter()
+            .enumerate()
+            .flat_map(|(src, words)| words.iter().map(move |w| (src, w)))
+            .zip(&relays)
+            .map(|((src, w), &relay)| (src, relay, std::slice::from_ref(w)));
+        self.net.send_slab(LinkSlab::from_runs(n, spread));
         let (_, phase_a) = self.net.flush();
         self.charge_loads(&phase_a);
 

@@ -1,44 +1,42 @@
 //! Per-node message inboxes produced by communication primitives.
 
 use crate::word::{AsWords, Word, WordReader};
+use cc_transport::LinkSlab;
 
 /// Messages delivered to every node by one communication step.
 ///
 /// `Inboxes` is indexed by `(destination, source)`; the words from a given
-/// source are in the order the source sent them. Algorithms normally decode
-/// inbox contents with [`Inboxes::decode`] using statically known counts
-/// (the communication patterns in this crate's clients are oblivious).
+/// source are in the order the source sent them. It is a view of the
+/// round's [`LinkSlab`] — the one flat buffer the step's traffic travelled
+/// in — so [`Inboxes::received`] is a slice of it, not a per-link vector.
+/// Algorithms normally decode inbox contents with [`Inboxes::decode`] using
+/// statically known counts (the communication patterns in this crate's
+/// clients are oblivious).
 #[derive(Debug, Clone)]
 pub struct Inboxes {
-    n: usize,
-    /// `data[dst][src]` = words received by `dst` from `src`.
-    data: Vec<Vec<Vec<Word>>>,
+    slab: LinkSlab,
 }
 
 impl Inboxes {
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
+    /// Wraps the slab a round barrier delivered.
+    pub(crate) fn from_slab(slab: LinkSlab) -> Self {
+        Self { slab }
+    }
+
+    /// Delivers whole `(src, dst, words)` messages: each `(dst, src)` pair
+    /// receives its messages concatenated in slice order.
+    pub(crate) fn from_messages(n: usize, msgs: &[(usize, usize, Vec<Word>)]) -> Self {
+        Self::from_slab(LinkSlab::from_runs(
             n,
-            data: vec![vec![Vec::new(); n]; n],
-        }
-    }
-
-    pub(crate) fn push(&mut self, dst: usize, src: usize, words: impl IntoIterator<Item = Word>) {
-        self.data[dst][src].extend(words);
-    }
-
-    /// Builds inboxes from per-destination rows (used by the sharded flush,
-    /// where each worker assembles one destination's deliveries wholesale).
-    pub(crate) fn from_rows(rows: Vec<Vec<Vec<Word>>>) -> Self {
-        let n = rows.len();
-        debug_assert!(rows.iter().all(|r| r.len() == n), "rows must be square");
-        Self { n, data: rows }
+            msgs.iter()
+                .map(|(src, dst, words)| (*src, *dst, &words[..])),
+        ))
     }
 
     /// Number of nodes in the clique this inbox set belongs to.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.n
+        self.slab.n()
     }
 
     /// The words `dst` received from `src` (possibly empty).
@@ -48,28 +46,20 @@ impl Inboxes {
     /// Panics if either index is out of range.
     #[must_use]
     pub fn received(&self, dst: usize, src: usize) -> &[Word] {
-        &self.data[dst][src]
-    }
-
-    /// Removes and returns the words `dst` received from `src`.
-    #[must_use]
-    pub fn take(&mut self, dst: usize, src: usize) -> Vec<Word> {
-        std::mem::take(&mut self.data[dst][src])
+        self.slab.link(src, dst)
     }
 
     /// Iterates over `(src, words)` pairs with non-empty payloads for `dst`.
     pub fn sources(&self, dst: usize) -> impl Iterator<Item = (usize, &[Word])> {
-        self.data[dst]
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| !w.is_empty())
-            .map(|(s, w)| (s, w.as_slice()))
+        self.slab
+            .runs(dst..dst + 1)
+            .map(|(src, _, words)| (src, words))
     }
 
     /// Total number of words delivered to `dst`.
     #[must_use]
     pub fn total_received(&self, dst: usize) -> usize {
-        self.data[dst].iter().map(Vec::len).sum()
+        self.slab.row(dst).len()
     }
 
     /// Decodes exactly `count` values of type `T` from what `dst` received
@@ -111,8 +101,7 @@ mod tests {
 
     #[test]
     fn push_and_decode() {
-        let mut ib = Inboxes::new(3);
-        ib.push(1, 0, [5u64, 6, 7]);
+        let ib = Inboxes::from_messages(3, &[(0, 1, vec![5, 6]), (0, 1, vec![7])]);
         assert_eq!(ib.received(1, 0), &[5, 6, 7]);
         assert_eq!(ib.total_received(1), 3);
         assert_eq!(ib.total_received(0), 0);
@@ -124,9 +113,7 @@ mod tests {
 
     #[test]
     fn sources_skips_empty() {
-        let mut ib = Inboxes::new(4);
-        ib.push(2, 0, [1u64]);
-        ib.push(2, 3, [9u64, 8]);
+        let ib = Inboxes::from_messages(4, &[(3, 2, vec![9, 8]), (0, 2, vec![1])]);
         let got: Vec<(usize, usize)> = ib.sources(2).map(|(s, w)| (s, w.len())).collect();
         assert_eq!(got, vec![(0, 1), (3, 2)]);
     }
@@ -134,8 +121,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "trailing words")]
     fn decode_rejects_wrong_count() {
-        let mut ib = Inboxes::new(2);
-        ib.push(0, 1, [1u64, 2]);
+        let ib = Inboxes::from_messages(2, &[(1, 0, vec![1, 2])]);
         let _: Vec<u64> = ib.decode(0, 1, 1);
     }
 }

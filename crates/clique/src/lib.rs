@@ -5,7 +5,7 @@
 //! network, and in each round every ordered pair of nodes may exchange one
 //! message of `O(log n)` bits (one [`Word`] in this implementation).
 //!
-//! The simulator is *faithful at the link level*: algorithms enqueue words on
+//! The simulator is *faithful at the link level*: algorithms put words on
 //! directed links, and [`Clique`] executes synchronous rounds in which each
 //! link drains at most one word. The reported round count of an algorithm is
 //! the number of rounds actually executed, never an analytic formula.
@@ -46,10 +46,15 @@
 //!
 //! Orthogonally to the executor, [`CliqueConfig::transport`] selects the
 //! **message fabric** every communication step travels through (see
-//! [`TransportKind`]): the in-memory destination-major sharded flush (the
-//! default), cross-thread channels with one inbox queue per node, or true
-//! multi-process simulation over unix sockets (`cc-clique-node` worker
-//! processes, length-prefixed frames, round-commit barrier). Deliveries,
+//! [`TransportKind`]): the in-memory fabric (the default), cross-thread
+//! channels with one inbox queue per node, or true multi-process
+//! simulation over unix sockets or TCP (`cc-clique-node` worker processes,
+//! length-prefixed frames, round-commit barrier). Every primitive builds
+//! its step's traffic as one flat destination-major buffer
+//! (`cc_transport::LinkSlab`, a two-pass counting sort over the generated
+//! messages — for [`Clique::route`], the relay draw is pass one) and hands
+//! it to the fabric in one call; the [`Inboxes`] it gets back are a view of
+//! the delivered buffer. Deliveries,
 //! rounds, words, pattern fingerprints, and barrier epochs
 //! ([`Clique::transport_epochs`]) are bit-identical across fabrics; the
 //! `CC_TRANSPORT` environment variable (`inmemory` / `channel` /

@@ -6,23 +6,25 @@ use crate::word::Word;
 // and flush-driven accounting share one source of truth; this crate
 // re-exports it from `lib.rs`.
 use cc_runtime::LinkLoads;
-use cc_transport::{RoundDelivery, Transport};
+use cc_transport::{LinkSlab, RoundDelivery, Transport};
 use std::sync::Arc;
 
-/// The physical network: queued words per directed link, carried by a
-/// pluggable [`Transport`] backend.
+/// The physical network: one round's words on every directed link, carried
+/// by a pluggable [`Transport`] backend.
 ///
-/// `flush` executes synchronous rounds until all queues drain; in each round
-/// a link moves exactly one word, so the number of executed rounds equals
-/// the maximum queue length. Self-addressed words (`src == dst`) are local
-/// memory moves and cost nothing, matching the model (a node need not use
-/// the network to talk to itself).
+/// A communication step builds its traffic as one flat [`LinkSlab`]
+/// ([`Network::send_slab`]) and `flush` executes the round barrier; in each
+/// synchronous round a link moves exactly one word, so the step costs as
+/// many rounds as the longest link. Self-addressed words (`src == dst`) are
+/// local memory moves and cost nothing, matching the model (a node need not
+/// use the network to talk to itself).
 ///
 /// Where the traffic physically travels is the transport's business: the
-/// in-memory backend keeps the historical destination-major sharded flush,
-/// the channel backend moves frames through per-node thread queues, and the
-/// socket backend ships them to worker processes. All are bit-identical in
-/// deliveries, loads, and therefore rounds and pattern fingerprints.
+/// in-memory backend moves the slab straight into the delivery, the channel
+/// backend cuts it into frames for per-node thread queues, and the socket
+/// and TCP backends ship it shard by shard to worker processes. All are
+/// bit-identical in deliveries, loads, and therefore rounds and pattern
+/// fingerprints.
 #[derive(Debug)]
 pub struct Network {
     n: usize,
@@ -35,13 +37,9 @@ impl Network {
         Self { n, transport }
     }
 
-    pub(crate) fn enqueue(&mut self, src: usize, dst: usize, words: &[Word]) {
-        assert!(
-            src < self.n && dst < self.n,
-            "node index out of range (n={})",
-            self.n
-        );
-        self.transport.send(src, dst, words);
+    /// Queues a whole round's unicast traffic in one call.
+    pub(crate) fn send_slab(&mut self, slab: LinkSlab) {
+        self.transport.send_slab(slab);
     }
 
     /// Queues a broadcast slab from `src` (delivered to every node, the
@@ -55,12 +53,11 @@ impl Network {
     /// and the loads that determine the round cost.
     pub(crate) fn flush(&mut self) -> (Inboxes, LinkLoads) {
         let round = self.transport.finish_round();
-        let rows = round.inboxes.into_iter().map(|d| d.unicast).collect();
-        (Inboxes::from_rows(rows), round.loads)
+        (Inboxes::from_slab(round.unicast), round.loads)
     }
 
-    /// Executes the round barrier, returning the full per-node deliveries
-    /// (unicast and broadcast lanes) for primitives that ship slabs.
+    /// Executes the round barrier, returning the full delivery (unicast
+    /// slab and broadcast lanes) for primitives that ship slabs.
     pub(crate) fn flush_full(&mut self) -> RoundDelivery {
         self.transport.finish_round()
     }
@@ -108,25 +105,19 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_runtime::{Executor, ExecutorKind};
+    use cc_runtime::Executor;
     use cc_transport::{InMemoryTransport, TransportKind};
 
     fn net(n: usize) -> Network {
-        Network::new(
-            n,
-            Box::new(InMemoryTransport::new(
-                n,
-                Executor::new(ExecutorKind::Sequential),
-            )),
-        )
+        Network::new(n, Box::new(InMemoryTransport::new(n)))
     }
 
     #[test]
     fn flush_counts_max_queue_as_rounds() {
         let mut net = net(3);
-        net.enqueue(0, 1, &[1, 2, 3]);
-        net.enqueue(1, 2, &[4]);
-        net.enqueue(2, 0, &[5, 6]);
+        net.transport.send(0, 1, &[1, 2, 3]);
+        net.transport.send(1, 2, &[4]);
+        net.transport.send(2, 0, &[5, 6]);
         let (ib, loads) = net.flush();
         assert_eq!(loads.rounds(), 3);
         assert_eq!(loads.words(), 6);
@@ -142,8 +133,8 @@ mod tests {
     #[test]
     fn self_messages_are_free() {
         let mut net = net(2);
-        net.enqueue(0, 0, &[7, 8, 9]);
-        net.enqueue(0, 1, &[1]);
+        net.transport.send(0, 0, &[7, 8, 9]);
+        net.transport.send(0, 1, &[1]);
         let (ib, loads) = net.flush();
         assert_eq!(loads.rounds(), 1);
         assert_eq!(loads.words(), 1);
@@ -160,21 +151,17 @@ mod tests {
                         let words: Vec<Word> = (0..(src + dst) as u64 % 5)
                             .map(|w| w + 10 * src as u64)
                             .collect();
-                        net.enqueue(src, dst, &words);
+                        net.transport.send(src, dst, &words);
                     }
                 }
             }
-            net.enqueue(0, 1, &[99, 98, 97]);
+            net.transport.send(0, 1, &[99, 98, 97]);
             net.enqueue_broadcast(4, vec![1, 2].into());
         };
         let mut reference = net(7);
         fill(&mut reference);
         let reference = reference.flush_full();
         let backends: Vec<Box<dyn Transport>> = vec![
-            Box::new(InMemoryTransport::new(
-                7,
-                Executor::new(ExecutorKind::Parallel { threads: 3 }),
-            )),
             TransportKind::Channel.build(7, Executor::default()),
             TransportKind::Socket { workers: 3 }.build(7, Executor::default()),
         ];
@@ -193,6 +180,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn enqueue_validates_indices() {
         let mut net = net(2);
-        net.enqueue(0, 5, &[1]);
+        net.transport.send(0, 5, &[1]);
     }
 }

@@ -149,3 +149,169 @@ fn repeated_routes_accumulate_rounds_monotonically() {
         last = c.rounds();
     }
 }
+
+/// The word-at-a-time router the slab router replaced, kept as the oracle:
+/// the same hash, the same two-choice rule and the same iteration order, but
+/// every word is pushed onto its own `Vec` in an `n × n` queue matrix, once
+/// per phase, and the accounting is read off the queue lengths.
+mod reference {
+    use cc_clique::RelayPolicy;
+
+    pub fn splitmix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    #[derive(Debug, PartialEq, Eq)]
+    pub struct Outcome {
+        /// `inboxes[dst][src]`.
+        pub inboxes: Vec<Vec<Vec<u64>>>,
+        pub rounds: u64,
+        pub words: u64,
+        pub fingerprints: Vec<u64>,
+    }
+
+    /// Charges one drained queue matrix (`queues[dst * n + src]`): rounds
+    /// are the longest non-self queue, the fingerprint is FNV-1a over the
+    /// `(src, dst, len)` triples in canonical `(src, dst)` order.
+    fn charge(n: usize, queues: &[Vec<u64>], out: &mut Outcome) {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut longest = 0;
+        for src in 0..n {
+            for dst in (0..n).filter(|&dst| dst != src) {
+                let len = queues[dst * n + src].len() as u64;
+                if len > 0 {
+                    for x in [src as u64, dst as u64, len] {
+                        h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                    longest = longest.max(len);
+                    out.words += len;
+                }
+            }
+        }
+        out.rounds += longest;
+        out.fingerprints.push(h);
+    }
+
+    pub fn route(
+        n: usize,
+        seed: u64,
+        policy: RelayPolicy,
+        dynamic: bool,
+        messages: &[Vec<(usize, Vec<u64>)>],
+    ) -> Outcome {
+        let mut out = Outcome {
+            inboxes: vec![vec![Vec::new(); n]; n],
+            rounds: 0,
+            words: 0,
+            fingerprints: Vec::new(),
+        };
+        let payload = if dynamic { 2 } else { 1 };
+        let mut a_out = vec![0usize; n * n];
+        let mut b_out = vec![0usize; n * n];
+        let mut phase_a: Vec<Vec<u64>> = vec![Vec::new(); n * n];
+        let mut phase_b: Vec<Vec<u64>> = vec![Vec::new(); n * n];
+        for (src, msgs) in messages.iter().enumerate() {
+            for (dst, words) in msgs {
+                for (j, &w) in words.iter().enumerate() {
+                    let h =
+                        splitmix(seed ^ ((src as u64) << 42) ^ ((*dst as u64) << 21) ^ j as u64);
+                    let r1 = (h % n as u64) as usize;
+                    let relay = match policy {
+                        RelayPolicy::SingleHash => r1,
+                        RelayPolicy::TwoChoice => {
+                            let r2 = ((h >> 32) % n as u64) as usize;
+                            let cost = |r: usize| a_out[src * n + r].max(b_out[r * n + dst]);
+                            if cost(r1) <= cost(r2) {
+                                r1
+                            } else {
+                                r2
+                            }
+                        }
+                    };
+                    a_out[src * n + relay] += payload;
+                    b_out[relay * n + dst] += payload;
+                    for queue in [&mut phase_a[relay * n + src], &mut phase_b[dst * n + relay]] {
+                        queue.push(w);
+                        if dynamic {
+                            queue.push(*dst as u64);
+                        }
+                    }
+                }
+                out.inboxes[*dst][src].extend(words);
+            }
+        }
+        charge(n, &phase_a, &mut out);
+        charge(n, &phase_b, &mut out);
+        out
+    }
+}
+
+/// A seeded pattern with every shape the router must survive: self
+/// messages, empty messages, repeated `(src, dst)` pairs, silent nodes, and
+/// one hot link carrying many times the average load.
+fn stress_pattern(n: usize, seed: u64) -> Vec<Vec<(usize, Vec<u64>)>> {
+    let mut state = seed;
+    let mut draw = |below: usize| {
+        state = reference::splitmix(state);
+        (state % below as u64) as usize
+    };
+    let mut messages: Vec<Vec<(usize, Vec<u64>)>> = (0..n)
+        .map(|v| {
+            (0..draw(6))
+                .map(|_| {
+                    let dst = match draw(8) {
+                        0 => v,           // self message
+                        1 => (v + 1) % n, // repeats across draws
+                        _ => draw(n),
+                    };
+                    let len = draw(5); // 0 = empty message
+                    (dst, (0..len).map(|_| draw(1 << 40) as u64).collect())
+                })
+                .collect()
+        })
+        .collect();
+    messages[2].push((5, (0..8 * n as u64).collect())); // the hot link
+    messages[2].push((5, vec![7, 7])); // and a repeat on it
+    messages
+}
+
+#[test]
+fn slab_router_matches_the_word_at_a_time_reference() {
+    let n = 13;
+    for seed in [1u64, 7, 23] {
+        let messages = stress_pattern(n, seed);
+        for policy in [RelayPolicy::SingleHash, RelayPolicy::TwoChoice] {
+            for dynamic in [false, true] {
+                let cfg = CliqueConfig {
+                    relay_policy: policy,
+                    route_seed: 0xfeed ^ seed,
+                    record_patterns: true,
+                    ..CliqueConfig::default()
+                };
+                let expected = reference::route(n, cfg.route_seed, policy, dynamic, &messages);
+                let mut c = Clique::with_config(n, cfg);
+                let inbox = if dynamic {
+                    c.route_dynamic(|v| messages[v].clone())
+                } else {
+                    c.route(|v| messages[v].clone())
+                };
+                let got = reference::Outcome {
+                    inboxes: (0..n)
+                        .map(|dst| {
+                            (0..n)
+                                .map(|src| inbox.received(dst, src).to_vec())
+                                .collect()
+                        })
+                        .collect(),
+                    rounds: c.rounds(),
+                    words: c.stats().words(),
+                    fingerprints: c.stats().pattern_fingerprints().to_vec(),
+                };
+                assert_eq!(got, expected, "seed {seed}, {policy:?}, dynamic={dynamic}");
+            }
+        }
+    }
+}

@@ -140,11 +140,11 @@ where
         type HatPairs<E> = Vec<Vec<(Matrix<E>, Matrix<E>)>>;
         let hats: Vec<HatPairs<R::Elem>> = exec.map(n, |u| {
             let mut per_cell = Vec::new();
-            for &(x1, x2) in &plan.cells_of(u) {
+            for &(x1, x2) in plan.cells_of(u) {
                 let mut s_cell = Matrix::filled(side, side, ring.zero());
                 let mut t_cell = Matrix::filled(side, side, ring.zero());
                 let cols = plan.real_indices_with_label(x2);
-                for &rho in &plan.real_indices_with_label(x1) {
+                for &rho in plan.real_indices_with_label(x1) {
                     // Decode this row's (S, T) slice, skipping slices this
                     // node received for *other* cells from the same sender.
                     let words = inbox1.received(u, rho);
@@ -157,11 +157,11 @@ where
                         if x2p == x2 {
                             let (i, _, r) = plan.decompose(rho);
                             let local_row = i * sub + r;
-                            for &col in &cols {
+                            for &col in cols {
                                 let (j, _, cc) = plan.decompose(col);
                                 s_cell[(local_row, j * sub + cc)] = ring.read_elem(&mut rd);
                             }
-                            for &col in &cols {
+                            for &col in cols {
                                 let (j, _, cc) = plan.decompose(col);
                                 t_cell[(local_row, j * sub + cc)] = ring.read_elem(&mut rd);
                             }
@@ -227,6 +227,9 @@ where
         let full = q * sub;
         let phat: Vec<Vec<Matrix<R::Elem>>> = exec.map(n, |t| {
             let my_terms = plan.terms_of(t);
+            if my_terms.is_empty() {
+                return Vec::new(); // no owned term: nothing was sent here
+            }
             let mut s_full: Vec<Matrix<R::Elem>> = my_terms
                 .iter()
                 .map(|_| Matrix::filled(full, full, ring.zero()))
@@ -235,22 +238,17 @@ where
             for src in 0..n {
                 let words = inbox3.received(t, src);
                 let mut rd = WordReader::new(words);
-                for &(x1, x2) in &plan.cells_of(src) {
-                    for w in 0..m {
-                        if plan.term_owner(w) != t {
-                            continue;
-                        }
-                        let slot = my_terms.iter().position(|&x| x == w).expect("owned term");
+                for &(x1, x2) in plan.cells_of(src) {
+                    // One (Ŝ⁽ʷ⁾, T̂⁽ʷ⁾) sub-block pair per owned term, ascending.
+                    for (sf, tf) in s_full.iter_mut().zip(&mut t_full) {
                         for r in 0..sub {
                             for cc in 0..sub {
-                                s_full[slot][(x1 * sub + r, x2 * sub + cc)] =
-                                    ring.read_elem(&mut rd);
+                                sf[(x1 * sub + r, x2 * sub + cc)] = ring.read_elem(&mut rd);
                             }
                         }
                         for r in 0..sub {
                             for cc in 0..sub {
-                                t_full[slot][(x1 * sub + r, x2 * sub + cc)] =
-                                    ring.read_elem(&mut rd);
+                                tf[(x1 * sub + r, x2 * sub + cc)] = ring.read_elem(&mut rd);
                             }
                         }
                     }
@@ -299,7 +297,7 @@ where
                 let mut rd = WordReader::new(words);
                 // Re-walk the sender's emission order, extracting our cells.
                 let mut extracted: Vec<Option<Matrix<R::Elem>>> = vec![None; cells.len()];
-                for &wp in &plan.terms_of(t) {
+                for &wp in plan.terms_of(t) {
                     for x1 in 0..q {
                         for x2 in 0..q {
                             if plan.cell_owner(x1, x2) != u {
@@ -352,7 +350,7 @@ where
                 let mut out = Vec::new();
                 for (idx, &(x1, x2)) in plan.cells_of(u).iter().enumerate() {
                     let cols = plan.real_indices_with_label(x2);
-                    for &rho in &plan.real_indices_with_label(x1) {
+                    for &rho in plan.real_indices_with_label(x1) {
                         let (i, _, r) = plan.decompose(rho);
                         let local_row = i * sub + r;
                         let payload = encode_iter(
@@ -379,11 +377,11 @@ where
                     continue;
                 }
                 let mut rd = WordReader::new(words);
-                for &(cx1, cx2) in &plan.cells_of(src) {
+                for &(cx1, cx2) in plan.cells_of(src) {
                     if cx1 != x1 {
                         continue;
                     }
-                    for col in plan.real_indices_with_label(cx2) {
+                    for &col in plan.real_indices_with_label(cx2) {
                         row[col] = ring.read_elem(&mut rd);
                     }
                 }

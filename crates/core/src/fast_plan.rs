@@ -36,6 +36,13 @@ pub struct FastPlan {
     m: usize,
     q: usize,
     sub: usize,
+    /// `cells[v]` — the label cells node `v` owns ([`FastPlan::cells_of`]).
+    cells: Vec<Vec<(usize, usize)>>,
+    /// `terms[v]` — the terms node `v` owns ([`FastPlan::terms_of`]).
+    terms: Vec<Vec<usize>>,
+    /// `label_indices[x]` — the real indices with label digit `x`
+    /// ([`FastPlan::real_indices_with_label`]).
+    label_indices: Vec<Vec<usize>>,
 }
 
 impl FastPlan {
@@ -73,8 +80,7 @@ impl FastPlan {
             }
         }
         let q = best.expect("q search is non-empty").1;
-        let sub = n.div_ceil(d * q);
-        Self { n, d, m, q, sub }
+        Self::with_dims(n, d, m, q)
     }
 
     /// Builds a plan with an explicit label-grid dimension `q` (the paper's
@@ -88,10 +94,38 @@ impl FastPlan {
     pub fn with_q(n: usize, alg: &cc_algebra::BilinearAlgorithm, q: usize) -> Self {
         assert!(n >= 2, "a congested clique needs at least 2 nodes");
         assert!(q >= 1, "q must be positive");
-        let d = alg.d();
-        let m = alg.m();
+        Self::with_dims(n, alg.d(), alg.m(), q)
+    }
+
+    /// Fixes the digit sizes and precomputes the ownership tables the
+    /// algorithm's n²-sized loops look up (once per plan, not once per
+    /// call).
+    fn with_dims(n: usize, d: usize, m: usize, q: usize) -> Self {
         let sub = n.div_ceil(d * q);
-        Self { n, d, m, q, sub }
+        let mut cells = vec![Vec::new(); n];
+        for c in 0..q * q {
+            cells[c % n].push((c / q, c % q));
+        }
+        let terms = (0..n).map(|v| (v..m).step_by(n).collect()).collect();
+        // `(i, r)`-major, i.e. ascending: compose(i, x, r) grows with both.
+        let label_indices = (0..q)
+            .map(|x| {
+                (0..d)
+                    .flat_map(|i| (0..sub).map(move |r| i * q * sub + x * sub + r))
+                    .filter(|&rho| rho < n)
+                    .collect()
+            })
+            .collect();
+        Self {
+            n,
+            d,
+            m,
+            q,
+            sub,
+            cells,
+            terms,
+            label_indices,
+        }
     }
 
     /// Chooses the largest Strassen tensor power with `m = 7^k ≤ n` (falling
@@ -189,11 +223,8 @@ impl FastPlan {
 
     /// The label cells owned by node `v`, as `(x₁, x₂)` pairs.
     #[must_use]
-    pub fn cells_of(&self, v: usize) -> Vec<(usize, usize)> {
-        (0..self.q * self.q)
-            .filter(|c| c % self.n == v)
-            .map(|c| (c / self.q, c % self.q))
-            .collect()
+    pub fn cells_of(&self, v: usize) -> &[(usize, usize)] {
+        &self.cells[v]
     }
 
     /// Node owning multiplication term `w`.
@@ -209,24 +240,15 @@ impl FastPlan {
 
     /// The multiplication terms owned by node `v`.
     #[must_use]
-    pub fn terms_of(&self, v: usize) -> Vec<usize> {
-        (v..self.m).step_by(self.n).collect()
+    pub fn terms_of(&self, v: usize) -> &[usize] {
+        &self.terms[v]
     }
 
     /// The *real* (unpadded) row/column indices with label digit `x`, in
     /// `(i, r)`-major order — the transmission order of all scatter steps.
     #[must_use]
-    pub fn real_indices_with_label(&self, x: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        for i in 0..self.d {
-            for r in 0..self.sub {
-                let rho = self.compose(i, x, r);
-                if rho < self.n {
-                    out.push(rho);
-                }
-            }
-        }
-        out
+    pub fn real_indices_with_label(&self, x: usize) -> &[usize] {
+        &self.label_indices[x]
     }
 
     /// ASCII rendering of the Figure 2 partitioning: the coarse `d × d` grid
@@ -297,7 +319,7 @@ mod tests {
     fn real_indices_cover_exactly_once() {
         let plan = FastPlan::new(30, &BilinearAlgorithm::strassen());
         let mut all: Vec<usize> = (0..plan.q())
-            .flat_map(|x| plan.real_indices_with_label(x))
+            .flat_map(|x| plan.real_indices_with_label(x).iter().copied())
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..30).collect::<Vec<_>>());
@@ -315,8 +337,8 @@ mod tests {
     #[test]
     fn terms_wrap_when_m_exceeds_n() {
         let plan = FastPlan::new(5, &BilinearAlgorithm::strassen());
-        assert_eq!(plan.terms_of(0), vec![0, 5]);
-        assert_eq!(plan.terms_of(2), vec![2]);
+        assert_eq!(plan.terms_of(0), &[0, 5]);
+        assert_eq!(plan.terms_of(2), &[2]);
         let total: usize = (0..5).map(|v| plan.terms_of(v).len()).sum();
         assert_eq!(total, 7);
     }

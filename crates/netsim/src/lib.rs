@@ -43,7 +43,7 @@
 
 use cc_runtime::{LinkLoads, ResidentOutcome, Word};
 use cc_telemetry::{Event, TraceLevel};
-use cc_transport::{RoundDelivery, Transport};
+use cc_transport::{LinkSlab, RoundDelivery, Transport};
 use std::sync::Arc;
 
 /// Default RNG seed when a profile spec carries no `:seed` suffix.
@@ -440,8 +440,8 @@ impl Transport for NetsimTransport {
         self.inner.send(src, dst, words);
     }
 
-    fn send_vec(&mut self, src: usize, dst: usize, words: Vec<Word>) {
-        self.inner.send_vec(src, dst, words);
+    fn send_slab(&mut self, slab: LinkSlab) {
+        self.inner.send_slab(slab);
     }
 
     fn broadcast(&mut self, src: usize, slab: Arc<[Word]>) {
@@ -535,7 +535,7 @@ impl Transport for NetsimTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_runtime::{EchoRingProgram, Engine, EngineFabric, Executor, ExecutorKind};
+    use cc_runtime::{EchoRingProgram, Engine, EngineFabric, ExecutorKind};
     use cc_transport::{InMemoryTransport, TransportFabric};
 
     fn lossy(seed: u64) -> NetsimConfig {
@@ -546,10 +546,7 @@ mod tests {
     }
 
     fn wrapped(n: usize, cfg: NetsimConfig) -> Box<dyn Transport> {
-        NetsimTransport::wrap(
-            Box::new(InMemoryTransport::new(n, Executor::default())),
-            cfg,
-        )
+        NetsimTransport::wrap(Box::new(InMemoryTransport::new(n)), cfg)
     }
 
     #[test]
@@ -618,8 +615,7 @@ mod tests {
 
     #[test]
     fn conditioning_is_delivery_transparent() {
-        let mut plain: Box<dyn Transport> =
-            Box::new(InMemoryTransport::new(4, Executor::default()));
+        let mut plain: Box<dyn Transport> = Box::new(InMemoryTransport::new(4));
         let mut conditioned = wrapped(4, lossy(7));
         for t in [&mut plain, &mut conditioned] {
             t.send(0, 1, &[7, 8]);

@@ -6,7 +6,7 @@
 //! the memory sink keeps exact aggregates plus a bounded ring of recent raw
 //! events rather than an unbounded log.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, LineWriter, Write};
@@ -190,7 +190,7 @@ pub struct MemorySnapshot {
     pub warning_counts: BTreeMap<String, u64>,
     /// Ring of the most recent raw events (capacity
     /// [`MemorySink::RECENT_CAP`]; oldest dropped first).
-    pub recent: Vec<Event>,
+    pub recent: VecDeque<Event>,
     /// Raw events dropped from the ring once it filled.
     pub dropped: u64,
 }
@@ -456,10 +456,10 @@ impl TelemetrySink for MemorySink {
             }
         }
         if state.recent.len() >= Self::RECENT_CAP {
-            state.recent.remove(0);
+            state.recent.pop_front();
             state.dropped += 1;
         }
-        state.recent.push(event.clone());
+        state.recent.push_back(event.clone());
     }
 }
 
@@ -745,6 +745,33 @@ mod tests {
 
         sink.reset();
         assert_eq!(sink.snapshot(), MemorySnapshot::default());
+    }
+
+    #[test]
+    fn recent_ring_keeps_order_and_counts_drops_past_the_cap() {
+        // Three laps of the ring: what is retained is always the newest
+        // RECENT_CAP events, oldest first, and every evicted one is counted.
+        let sink = MemorySink::new();
+        let cap = MemorySink::RECENT_CAP as u64;
+        let total = 3 * cap + 7;
+        for i in 0..total {
+            sink.record(&Event::Counter {
+                name: "tick",
+                delta: i,
+            });
+        }
+        let snap = sink.snapshot();
+        assert_eq!(snap.dropped, total - cap);
+        let deltas: Vec<u64> = snap
+            .recent
+            .iter()
+            .map(|e| match e {
+                Event::Counter { delta, .. } => *delta,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(deltas, (total - cap..total).collect::<Vec<_>>());
+        assert_eq!(snap.counters["tick"], (0..total).sum::<u64>());
     }
 
     #[test]

@@ -1,25 +1,31 @@
 //! The cross-thread backend: one OS thread and one MPSC inbox queue per
 //! simulated node, rounds delimited by an epoch rendezvous.
 
-use crate::frame::Frame;
+use crate::frame::{encode_payload, Frame};
 use crate::pending::Pending;
-use crate::{merge_loads, Delivered, RoundDelivery, Transport};
+use crate::slab::SlabAppender;
+use crate::{merge_loads, LinkSlab, RoundDelivery, Transport};
 use cc_runtime::Word;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+/// One node's assembled row: `(src, words)` runs in `src` order.
+type NodeRow = Vec<(usize, Vec<Word>)>;
+
 /// One node's barrier contribution: its id, the epoch it is committing,
-/// its assembled delivery, and its per-link accounting (entries
+/// its assembled row, and its per-link accounting (entries
 /// `(src, self, words)` in `src` order).
-type NodeCommit = (usize, u64, Delivered, Vec<(usize, usize, usize)>);
+type NodeCommit = (usize, u64, NodeRow, Vec<(usize, usize, usize)>);
 
 /// Cross-thread message passing: each simulated node is an OS thread owning
 /// an MPSC inbox queue of encoded [`Frame`]s (the same wire format the
 /// socket backend puts on the wire, so the codec is exercised on this lane
-/// too). Per round, the parent feeds every node its incoming frames and a
-/// `RoundEnd` delimiter; each node assembles its delivery and accounting
-/// off-thread and answers through a shared commit channel. The round
+/// too). Per round, the parent feeds every node its incoming links —
+/// encoded straight from the round's [`LinkSlab`], one destination row
+/// after another — and a `RoundEnd` delimiter; each node assembles its row
+/// and accounting off-thread and answers through a shared commit channel,
+/// and the committed rows are laid end to end into the delivered slab. The round
 /// barrier is the **epoch rendezvous**: `finish_round` returns only after
 /// all `n` nodes have committed the current epoch, and every frame and
 /// commit carries the epoch so a desynchronised round fails loudly instead
@@ -115,8 +121,8 @@ impl Transport for ChannelTransport {
         self.pending.send(src, dst, words);
     }
 
-    fn send_vec(&mut self, src: usize, dst: usize, words: Vec<Word>) {
-        self.pending.send_vec(src, dst, words);
+    fn send_slab(&mut self, slab: LinkSlab) {
+        self.pending.send_slab(slab);
     }
 
     fn broadcast(&mut self, src: usize, slab: Arc<[Word]>) {
@@ -128,24 +134,15 @@ impl Transport for ChannelTransport {
         let epoch = self.epoch;
         // Feed every node its incoming links (src order), then the
         // broadcast slabs, then the round delimiter.
-        for dst in 0..n {
-            for src in 0..n {
-                let words = std::mem::take(&mut self.pending.queues[dst * n + src]);
-                if words.is_empty() {
-                    continue;
-                }
-                let frame = Frame::Payload {
-                    epoch,
-                    src: src as u32,
-                    dst: dst as u32,
-                    words,
-                };
-                let bytes = frame.encode();
-                self.orchestrator_bytes += bytes.len() as u64;
-                self.post(dst, bytes);
-            }
+        let slab = self.pending.take_slab();
+        for (src, dst, words) in slab.runs(0..n) {
+            let bytes = encode_payload(epoch, src as u32, dst as u32, words);
+            self.orchestrator_bytes += bytes.len() as u64;
+            self.post(dst, bytes);
         }
-        for (src, slabs) in self.pending.take_bcasts().into_iter().enumerate() {
+        drop(slab);
+        let bcasts = self.pending.take_bcasts();
+        for (src, slabs) in bcasts.iter().enumerate() {
             for slab in slabs {
                 let bytes = Frame::Bcast {
                     epoch,
@@ -166,21 +163,27 @@ impl Transport for ChannelTransport {
 
         // Epoch rendezvous: every node must commit this round before it is
         // delivered and charged.
-        let mut inboxes: Vec<Option<Delivered>> = (0..n).map(|_| None).collect();
+        let mut rows: Vec<Option<NodeRow>> = (0..n).map(|_| None).collect();
         let mut all_loads = Vec::new();
         for _ in 0..n {
-            let (node, e, delivered, loads) = self.recv_commit();
+            let (node, e, row, loads) = self.recv_commit();
             assert_eq!(e, epoch, "node {node} committed a different epoch");
-            assert!(inboxes[node].is_none(), "node {node} committed twice");
-            inboxes[node] = Some(delivered);
+            assert!(rows[node].is_none(), "node {node} committed twice");
+            rows[node] = Some(row);
             all_loads.extend(loads);
         }
+        let mut unicast = SlabAppender::new(n);
+        for (dst, row) in rows.into_iter().enumerate() {
+            for (src, words) in row.expect("every node committed") {
+                unicast.append(src, dst, &words);
+            }
+        }
         self.epoch += 1;
+        // Broadcast lanes are the parent's own slabs: the nodes counted
+        // them, but immutable shared data is not echoed back.
         RoundDelivery {
-            inboxes: inboxes
-                .into_iter()
-                .map(|d| d.expect("every node committed"))
-                .collect(),
+            unicast: unicast.finish(),
+            broadcast: bcasts,
             loads: merge_loads(all_loads),
         }
     }
@@ -211,11 +214,14 @@ impl Drop for ChannelTransport {
 }
 
 /// One node's receive loop: buffer the epoch's frames, and on the round
-/// delimiter assemble the delivery and accounting and commit.
+/// delimiter commit the assembled row and its accounting.
 fn node_loop(me: usize, n: usize, rx: &Receiver<Vec<u8>>, commit: &Sender<NodeCommit>) {
     let mut epoch = 0u64;
     'rounds: loop {
-        let mut delivered = Delivered::empty(n);
+        let mut row = NodeRow::new();
+        // charged[src]: words `src` put on its link to this node, unicast
+        // and broadcast alike.
+        let mut charged = vec![0usize; n];
         loop {
             let Ok(bytes) = rx.recv() else {
                 return; // parent dropped the transport
@@ -229,12 +235,13 @@ fn node_loop(me: usize, n: usize, rx: &Receiver<Vec<u8>>, commit: &Sender<NodeCo
                 } => {
                     assert_eq!(e, epoch, "node {me}: payload from a different epoch");
                     assert_eq!(dst as usize, me, "node {me}: misrouted payload");
-                    let lane = &mut delivered.unicast[src as usize];
-                    if lane.is_empty() {
-                        *lane = words;
-                    } else {
-                        lane.extend(words);
-                    }
+                    let src = src as usize;
+                    assert!(
+                        src < n && row.last().is_none_or(|&(last, _)| last < src),
+                        "node {me}: payloads out of source order"
+                    );
+                    charged[src] += words.len();
+                    row.push((src, words));
                 }
                 Frame::Bcast {
                     epoch: e,
@@ -242,7 +249,7 @@ fn node_loop(me: usize, n: usize, rx: &Receiver<Vec<u8>>, commit: &Sender<NodeCo
                     words,
                 } => {
                     assert_eq!(e, epoch, "node {me}: broadcast from a different epoch");
-                    delivered.broadcast[src as usize].push(words.into());
+                    charged[src as usize] += words.len();
                 }
                 Frame::RoundEnd { epoch: e } => {
                     assert_eq!(e, epoch, "node {me}: round delimiter epoch mismatch");
@@ -252,21 +259,12 @@ fn node_loop(me: usize, n: usize, rx: &Receiver<Vec<u8>>, commit: &Sender<NodeCo
                 other => panic!("node {me}: unexpected frame {other:?}"),
             }
         }
-        let mut loads = Vec::new();
-        for src in 0..n {
-            if src == me {
-                continue; // self messages are local moves and free
-            }
-            let words = delivered.unicast[src].len()
-                + delivered.broadcast[src]
-                    .iter()
-                    .map(|s| s.len())
-                    .sum::<usize>();
-            if words > 0 {
-                loads.push((src, me, words));
-            }
-        }
-        if commit.send((me, epoch, delivered, loads)).is_err() {
+        // Self messages are local moves and free.
+        let loads = (0..n)
+            .filter(|&src| src != me && charged[src] > 0)
+            .map(|src| (src, me, charged[src]))
+            .collect();
+        if commit.send((me, epoch, row, loads)).is_err() {
             break 'rounds; // parent gone
         }
         epoch += 1;
@@ -285,12 +283,10 @@ mod tests {
         t.send(2, 2, &[9]); // self: delivered, free
         t.broadcast(3, vec![7, 7].into());
         let rd = t.finish_round();
-        assert_eq!(rd.inboxes[1].unicast[0], vec![1, 2, 3, 4]);
-        assert_eq!(rd.inboxes[2].unicast[2], vec![9]);
-        for dst in 0..4 {
-            assert_eq!(rd.inboxes[dst].broadcast[3].len(), 1);
-            assert_eq!(&*rd.inboxes[dst].broadcast[3][0], &[7, 7]);
-        }
+        assert_eq!(rd.unicast.link(0, 1), &[1, 2, 3, 4]);
+        assert_eq!(rd.unicast.link(2, 2), &[9]);
+        assert_eq!(rd.broadcast[3].len(), 1);
+        assert_eq!(&*rd.broadcast[3][0], &[7, 7]);
         // Loads: (0,1,4) plus (3,d,2) for d != 3, canonical order.
         let got: Vec<_> = rd.loads.iter().collect();
         assert_eq!(got, vec![(0, 1, 4), (3, 0, 2), (3, 1, 2), (3, 2, 2)]);
@@ -318,10 +314,7 @@ mod tests {
         for expected in 1..=5u64 {
             let rd = t.finish_round();
             assert_eq!(rd.loads.words(), 0);
-            assert!(rd
-                .inboxes
-                .iter()
-                .all(|d| d.unicast.iter().all(Vec::is_empty)));
+            assert_eq!(rd.unicast, LinkSlab::empty(3));
             assert_eq!(t.epoch(), expected);
         }
     }

@@ -1,12 +1,14 @@
 //! Adapter plugging a [`Transport`] into the runtime engine's round barrier.
 
-use crate::Transport;
+use crate::{LinkSlab, Transport};
 use cc_runtime::{Fabric, LinkLoads, NodeInbox, NodeOutbox, ResidentOutcome, Word};
 
 /// Routes [`cc_runtime::Engine`] round barriers through a [`Transport`]:
-/// each engine round's outboxes are shipped onto the fabric, the barrier is
-/// the transport's round rendezvous, and the returned accounting comes from
-/// the transport's per-link word counts. On the in-memory backend this is
+/// each engine round's outboxes are gathered into one [`LinkSlab`] and
+/// shipped onto the fabric, the barrier is the transport's round
+/// rendezvous, and the returned accounting comes from the transport's
+/// per-link word counts. The delivered slab is cut back into the per-node
+/// rows the engine's [`NodeInbox`] is made of. On the in-memory backend this is
 /// behaviourally identical to the engine's built-in
 /// [`cc_runtime::EngineFabric`] (same loads, same inbox assembly, shared
 /// broadcast slabs); on channel and socket backends the same program
@@ -31,20 +33,26 @@ impl Fabric for TransportFabric<'_> {
         outboxes: Vec<NodeOutbox>,
     ) -> (Vec<NodeInbox>, LinkLoads) {
         assert_eq!(n, self.transport.n(), "engine and transport disagree on n");
-        for (src, outbox) in outboxes.into_iter().enumerate() {
-            let (unicast, broadcast) = outbox.into_parts();
-            for (dst, words) in unicast {
-                self.transport.send_vec(src, dst, words);
-            }
+        let parts: Vec<_> = outboxes.into_iter().map(NodeOutbox::into_parts).collect();
+        let runs = parts.iter().enumerate().flat_map(|(src, (unicast, _))| {
+            unicast
+                .iter()
+                .map(move |(dst, words)| (src, *dst, words.as_slice()))
+        });
+        self.transport.send_slab(LinkSlab::from_runs(n, runs));
+        for (src, (_, broadcast)) in parts.into_iter().enumerate() {
             for slab in broadcast {
                 self.transport.broadcast(src, slab);
             }
         }
         let round = self.transport.finish_round();
-        let inboxes = round
-            .inboxes
-            .into_iter()
-            .map(|d| NodeInbox::from_parts(d.unicast, d.broadcast))
+        let inboxes = (0..n)
+            .map(|dst| {
+                let unicast = (0..n)
+                    .map(|src| round.unicast.link(src, dst).to_vec())
+                    .collect();
+                NodeInbox::from_parts(unicast, round.broadcast.clone())
+            })
             .collect();
         (inboxes, round.loads)
     }

@@ -220,13 +220,7 @@ impl Frame {
                 src,
                 dst,
                 words,
-            } => {
-                buf.push(TAG_PAYLOAD);
-                buf.extend_from_slice(&epoch.to_le_bytes());
-                buf.extend_from_slice(&src.to_le_bytes());
-                buf.extend_from_slice(&dst.to_le_bytes());
-                put_words(&mut buf, words);
-            }
+            } => put_payload(&mut buf, *epoch, *src, *dst, words),
             Frame::Bcast { epoch, src, words } => {
                 buf.push(TAG_BCAST);
                 buf.extend_from_slice(&epoch.to_le_bytes());
@@ -423,6 +417,20 @@ impl Frame {
     }
 }
 
+/// Encoded size of a [`Frame::Payload`] body carrying `words` words: tag,
+/// epoch, src, dst, word count, words.
+fn payload_len(words: usize) -> usize {
+    1 + 8 + 4 + 4 + 4 + 8 * words
+}
+
+fn put_payload(buf: &mut Vec<u8>, epoch: u64, src: u32, dst: u32, words: &[Word]) {
+    buf.push(TAG_PAYLOAD);
+    buf.extend_from_slice(&epoch.to_le_bytes());
+    buf.extend_from_slice(&src.to_le_bytes());
+    buf.extend_from_slice(&dst.to_le_bytes());
+    put_words(buf, words);
+}
+
 fn put_words(buf: &mut Vec<u8>, words: &[Word]) {
     buf.extend_from_slice(&(words.len() as u32).to_le_bytes());
     for w in words {
@@ -523,6 +531,27 @@ pub fn push_frame_bytes(batch: &mut Vec<u8>, body: &[u8]) {
     batch.extend_from_slice(body);
 }
 
+/// Encodes a [`Frame::Payload`] body straight from a word slice — the bytes
+/// of `Frame::Payload { .. }.encode()` without first copying the words into
+/// a frame. This is how a [`crate::LinkSlab`] link goes onto a queue.
+#[must_use]
+pub fn encode_payload(epoch: u64, src: u32, dst: u32, words: &[Word]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(payload_len(words.len()));
+    put_payload(&mut buf, epoch, src, dst, words);
+    buf
+}
+
+/// Appends one length-prefixed [`Frame::Payload`] to a batch buffer,
+/// encoded straight from a word slice — exactly the bytes [`push_frame`]
+/// produces for the equivalent frame. This is how a [`crate::LinkSlab`]
+/// link goes onto the wire.
+pub fn push_payload_frame(batch: &mut Vec<u8>, epoch: u64, src: u32, dst: u32, words: &[Word]) {
+    let len = payload_len(words.len());
+    assert!(len <= MAX_FRAME_BYTES, "frame exceeds wire cap");
+    batch.extend_from_slice(&(len as u32).to_le_bytes());
+    put_payload(batch, epoch, src, dst, words);
+}
+
 /// Encodes a frame sequence as one contiguous length-prefixed byte batch —
 /// bit-identical to writing each frame with [`write_frame`] in order
 /// (property-tested in `prop_frames.rs`), so batched and unbatched senders
@@ -614,6 +643,23 @@ mod tests {
         ];
         for f in frames {
             assert_eq!(Frame::decode(&f.encode()), Ok(f.clone()), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn payloads_encode_identically_from_a_slice() {
+        for words in [vec![], vec![7], vec![0, Word::MAX, 42]] {
+            let frame = Frame::Payload {
+                epoch: 9,
+                src: 3,
+                dst: 1,
+                words: words.clone(),
+            };
+            assert_eq!(encode_payload(9, 3, 1, &words), frame.encode());
+            let (mut a, mut b) = (vec![0xaa], vec![0xaa]);
+            push_frame(&mut a, &frame);
+            push_payload_frame(&mut b, 9, 3, 1, &words);
+            assert_eq!(a, b);
         }
     }
 

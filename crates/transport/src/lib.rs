@@ -4,12 +4,13 @@
 //! each node's next inbox and the per-link word counts are charged. This
 //! crate makes the fabric carrying that traffic **pluggable**: the
 //! [`Transport`] trait covers per-round send/recv, the barrier rendezvous,
-//! and per-link word accounting, and three deterministic backends implement
+//! and per-link word accounting, and four deterministic backends implement
 //! it:
 //!
-//! * [`InMemoryTransport`] — the classical single-process fabric: a
-//!   destination-major queue matrix drained by a sharded flush on the
-//!   configured [`Executor`]. The reference semantics, and the fastest.
+//! * [`InMemoryTransport`] — the classical single-process fabric: the
+//!   round's [`LinkSlab`] is moved from the sender to the delivery and the
+//!   accounting is read off its offset table. The reference semantics, and
+//!   the fastest.
 //! * [`ChannelTransport`] — cross-thread message passing: one OS thread and
 //!   one MPSC inbox queue per simulated node; the parent feeds encoded
 //!   [`Frame`]s into each inbox, and rounds are delimited by an epoch
@@ -28,6 +29,20 @@
 //!   over a direct peer mesh, and the orchestrator's per-round role shrinks
 //!   to brokering the barrier (commit tokens and epochs) and collecting
 //!   final states — the star becomes a clique.
+//!
+//! ## One round, one buffer
+//!
+//! A round's unicast traffic is a single flat, destination-major
+//! [`LinkSlab`]: link `(src, dst)` is the slice
+//! `words[offsets[dst * n + src]..offsets[dst * n + src + 1]]`. The
+//! primitive that generates the traffic builds the slab by a two-pass
+//! counting sort ([`SlabWriter`]) and hands it over in one call
+//! ([`Transport::send_slab`]); the barrier hands a slab back
+//! ([`RoundDelivery::unicast`]) together with the round's broadcast slabs
+//! (one list per *source*, shared by every recipient) and its canonical
+//! [`LinkLoads`]. The wire backends encode their `Payload` frames straight
+//! from slab slices and decode the echoed rows into a slab; nothing on the
+//! path keeps a queue per link.
 //!
 //! ## Determinism contract
 //!
@@ -51,17 +66,20 @@ mod fabric;
 pub mod frame;
 mod inmemory;
 mod pending;
+mod slab;
 mod socket;
+mod star;
 mod tcp;
 mod traced;
 
 pub use crate::channel::ChannelTransport;
 pub use crate::fabric::TransportFabric;
 pub use crate::frame::{
-    encode_frame_batch, push_frame, push_frame_bytes, read_frame, write_frame, Frame, FrameError,
-    MAX_FRAME_BYTES,
+    encode_frame_batch, encode_payload, push_frame, push_frame_bytes, push_payload_frame,
+    read_frame, write_frame, Frame, FrameError, MAX_FRAME_BYTES,
 };
 pub use crate::inmemory::InMemoryTransport;
+pub use crate::slab::{LinkSlab, SlabWriter};
 pub use crate::socket::{worker_main, SocketTransport, DEFAULT_SOCKET_WORKERS};
 pub use crate::tcp::{tcp_worker_main, TcpTransport, DEFAULT_TCP_WORKERS};
 pub use crate::traced::TracedTransport;
@@ -71,37 +89,23 @@ use std::fmt;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-/// What one node received at a round barrier.
-///
-/// Unicast words from each source are concatenated in send order; broadcast
-/// slabs keep their per-slab identity (and, on the in-memory backend, their
-/// allocation — recipients share the sender's `Arc`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Delivered {
-    /// `unicast[src]` — words this node received from `src`, in send order.
-    pub unicast: Vec<Vec<Word>>,
-    /// `broadcast[src]` — broadcast slabs from `src`, in send order. Every
-    /// node receives every slab, the sender included.
-    pub broadcast: Vec<Vec<Arc<[Word]>>>,
-}
+/// Broadcast slabs of one round, indexed by source: `lanes[src]` holds the
+/// slabs `src` broadcast, in send order.
+pub type BcastLanes = Vec<Vec<Arc<[Word]>>>;
 
-impl Delivered {
-    /// An empty delivery for a clique of `n` nodes.
-    #[must_use]
-    pub fn empty(n: usize) -> Self {
-        Self {
-            unicast: vec![Vec::new(); n],
-            broadcast: vec![Vec::new(); n],
-        }
-    }
-}
-
-/// Everything a round barrier yields: per-node deliveries (node order) and
-/// the round's per-link word accounting in canonical `(src, dst)` order.
+/// Everything a round barrier yields: the delivered unicast traffic, the
+/// broadcast slabs, and the round's per-link word accounting in canonical
+/// `(src, dst)` order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundDelivery {
-    /// One [`Delivered`] per node, in node order.
-    pub inboxes: Vec<Delivered>,
+    /// The delivered unicast words: node `dst` received
+    /// `unicast.link(src, dst)` from `src`, in send order.
+    pub unicast: LinkSlab,
+    /// `broadcast[src]` — broadcast slabs from `src`, in send order. Every
+    /// node receives every slab, the sender included, so the lanes are kept
+    /// once per source and shared by all recipients (on every backend they
+    /// are the sender's own `Arc`s).
+    pub broadcast: BcastLanes,
     /// Canonical `(src, dst)`-ordered link loads; self-links are free and
     /// never appear.
     pub loads: LinkLoads,
@@ -110,7 +114,8 @@ pub struct RoundDelivery {
 /// A synchronous-round message fabric for `n` clique nodes.
 ///
 /// Usage is strictly round-structured: any number of [`Transport::send`] /
-/// [`Transport::broadcast`] calls queue the current round's traffic, then
+/// [`Transport::send_slab`] / [`Transport::broadcast`] calls queue the
+/// current round's traffic, then
 /// one [`Transport::finish_round`] executes the barrier — rendezvous with
 /// every peer, deliver, account — and advances the epoch. All backends are
 /// deterministic: identical call sequences yield identical
@@ -127,11 +132,17 @@ pub trait Transport: fmt::Debug + Send {
     /// traffic (`src == dst`) is delivered but never charged.
     fn send(&mut self, src: usize, dst: usize, words: &[Word]);
 
-    /// Queues `words` on the `(src, dst)` link, taking ownership (backends
-    /// may move the buffer instead of copying it).
-    fn send_vec(&mut self, src: usize, dst: usize, words: Vec<Word>) {
-        self.send(src, dst, &words);
-    }
+    /// Queues a whole slab of unicast traffic for the current round — the
+    /// bulk entry point every primitive uses. A round sent as one slab
+    /// reaches the barrier without being copied; mixed with
+    /// [`Transport::send`] calls or further slabs, each link's words
+    /// concatenate in call order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slab's layout is inconsistent or sized for a different
+    /// clique (see [`LinkSlab::validate`]).
+    fn send_slab(&mut self, slab: LinkSlab);
 
     /// Queues a broadcast slab from `src` for the current round: delivered
     /// to every node (the sender included), charged on every `src → dst`
@@ -235,8 +246,7 @@ pub trait Transport: fmt::Debug + Send {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// Single-process shared-memory fabric (the reference semantics and the
-    /// default): destination-major queues drained by an executor-sharded
-    /// flush.
+    /// default): the round's slab is moved from sender to delivery.
     #[default]
     InMemory,
     /// Cross-thread fabric: one node thread + MPSC inbox queue per node,
@@ -347,14 +357,15 @@ impl TransportKind {
         )
     }
 
-    /// Builds a transport of this kind for `n` nodes. The executor is used
-    /// by the in-memory backend to shard its flush; other backends have
-    /// their own concurrency (node threads, worker processes) and ignore
-    /// it.
+    /// Builds a transport of this kind for `n` nodes. No backend runs
+    /// anything on the executor any more — the in-memory barrier moves one
+    /// slab instead of sharding a flush, and the others have their own
+    /// concurrency (node threads, worker processes) — so `_exec` is kept
+    /// only so existing callers compile unchanged.
     #[must_use]
-    pub fn build(self, n: usize, exec: Executor) -> Box<dyn Transport> {
+    pub fn build(self, n: usize, _exec: Executor) -> Box<dyn Transport> {
         let inner: Box<dyn Transport> = match self {
-            TransportKind::InMemory => Box::new(InMemoryTransport::new(n, exec)),
+            TransportKind::InMemory => Box::new(InMemoryTransport::new(n)),
             TransportKind::Channel => Box::new(ChannelTransport::new(n)),
             TransportKind::Socket { workers } => Box::new(SocketTransport::new(n, workers)),
             TransportKind::Tcp {
@@ -373,9 +384,10 @@ impl TransportKind {
     }
 }
 
-/// Merges per-destination load triples into one canonical [`LinkLoads`]:
-/// globally sorted by `(src, dst)`, zero and self entries already excluded
-/// by construction of the inputs (and re-filtered by `add`).
+/// Merges the load triples the workers of a wire backend reported (each
+/// accounts its own destinations) into one canonical [`LinkLoads`]: globally
+/// sorted by `(src, dst)`, zero and self entries already excluded by
+/// construction of the inputs (and re-filtered by `add`).
 pub(crate) fn merge_loads(mut triples: Vec<(usize, usize, usize)>) -> LinkLoads {
     triples.sort_unstable();
     let mut loads = LinkLoads::new();

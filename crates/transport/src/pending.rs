@@ -1,20 +1,55 @@
 //! The parent-side buffer accumulating one round's outgoing traffic.
 
+use crate::slab::{LinkSlab, SlabWriter};
+use crate::BcastLanes;
 use cc_runtime::Word;
 use std::sync::Arc;
 
-/// One round's queued traffic, laid out exactly like the historical
-/// `Network`: a destination-major `n × n` queue matrix
-/// (`queues[dst * n + src]`) so one destination's incoming links occupy a
-/// contiguous block, plus per-source broadcast slab lists. The outer
-/// allocations persist across rounds; the barrier drains entries in place.
+/// One piece of a round's queued unicast traffic, in call order.
+#[derive(Debug)]
+enum Part {
+    /// A ready-made slab from [`Pending::send_slab`].
+    Slab(LinkSlab),
+    /// Consecutive [`Pending::send`] calls: an append log of
+    /// `(src, dst, len)` runs over one shared word buffer.
+    Log {
+        runs: Vec<(u32, u32, usize)>,
+        words: Vec<Word>,
+    },
+}
+
+impl Part {
+    /// Visits this part's non-empty link runs in send order.
+    fn for_each_run(&self, n: usize, mut f: impl FnMut(usize, usize, &[Word])) {
+        match self {
+            Part::Slab(slab) => slab.runs(0..n).for_each(|(src, dst, run)| f(src, dst, run)),
+            Part::Log { runs, words } => {
+                let mut at = 0;
+                for &(src, dst, len) in runs {
+                    f(src as usize, dst as usize, &words[at..at + len]);
+                    at += len;
+                }
+            }
+        }
+    }
+}
+
+/// One round's queued traffic: the unicast words as a [`LinkSlab`] (or the
+/// parts that become one at the barrier), plus per-source broadcast slab
+/// lists.
+///
+/// The primitives hand over a whole round as one slab
+/// ([`Pending::send_slab`]) and the barrier takes it back out untouched.
+/// Word-at-a-time [`Pending::send`] calls land in an append log instead;
+/// a round that mixes the two, or sends more than one slab, is merged by a
+/// single counting sort at the barrier, with every link's words
+/// concatenated in call order.
 #[derive(Debug)]
 pub(crate) struct Pending {
     n: usize,
-    /// `queues[dst * n + src]` (destination-major).
-    pub(crate) queues: Vec<Vec<Word>>,
+    parts: Vec<Part>,
     /// `bcasts[src]` — broadcast slabs queued by `src`, in send order.
-    pub(crate) bcasts: Vec<Vec<Arc<[Word]>>>,
+    bcasts: BcastLanes,
 }
 
 impl Pending {
@@ -22,7 +57,7 @@ impl Pending {
         assert!(n >= 1, "transport needs at least one node");
         Self {
             n,
-            queues: vec![Vec::new(); n * n],
+            parts: Vec::new(),
             bcasts: vec![Vec::new(); n],
         }
     }
@@ -32,17 +67,30 @@ impl Pending {
     }
 
     pub(crate) fn send(&mut self, src: usize, dst: usize, words: &[Word]) {
-        self.check(src, dst);
-        self.queues[dst * self.n + src].extend_from_slice(words);
+        assert!(
+            src < self.n && dst < self.n,
+            "node index out of range (n={})",
+            self.n
+        );
+        if words.is_empty() {
+            return;
+        }
+        if !matches!(self.parts.last(), Some(Part::Log { .. })) {
+            self.parts.push(Part::Log {
+                runs: Vec::new(),
+                words: Vec::new(),
+            });
+        }
+        if let Some(Part::Log { runs, words: log }) = self.parts.last_mut() {
+            runs.push((src as u32, dst as u32, words.len()));
+            log.extend_from_slice(words);
+        }
     }
 
-    pub(crate) fn send_vec(&mut self, src: usize, dst: usize, words: Vec<Word>) {
-        self.check(src, dst);
-        let q = &mut self.queues[dst * self.n + src];
-        if q.is_empty() {
-            *q = words;
-        } else {
-            q.extend(words);
+    pub(crate) fn send_slab(&mut self, slab: LinkSlab) {
+        slab.validate(self.n);
+        if slab.total_words() > 0 {
+            self.parts.push(Part::Slab(slab));
         }
     }
 
@@ -53,26 +101,30 @@ impl Pending {
         }
     }
 
-    /// Per-source broadcast word totals (what each slab set charges on
-    /// every outgoing link).
-    pub(crate) fn bcast_words(&self) -> Vec<usize> {
-        self.bcasts
-            .iter()
-            .map(|slabs| slabs.iter().map(|s| s.len()).sum())
-            .collect()
+    /// Removes and returns the round's unicast traffic as one slab, leaving
+    /// the buffer ready for the next round. A round that was sent as a
+    /// single slab is moved out as is.
+    pub(crate) fn take_slab(&mut self) -> LinkSlab {
+        let n = self.n;
+        let parts = match <[Part; 1]>::try_from(std::mem::take(&mut self.parts)) {
+            Ok([Part::Slab(slab)]) => return slab,
+            Ok([log]) => vec![log],
+            Err(parts) => parts,
+        };
+        let mut counts = vec![0usize; n * n];
+        for part in &parts {
+            part.for_each_run(n, |src, dst, run| counts[dst * n + src] += run.len());
+        }
+        let mut writer = SlabWriter::from_counts(n, counts);
+        for part in &parts {
+            part.for_each_run(n, |src, dst, run| writer.extend(src, dst, run));
+        }
+        writer.finish()
     }
 
-    /// Removes and returns the queued broadcast slabs, leaving the buffer
-    /// ready for the next round.
-    pub(crate) fn take_bcasts(&mut self) -> Vec<Vec<Arc<[Word]>>> {
+    /// Removes and returns the queued broadcast slabs (`[src]`, send
+    /// order), leaving the buffer ready for the next round.
+    pub(crate) fn take_bcasts(&mut self) -> BcastLanes {
         std::mem::replace(&mut self.bcasts, vec![Vec::new(); self.n])
-    }
-
-    fn check(&self, src: usize, dst: usize) {
-        assert!(
-            src < self.n && dst < self.n,
-            "node index out of range (n={})",
-            self.n
-        );
     }
 }

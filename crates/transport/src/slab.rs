@@ -1,0 +1,344 @@
+//! The flat, destination-major buffer holding one round's unicast traffic.
+
+use cc_runtime::{LinkLoads, Word};
+use std::ops::Range;
+use std::sync::Arc;
+
+/// One round's unicast traffic on all `n²` directed links, in **one**
+/// contiguous buffer.
+///
+/// The layout is destination-major: link `(src, dst)` has index
+/// `dst * n + src`, and its words are
+/// `words[offsets[dst * n + src]..offsets[dst * n + src + 1]]`, in send
+/// order. One destination's `n` incoming links are therefore adjacent — both
+/// in `offsets` and in `words` — which is what lets a worker's shard, a
+/// node's inbox row, or the whole round move as a single slice.
+///
+/// A slab is the single representation of a round from the primitive that
+/// builds it ([`SlabWriter`], a two-pass counting sort) through the
+/// transport's pending buffer and the barrier to the delivery the caller
+/// reads back ([`crate::RoundDelivery::unicast`]); the in-memory barrier
+/// *moves* it, never copies it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkSlab {
+    n: usize,
+    offsets: Vec<usize>,
+    words: Vec<Word>,
+}
+
+impl LinkSlab {
+    /// A slab with no traffic for a clique of `n` nodes.
+    #[must_use]
+    pub fn empty(n: usize) -> Self {
+        Self {
+            n,
+            offsets: vec![0; n * n + 1],
+            words: Vec::new(),
+        }
+    }
+
+    /// Assembles a slab from its raw parts **without validating them**:
+    /// [`crate::Transport::send_slab`] checks the layout invariants when the
+    /// slab is handed to a fabric (see [`LinkSlab::validate`]).
+    #[must_use]
+    pub fn from_raw(n: usize, offsets: Vec<usize>, words: Vec<Word>) -> Self {
+        Self { n, offsets, words }
+    }
+
+    /// Builds a slab from `(src, dst, words)` runs by a two-pass counting
+    /// sort: the iterator is walked once to size every link and once to
+    /// scatter, so runs for one link concatenate in iteration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node index is out of range.
+    #[must_use]
+    pub fn from_runs<'a, I>(n: usize, runs: I) -> Self
+    where
+        I: Iterator<Item = (usize, usize, &'a [Word])> + Clone,
+    {
+        let mut counts = vec![0usize; n * n];
+        for (src, dst, words) in runs.clone() {
+            assert!(src < n && dst < n, "node index out of range (n={n})");
+            counts[dst * n + src] += words.len();
+        }
+        let mut writer = SlabWriter::from_counts(n, counts);
+        for (src, dst, words) in runs {
+            writer.extend(src, dst, words);
+        }
+        writer.finish()
+    }
+
+    /// Clique size this slab was laid out for.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The words on the `(src, dst)` link, in send order (possibly empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    #[must_use]
+    pub fn link(&self, src: usize, dst: usize) -> &[Word] {
+        assert!(
+            src < self.n && dst < self.n,
+            "node index out of range (n={})",
+            self.n
+        );
+        let at = dst * self.n + src;
+        &self.words[self.offsets[at]..self.offsets[at + 1]]
+    }
+
+    /// The non-empty links into the destinations `dsts`, as
+    /// `(src, dst, words)` in slab order (`dst`-major, then `src`).
+    pub fn runs(&self, dsts: Range<usize>) -> impl Iterator<Item = (usize, usize, &[Word])> {
+        dsts.flat_map(move |dst| (0..self.n).map(move |src| (src, dst, self.link(src, dst))))
+            .filter(|(_, _, words)| !words.is_empty())
+    }
+
+    /// Everything `dst` received, all sources concatenated in source order.
+    #[must_use]
+    pub fn row(&self, dst: usize) -> &[Word] {
+        &self.words[self.offsets[dst * self.n]..self.offsets[(dst + 1) * self.n]]
+    }
+
+    /// Total words in the slab (self-links included).
+    #[must_use]
+    pub fn total_words(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Checks the layout invariants against a fabric of `n` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics — with a distinct message per violation — if the slab was
+    /// built for a different `n`, its offset table is not `n² + 1` long,
+    /// does not start at zero, decreases anywhere, or does not end at
+    /// `words.len()`.
+    pub fn validate(&self, n: usize) {
+        assert_eq!(
+            self.n, n,
+            "slab laid out for n={} handed to a fabric of n={n}",
+            self.n
+        );
+        assert_eq!(
+            self.offsets.len(),
+            n * n + 1,
+            "slab offset table has {} entries, expected n*n+1 = {}",
+            self.offsets.len(),
+            n * n + 1
+        );
+        assert_eq!(self.offsets[0], 0, "slab offsets must start at 0");
+        if let Some(at) = self.offsets.windows(2).position(|w| w[0] > w[1]) {
+            panic!("slab offsets are not monotone at link index {at}");
+        }
+        assert_eq!(
+            self.offsets[n * n],
+            self.words.len(),
+            "slab offsets end at {} but the slab holds {} words",
+            self.offsets[n * n],
+            self.words.len()
+        );
+    }
+
+    /// The round's per-link accounting in canonical `(src, dst)` order,
+    /// read straight off the offset table: a link is charged its unicast
+    /// words plus everything `src` broadcast this round (`bcasts[src]`);
+    /// self-links are free.
+    #[must_use]
+    pub fn link_loads(&self, bcasts: &[Vec<Arc<[Word]>>]) -> LinkLoads {
+        let n = self.n;
+        let mut loads = LinkLoads::new();
+        for (src, slabs) in bcasts.iter().enumerate() {
+            let bcast: usize = slabs.iter().map(|s| s.len()).sum();
+            for dst in 0..n {
+                let at = dst * n + src;
+                loads.add(src, dst, self.offsets[at + 1] - self.offsets[at] + bcast);
+            }
+        }
+        loads
+    }
+}
+
+/// Pass two of the counting sort that builds a [`LinkSlab`]: constructed
+/// from per-link word counts, then fed exactly that many words per link, in
+/// any interleaving across links.
+#[derive(Debug)]
+pub struct SlabWriter {
+    slab: LinkSlab,
+    /// `cursor[link]` — where the link's next word lands.
+    cursor: Vec<usize>,
+}
+
+impl SlabWriter {
+    /// Sizes a slab from per-link word counts (`counts[dst * n + src]`,
+    /// length `n²`): prefix sums become the offset table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts.len() != n * n`.
+    #[must_use]
+    pub fn from_counts(n: usize, counts: Vec<usize>) -> Self {
+        assert_eq!(counts.len(), n * n, "one count per directed link");
+        let mut cursor = counts;
+        let mut offsets = Vec::with_capacity(n * n + 1);
+        let mut at = 0usize;
+        for c in &mut cursor {
+            offsets.push(at);
+            at += std::mem::replace(c, at);
+        }
+        offsets.push(at);
+        Self {
+            slab: LinkSlab {
+                n,
+                offsets,
+                words: vec![0; at],
+            },
+            cursor,
+        }
+    }
+
+    /// Appends one word to the `(src, dst)` link.
+    pub fn push(&mut self, src: usize, dst: usize, word: Word) {
+        debug_assert!(src < self.slab.n && dst < self.slab.n);
+        let c = &mut self.cursor[dst * self.slab.n + src];
+        self.slab.words[*c] = word;
+        *c += 1;
+    }
+
+    /// Appends `words` to the `(src, dst)` link.
+    pub fn extend(&mut self, src: usize, dst: usize, words: &[Word]) {
+        debug_assert!(src < self.slab.n && dst < self.slab.n);
+        let c = &mut self.cursor[dst * self.slab.n + src];
+        self.slab.words[*c..*c + words.len()].copy_from_slice(words);
+        *c += words.len();
+    }
+
+    /// The finished slab.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any link received a different number of words than it was
+    /// sized for (an overfull link would have spilled into its neighbour).
+    #[must_use]
+    pub fn finish(self) -> LinkSlab {
+        assert!(
+            self.cursor.iter().eq(&self.slab.offsets[1..]),
+            "every link must receive exactly the words it was sized for"
+        );
+        self.slab
+    }
+}
+
+/// Builds a [`LinkSlab`] from link runs that already arrive in slab order
+/// (non-decreasing `dst * n + src`) — the order the star backends echo
+/// assembled rows in — by plain appending, with no counting pass.
+#[derive(Debug)]
+pub(crate) struct SlabAppender {
+    n: usize,
+    /// Starts of links `0..offsets.len()`; the last one is still open.
+    offsets: Vec<usize>,
+    words: Vec<Word>,
+}
+
+impl SlabAppender {
+    pub(crate) fn new(n: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n * n + 1);
+        offsets.push(0);
+        Self {
+            n,
+            offsets,
+            words: Vec::new(),
+        }
+    }
+
+    /// Appends `words` to the `(src, dst)` link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the link precedes one already appended to.
+    pub(crate) fn append(&mut self, src: usize, dst: usize, words: &[Word]) {
+        assert!(src < self.n && dst < self.n, "node index out of range");
+        let link = dst * self.n + src;
+        assert!(
+            link + 1 >= self.offsets.len(),
+            "link runs must arrive in (dst, src) order"
+        );
+        self.offsets.resize(link + 1, self.words.len());
+        self.words.extend_from_slice(words);
+    }
+
+    pub(crate) fn finish(mut self) -> LinkSlab {
+        self.offsets.resize(self.n * self.n + 1, self.words.len());
+        LinkSlab {
+            n: self.n,
+            offsets: self.offsets,
+            words: self.words,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn runs_concatenate_per_link_in_iteration_order() {
+        let runs: Vec<(usize, usize, Vec<Word>)> = vec![
+            (0, 1, vec![1, 2]),
+            (2, 0, vec![9]),
+            (0, 1, vec![3]),
+            (1, 1, vec![7, 7]),
+            (2, 0, vec![]),
+        ];
+        let slab = LinkSlab::from_runs(3, runs.iter().map(|(s, d, w)| (*s, *d, w.as_slice())));
+        slab.validate(3);
+        assert_eq!(slab.link(0, 1), &[1, 2, 3]);
+        assert_eq!(slab.link(2, 0), &[9]);
+        assert_eq!(slab.link(1, 1), &[7, 7]);
+        assert_eq!(slab.link(1, 0), &[] as &[Word]);
+        assert_eq!(slab.row(1), &[1, 2, 3, 7, 7]);
+        let into_1: Vec<_> = slab.runs(1..3).collect();
+        assert_eq!(into_1, vec![(0, 1, &[1, 2, 3][..]), (1, 1, &[7, 7][..])]);
+        assert_eq!(slab.total_words(), 6);
+    }
+
+    #[test]
+    fn loads_are_canonical_and_skip_self_links() {
+        let runs = [(2usize, 0usize, [5u64, 6]), (1, 1, [1, 1]), (0, 2, [4, 4])];
+        let slab = LinkSlab::from_runs(3, runs.iter().map(|(s, d, w)| (*s, *d, &w[..])));
+        let bcasts = vec![vec![], vec![vec![1, 2].into(), vec![3].into()], vec![]];
+        let got: Vec<_> = slab.link_loads(&bcasts).iter().collect();
+        assert_eq!(got, vec![(0, 2, 2), (1, 0, 3), (1, 2, 3), (2, 0, 2)]);
+        let none = vec![Vec::new(); 3];
+        assert_eq!(LinkSlab::empty(3).link_loads(&none).iter().count(), 0);
+    }
+
+    #[test]
+    fn appender_matches_the_counting_sort() {
+        let runs = [
+            (1usize, 0usize, [8u64]),
+            (0, 2, [1]),
+            (0, 2, [2]),
+            (2, 2, [3]),
+        ];
+        let sorted = LinkSlab::from_runs(3, runs.iter().map(|(s, d, w)| (*s, *d, &w[..])));
+        let mut app = SlabAppender::new(3);
+        for (s, d, w) in &runs {
+            app.append(*s, *d, w);
+        }
+        assert_eq!(app.finish(), sorted);
+        assert_eq!(SlabAppender::new(3).finish(), LinkSlab::empty(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "(dst, src) order")]
+    fn appender_rejects_out_of_order_links() {
+        let mut app = SlabAppender::new(2);
+        app.append(0, 1, &[1]);
+        app.append(1, 0, &[2]);
+    }
+}

@@ -1,9 +1,10 @@
 //! The multi-process backend: a parent orchestrator and `cc-clique-node`
 //! worker processes exchanging length-prefixed frames over unix sockets.
 
-use crate::frame::{push_frame, push_frame_bytes, read_frame, write_frame, Frame};
+use crate::frame::{read_frame, write_frame, Frame};
 use crate::pending::Pending;
-use crate::{merge_loads, Delivered, RoundDelivery, Transport};
+use crate::star::{self, StarWorker};
+use crate::{LinkSlab, RoundDelivery, Transport};
 use cc_runtime::Word;
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -26,12 +27,13 @@ const ACCEPT_DEADLINE: Duration = Duration::from_secs(30);
 /// True multi-process simulation: the orchestrator spawns `cc-clique-node`
 /// worker processes, each simulating a contiguous shard of destination
 /// nodes, and ships every round's traffic to them as length-prefixed
-/// [`Frame`]s over a unix domain socket. Each worker assembles its nodes'
-/// inboxes, computes its shard of the per-link accounting, echoes the
-/// assembled rows back, and closes the round with a **round-commit token**
-/// ([`Frame::Commit`]) carrying the epoch; the barrier completes only when
-/// every worker has committed the epoch, so a lost or reordered round fails
-/// loudly.
+/// [`Frame`]s over a unix domain socket, encoded straight from the round's
+/// [`LinkSlab`] (a worker's shard is one contiguous range of it). Each
+/// worker computes its shard of the per-link accounting, echoes its rows
+/// back — the orchestrator decodes them into the delivered slab — and
+/// closes the round with a **round-commit token** ([`Frame::Commit`])
+/// carrying the epoch; the barrier completes only when every worker has
+/// committed the epoch, so a lost or reordered round fails loudly.
 ///
 /// Broadcast slabs cross the socket once per worker (real traffic, counted
 /// by the workers); the delivered broadcast lanes are reassembled from the
@@ -60,6 +62,23 @@ struct Worker {
     /// Destination shard `[lo, hi)` this worker simulates.
     lo: usize,
     hi: usize,
+}
+
+impl StarWorker for Worker {
+    fn shard(&self) -> (usize, usize) {
+        (self.lo, self.hi)
+    }
+
+    fn ship(&mut self, batch: &[u8]) {
+        self.writer
+            .write_all(batch)
+            .and_then(|()| self.writer.flush())
+            .expect("ship round batch to worker");
+    }
+
+    fn next_frame(&mut self) -> Frame {
+        read_frame(&mut self.reader).expect("read worker round")
+    }
 }
 
 impl SocketTransport {
@@ -162,8 +181,8 @@ impl Transport for SocketTransport {
         self.pending.send(src, dst, words);
     }
 
-    fn send_vec(&mut self, src: usize, dst: usize, words: Vec<Word>) {
-        self.pending.send_vec(src, dst, words);
+    fn send_slab(&mut self, slab: LinkSlab) {
+        self.pending.send_slab(slab);
     }
 
     fn broadcast(&mut self, src: usize, slab: Arc<[Word]>) {
@@ -171,140 +190,15 @@ impl Transport for SocketTransport {
     }
 
     fn finish_round(&mut self) -> RoundDelivery {
-        let n = self.pending.n();
-        let epoch = self.epoch;
-        let bcasts = self.pending.take_bcasts();
-        let bcast_frames: Vec<Vec<u8>> = bcasts
-            .iter()
-            .enumerate()
-            .flat_map(|(src, slabs)| {
-                slabs.iter().map(move |slab| {
-                    Frame::Bcast {
-                        epoch,
-                        src: src as u32,
-                        words: slab.to_vec(),
-                    }
-                    .encode()
-                })
-            })
-            .collect();
-
-        // Ship phase: every worker receives its shard's unicast queues, all
-        // broadcast slabs, and the round delimiter — coalesced into **one**
-        // length-prefixed batch per (worker, round), handed to the kernel
-        // as a single write instead of one syscall per frame (the byte
-        // stream is identical either way; `prop_frames.rs` pins that).
-        // Workers drain their input completely before echoing, so these
-        // writes cannot deadlock against the echo phase.
-        for wk in &mut self.workers {
-            let mut batch = Vec::new();
-            let mut frames = 0usize;
-            for dst in wk.lo..wk.hi {
-                for src in 0..n {
-                    let words = std::mem::take(&mut self.pending.queues[dst * n + src]);
-                    if words.is_empty() {
-                        continue;
-                    }
-                    let frame = Frame::Payload {
-                        epoch,
-                        src: src as u32,
-                        dst: dst as u32,
-                        words,
-                    };
-                    push_frame(&mut batch, &frame);
-                    frames += 1;
-                }
-            }
-            for bytes in &bcast_frames {
-                push_frame_bytes(&mut batch, bytes);
-                frames += 1;
-            }
-            // Everything batched so far is round payload funnelled through
-            // the orchestrator (the star topology's defining cost); the
-            // round delimiter below is control traffic and uncounted.
-            self.orchestrator_bytes += batch.len() as u64;
-            push_frame(&mut batch, &Frame::RoundEnd { epoch });
-            frames += 1;
-            cc_telemetry::global().emit(cc_telemetry::TraceLevel::Full, || {
-                cc_telemetry::Event::FrameBatch {
-                    backend: "socket",
-                    frames,
-                    bytes: batch.len(),
-                }
-            });
-            wk.writer
-                .write_all(&batch)
-                .and_then(|()| wk.writer.flush())
-                .expect("ship round batch to worker");
-        }
-
-        // Barrier: collect every worker's echoed inbox rows and its
-        // round-commit token for this epoch.
-        let mut inboxes = vec![Delivered::empty(n); n];
-        let mut all_loads = Vec::new();
-        let barrier_start = Instant::now();
-        for (idx, wk) in self.workers.iter_mut().enumerate() {
-            loop {
-                match read_frame(&mut wk.reader).expect("read worker round") {
-                    Frame::Payload {
-                        epoch: e,
-                        src,
-                        dst,
-                        words,
-                    } => {
-                        assert_eq!(e, epoch, "worker echoed a different epoch");
-                        let (src, dst) = (src as usize, dst as usize);
-                        assert!(
-                            (wk.lo..wk.hi).contains(&dst),
-                            "worker echoed a destination outside its shard"
-                        );
-                        let lane = &mut inboxes[dst].unicast[src];
-                        if lane.is_empty() {
-                            *lane = words;
-                        } else {
-                            lane.extend(words);
-                        }
-                    }
-                    Frame::Telemetry { worker, lines } => {
-                        cc_telemetry::global().merge_worker(worker, &lines);
-                    }
-                    Frame::Commit { epoch: e, loads } => {
-                        assert_eq!(e, epoch, "round-commit token for a different epoch");
-                        all_loads.extend(
-                            loads
-                                .into_iter()
-                                .map(|(s, d, w)| (s as usize, d as usize, w as usize)),
-                        );
-                        cc_telemetry::global().emit(cc_telemetry::TraceLevel::Rounds, || {
-                            cc_telemetry::Event::BarrierLane {
-                                backend: "socket",
-                                epoch,
-                                worker: idx as u32,
-                                wall_ns: barrier_start.elapsed().as_nanos() as u64,
-                            }
-                        });
-                        break;
-                    }
-                    other => panic!("unexpected frame from worker: {other:?}"),
-                }
-            }
-        }
-
-        // Broadcast lanes: reassembled from the orchestrator's slabs (the
-        // workers counted them; see the struct docs).
-        for delivered in &mut inboxes {
-            for (src, slabs) in bcasts.iter().enumerate() {
-                if !slabs.is_empty() {
-                    delivered.broadcast[src] = slabs.clone();
-                }
-            }
-        }
-
+        let round = star::finish_round(
+            "socket",
+            &mut self.pending,
+            &mut self.workers,
+            self.epoch,
+            &mut self.orchestrator_bytes,
+        );
         self.epoch += 1;
-        RoundDelivery {
-            inboxes,
-            loads: merge_loads(all_loads),
-        }
+        round
     }
 
     fn epoch(&self) -> u64 {
@@ -422,9 +316,8 @@ fn accept_one(
 }
 
 /// The `cc-clique-node` worker process body: connect to the orchestrator,
-/// greet, then serve rounds — buffer the epoch's frames, assemble the owned
-/// destination shard's inbox rows and per-link accounting, echo the rows,
-/// and commit the epoch — until told to shut down.
+/// greet, then serve star rounds — account the owned destination shard's
+/// links, echo the rows, and commit the epoch — until told to shut down.
 ///
 /// `lo` is the first owned destination, `count` the shard width, `n` the
 /// clique size. `trace` is the orchestrator-forwarded `CC_TRACE` level
@@ -448,117 +341,33 @@ pub fn worker_main(
 
     let mut epoch = 0u64;
     loop {
-        // rows[(dst - lo) * n + src]: assembled unicast lanes for the shard.
-        let mut rows: Vec<Vec<Word>> = vec![Vec::new(); count * n];
-        let mut bcast_words = vec![0usize; n];
-        loop {
-            match read_frame(&mut reader)? {
-                Frame::Payload {
-                    epoch: e,
-                    src,
-                    dst,
-                    words,
-                } => {
-                    check(e == epoch, "payload from a different epoch")?;
-                    let (src, dst) = (src as usize, dst as usize);
-                    check(
-                        src < n && (lo..lo + count).contains(&dst),
-                        "misrouted payload",
-                    )?;
-                    let lane = &mut rows[(dst - lo) * n + src];
-                    if lane.is_empty() {
-                        *lane = words;
-                    } else {
-                        lane.extend(words);
-                    }
+        match read_frame(&mut reader)? {
+            Frame::Shutdown => {
+                // Final telemetry flush: whatever the sink buffered since
+                // the last commit travels as the worker's last frames
+                // before exit.
+                let mut batch = Vec::new();
+                crate::tcp::push_telemetry(&mut batch, worker, wire.as_deref());
+                if !batch.is_empty() {
+                    writer.write_all(&batch)?;
+                    writer.flush()?;
                 }
-                Frame::Bcast {
-                    epoch: e,
-                    src,
-                    words,
-                } => {
-                    check(e == epoch, "broadcast from a different epoch")?;
-                    check((src as usize) < n, "broadcast source out of range")?;
-                    bcast_words[src as usize] += words.len();
-                }
-                Frame::RoundEnd { epoch: e } => {
-                    check(e == epoch, "round delimiter epoch mismatch")?;
-                    break;
-                }
-                Frame::Shutdown => {
-                    // Final telemetry flush: whatever the sink buffered
-                    // since the last commit travels as the worker's last
-                    // frames before exit.
-                    let mut batch = Vec::new();
-                    crate::tcp::push_telemetry(&mut batch, worker, wire.as_deref());
-                    if !batch.is_empty() {
-                        writer.write_all(&batch)?;
-                        writer.flush()?;
-                    }
-                    return Ok(());
-                }
-                other => return Err(protocol_error(&format!("unexpected frame {other:?}"))),
+                return Ok(());
+            }
+            first => {
+                epoch = star::serve_round(
+                    "socket",
+                    &mut reader,
+                    &mut writer,
+                    first,
+                    epoch,
+                    (lo, count, n),
+                    worker,
+                    wire.as_deref(),
+                )?;
             }
         }
-
-        // Echo phase, batched like the parent's ship phase: the shard's
-        // assembled rows and the round-commit token travel back as one
-        // length-prefixed batch — one write per (worker, round).
-        let mut loads: Vec<(u32, u32, u64)> = Vec::new();
-        let mut batch = Vec::new();
-        let mut echoed = 0usize;
-        for d in 0..count {
-            let dst = lo + d;
-            for src in 0..n {
-                let row = std::mem::take(&mut rows[d * n + src]);
-                let charged = if src == dst {
-                    0 // self messages are local moves and free
-                } else {
-                    row.len() + bcast_words[src]
-                };
-                if !row.is_empty() {
-                    let frame = Frame::Payload {
-                        epoch,
-                        src: src as u32,
-                        dst: dst as u32,
-                        words: row,
-                    };
-                    push_frame(&mut batch, &frame);
-                    echoed += 1;
-                }
-                if charged > 0 {
-                    loads.push((src as u32, dst as u32, charged as u64));
-                }
-            }
-        }
-        let commit_body = Frame::Commit { epoch, loads }.encode();
-        cc_telemetry::global().emit(cc_telemetry::TraceLevel::Full, || {
-            cc_telemetry::Event::FrameBatch {
-                backend: "socket",
-                frames: echoed + 1,
-                bytes: batch.len() + commit_body.len() + 4,
-            }
-        });
-        // Buffered telemetry rides just ahead of the commit token, so the
-        // orchestrator's barrier loop merges it before the round closes.
-        crate::tcp::push_telemetry(&mut batch, worker, wire.as_deref());
-        push_frame_bytes(&mut batch, &commit_body);
-        writer.write_all(&batch)?;
-        writer.flush()?;
-        epoch += 1;
     }
-}
-
-fn check(ok: bool, msg: &str) -> io::Result<()> {
-    if ok {
-        Ok(())
-    } else {
-        Err(protocol_error(msg))
-    }
-}
-
-fn protocol_error(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
 #[cfg(test)]

@@ -5,9 +5,10 @@
 //! ## Star mode (`CC_TRANSPORT=tcp`)
 //!
 //! Identical round structure to [`crate::SocketTransport`], with TCP
-//! streams instead of unix sockets: the orchestrator ships every round's
-//! frames to the workers and collects echoed inbox rows plus per-epoch
-//! round-commit tokens. Works across hosts, but every payload still
+//! streams instead of unix sockets (the round itself is the shared
+//! `star` module): the orchestrator ships every round's slab to the workers
+//! shard by shard and decodes the echoed rows, plus per-epoch round-commit
+//! tokens, back into a slab. Works across hosts, but every payload still
 //! transits the orchestrator.
 //!
 //! ## Program-resident mode (`CC_TRANSPORT=tcp-peer`)
@@ -36,7 +37,8 @@
 use crate::frame::{push_frame, push_frame_bytes, read_frame, write_frame, Frame};
 use crate::pending::Pending;
 use crate::socket::{find_worker_binary, shard};
-use crate::{merge_loads, Delivered, RoundDelivery, Transport};
+use crate::star::{self, check, protocol_error, StarWorker};
+use crate::{merge_loads, LinkSlab, RoundDelivery, Transport};
 use cc_runtime::{
     step_node, Control, LinkLoads, NodeInbox, ResidentNode, ResidentOutcome, ResidentRegistry, Word,
 };
@@ -129,6 +131,20 @@ impl Worker {
                 self.lo, self.hi
             ),
         }
+    }
+}
+
+impl StarWorker for Worker {
+    fn shard(&self) -> (usize, usize) {
+        (self.lo, self.hi)
+    }
+
+    fn ship(&mut self, batch: &[u8]) {
+        self.ship_batch(batch, "a round batch acknowledgement");
+    }
+
+    fn next_frame(&mut self) -> Frame {
+        self.read_barrier_frame("the star round's echoes and commit token")
     }
 }
 
@@ -287,8 +303,8 @@ impl Transport for TcpTransport {
         self.pending.send(src, dst, words);
     }
 
-    fn send_vec(&mut self, src: usize, dst: usize, words: Vec<Word>) {
-        self.pending.send_vec(src, dst, words);
+    fn send_slab(&mut self, slab: LinkSlab) {
+        self.pending.send_slab(slab);
     }
 
     fn broadcast(&mut self, src: usize, slab: Arc<[Word]>) {
@@ -296,128 +312,16 @@ impl Transport for TcpTransport {
     }
 
     fn finish_round(&mut self) -> RoundDelivery {
-        // The star round barrier, identical to the socket backend's: ship
-        // one coalesced batch per worker, collect echoed rows and commit
-        // tokens, reassemble broadcast lanes from the orchestrator's slabs.
-        let n = self.pending.n();
-        let epoch = self.epoch;
-        let bcasts = self.pending.take_bcasts();
-        let bcast_frames: Vec<Vec<u8>> = bcasts
-            .iter()
-            .enumerate()
-            .flat_map(|(src, slabs)| {
-                slabs.iter().map(move |slab| {
-                    Frame::Bcast {
-                        epoch,
-                        src: src as u32,
-                        words: slab.to_vec(),
-                    }
-                    .encode()
-                })
-            })
-            .collect();
-
-        for wk in &mut self.workers {
-            let mut batch = Vec::new();
-            let mut frames = 0usize;
-            for dst in wk.lo..wk.hi {
-                for src in 0..n {
-                    let words = std::mem::take(&mut self.pending.queues[dst * n + src]);
-                    if words.is_empty() {
-                        continue;
-                    }
-                    let frame = Frame::Payload {
-                        epoch,
-                        src: src as u32,
-                        dst: dst as u32,
-                        words,
-                    };
-                    push_frame(&mut batch, &frame);
-                    frames += 1;
-                }
-            }
-            for bytes in &bcast_frames {
-                push_frame_bytes(&mut batch, bytes);
-                frames += 1;
-            }
-            // Payload so far, delimiter below: only the former counts as
-            // bytes funnelled through the orchestrator.
-            self.orchestrator_bytes += batch.len() as u64;
-            push_frame(&mut batch, &Frame::RoundEnd { epoch });
-            frames += 1;
-            cc_telemetry::global().emit(cc_telemetry::TraceLevel::Full, || {
-                cc_telemetry::Event::FrameBatch {
-                    backend: "tcp",
-                    frames,
-                    bytes: batch.len(),
-                }
-            });
-            wk.ship_batch(&batch, "a round batch acknowledgement");
-        }
-
-        let mut inboxes = vec![Delivered::empty(n); n];
-        let mut all_loads = Vec::new();
-        let barrier_start = Instant::now();
-        for (idx, wk) in self.workers.iter_mut().enumerate() {
-            loop {
-                match wk.read_barrier_frame("the star round's echoes and commit token") {
-                    Frame::Payload {
-                        epoch: e,
-                        src,
-                        dst,
-                        words,
-                    } => {
-                        assert_eq!(e, epoch, "worker echoed a different epoch");
-                        let (src, dst) = (src as usize, dst as usize);
-                        assert!(
-                            (wk.lo..wk.hi).contains(&dst),
-                            "worker echoed a destination outside its shard"
-                        );
-                        let lane = &mut inboxes[dst].unicast[src];
-                        if lane.is_empty() {
-                            *lane = words;
-                        } else {
-                            lane.extend(words);
-                        }
-                    }
-                    Frame::Telemetry { worker, lines } => {
-                        cc_telemetry::global().merge_worker(worker, &lines);
-                    }
-                    Frame::Commit { epoch: e, loads } => {
-                        assert_eq!(e, epoch, "round-commit token for a different epoch");
-                        all_loads.extend(
-                            loads
-                                .into_iter()
-                                .map(|(s, d, w)| (s as usize, d as usize, w as usize)),
-                        );
-                        cc_telemetry::global().emit(cc_telemetry::TraceLevel::Rounds, || {
-                            cc_telemetry::Event::BarrierLane {
-                                backend: "tcp",
-                                epoch,
-                                worker: idx as u32,
-                                wall_ns: barrier_start.elapsed().as_nanos() as u64,
-                            }
-                        });
-                        break;
-                    }
-                    other => panic!("unexpected frame from worker: {other:?}"),
-                }
-            }
-        }
-
-        for delivered in &mut inboxes {
-            for (src, slabs) in bcasts.iter().enumerate() {
-                if !slabs.is_empty() {
-                    delivered.broadcast[src] = slabs.clone();
-                }
-            }
-        }
-
+        // The star round barrier, shared with the socket backend.
+        let round = star::finish_round(
+            "tcp",
+            &mut self.pending,
+            &mut self.workers,
+            self.epoch,
+            &mut self.orchestrator_bytes,
+        );
         self.epoch += 1;
-        RoundDelivery {
-            inboxes,
-            loads: merge_loads(all_loads),
-        }
+        round
     }
 
     fn epoch(&self) -> u64 {
@@ -841,14 +745,13 @@ pub fn tcp_worker_main(addr: &str, worker: u32, registry: ResidentRegistry) -> i
                 )?;
             }
             first => {
-                epoch = star_round(
+                epoch = star::serve_round(
+                    "tcp",
                     &mut reader,
                     &mut writer,
                     first,
                     epoch,
-                    lo,
-                    count,
-                    n,
+                    (lo, count, n),
                     worker,
                     wire.as_deref(),
                 )?;
@@ -916,111 +819,6 @@ fn flush_telemetry(
     }
     writer.write_all(&batch)?;
     writer.flush()
-}
-
-/// One classical star round, primed with the already-read `first` frame:
-/// buffer the epoch's frames, assemble the owned shard's inbox rows and
-/// accounting, echo the rows, commit the epoch. Identical semantics to the
-/// unix-socket worker loop.
-#[allow(clippy::too_many_arguments)]
-fn star_round(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
-    first: Frame,
-    epoch: u64,
-    lo: usize,
-    count: usize,
-    n: usize,
-    worker: u32,
-    wire: Option<&cc_telemetry::WireSink>,
-) -> io::Result<u64> {
-    // rows[(dst - lo) * n + src]: assembled unicast lanes for the shard.
-    let mut rows: Vec<Vec<Word>> = vec![Vec::new(); count * n];
-    let mut bcast_words = vec![0usize; n];
-    let mut frame = first;
-    loop {
-        match frame {
-            Frame::Payload {
-                epoch: e,
-                src,
-                dst,
-                words,
-            } => {
-                check(e == epoch, "payload from a different epoch")?;
-                let (src, dst) = (src as usize, dst as usize);
-                check(
-                    src < n && (lo..lo + count).contains(&dst),
-                    "misrouted payload",
-                )?;
-                let lane = &mut rows[(dst - lo) * n + src];
-                if lane.is_empty() {
-                    *lane = words;
-                } else {
-                    lane.extend(words);
-                }
-            }
-            Frame::Bcast {
-                epoch: e,
-                src,
-                words,
-            } => {
-                check(e == epoch, "broadcast from a different epoch")?;
-                check((src as usize) < n, "broadcast source out of range")?;
-                bcast_words[src as usize] += words.len();
-            }
-            Frame::RoundEnd { epoch: e } => {
-                check(e == epoch, "round delimiter epoch mismatch")?;
-                break;
-            }
-            other => return Err(protocol_error(&format!("unexpected frame {other:?}"))),
-        }
-        frame = read_frame(reader)?;
-    }
-
-    let mut loads: Vec<(u32, u32, u64)> = Vec::new();
-    let mut batch = Vec::new();
-    let mut echoed = 0usize;
-    for d in 0..count {
-        let dst = lo + d;
-        for src in 0..n {
-            let row = std::mem::take(&mut rows[d * n + src]);
-            let charged = if src == dst {
-                0 // self messages are local moves and free
-            } else {
-                row.len() + bcast_words[src]
-            };
-            if !row.is_empty() {
-                let frame = Frame::Payload {
-                    epoch,
-                    src: src as u32,
-                    dst: dst as u32,
-                    words: row,
-                };
-                push_frame(&mut batch, &frame);
-                echoed += 1;
-            }
-            if charged > 0 {
-                loads.push((src as u32, dst as u32, charged as u64));
-            }
-        }
-    }
-    // Account the echo batch in the worker's own event stream, then ship
-    // telemetry *before* the commit token: the orchestrator's barrier
-    // loop merges telemetry frames and breaks on the commit, so the
-    // snapshot rides the same rendezvous with no extra read.
-    let commit_body = Frame::Commit { epoch, loads }.encode();
-    cc_telemetry::global().emit(cc_telemetry::TraceLevel::Full, || {
-        cc_telemetry::Event::FrameBatch {
-            backend: "tcp",
-            frames: echoed + 1,
-            bytes: batch.len() + commit_body.len() + 4,
-        }
-    });
-    push_telemetry(&mut batch, worker, wire);
-    push_frame_bytes(&mut batch, &commit_body);
-    writer.write_all(&batch)?;
-    writer.flush()?;
-    Ok(epoch + 1)
 }
 
 /// One full program-resident session: decode the shipped shard, then per
@@ -1238,8 +1036,7 @@ fn resident_session(
 
         // Next round's inboxes: per-source unicast lanes plus the full
         // broadcast lane set (every node hears every slab, sender
-        // included) — the same shape `Delivered` carries on the star
-        // backends.
+        // included) — what the engine's `NodeInbox` is made of.
         for d in 0..count {
             let unicast: Vec<Vec<Word>> = (0..n)
                 .map(|src| std::mem::take(&mut rows[d * n + src]))
@@ -1303,18 +1100,6 @@ fn resident_session(
     writer.write_all(&batch)?;
     writer.flush()?;
     Ok(epoch)
-}
-
-fn check(ok: bool, msg: &str) -> io::Result<()> {
-    if ok {
-        Ok(())
-    } else {
-        Err(protocol_error(msg))
-    }
-}
-
-fn protocol_error(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
 #[cfg(test)]

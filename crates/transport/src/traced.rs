@@ -1,7 +1,7 @@
 //! Observer-only instrumentation wrapper applied around any backend when
 //! round tracing is enabled.
 
-use crate::{RoundDelivery, Transport};
+use crate::{LinkSlab, RoundDelivery, Transport};
 use cc_runtime::Word;
 use cc_telemetry::{Event, LinkHistogram, TraceLevel};
 use std::sync::Arc;
@@ -40,8 +40,8 @@ impl Transport for TracedTransport {
         self.inner.send(src, dst, words);
     }
 
-    fn send_vec(&mut self, src: usize, dst: usize, words: Vec<Word>) {
-        self.inner.send_vec(src, dst, words);
+    fn send_slab(&mut self, slab: LinkSlab) {
+        self.inner.send_slab(slab);
     }
 
     fn broadcast(&mut self, src: usize, slab: Arc<[Word]>) {
@@ -136,15 +136,12 @@ impl Transport for TracedTransport {
 mod tests {
     use super::*;
     use crate::InMemoryTransport;
-    use cc_runtime::Executor;
 
     #[test]
     fn traced_wrapper_is_delivery_transparent() {
-        let exec = Executor::default();
-        let mut plain: Box<dyn Transport> = Box::new(InMemoryTransport::new(4, exec.clone()));
-        let mut traced: Box<dyn Transport> = Box::new(TracedTransport::new(Box::new(
-            InMemoryTransport::new(4, exec),
-        )));
+        let mut plain: Box<dyn Transport> = Box::new(InMemoryTransport::new(4));
+        let mut traced: Box<dyn Transport> =
+            Box::new(TracedTransport::new(Box::new(InMemoryTransport::new(4))));
         for t in [&mut plain, &mut traced] {
             t.send(0, 1, &[7, 8]);
             t.send(2, 3, &[9]);

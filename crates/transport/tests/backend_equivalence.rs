@@ -1,10 +1,12 @@
 //! Cross-backend equivalence at the transport level: for any round
-//! sequence, the channel and socket fabrics must reproduce the in-memory
-//! fabric's deliveries and accounting bit for bit — including empty rounds,
-//! self messages, and broadcast lanes.
+//! sequence, every fabric — and every decorator around one — must reproduce
+//! the in-memory fabric's deliveries and accounting bit for bit, including
+//! empty rounds, self messages, broadcast lanes, and rounds that mix
+//! word-at-a-time sends with whole slabs.
 
+use cc_netsim::{NetsimConfig, NetsimProfile, NetsimTransport};
 use cc_runtime::{Executor, ExecutorKind};
-use cc_transport::{RoundDelivery, Transport, TransportKind};
+use cc_transport::{LinkSlab, RoundDelivery, TracedTransport, Transport, TransportKind};
 use proptest::prelude::*;
 
 fn splitmix(mut x: u64) -> u64 {
@@ -14,10 +16,26 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A pseudo-random slab for round `r`: a few runs per source, with self
+/// messages, empty runs and repeated `(src, dst)` pairs all possible.
+fn slab_for(n: usize, r: u64, seed: u64) -> LinkSlab {
+    let mut runs: Vec<(usize, usize, Vec<u64>)> = Vec::new();
+    for src in 0..n {
+        let h = splitmix(seed ^ 0x51ab ^ (r << 32) ^ src as u64);
+        for shot in 0..h % 3 {
+            let hh = splitmix(h ^ shot);
+            let dst = (hh % n as u64) as usize;
+            runs.push((src, dst, (0..(hh >> 8) % 4).map(|j| hh ^ j).collect()));
+        }
+    }
+    LinkSlab::from_runs(n, runs.iter().map(|(s, d, w)| (*s, *d, w.as_slice())))
+}
+
 /// Drives `rounds` pseudo-random rounds (unicast bursts, self messages,
-/// broadcast slabs, and one deliberately empty round) and returns every
-/// round's delivery.
+/// broadcast slabs, a whole slab sent between the bursts, and one
+/// deliberately empty round) and returns every round's delivery.
 fn drive(t: &mut dyn Transport, n: usize, rounds: u64, seed: u64) -> Vec<RoundDelivery> {
+    let start = t.epoch();
     let mut out = Vec::new();
     for r in 0..rounds {
         if r == 1 {
@@ -25,23 +43,42 @@ fn drive(t: &mut dyn Transport, n: usize, rounds: u64, seed: u64) -> Vec<RoundDe
             out.push(t.finish_round());
             continue;
         }
-        for src in 0..n {
-            let h = splitmix(seed ^ (r << 32) ^ src as u64);
-            for shot in 0..h % 4 {
-                let hh = splitmix(h ^ shot);
-                let dst = (hh % n as u64) as usize;
-                let words: Vec<u64> = (0..1 + (hh >> 8) % 5).map(|j| hh ^ j).collect();
-                t.send(src, dst, &words);
+        // Sends from the low half of the nodes, then a slab, then the rest:
+        // every link must concatenate the three in call order.
+        for half in [0..n / 2, n / 2..n] {
+            for src in half.clone() {
+                let h = splitmix(seed ^ (r << 32) ^ src as u64);
+                for shot in 0..h % 4 {
+                    let hh = splitmix(h ^ shot);
+                    let dst = (hh % n as u64) as usize;
+                    let words: Vec<u64> = (0..1 + (hh >> 8) % 5).map(|j| hh ^ j).collect();
+                    t.send(src, dst, &words);
+                }
+                if h.is_multiple_of(3) {
+                    let slab: Vec<u64> = (0..1 + h % 3).map(|j| h.wrapping_mul(j + 1)).collect();
+                    t.broadcast(src, slab.into());
+                }
             }
-            if h.is_multiple_of(3) {
-                let slab: Vec<u64> = (0..1 + h % 3).map(|j| h.wrapping_mul(j + 1)).collect();
-                t.broadcast(src, slab.into());
+            if half.start == 0 {
+                t.send_slab(slab_for(n, r, seed));
             }
         }
         out.push(t.finish_round());
     }
-    assert_eq!(t.epoch(), rounds);
+    assert_eq!(t.epoch(), start + rounds);
     out
+}
+
+fn sequential() -> Executor {
+    Executor::new(ExecutorKind::Sequential)
+}
+
+fn tcp(resident: bool) -> TransportKind {
+    TransportKind::Tcp {
+        workers: 2,
+        resident,
+        addr: None,
+    }
 }
 
 proptest! {
@@ -54,13 +91,65 @@ proptest! {
         seed in 0u64..1_000_000,
         workers in 1usize..4,
     ) {
-        let exec = || Executor::new(ExecutorKind::Sequential);
-        let mut reference = TransportKind::InMemory.build(n, exec());
+        let mut reference = TransportKind::InMemory.build(n, sequential());
         let expected = drive(&mut *reference, n, rounds, seed);
         for kind in [TransportKind::Channel, TransportKind::Socket { workers }] {
-            let mut t = kind.build(n, exec());
+            let mut t = kind.build(n, sequential());
             let got = drive(&mut *t, n, rounds, seed);
             prop_assert_eq!(&got, &expected, "{:?} diverged", kind);
+        }
+    }
+}
+
+#[test]
+fn slab_rounds_match_on_all_six_transports_and_under_decorators() {
+    let (n, rounds) = (7, 4);
+    for seed in [3, 77, 4_242] {
+        let mut reference = TransportKind::InMemory.build(n, sequential());
+        let expected = drive(&mut *reference, n, rounds, seed);
+        assert!(
+            expected.iter().any(|rd| rd.unicast.total_words() > 0),
+            "the pattern must actually carry traffic"
+        );
+        for kind in [
+            TransportKind::Channel,
+            TransportKind::Socket { workers: 1 },
+            TransportKind::Socket { workers: 3 },
+            tcp(false),
+            tcp(true),
+        ] {
+            let mut t = kind.build(n, sequential());
+            assert_eq!(drive(&mut *t, n, rounds, seed), expected, "{kind:?}");
+        }
+        // A decorator that did not forward `send_slab` faithfully would
+        // drop or reorder the slab's words here.
+        let lossy = NetsimConfig {
+            profile: NetsimProfile::Lossy,
+            seed,
+        };
+        let decorated: [(&str, Box<dyn Transport>); 3] = [
+            (
+                "traced",
+                Box::new(TracedTransport::new(
+                    TransportKind::InMemory.build(n, sequential()),
+                )),
+            ),
+            (
+                "netsim(lossy)",
+                NetsimTransport::wrap(TransportKind::InMemory.build(n, sequential()), lossy),
+            ),
+            (
+                "netsim(lossy) over traced channel",
+                NetsimTransport::wrap(
+                    Box::new(TracedTransport::new(
+                        TransportKind::Channel.build(n, sequential()),
+                    )),
+                    lossy,
+                ),
+            ),
+        ];
+        for (name, mut t) in decorated {
+            assert_eq!(drive(&mut *t, n, rounds, seed), expected, "{name}");
         }
     }
 }
@@ -91,7 +180,7 @@ fn loads_are_canonical_on_every_backend() {
             ],
             "{kind:?} loads must be in canonical (src, dst) order"
         );
-        assert_eq!(rd.inboxes[1].unicast[1], vec![5], "self delivery");
+        assert_eq!(rd.unicast.link(1, 1), &[5], "self delivery");
     }
 }
 
@@ -109,7 +198,7 @@ fn single_node_clique_is_all_self_traffic() {
         t.broadcast(0, vec![4].into());
         let rd = t.finish_round();
         assert_eq!(rd.loads.words(), 0, "{kind:?}");
-        assert_eq!(rd.inboxes[0].unicast[0], vec![1, 2, 3]);
-        assert_eq!(&*rd.inboxes[0].broadcast[0][0], &[4]);
+        assert_eq!(rd.unicast.link(0, 0), &[1, 2, 3]);
+        assert_eq!(&*rd.broadcast[0][0], &[4]);
     }
 }

@@ -50,7 +50,7 @@ fn main() {
     let mut reference = None;
     for (label, kind) in [
         (
-            "inmemory (shared-memory sharded flush)",
+            "inmemory (shared-memory slab move)",
             TransportKind::InMemory,
         ),
         (

@@ -79,6 +79,18 @@
 //! [`DEFAULT_SEQ_CUTOVER`](runtime::DEFAULT_SEQ_CUTOVER)) run inline on
 //! the caller, so small-`n` simulations pay no dispatch overhead at all.
 //!
+//! What the executor fans out is *node-local* work: message generators
+//! (`exchange_par` / `route_par` / `gossip_par`), the local steps of the
+//! algorithms, and engine rounds. The communication step itself is one
+//! sequential pass, because it is cheap by construction: the generators'
+//! messages are counting-sorted into **one flat buffer per round** (a
+//! [`LinkSlab`](transport::LinkSlab), see "Transport layer" below), handed
+//! to the fabric in a single call, and — on the in-memory fabric — handed
+//! back as the inboxes without a word being copied. The balanced router
+//! draws a relay per word while counting per-link loads (pass one), then
+//! scatters the words into the phase's slab (pass two), once per phase;
+//! nothing on the path is per-word or per-link.
+//!
 //! The determinism contract is strict: results, executed round counts, and
 //! communication-pattern fingerprints are **bit-identical** across
 //! executors (property-tested in `tests/runtime_determinism.rs`), so round
@@ -213,20 +225,40 @@
 //! [`NodeProgram`](runtime::NodeProgram) engine round — ships its traffic
 //! through a pluggable [`Transport`](transport::Transport) whose round
 //! barrier is a rendezvous, selected by
-//! [`CliqueConfig::transport`](clique::CliqueConfig):
+//! [`CliqueConfig::transport`](clique::CliqueConfig).
+//!
+//! A round's unicast traffic has **one representation end to end**: a
+//! [`LinkSlab`](transport::LinkSlab) — `n`, an offset table of `n² + 1`
+//! entries, and one word buffer, laid out destination-major so that link
+//! `(src, dst)` is `words[offsets[dst·n + src] .. offsets[dst·n + src + 1]]`
+//! and everything one node receives is contiguous. The primitive that
+//! generates the traffic builds it (a two-pass counting sort,
+//! [`SlabWriter`](transport::SlabWriter)) and calls
+//! [`Transport::send_slab`](transport::Transport::send_slab) once; the
+//! barrier returns a [`RoundDelivery`](transport::RoundDelivery) holding
+//! the delivered slab, the round's broadcast slabs (one list per *source*,
+//! shared by every recipient), and the canonical `(src, dst)`-ordered
+//! [`LinkLoads`](runtime::LinkLoads).
+//! [`Inboxes::received`](clique::Inboxes::received) is a slice of that
+//! slab. Word-at-a-time [`Transport::send`](transport::Transport::send)
+//! still exists for hand-driven rounds; such calls are logged and
+//! counting-sorted into the slab at the barrier, in call order per link.
 //!
 //! * [`TransportKind::InMemory`](transport::TransportKind) — the classical
-//!   shared-memory fabric: a destination-major queue matrix drained by an
-//!   executor-sharded flush (the default, and the reference semantics);
+//!   shared-memory fabric: the barrier *moves* the slab from sender to
+//!   delivery and reads the accounting off its offset table (the default,
+//!   and the reference semantics);
 //! * [`TransportKind::Channel`](transport::TransportKind) — one OS thread
-//!   and one MPSC inbox queue per simulated node; rounds are delimited by
-//!   an epoch rendezvous in which every node returns its assembled inbox
-//!   and per-link accounting;
+//!   and one MPSC inbox queue per simulated node, fed frames cut from the
+//!   slab; rounds are delimited by an epoch rendezvous in which every node
+//!   returns its assembled row and per-link accounting;
 //! * [`TransportKind::Socket`](transport::TransportKind) — **true
 //!   multi-process simulation**: the parent spawns `cc-clique-node` worker
 //!   processes, each simulating a shard of nodes, and every round's words
 //!   cross unix domain sockets as length-prefixed frames
-//!   ([`transport::Frame`], property-tested to round-trip bit-exactly).
+//!   ([`transport::Frame`], property-tested to round-trip bit-exactly),
+//!   encoded straight from each worker's contiguous shard of the slab and
+//!   decoded from the echoes back into one.
 //!   The barrier is a *round-commit token*: a round is charged only after
 //!   every worker commits its epoch.
 //! * [`TransportKind::Tcp`](transport::TransportKind) — the same frame

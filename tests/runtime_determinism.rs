@@ -452,8 +452,8 @@ fn pooled_clique_spawns_workers_exactly_once() {
 /// The transport axis of the determinism matrix (mirroring the executor
 /// axis above): APSP tables, triangle counts (closure and NodeProgram),
 /// 4-cycle detection, girth, rounds, words, pattern fingerprints, AND
-/// barrier epochs are bit-identical whether the traffic moves through the
-/// in-memory sharded flush, per-node thread queues, or worker processes on
+/// barrier epochs are bit-identical whether the traffic stays in shared
+/// memory, crosses per-node thread queues, or visits worker processes on
 /// the far side of a unix socket.
 #[test]
 fn algorithms_are_transport_independent() {
