@@ -1,12 +1,13 @@
 //! The wire format shared by every non-shared-memory backend.
 //!
 //! A frame is a self-describing unit of transport traffic: payload words for
-//! one link, a broadcast slab, a round delimiter, a worker greeting, or a
-//! round-commit token. On byte streams (unix sockets) frames travel
-//! length-prefixed (`u32` little-endian byte count, then the encoded frame);
-//! the channel backend ships the same encoded bytes through per-node queues,
-//! so one codec — and one set of round-trip property tests — covers every
-//! backend that leaves shared memory.
+//! one link, a worker's whole destination shard of a round, a broadcast
+//! slab, a round delimiter, a worker greeting, or a round-commit token. On
+//! byte streams (unix sockets, TCP) frames travel length-prefixed (`u32`
+//! little-endian byte count, then the encoded frame); the channel backend
+//! ships the same encoded bytes through per-node queues, so one codec — and
+//! one set of round-trip property tests — covers every backend that leaves
+//! shared memory.
 //!
 //! All integers are little-endian. [`Word`]s are transmitted verbatim as 8
 //! bytes, so the full 64-bit width survives the wire (property-tested with
@@ -31,6 +32,8 @@ pub enum Frame {
     },
     /// Unicast payload for the `(src, dst)` link in round `epoch`. Words
     /// are in send order; several payload frames for one link concatenate.
+    /// The per-link unit of the channel backend and the TCP peer mesh; the
+    /// star backends move a round as [`Frame::Shard`]s instead.
     Payload {
         /// Round this payload belongs to.
         epoch: u64,
@@ -59,14 +62,16 @@ pub enum Frame {
         epoch: u64,
     },
     /// Round-commit token: the sender has delivered round `epoch` and
-    /// reports the per-link word counts it accounted (canonical
-    /// `(src, dst, words)` triples). The barrier rendezvous completes when
-    /// every peer's commit for the epoch has been collected.
+    /// reports the words it charged on every link into its destination
+    /// shard, as a dense table laid out like the shard itself
+    /// (`loads[(dst - lo) * n + src]`; self-links hold `0`). The barrier
+    /// rendezvous completes when every worker's commit for the epoch has
+    /// been collected.
     Commit {
         /// The round being committed.
         epoch: u64,
-        /// Per-link `(src, dst, words)` accounting entries.
-        loads: Vec<(u32, u32, u64)>,
+        /// Charged words per owned link, in link order.
+        loads: Vec<u32>,
     },
     /// Orderly teardown: the peer should exit its receive loop.
     Shutdown,
@@ -153,6 +158,24 @@ pub enum Frame {
         /// Serialized event lines, in emission order.
         lines: Vec<String>,
     },
+    /// One worker's whole destination shard of round `epoch`'s unicast
+    /// traffic — the links into destinations `lo..lo + count` of a
+    /// [`crate::LinkSlab`], which are contiguous in it — as a single frame:
+    /// the `count · n` per-link word counts in link order
+    /// (`lens[(dst - lo) * n + src]`), then every link's words end to end.
+    /// Orchestrator → worker to ship the shard, worker → orchestrator to
+    /// echo it. On the wire the word count is the sum of `lens`, so a frame
+    /// whose table and words disagree does not decode.
+    Shard {
+        /// Round this shard belongs to.
+        epoch: u64,
+        /// First destination of the shard.
+        lo: u32,
+        /// Words on each link into the shard, in link order.
+        lens: Vec<u32>,
+        /// The links' words, concatenated in link order.
+        words: Vec<Word>,
+    },
 }
 
 /// Decode-side failure: the bytes are not a well-formed frame.
@@ -204,6 +227,7 @@ const TAG_RESIDENT_START: u8 = 10;
 const TAG_RESIDENT_DONE: u8 = 11;
 const TAG_RELEASE: u8 = 12;
 const TAG_TELEMETRY: u8 = 13;
+const TAG_SHARD: u8 = 14;
 
 impl Frame {
     /// Encodes the frame body (no length prefix).
@@ -221,12 +245,7 @@ impl Frame {
                 dst,
                 words,
             } => put_payload(&mut buf, *epoch, *src, *dst, words),
-            Frame::Bcast { epoch, src, words } => {
-                buf.push(TAG_BCAST);
-                buf.extend_from_slice(&epoch.to_le_bytes());
-                buf.extend_from_slice(&src.to_le_bytes());
-                put_words(&mut buf, words);
-            }
+            Frame::Bcast { epoch, src, words } => put_bcast(&mut buf, *epoch, *src, words),
             Frame::RoundEnd { epoch } => {
                 buf.push(TAG_ROUND_END);
                 buf.extend_from_slice(&epoch.to_le_bytes());
@@ -234,12 +253,7 @@ impl Frame {
             Frame::Commit { epoch, loads } => {
                 buf.push(TAG_COMMIT);
                 buf.extend_from_slice(&epoch.to_le_bytes());
-                buf.extend_from_slice(&(loads.len() as u32).to_le_bytes());
-                for (src, dst, words) in loads {
-                    buf.extend_from_slice(&src.to_le_bytes());
-                    buf.extend_from_slice(&dst.to_le_bytes());
-                    buf.extend_from_slice(&words.to_le_bytes());
-                }
+                put_table(&mut buf, loads.iter().copied());
             }
             Frame::Shutdown => buf.push(TAG_SHUTDOWN),
             Frame::Assign {
@@ -308,6 +322,12 @@ impl Frame {
                     put_string(&mut buf, line);
                 }
             }
+            Frame::Shard {
+                epoch,
+                lo,
+                lens,
+                words,
+            } => put_shard(&mut buf, *epoch, *lo, lens.iter().copied(), words),
         }
         buf
     }
@@ -330,18 +350,10 @@ impl Frame {
                 words: r.words()?,
             },
             TAG_ROUND_END => Frame::RoundEnd { epoch: r.u64()? },
-            TAG_COMMIT => {
-                let epoch = r.u64()?;
-                let n = r.u32()? as usize;
-                if n.saturating_mul(16) > MAX_FRAME_BYTES {
-                    return Err(FrameError::Oversized(n as u64));
-                }
-                let mut loads = Vec::with_capacity(n.min(r.remaining() / 16));
-                for _ in 0..n {
-                    loads.push((r.u32()?, r.u32()?, r.u64()?));
-                }
-                Frame::Commit { epoch, loads }
-            }
+            TAG_COMMIT => Frame::Commit {
+                epoch: r.u64()?,
+                loads: r.table()?,
+            },
             TAG_SHUTDOWN => Frame::Shutdown,
             TAG_ASSIGN => Frame::Assign {
                 worker: r.u32()?,
@@ -408,6 +420,24 @@ impl Frame {
                 }
                 Frame::Telemetry { worker, lines }
             }
+            TAG_SHARD => {
+                let epoch = r.u64()?;
+                let lo = r.u32()?;
+                let lens = r.table()?;
+                // The table declares the word count; both are checked
+                // against the bytes actually present before `words` is sized.
+                let total: u64 = lens.iter().map(|&len| u64::from(len)).sum();
+                if total > (MAX_FRAME_BYTES / 8) as u64 {
+                    return Err(FrameError::Oversized(total));
+                }
+                let words = r.words_exact(total as usize)?;
+                Frame::Shard {
+                    epoch,
+                    lo,
+                    lens,
+                    words,
+                }
+            }
             t => return Err(FrameError::BadTag(t)),
         };
         if r.remaining() > 0 {
@@ -431,10 +461,48 @@ fn put_payload(buf: &mut Vec<u8>, epoch: u64, src: u32, dst: u32, words: &[Word]
     put_words(buf, words);
 }
 
+fn put_bcast(buf: &mut Vec<u8>, epoch: u64, src: u32, words: &[Word]) {
+    buf.push(TAG_BCAST);
+    buf.extend_from_slice(&epoch.to_le_bytes());
+    buf.extend_from_slice(&src.to_le_bytes());
+    put_words(buf, words);
+}
+
+fn put_shard(
+    buf: &mut Vec<u8>,
+    epoch: u64,
+    lo: u32,
+    lens: impl ExactSizeIterator<Item = u32>,
+    words: &[Word],
+) {
+    buf.push(TAG_SHARD);
+    buf.extend_from_slice(&epoch.to_le_bytes());
+    buf.extend_from_slice(&lo.to_le_bytes());
+    put_table(buf, lens);
+    put_raw_words(buf, words);
+}
+
+/// A dense `u32` table: entry count, then the entries.
+fn put_table(buf: &mut Vec<u8>, table: impl ExactSizeIterator<Item = u32>) {
+    let len = u32::try_from(table.len()).expect("table length fits the wire's u32");
+    buf.extend_from_slice(&len.to_le_bytes());
+    let at = buf.len();
+    buf.resize(at + 4 * table.len(), 0);
+    for (bytes, entry) in buf[at..].chunks_exact_mut(4).zip(table) {
+        bytes.copy_from_slice(&entry.to_le_bytes());
+    }
+}
+
 fn put_words(buf: &mut Vec<u8>, words: &[Word]) {
     buf.extend_from_slice(&(words.len() as u32).to_le_bytes());
-    for w in words {
-        buf.extend_from_slice(&w.to_le_bytes());
+    put_raw_words(buf, words);
+}
+
+fn put_raw_words(buf: &mut Vec<u8>, words: &[Word]) {
+    let at = buf.len();
+    buf.resize(at + 8 * words.len(), 0);
+    for (bytes, w) in buf[at..].chunks_exact_mut(8).zip(words) {
+        bytes.copy_from_slice(&w.to_le_bytes());
     }
 }
 
@@ -492,14 +560,31 @@ impl Reader<'_> {
         if n.saturating_mul(8) > MAX_FRAME_BYTES {
             return Err(FrameError::Oversized(n as u64));
         }
-        if self.remaining() < n * 8 {
-            return Err(FrameError::Truncated);
+        self.words_exact(n)
+    }
+
+    /// `n` words (`n * 8` must not overflow: callers bound `n` by the frame
+    /// cap first). Nothing is allocated unless all of them are present.
+    fn words_exact(&mut self, n: usize) -> Result<Vec<Word>, FrameError> {
+        let bytes = self.take(n * 8)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|w| Word::from_le_bytes(w.try_into().expect("8 bytes")))
+            .collect())
+    }
+
+    /// A dense `u32` table ([`put_table`]), sized only once the declared
+    /// entry count is known to fit the remaining bytes.
+    fn table(&mut self) -> Result<Vec<u32>, FrameError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(4) > MAX_FRAME_BYTES {
+            return Err(FrameError::Oversized(n as u64));
         }
-        let mut words = Vec::with_capacity(n);
-        for _ in 0..n {
-            words.push(self.u64()?);
-        }
-        Ok(words)
+        let bytes = self.take(n * 4)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|e| u32::from_le_bytes(e.try_into().expect("4 bytes")))
+            .collect())
     }
 }
 
@@ -541,15 +626,40 @@ pub fn encode_payload(epoch: u64, src: u32, dst: u32, words: &[Word]) -> Vec<u8>
     buf
 }
 
-/// Appends one length-prefixed [`Frame::Payload`] to a batch buffer,
-/// encoded straight from a word slice — exactly the bytes [`push_frame`]
-/// produces for the equivalent frame. This is how a [`crate::LinkSlab`]
-/// link goes onto the wire.
-pub fn push_payload_frame(batch: &mut Vec<u8>, epoch: u64, src: u32, dst: u32, words: &[Word]) {
-    let len = payload_len(words.len());
+/// Appends one length-prefixed [`Frame::Shard`] to a batch buffer, encoded
+/// straight from a per-link length table and the shard's word slice —
+/// exactly the bytes [`push_frame`] produces for the equivalent frame. This
+/// is how a worker's contiguous range of a [`crate::LinkSlab`] goes onto the
+/// wire, and how the worker echoes it: one frame, no per-link copies.
+///
+/// `lens` must sum to `words.len()`; the receiver rejects the frame
+/// otherwise.
+pub fn push_shard_frame(
+    batch: &mut Vec<u8>,
+    epoch: u64,
+    lo: u32,
+    lens: impl ExactSizeIterator<Item = u32>,
+    words: &[Word],
+) {
+    push_prefixed(batch, |body| put_shard(body, epoch, lo, lens, words));
+}
+
+/// Appends one length-prefixed [`Frame::Bcast`] to a batch buffer, encoded
+/// straight from the slab's word slice — exactly the bytes [`push_frame`]
+/// produces for the equivalent frame.
+pub fn push_bcast_frame(batch: &mut Vec<u8>, epoch: u64, src: u32, words: &[Word]) {
+    push_prefixed(batch, |body| put_bcast(body, epoch, src, words));
+}
+
+/// Appends what `put` encodes as one length-prefixed frame: the prefix is
+/// reserved first and filled in once the body's size is known.
+fn push_prefixed(batch: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) {
+    let at = batch.len();
+    batch.extend_from_slice(&[0; 4]);
+    put(batch);
+    let len = batch.len() - at - 4;
     assert!(len <= MAX_FRAME_BYTES, "frame exceeds wire cap");
-    batch.extend_from_slice(&(len as u32).to_le_bytes());
-    put_payload(batch, epoch, src, dst, words);
+    batch[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Encodes a frame sequence as one contiguous length-prefixed byte batch —
@@ -565,7 +675,14 @@ pub fn encode_frame_batch(frames: &[Frame]) -> Vec<u8> {
     batch
 }
 
-/// Reads one length-prefixed frame from a byte stream.
+/// The most [`read_frame`] allocates for a body before any of it has
+/// arrived. A larger frame is read in steps no bigger than what has already
+/// come in, so a length prefix only ever costs memory in proportion to the
+/// bytes the stream actually delivered.
+const READ_STEP_BYTES: usize = 64 << 10;
+
+/// Reads one length-prefixed frame from a byte stream. A stream that ends
+/// before the declared length fails with [`io::ErrorKind::UnexpectedEof`].
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -573,8 +690,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::Oversized(len as u64).into());
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    while body.len() < len {
+        let at = body.len();
+        let step = (len - at).min(at.max(READ_STEP_BYTES));
+        body.resize(at + step, 0);
+        r.read_exact(&mut body[at..])?;
+    }
     Frame::decode(&body).map_err(Into::into)
 }
 
@@ -601,7 +723,7 @@ mod tests {
             Frame::RoundEnd { epoch: 0 },
             Frame::Commit {
                 epoch: 9,
-                loads: vec![(0, 1, 5), (2, 0, u64::MAX)],
+                loads: vec![0, 5, u32::MAX],
             },
             Frame::Shutdown,
             Frame::Assign {
@@ -640,6 +762,12 @@ mod tests {
                     String::new(),
                 ],
             },
+            Frame::Shard {
+                epoch: 4,
+                lo: 2,
+                lens: vec![0, 2, 0, 1],
+                words: vec![Word::MAX, 0, 7],
+            },
         ];
         for f in frames {
             assert_eq!(Frame::decode(&f.encode()), Ok(f.clone()), "{f:?}");
@@ -656,10 +784,6 @@ mod tests {
                 words: words.clone(),
             };
             assert_eq!(encode_payload(9, 3, 1, &words), frame.encode());
-            let (mut a, mut b) = (vec![0xaa], vec![0xaa]);
-            push_frame(&mut a, &frame);
-            push_payload_frame(&mut b, 9, 3, 1, &words);
-            assert_eq!(a, b);
         }
     }
 
@@ -689,7 +813,7 @@ mod tests {
             Frame::RoundEnd { epoch: 1 },
             Frame::Commit {
                 epoch: 1,
-                loads: vec![(0, 3, 3)],
+                loads: vec![3, 0, 0, 0],
             },
             Frame::Shutdown,
         ];
@@ -729,5 +853,51 @@ mod tests {
         wire.extend_from_slice(&(u32::MAX).to_le_bytes());
         let err = read_frame(&mut Cursor::new(wire)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A reader that records the largest buffer it was ever asked to fill.
+    struct Metered<R> {
+        inner: R,
+        largest_request: usize,
+    }
+
+    impl<R: Read> Read for Metered<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_request = self.largest_request.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_lying_length_prefix_on_a_short_stream_is_an_eof_not_an_allocation() {
+        // The largest prefix the cap admits, followed by three bytes: the
+        // body buffer may only grow with what the stream delivers.
+        let mut wire = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[TAG_ROUND_END, 0, 0]);
+        let mut stream = Metered {
+            inner: Cursor::new(wire),
+            largest_request: 0,
+        };
+        let err = read_frame(&mut stream).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(stream.largest_request <= READ_STEP_BYTES);
+    }
+
+    #[test]
+    fn frames_larger_than_one_read_step_arrive_whole() {
+        let frame = Frame::Program {
+            node: 1,
+            state: (0..5 * READ_STEP_BYTES as Word / 8).collect(),
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &frame).unwrap();
+        write_frame(&mut wire, &Frame::Shutdown).unwrap();
+        let mut stream = Metered {
+            inner: Cursor::new(wire),
+            largest_request: 0,
+        };
+        assert_eq!(read_frame(&mut stream).unwrap(), frame);
+        assert_eq!(read_frame(&mut stream).unwrap(), Frame::Shutdown);
+        assert!(stream.largest_request < 4 * READ_STEP_BYTES);
     }
 }

@@ -18,10 +18,11 @@
 //!   the epoch before the round is charged).
 //! * [`SocketTransport`] — true multi-process simulation: a parent
 //!   orchestrator spawns `cc-clique-node` worker processes, each owning a
-//!   contiguous shard of nodes, and exchanges length-prefixed frames over
-//!   unix domain sockets. The round barrier is a round-commit token: the
-//!   round completes only when every worker has committed the epoch with
-//!   its accounting.
+//!   contiguous shard of destinations, and exchanges length-prefixed
+//!   frames over unix domain sockets: one [`Frame::Shard`] per worker per
+//!   round out, the same frame echoed back. The round barrier is a
+//!   round-commit token: the round completes only when every worker has
+//!   committed the epoch with a dense table of the words it charged.
 //! * [`TcpTransport`] — the same orchestrator/worker protocol over TCP
 //!   (loopback by default, multi-host with an explicit bind address), plus
 //!   a **program-resident** mode: [`cc_runtime::WireProgram`] shards are
@@ -40,9 +41,16 @@
 //! ([`Transport::send_slab`]); the barrier hands a slab back
 //! ([`RoundDelivery::unicast`]) together with the round's broadcast slabs
 //! (one list per *source*, shared by every recipient) and its canonical
-//! [`LinkLoads`]. The wire backends encode their `Payload` frames straight
-//! from slab slices and decode the echoed rows into a slab; nothing on the
-//! path keeps a queue per link.
+//! [`LinkLoads`]. On the star backends (unix sockets, star TCP) the slab is
+//! also the wire unit: each worker owns a contiguous range of destinations,
+//! hence a contiguous range of the slab, which ships as **one**
+//! [`Frame::Shard`] (the range's per-link lengths, then its words, encoded
+//! straight from the slab's slices), is echoed as one frame, and is
+//! appended to the delivered slab in one step; the workers' commit tokens
+//! carry their charged words as dense tables in the same link order, so the
+//! canonical loads are read off them without a sort. The channel backend
+//! and the TCP peer mesh cut per-link [`Frame::Payload`]s from slab slices
+//! instead. Nothing on any path keeps a queue per link.
 //!
 //! ## Determinism contract
 //!
@@ -75,8 +83,8 @@ mod traced;
 pub use crate::channel::ChannelTransport;
 pub use crate::fabric::TransportFabric;
 pub use crate::frame::{
-    encode_frame_batch, encode_payload, push_frame, push_frame_bytes, push_payload_frame,
-    read_frame, write_frame, Frame, FrameError, MAX_FRAME_BYTES,
+    encode_frame_batch, encode_payload, push_bcast_frame, push_frame, push_frame_bytes,
+    push_shard_frame, read_frame, write_frame, Frame, FrameError, MAX_FRAME_BYTES,
 };
 pub use crate::inmemory::InMemoryTransport;
 pub use crate::slab::{LinkSlab, SlabWriter};
@@ -185,7 +193,7 @@ pub trait Transport: fmt::Debug + Send {
         None
     }
 
-    /// Total *payload* bytes (encoded `Payload`/`Bcast` frames) the
+    /// Total *payload* bytes (encoded `Shard`/`Payload`/`Bcast` frames) the
     /// orchestrating process shipped at round barriers so far. Control
     /// traffic — handshakes, program shards, commit tokens — is excluded,
     /// so a program-resident session reports `0`: its round payloads never
@@ -384,8 +392,9 @@ impl TransportKind {
     }
 }
 
-/// Merges the load triples the workers of a wire backend reported (each
-/// accounts its own destinations) into one canonical [`LinkLoads`]: globally
+/// Merges the load triples the channel nodes or resident TCP workers
+/// reported (each accounts its own destinations) into one canonical
+/// [`LinkLoads`]: globally
 /// sorted by `(src, dst)`, zero and self entries already excluded by
 /// construction of the inputs (and re-filtered by `add`).
 pub(crate) fn merge_loads(mut triples: Vec<(usize, usize, usize)>) -> LinkLoads {

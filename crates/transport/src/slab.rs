@@ -98,6 +98,25 @@ impl LinkSlab {
             .filter(|(_, _, words)| !words.is_empty())
     }
 
+    /// The destination shard `dsts` as it goes onto the wire: the word count
+    /// of every link into it, in link order, and the links' words — one
+    /// contiguous slice of the slab.
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics on a link holding more than `u32::MAX` words.
+    pub(crate) fn shard(
+        &self,
+        dsts: Range<usize>,
+    ) -> (impl ExactSizeIterator<Item = u32> + '_, &[Word]) {
+        let offsets = &self.offsets[dsts.start * self.n..=dsts.end * self.n];
+        let lens = offsets
+            .windows(2)
+            .map(|w| u32::try_from(w[1] - w[0]).expect("link length fits the wire's u32"));
+        let words = &self.words[offsets[0]..offsets[offsets.len() - 1]];
+        (lens, words)
+    }
+
     /// Everything `dst` received, all sources concatenated in source order.
     #[must_use]
     pub fn row(&self, dst: usize) -> &[Word] {
@@ -233,9 +252,10 @@ impl SlabWriter {
     }
 }
 
-/// Builds a [`LinkSlab`] from link runs that already arrive in slab order
-/// (non-decreasing `dst * n + src`) — the order the star backends echo
-/// assembled rows in — by plain appending, with no counting pass.
+/// Builds a [`LinkSlab`] from pieces that already arrive in slab order
+/// (non-decreasing `dst * n + src`) — the channel nodes' rows link by link,
+/// the star workers' echoed shards whole — by plain appending, with no
+/// counting pass.
 #[derive(Debug)]
 pub(crate) struct SlabAppender {
     n: usize,
@@ -269,6 +289,42 @@ impl SlabAppender {
         );
         self.offsets.resize(link + 1, self.words.len());
         self.words.extend_from_slice(words);
+    }
+
+    /// Appends a whole destination shard starting at destination `lo`:
+    /// `lens` is its per-link word counts in link order, `words` the links'
+    /// words end to end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard precedes a link already appended to, runs past
+    /// the last destination, or `lens` does not sum to `words.len()`.
+    pub(crate) fn append_shard(&mut self, lo: usize, lens: &[u32], words: Vec<Word>) {
+        let first = lo * self.n;
+        assert!(
+            first + 1 >= self.offsets.len(),
+            "shards must arrive in destination order"
+        );
+        assert!(
+            first + lens.len() <= self.n * self.n,
+            "shard runs past the last destination"
+        );
+        self.offsets.resize(first + 1, self.words.len());
+        let mut at = self.words.len();
+        self.offsets.extend(lens.iter().map(|&len| {
+            at += len as usize;
+            at
+        }));
+        assert_eq!(
+            at - self.words.len(),
+            words.len(),
+            "shard length table does not sum to its word count"
+        );
+        if self.words.is_empty() {
+            self.words = words;
+        } else {
+            self.words.extend_from_slice(&words);
+        }
     }
 
     pub(crate) fn finish(mut self) -> LinkSlab {
@@ -332,6 +388,42 @@ mod tests {
         }
         assert_eq!(app.finish(), sorted);
         assert_eq!(SlabAppender::new(3).finish(), LinkSlab::empty(3));
+    }
+
+    #[test]
+    fn shards_leave_and_reenter_a_slab_whole() {
+        let runs = [
+            (1usize, 0usize, vec![8u64]),
+            (2, 2, vec![3, 4]),
+            (0, 3, vec![5]),
+            (3, 4, vec![6, 6, 6]),
+        ];
+        let slab = LinkSlab::from_runs(5, runs.iter().map(|(s, d, w)| (*s, *d, &w[..])));
+        let (lens, words) = slab.shard(2..4);
+        assert_eq!(lens.len(), 10);
+        assert_eq!(words, &[3, 4, 5]);
+        // Destination 1 receives nothing and its shard is never appended:
+        // the gap closes as empty links.
+        let mut app = SlabAppender::new(5);
+        for dsts in [0..1, 2..4, 4..5] {
+            let (lens, words) = slab.shard(dsts.clone());
+            app.append_shard(dsts.start, &lens.collect::<Vec<_>>(), words.to_vec());
+        }
+        assert_eq!(app.finish(), slab);
+    }
+
+    #[test]
+    #[should_panic(expected = "destination order")]
+    fn appender_rejects_out_of_order_shards() {
+        let mut app = SlabAppender::new(2);
+        app.append_shard(1, &[0, 1], vec![7]);
+        app.append_shard(0, &[0, 0], vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not sum")]
+    fn appender_rejects_a_table_that_disagrees_with_the_words() {
+        SlabAppender::new(2).append_shard(0, &[1, 1], vec![7]);
     }
 
     #[test]

@@ -26,14 +26,17 @@ const ACCEPT_DEADLINE: Duration = Duration::from_secs(30);
 
 /// True multi-process simulation: the orchestrator spawns `cc-clique-node`
 /// worker processes, each simulating a contiguous shard of destination
-/// nodes, and ships every round's traffic to them as length-prefixed
-/// [`Frame`]s over a unix domain socket, encoded straight from the round's
-/// [`LinkSlab`] (a worker's shard is one contiguous range of it). Each
-/// worker computes its shard of the per-link accounting, echoes its rows
-/// back — the orchestrator decodes them into the delivered slab — and
-/// closes the round with a **round-commit token** ([`Frame::Commit`])
-/// carrying the epoch; the barrier completes only when every worker has
-/// committed the epoch, so a lost or reordered round fails loudly.
+/// nodes, and ships every round's traffic to them over a unix domain
+/// socket. A worker's shard is one contiguous range of the round's
+/// [`LinkSlab`] and crosses the socket as **one** length-prefixed
+/// [`Frame::Shard`], encoded straight from the slab's slices. Each worker
+/// checks the shard against its assignment, computes its share of the
+/// per-link accounting from the shard's length table, echoes the shard as
+/// one frame — the orchestrator appends it to the delivered slab whole —
+/// and closes the round with a **round-commit token** ([`Frame::Commit`])
+/// carrying the epoch and the words charged on every owned link as a dense
+/// table; the barrier completes only when every worker has committed the
+/// epoch, so a lost or reordered round fails loudly.
 ///
 /// Broadcast slabs cross the socket once per worker (real traffic, counted
 /// by the workers); the delivered broadcast lanes are reassembled from the
@@ -316,8 +319,9 @@ fn accept_one(
 }
 
 /// The `cc-clique-node` worker process body: connect to the orchestrator,
-/// greet, then serve star rounds — account the owned destination shard's
-/// links, echo the rows, and commit the epoch — until told to shut down.
+/// greet, then serve star rounds — take the owned destination shard as one
+/// frame, account its links, echo it whole, and commit the epoch with the
+/// dense load table — until told to shut down.
 ///
 /// `lo` is the first owned destination, `count` the shard width, `n` the
 /// clique size. `trace` is the orchestrator-forwarded `CC_TRACE` level

@@ -1,14 +1,28 @@
-//! The star round protocol shared by the unix-socket and TCP backends: the
-//! orchestrator ships each worker its destination shard of the round's
-//! [`LinkSlab`], every worker accounts and echoes its rows and commits the
-//! epoch, and the echoes are decoded back into a slab. The two backends
-//! differ only in the stream type and in how an I/O failure is diagnosed
-//! ([`StarWorker`]).
+//! The star round protocol shared by the unix-socket and TCP backends.
+//!
+//! A round's unicast traffic is one destination-major [`crate::LinkSlab`],
+//! and each worker owns a contiguous range of destinations, so a worker's
+//! share of the round is one contiguous range of the slab. That range is the
+//! wire unit: the orchestrator ships every worker **one** [`Frame::Shard`]
+//! (per-link length table, then the words, encoded straight from the slab's
+//! slices), all broadcast slabs, and the round delimiter; the worker checks
+//! the shard against its assignment, accounts from the length table, echoes
+//! the shard as one frame and commits the epoch with a dense table of the
+//! words it charged on each owned link ([`Frame::Commit`]); the orchestrator
+//! appends each echoed shard to the delivered slab in one step and reads the
+//! canonical [`LinkLoads`] off the workers' tables. A shard nothing was sent
+//! to is not shipped and not echoed.
+//!
+//! The two backends differ only in the stream type and in how an I/O failure
+//! is diagnosed ([`StarWorker`]).
 
-use crate::frame::{push_frame, push_frame_bytes, push_payload_frame, read_frame, Frame};
+use crate::frame::{
+    push_bcast_frame, push_frame, push_frame_bytes, push_shard_frame, read_frame, Frame,
+};
 use crate::pending::Pending;
 use crate::slab::SlabAppender;
-use crate::{merge_loads, RoundDelivery};
+use crate::RoundDelivery;
+use cc_runtime::{LinkLoads, Word};
 use std::io::{self, Read, Write};
 use std::time::Instant;
 
@@ -36,46 +50,36 @@ pub(crate) fn finish_round<W: StarWorker>(
     let n = pending.n();
     let slab = pending.take_slab();
     let bcasts = pending.take_bcasts();
-    let bcast_frames: Vec<Vec<u8>> = bcasts
-        .iter()
-        .enumerate()
-        .flat_map(|(src, slabs)| {
-            slabs.iter().map(move |slab| {
-                Frame::Bcast {
-                    epoch,
-                    src: src as u32,
-                    words: slab.to_vec(),
-                }
-                .encode()
-            })
-        })
-        .collect();
+    // Every worker hears every broadcast slab: encode them once.
+    let mut bcast_batch = Vec::new();
+    let mut bcast_frames = 0usize;
+    for (src, slabs) in bcasts.iter().enumerate() {
+        for words in slabs {
+            push_bcast_frame(&mut bcast_batch, epoch, src as u32, words);
+            bcast_frames += 1;
+        }
+    }
 
-    // Ship phase: every worker receives its shard's links straight from the
-    // slab, all broadcast slabs, and the round delimiter — coalesced into
-    // **one** length-prefixed batch per (worker, round), handed to the
-    // kernel as a single write instead of one syscall per frame (the byte
-    // stream is identical either way; `prop_frames.rs` pins that). Workers
-    // drain their input completely before echoing, so these writes cannot
-    // deadlock against the echo phase.
+    // Ship phase: every worker receives its shard of the slab as one frame,
+    // all broadcast slabs, and the round delimiter — coalesced into **one**
+    // length-prefixed batch per (worker, round), handed to the kernel as a
+    // single write. Workers drain their input completely before echoing, so
+    // these writes cannot deadlock against the echo phase.
     for wk in workers.iter_mut() {
         let (lo, hi) = wk.shard();
         let mut batch = Vec::new();
-        let mut frames = 0usize;
-        for (src, dst, words) in slab.runs(lo..hi) {
-            push_payload_frame(&mut batch, epoch, src as u32, dst as u32, words);
+        let mut frames = bcast_frames + 1;
+        let (lens, words) = slab.shard(lo..hi);
+        if !words.is_empty() {
+            push_shard_frame(&mut batch, epoch, lo as u32, lens, words);
             frames += 1;
         }
-        for bytes in &bcast_frames {
-            push_frame_bytes(&mut batch, bytes);
-            frames += 1;
-        }
+        batch.extend_from_slice(&bcast_batch);
         // Everything batched so far is round payload funnelled through the
         // orchestrator (the star topology's defining cost); the round
         // delimiter below is control traffic and uncounted.
         *orchestrator_bytes += batch.len() as u64;
         push_frame(&mut batch, &Frame::RoundEnd { epoch });
-        frames += 1;
         cc_telemetry::global().emit(cc_telemetry::TraceLevel::Full, || {
             cc_telemetry::Event::FrameBatch {
                 backend,
@@ -87,40 +91,42 @@ pub(crate) fn finish_round<W: StarWorker>(
     }
     drop(slab);
 
-    // Barrier: collect every worker's echoed rows and its round-commit
-    // token for this epoch. Workers own ascending destination shards and
-    // echo in (dst, src) order, so the echoes arrive in slab order and are
-    // appended as they come.
+    // Barrier: collect every worker's echoed shard and its round-commit
+    // token for this epoch. Workers own ascending destination shards, so
+    // the echoes arrive in slab order and the commit tables, laid end to
+    // end, are the clique's `charged[dst * n + src]`.
     let mut unicast = SlabAppender::new(n);
-    let mut all_loads = Vec::new();
+    let mut charged: Vec<u32> = Vec::with_capacity(n * n);
     let barrier_start = Instant::now();
     for (idx, wk) in workers.iter_mut().enumerate() {
         let (lo, hi) = wk.shard();
+        let links = (hi - lo) * n;
         loop {
             match wk.next_frame() {
-                Frame::Payload {
+                Frame::Shard {
                     epoch: e,
-                    src,
-                    dst,
+                    lo: l,
+                    lens,
                     words,
                 } => {
                     assert_eq!(e, epoch, "worker echoed a different epoch");
                     assert!(
-                        (lo..hi).contains(&(dst as usize)),
-                        "worker echoed a destination outside its shard"
+                        l as usize == lo && lens.len() == links,
+                        "worker echoed a shard other than its own"
                     );
-                    unicast.append(src as usize, dst as usize, &words);
+                    unicast.append_shard(lo, &lens, words);
                 }
                 Frame::Telemetry { worker, lines } => {
                     cc_telemetry::global().merge_worker(worker, &lines);
                 }
                 Frame::Commit { epoch: e, loads } => {
                     assert_eq!(e, epoch, "round-commit token for a different epoch");
-                    all_loads.extend(
-                        loads
-                            .into_iter()
-                            .map(|(s, d, w)| (s as usize, d as usize, w as usize)),
+                    assert_eq!(
+                        loads.len(),
+                        links,
+                        "commit table does not cover the worker's shard"
                     );
+                    charged.extend_from_slice(&loads);
                     cc_telemetry::global().emit(cc_telemetry::TraceLevel::Rounds, || {
                         cc_telemetry::Event::BarrierLane {
                             backend,
@@ -135,21 +141,32 @@ pub(crate) fn finish_round<W: StarWorker>(
             }
         }
     }
+    assert_eq!(
+        charged.len(),
+        n * n,
+        "worker shards must partition the clique"
+    );
+    let mut loads = LinkLoads::new();
+    for src in 0..n {
+        for dst in 0..n {
+            loads.add(src, dst, charged[dst * n + src] as usize);
+        }
+    }
 
     // Broadcast lanes are the orchestrator's own slabs: the workers counted
     // them, but immutable shared data is not echoed back to its publisher.
     RoundDelivery {
         unicast: unicast.finish(),
         broadcast: bcasts,
-        loads: merge_loads(all_loads),
+        loads,
     }
 }
 
 /// One star round, worker side, primed with the already-read `first` frame:
-/// account the owned shard's links as the epoch's frames arrive — the
-/// orchestrator ships them in `(dst, src)` order, so each payload is echoed
-/// as soon as it is checked and no rows are buffered — then commit the
-/// epoch. Returns the next epoch.
+/// take the owned shard (at most one per round, checked against the
+/// assignment), count the broadcast words, and at the round delimiter
+/// account every owned link from the shard's length table, echo the shard
+/// as one frame and commit the epoch. Returns the next epoch.
 ///
 /// `lo` is the first owned destination, `count` the shard width, `n` the
 /// clique size.
@@ -164,33 +181,30 @@ pub(crate) fn serve_round<R: Read, W: Write>(
     worker: u32,
     wire: Option<&cc_telemetry::WireSink>,
 ) -> io::Result<u64> {
-    // lens[(dst - lo) * n + src]: unicast words received on each owned link.
-    let mut lens = vec![0usize; count * n];
+    // The owned shard: lens[(dst - lo) * n + src] words on each owned link,
+    // and the links' words end to end.
+    let mut shard: Option<(Vec<u32>, Vec<Word>)> = None;
     let mut bcast_words = vec![0usize; n];
-    // The echo, batched like the orchestrator's ship phase: the shard's
-    // rows and the round-commit token travel back as one length-prefixed
-    // batch — one write per (worker, round).
-    let mut batch = Vec::new();
-    let mut echoed = 0usize;
-    let mut last_link = 0usize;
     let mut frame = first;
     loop {
         match frame {
-            Frame::Payload {
+            Frame::Shard {
                 epoch: e,
-                src,
-                dst,
+                lo: l,
+                lens,
                 words,
             } => {
-                check(e == epoch, "payload from a different epoch")?;
-                let (s, d) = (src as usize, dst as usize);
-                check(s < n && (lo..lo + count).contains(&d), "misrouted payload")?;
-                let link = (d - lo) * n + s;
-                check(link >= last_link, "payloads out of (dst, src) order")?;
-                last_link = link;
-                lens[link] += words.len();
-                push_payload_frame(&mut batch, epoch, src, dst, &words);
-                echoed += 1;
+                check(e == epoch, "shard from a different epoch")?;
+                check(
+                    l as usize == lo,
+                    "shard starts at a destination this worker does not own",
+                )?;
+                check(
+                    lens.len() == count * n,
+                    "shard length table does not cover the owned links",
+                )?;
+                check(shard.is_none(), "second shard in one round")?;
+                shard = Some((lens, words));
             }
             Frame::Bcast {
                 epoch: e,
@@ -210,18 +224,30 @@ pub(crate) fn serve_round<R: Read, W: Write>(
         frame = read_frame(reader)?;
     }
 
-    let mut loads: Vec<(u32, u32, u64)> = Vec::new();
+    // A link is charged its unicast words plus everything its source
+    // broadcast; self messages are local moves and free.
+    let lens = shard.as_ref().map(|(lens, _)| lens.as_slice());
+    let mut loads = Vec::with_capacity(count * n);
     for d in 0..count {
-        let dst = lo + d;
         for src in 0..n {
-            // Self messages are local moves and free.
-            if src != dst {
-                let charged = lens[d * n + src] + bcast_words[src];
-                if charged > 0 {
-                    loads.push((src as u32, dst as u32, charged as u64));
-                }
-            }
+            let charged = if src == lo + d {
+                0
+            } else {
+                lens.map_or(0, |lens| lens[d * n + src] as usize) + bcast_words[src]
+            };
+            loads.push(
+                u32::try_from(charged)
+                    .map_err(|_| protocol_error("link load overflows the commit table"))?,
+            );
         }
+    }
+
+    // The echo, batched like the orchestrator's ship phase: the shard and
+    // the round-commit token travel back as one length-prefixed batch — one
+    // write per (worker, round).
+    let mut batch = Vec::new();
+    if let Some((lens, words)) = &shard {
+        push_shard_frame(&mut batch, epoch, lo as u32, lens.iter().copied(), words);
     }
     // Account the echo batch in the worker's own event stream, then ship
     // telemetry *before* the commit token: the orchestrator's barrier loop
@@ -231,7 +257,7 @@ pub(crate) fn serve_round<R: Read, W: Write>(
     cc_telemetry::global().emit(cc_telemetry::TraceLevel::Full, || {
         cc_telemetry::Event::FrameBatch {
             backend,
-            frames: echoed + 1,
+            frames: usize::from(shard.is_some()) + 1,
             bytes: batch.len() + commit_body.len() + 4,
         }
     });
@@ -252,4 +278,119 @@ pub(crate) fn check(ok: bool, msg: &str) -> io::Result<()> {
 
 pub(crate) fn protocol_error(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::encode_frame_batch;
+    use std::io::Cursor;
+
+    /// A worker owning destinations 2..4 of a 4-clique, at epoch 5.
+    const SHARD: (usize, usize, usize) = (2, 2, 4);
+    const EPOCH: u64 = 5;
+
+    /// Serves one round from in-memory streams: `frames[0]` is the primed
+    /// frame, the rest are read from the stream. Returns the next epoch and
+    /// everything the worker wrote, decoded.
+    fn serve(frames: &[Frame]) -> io::Result<(u64, Vec<Frame>)> {
+        let mut reader = Cursor::new(encode_frame_batch(&frames[1..]));
+        let mut written = Vec::new();
+        let next = serve_round(
+            "socket",
+            &mut reader,
+            &mut written,
+            frames[0].clone(),
+            EPOCH,
+            SHARD,
+            1,
+            None,
+        )?;
+        assert_eq!(reader.position(), reader.get_ref().len() as u64);
+        let mut out = Cursor::new(written);
+        let mut echoed = Vec::new();
+        while out.position() < out.get_ref().len() as u64 {
+            echoed.push(read_frame(&mut out)?);
+        }
+        Ok((next, echoed))
+    }
+
+    fn shard(epoch: u64, lo: u32, lens: Vec<u32>) -> Frame {
+        let words = (0..lens.iter().sum::<u32>()).map(|w| Word::MAX - Word::from(w));
+        Frame::Shard {
+            epoch,
+            lo,
+            words: words.collect(),
+            lens,
+        }
+    }
+
+    fn message(frames: &[Frame]) -> String {
+        let err = serve(frames).expect_err("the round must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        err.to_string()
+    }
+
+    #[test]
+    fn a_round_is_echoed_whole_and_committed_with_a_dense_table() {
+        // Links into dst 2 from 0..4, then into dst 3: a self-link on each
+        // destination (delivered, never charged) and empty links between.
+        let sent = shard(EPOCH, 2, vec![1, 0, 3, 0, 0, 2, 0, 4]);
+        let bcast = Frame::Bcast {
+            epoch: EPOCH,
+            src: 3,
+            words: vec![9, 9],
+        };
+        let end = Frame::RoundEnd { epoch: EPOCH };
+        let (next, echoed) = serve(&[sent.clone(), bcast.clone(), end.clone()]).unwrap();
+        assert_eq!(next, EPOCH + 1);
+        let commit = Frame::Commit {
+            epoch: EPOCH,
+            loads: vec![1, 0, 0, 2, 0, 2, 0, 0],
+        };
+        assert_eq!(echoed, vec![sent, commit]);
+
+        // A broadcast-only round: no shard arrives, none is echoed, and the
+        // table still charges the broadcast on every owned non-self link.
+        let (_, echoed) = serve(&[bcast, end.clone()]).unwrap();
+        let commit = Frame::Commit {
+            epoch: EPOCH,
+            loads: vec![0, 0, 0, 2, 0, 0, 0, 0],
+        };
+        assert_eq!(echoed, vec![commit]);
+
+        // An empty round is its delimiter and an all-zero table.
+        let (_, echoed) = serve(&[end]).unwrap();
+        let commit = Frame::Commit {
+            epoch: EPOCH,
+            loads: vec![0; 8],
+        };
+        assert_eq!(echoed, vec![commit]);
+    }
+
+    #[test]
+    fn shards_that_do_not_match_the_assignment_are_refused() {
+        let end = Frame::RoundEnd { epoch: EPOCH };
+        let good = shard(EPOCH, 2, vec![1; 8]);
+        assert_eq!(
+            message(&[shard(EPOCH, 0, vec![1; 8]), end.clone()]),
+            "shard starts at a destination this worker does not own"
+        );
+        assert_eq!(
+            message(&[shard(EPOCH, 2, vec![1; 12]), end.clone()]),
+            "shard length table does not cover the owned links"
+        );
+        assert_eq!(
+            message(&[shard(EPOCH, 2, vec![1; 4]), end.clone()]),
+            "shard length table does not cover the owned links"
+        );
+        assert_eq!(
+            message(&[good.clone(), good, end.clone()]),
+            "second shard in one round"
+        );
+        assert_eq!(
+            message(&[shard(EPOCH + 1, 2, vec![1; 8]), end]),
+            "shard from a different epoch"
+        );
+    }
 }

@@ -7,8 +7,9 @@
 //! Identical round structure to [`crate::SocketTransport`], with TCP
 //! streams instead of unix sockets (the round itself is the shared
 //! `star` module): the orchestrator ships every round's slab to the workers
-//! shard by shard and decodes the echoed rows, plus per-epoch round-commit
-//! tokens, back into a slab. Works across hosts, but every payload still
+//! one [`Frame::Shard`] each, appends the echoed shards back into a slab,
+//! and reads the round's loads off the dense tables in the per-epoch
+//! round-commit tokens. Works across hosts, but every payload still
 //! transits the orchestrator.
 //!
 //! ## Program-resident mode (`CC_TRANSPORT=tcp-peer`)

@@ -74,11 +74,51 @@ fn sequential() -> Executor {
 }
 
 fn tcp(resident: bool) -> TransportKind {
+    tcp_workers(2, resident)
+}
+
+fn tcp_workers(workers: usize, resident: bool) -> TransportKind {
     TransportKind::Tcp {
-        workers: 2,
+        workers,
         resident,
         addr: None,
     }
+}
+
+/// Rounds chosen for what a star worker's shard frame has to get right:
+/// seven nodes over three workers own destinations `0..2`, `2..4`, `4..7`.
+fn drive_shard_edges(t: &mut dyn Transport) -> Vec<RoundDelivery> {
+    let n = 7;
+    let mut out = Vec::new();
+    // Every link loaded, self-links included, a different length on each.
+    let dense: Vec<(usize, usize, Vec<u64>)> = (0..n * n)
+        .map(|at| (at % n, at / n, (0..at as u64 % 4 + 1).collect()))
+        .collect();
+    t.send_slab(LinkSlab::from_runs(
+        n,
+        dense.iter().map(|(s, d, w)| (*s, *d, w.as_slice())),
+    ));
+    out.push(t.finish_round());
+    // The middle worker's shard receives nothing.
+    t.send(3, 0, &[1, 2, 3]);
+    t.send(2, 6, &[u64::MAX]);
+    t.send(0, 1, &[4]);
+    out.push(t.finish_round());
+    // A broadcast-only round: no shard is shipped to anyone.
+    t.broadcast(5, vec![7, 8].into());
+    t.broadcast(1, vec![9].into());
+    out.push(t.finish_round());
+    // Self-links only: delivered on every shard, charged nowhere.
+    for node in [0, 3, 6] {
+        t.send(node, node, &[node as u64; 2]);
+    }
+    out.push(t.finish_round());
+    // Unicast, self and broadcast words together on one link's source.
+    t.send(4, 4, &[1]);
+    t.send(4, 2, &[2, 3]);
+    t.broadcast(4, vec![5].into());
+    out.push(t.finish_round());
+    out
 }
 
 proptest! {
@@ -116,6 +156,7 @@ fn slab_rounds_match_on_all_six_transports_and_under_decorators() {
             TransportKind::Socket { workers: 1 },
             TransportKind::Socket { workers: 3 },
             tcp(false),
+            tcp_workers(3, false),
             tcp(true),
         ] {
             let mut t = kind.build(n, sequential());
@@ -151,6 +192,36 @@ fn slab_rounds_match_on_all_six_transports_and_under_decorators() {
         for (name, mut t) in decorated {
             assert_eq!(drive(&mut *t, n, rounds, seed), expected, "{name}");
         }
+    }
+}
+
+#[test]
+fn star_shards_match_inmemory_on_uneven_and_sparse_rounds() {
+    let n = 7;
+    let mut reference = TransportKind::InMemory.build(n, sequential());
+    let expected = drive_shard_edges(&mut *reference);
+    let charged: Vec<(u64, u64)> = expected
+        .iter()
+        .map(|rd| (rd.loads.rounds(), rd.loads.words()))
+        .collect();
+    assert_eq!(charged, vec![(4, 114), (3, 5), (2, 18), (0, 0), (3, 8)]);
+    assert_eq!(expected[3].unicast.total_words(), 6, "self-links deliver");
+    for kind in [
+        TransportKind::Socket { workers: 3 },
+        tcp_workers(3, false),
+        TransportKind::Socket { workers: 7 },
+    ] {
+        let mut t = kind.build(n, sequential());
+        let got = drive_shard_edges(&mut *t);
+        assert_eq!(got, expected, "{kind:?}");
+        for rd in &got {
+            let links: Vec<_> = rd.loads.iter().map(|(s, d, _)| (s, d)).collect();
+            assert!(
+                links.windows(2).all(|w| w[0] < w[1]),
+                "{kind:?} loads must be in canonical (src, dst) order"
+            );
+        }
+        assert!(t.orchestrator_bytes() > 0);
     }
 }
 

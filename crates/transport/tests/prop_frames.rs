@@ -2,9 +2,12 @@
 //! decode back bit-identically — including maximum-width words, empty
 //! payloads, and empty rounds — so a codec bug can never silently corrupt
 //! a product. Corrupted bytes must fail to decode rather than alias a
-//! different frame.
+//! different frame, and hostile bytes must fail typed, never panic.
 
-use cc_transport::{encode_frame_batch, push_frame_bytes, read_frame, write_frame, Frame};
+use cc_transport::{
+    encode_frame_batch, push_bcast_frame, push_frame, push_frame_bytes, push_shard_frame,
+    read_frame, write_frame, Frame, FrameError,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::io::{Cursor, Read};
@@ -48,11 +51,11 @@ fn frame() -> BoxedStrategy<Frame> {
     let bcast = (any::<u64>(), any::<u32>(), vec(word(), 0..40))
         .prop_map(|(epoch, src, words)| Frame::Bcast { epoch, src, words })
         .boxed();
-    let commit = (
-        any::<u64>(),
-        vec((any::<u32>(), any::<u32>(), word()), 0..20),
-    )
+    let commit = (any::<u64>(), vec(table_entry(), 0..40))
         .prop_map(|(epoch, loads)| Frame::Commit { epoch, loads })
+        .boxed();
+    let shard = (any::<u64>(), any::<u32>(), vec(vec(word(), 0..4), 0..24))
+        .prop_map(|(epoch, lo, links)| shard_of(epoch, lo, &links))
         .boxed();
     // Setup / resident-session frames of the TCP backend.
     let assign = (
@@ -147,8 +150,25 @@ fn frame() -> BoxedStrategy<Frame> {
         resident_done,
         release,
         telemetry,
+        shard,
     ]
     .boxed()
+}
+
+/// A commit-table entry: mostly small loads, with the extremes mixed in.
+fn table_entry() -> BoxedStrategy<u32> {
+    prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()].boxed()
+}
+
+/// The shard frame carrying `links` (one word list per link, in link
+/// order): the length table and the words laid end to end.
+fn shard_of(epoch: u64, lo: u32, links: &[Vec<u64>]) -> Frame {
+    Frame::Shard {
+        epoch,
+        lo,
+        lens: links.iter().map(|l| l.len() as u32).collect(),
+        words: links.concat(),
+    }
 }
 
 /// An [`io::Read`] that serves the underlying bytes in prescribed chunk
@@ -248,6 +268,36 @@ proptest! {
     }
 
     #[test]
+    fn slice_encoders_match_the_frame_encoder(
+        epoch in any::<u64>(),
+        at in any::<u32>(),
+        links in vec(vec(word(), 0..4), 0..24),
+    ) {
+        // The star round never builds a `Frame` to ship a shard or a
+        // broadcast slab: it encodes from slab slices. Those bytes must be
+        // the frame's own encoding behind its length prefix.
+        let shard = shard_of(epoch, at, &links);
+        let words = links.concat();
+        let bcast = Frame::Bcast { epoch, src: at, words: words.clone() };
+        let mut from_frames = Vec::new();
+        push_frame(&mut from_frames, &shard);
+        push_frame(&mut from_frames, &bcast);
+        let mut from_slices = Vec::new();
+        push_shard_frame(
+            &mut from_slices,
+            epoch,
+            at,
+            links.iter().map(|l| l.len() as u32),
+            &words,
+        );
+        push_bcast_frame(&mut from_slices, epoch, at, &words);
+        prop_assert_eq!(&from_slices, &from_frames);
+        let mut cursor = Cursor::new(from_slices);
+        prop_assert_eq!(read_frame(&mut cursor).expect("shard"), shard);
+        prop_assert_eq!(read_frame(&mut cursor).expect("bcast"), bcast);
+    }
+
+    #[test]
     fn one_byte_chunks_decode_identically_to_the_contiguous_path(frames in vec(frame(), 0..8)) {
         // The worst TCP delivery: every read returns a single byte, so
         // every length prefix and every multi-byte field straddles reads.
@@ -323,7 +373,7 @@ fn empty_round_is_expressible_and_round_trips() {
         Frame::RoundEnd { epoch: 0 },
         Frame::Commit {
             epoch: 0,
-            loads: vec![],
+            loads: vec![0; 6],
         },
     ];
     let mut wire = Vec::new();
@@ -377,4 +427,98 @@ fn max_width_words_survive_every_lane() {
         words: vec![u64::MAX, 0, 1 << 63, u64::from(u32::MAX) + 1],
     };
     assert_eq!(Frame::decode(&f.encode()), Ok(f));
+}
+
+#[test]
+fn shards_round_trip_at_the_extremes() {
+    // Full-width words, empty links between loaded ones, a shard with a
+    // table but no words (a worker nothing was sent to), no links at all.
+    for links in [
+        vec![vec![u64::MAX, 0], vec![], vec![1 << 63], vec![]],
+        vec![vec![]; 14],
+        vec![],
+    ] {
+        let f = shard_of(u64::MAX, u32::MAX, &links);
+        assert_eq!(Frame::decode(&f.encode()), Ok(f));
+    }
+    let commit = Frame::Commit {
+        epoch: u64::MAX,
+        loads: vec![0, u32::MAX, 0, 1],
+    };
+    assert_eq!(Frame::decode(&commit.encode()), Ok(commit));
+}
+
+/// Byte offset of the table's entry count in a shard body (tag, epoch, lo)
+/// and in a commit body (tag, epoch).
+const SHARD_COUNT_AT: usize = 1 + 8 + 4;
+const COMMIT_COUNT_AT: usize = 1 + 8;
+
+#[test]
+fn hostile_shard_and_commit_bytes_fail_typed() {
+    let shard = shard_of(7, 2, &[vec![1, 2], vec![], vec![3]]).encode();
+    let commit = Frame::Commit {
+        epoch: 7,
+        loads: vec![0, 5, 9],
+    }
+    .encode();
+
+    // Truncated at every cut.
+    for body in [&shard, &commit] {
+        for cut in 0..body.len() {
+            assert_eq!(
+                Frame::decode(&body[..cut]),
+                Err(FrameError::Truncated),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    let patched = |body: &[u8], at: usize, value: u32| {
+        let mut bytes = body.to_vec();
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        bytes
+    };
+
+    // A length table whose sum is not the number of words that follow.
+    let first_len = SHARD_COUNT_AT + 4;
+    assert_eq!(
+        Frame::decode(&patched(&shard, first_len, 3)),
+        Err(FrameError::Truncated)
+    );
+    assert_eq!(
+        Frame::decode(&patched(&shard, first_len, 1)),
+        Err(FrameError::Trailing(8))
+    );
+    assert_eq!(
+        Frame::decode(&patched(&shard, first_len, u32::MAX)),
+        Err(FrameError::Oversized(u64::from(u32::MAX) + 1))
+    );
+
+    // A declared entry count larger than the body, and one beyond the
+    // frame cap: neither may size a vector.
+    for (body, at) in [(&shard, SHARD_COUNT_AT), (&commit, COMMIT_COUNT_AT)] {
+        assert_eq!(
+            Frame::decode(&patched(body, at, 1 << 20)),
+            Err(FrameError::Truncated)
+        );
+        assert_eq!(
+            Frame::decode(&patched(body, at, u32::MAX)),
+            Err(FrameError::Oversized(u64::from(u32::MAX)))
+        );
+    }
+
+    // A flipped tag: the body is read under another layout (or none) and
+    // must not come back as the frame it was.
+    for body in [&shard, &commit] {
+        for tag in 0..=255u8 {
+            if tag == body[0] {
+                continue;
+            }
+            let mut bytes = body.to_vec();
+            bytes[0] = tag;
+            if let Ok(frame) = Frame::decode(&bytes) {
+                assert_ne!(frame.encode(), *body, "tag {tag} aliased the frame");
+            }
+        }
+    }
 }

@@ -254,13 +254,20 @@
 //!   returns its assembled row and per-link accounting;
 //! * [`TransportKind::Socket`](transport::TransportKind) — **true
 //!   multi-process simulation**: the parent spawns `cc-clique-node` worker
-//!   processes, each simulating a shard of nodes, and every round's words
-//!   cross unix domain sockets as length-prefixed frames
-//!   ([`transport::Frame`], property-tested to round-trip bit-exactly),
-//!   encoded straight from each worker's contiguous shard of the slab and
-//!   decoded from the echoes back into one.
-//!   The barrier is a *round-commit token*: a round is charged only after
-//!   every worker commits its epoch.
+//!   processes, each simulating a contiguous shard of destinations, and
+//!   every round's words cross unix domain sockets as length-prefixed
+//!   frames ([`transport::Frame`], property-tested to round-trip
+//!   bit-exactly). The slab is the wire unit: a worker's shard is one
+//!   contiguous range of it and travels as **one**
+//!   [`Frame::Shard`](transport::Frame::Shard) — the per-link length
+//!   table, then the words, encoded straight from the slab's slices — and
+//!   comes back as one echoed frame appended to the delivered slab whole.
+//!   The barrier is a *round-commit token*
+//!   ([`Frame::Commit`](transport::Frame::Commit)): each worker reports the
+//!   words it charged as a dense table laid out like its shard, the
+//!   orchestrator reads the canonical loads off those tables with no
+//!   sort, and a round is charged only after every worker commits its
+//!   epoch.
 //! * [`TransportKind::Tcp`](transport::TransportKind) — the same frame
 //!   codec and round-commit barrier over **TCP streams**, in two modes.
 //!   *Star mode* (`tcp`) is the socket topology over TCP: every round's
@@ -308,10 +315,11 @@
 //! `n ∈ {64, 128, 256}`: thread queues ≈ 3–4.5×, worker processes ≈
 //! 2.5–3× the shared-memory wall-clock on the CI host); the
 //! `multi_process` example drives the socket and TCP orchestrators end
-//! to end. Socket and TCP frames are coalesced per `(worker, round)`
-//! into one writev-style length-prefixed batch — the byte stream is
-//! identical to frame-by-frame writes (property-tested, including
-//! chunked partial-read delivery), only the syscall count drops.
+//! to end. A star round puts one batch per `(worker, round)` on the wire
+//! each way — the shard frame, the broadcast slabs (encoded once for all
+//! workers) and the round delimiter out; the echoed shard and the commit
+//! token back — and the byte stream is identical to frame-by-frame
+//! writes (property-tested, including chunked partial-read delivery).
 //!
 //! ## Network conditions & fault injection
 //!
