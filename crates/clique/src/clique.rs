@@ -528,14 +528,14 @@ impl Clique {
         let mut a_load = vec![0usize; n * n];
         let mut b_load = vec![0usize; n * n];
         let mut relays: Vec<u32> = Vec::with_capacity(total);
+        let seed = self.cfg.route_seed;
         for (src, dst, words) in &msgs {
-            let base = self.cfg.route_seed ^ ((*src as u64) << 42) ^ ((*dst as u64) << 21);
             for j in 0..words.len() {
-                let h = splitmix(base ^ j as u64);
-                let r1 = (h % n as u64) as usize;
                 let relay = match self.cfg.relay_policy {
-                    RelayPolicy::SingleHash => r1,
+                    RelayPolicy::SingleHash => single_hash_relay(seed, n, *src, *dst, j),
                     RelayPolicy::TwoChoice => {
+                        let h = relay_hash(seed, *src, *dst, j);
+                        let r1 = (h % n as u64) as usize;
                         let r2 = ((h >> 32) % n as u64) as usize;
                         let cost = |r: usize| a_load[r * n + src].max(b_load[dst * n + r]);
                         if cost(r1) <= cost(r2) {
@@ -822,6 +822,22 @@ impl Clique {
         let words = self.broadcast(|v| value_of(v) as u64);
         words.into_iter().map(|w| w as i64).min().expect("n >= 2")
     }
+}
+
+/// The relay [`Clique::route`] draws for word `j` of a `(src, dst)` message
+/// under [`RelayPolicy::SingleHash`] on a clique of `n` nodes whose
+/// `route_seed` is `seed`. The draw depends on nothing else, so a node
+/// program that knows an oblivious pattern can reproduce the router's relay
+/// choices — and hence its per-link loads — without a coordinator.
+#[must_use]
+#[inline]
+pub fn single_hash_relay(seed: u64, n: usize, src: usize, dst: usize, j: usize) -> usize {
+    (relay_hash(seed, src, dst, j) % n as u64) as usize
+}
+
+/// The hash both relay policies draw their candidates from.
+fn relay_hash(seed: u64, src: usize, dst: usize, j: usize) -> u64 {
+    splitmix(seed ^ ((src as u64) << 42) ^ ((dst as u64) << 21) ^ j as u64)
 }
 
 /// SplitMix64 finaliser; deterministic relay-balancing hash.

@@ -97,7 +97,7 @@ mod network;
 mod stats;
 mod word;
 
-pub use crate::clique::{Clique, CliqueConfig, Mode, RelayPolicy};
+pub use crate::clique::{single_hash_relay, Clique, CliqueConfig, Mode, RelayPolicy};
 pub use crate::inbox::Inboxes;
 pub use crate::stats::{PhaseStats, Stats};
 pub use crate::word::{

@@ -103,7 +103,8 @@ pub use crate::loads::LinkLoads;
 pub use crate::pool::threads_spawned as pool_threads_spawned;
 pub use crate::program::{Control, NodeInbox, NodeOutbox, NodeProgram, RoundCtx};
 pub use crate::resident::{
-    step_node, EchoRingProgram, ResidentNode, ResidentOutcome, ResidentRegistry, WireProgram,
+    step_node, EchoRingProgram, ResidentNode, ResidentOutcome, ResidentRegistry, ScriptProgram,
+    WireProgram,
 };
 pub use cc_telemetry::env_config;
 

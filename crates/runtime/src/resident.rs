@@ -81,13 +81,14 @@ impl ResidentRegistry {
         Self::default()
     }
 
-    /// A registry preloaded with the crate's builtin test program
-    /// ([`EchoRingProgram`]), enough for transport-level round-trip tests
-    /// that have no algorithm crates linked in.
+    /// A registry preloaded with the crate's builtin test programs
+    /// ([`EchoRingProgram`], [`ScriptProgram`]), enough for transport-level
+    /// round-trip tests that have no algorithm crates linked in.
     #[must_use]
     pub fn with_builtins() -> Self {
         let mut reg = Self::new();
         reg.register::<EchoRingProgram>();
+        reg.register::<ScriptProgram>();
         reg
     }
 
@@ -219,6 +220,112 @@ impl WireProgram for EchoRingProgram {
     }
 }
 
+/// Builtin [`WireProgram`] for fabric tests that need a traffic pattern
+/// [`EchoRingProgram`] cannot produce: the node replays a fixed script of
+/// sends and broadcasts, in script order within a round, and logs everything
+/// it hears — per round and source, the source, the word count, the words —
+/// so two fabrics agree on the logs only if they agree on every delivery
+/// and its per-link order.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ScriptProgram {
+    /// Round the node halts in (after logging what the last sends brought).
+    rounds: u64,
+    /// `[round, dst, len, words…]` per action; `dst == BROADCAST` broadcasts.
+    script: Vec<Word>,
+    log: Vec<Word>,
+}
+
+impl ScriptProgram {
+    const BROADCAST: Word = Word::MAX;
+
+    /// A node that does nothing but listen until it halts in round `rounds`.
+    #[must_use]
+    pub fn new(rounds: u64) -> Self {
+        Self {
+            rounds,
+            ..Self::default()
+        }
+    }
+
+    /// Adds a unicast send of `words` to `dst` in `round`.
+    #[must_use]
+    pub fn send(self, round: u64, dst: usize, words: &[Word]) -> Self {
+        self.action(round, dst as Word, words)
+    }
+
+    /// Adds a broadcast of `words` in `round`.
+    #[must_use]
+    pub fn broadcast(self, round: u64, words: &[Word]) -> Self {
+        self.action(round, Self::BROADCAST, words)
+    }
+
+    fn action(mut self, round: u64, dst: Word, words: &[Word]) -> Self {
+        assert!(round < self.rounds, "scripted past the halting round");
+        self.script.extend([round, dst, words.len() as Word]);
+        self.script.extend_from_slice(words);
+        self
+    }
+
+    /// Everything this node heard, in round order.
+    #[must_use]
+    pub fn log(&self) -> &[Word] {
+        &self.log
+    }
+}
+
+impl NodeProgram for ScriptProgram {
+    fn round(&mut self, ctx: &mut RoundCtx<'_>) -> Control {
+        for src in 0..ctx.n() {
+            let heard = ctx.received(src);
+            if !heard.is_empty() {
+                self.log.extend([src as Word, heard.len() as Word]);
+                self.log.extend_from_slice(heard);
+            }
+            for slab in ctx.broadcasts_from(src) {
+                self.log
+                    .extend([Self::BROADCAST - src as Word, slab.len() as Word]);
+                self.log.extend_from_slice(slab);
+            }
+        }
+        if ctx.round() == self.rounds {
+            return Control::Halt;
+        }
+        let mut rest = self.script.as_slice();
+        while let [round, dst, len, tail @ ..] = rest {
+            let (words, tail) = tail.split_at(*len as usize);
+            if *round == ctx.round() {
+                if *dst == Self::BROADCAST {
+                    ctx.broadcast(words.to_vec());
+                } else {
+                    ctx.send(*dst as usize, words.to_vec());
+                }
+            }
+            rest = tail;
+        }
+        Control::Continue
+    }
+}
+
+impl WireProgram for ScriptProgram {
+    const KIND: &'static str = "cc.script";
+
+    fn encode_state(&self) -> Vec<Word> {
+        let mut state = vec![self.rounds, self.script.len() as Word];
+        state.extend_from_slice(&self.script);
+        state.extend_from_slice(&self.log);
+        state
+    }
+
+    fn decode_state(_node: usize, _n: usize, state: &[Word]) -> Self {
+        let (script, log) = state[2..].split_at(state[1] as usize);
+        Self {
+            rounds: state[0],
+            script: script.to_vec(),
+            log: log.to_vec(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,7 +345,10 @@ mod tests {
     #[test]
     fn registry_decodes_registered_kinds_only() {
         let reg = ResidentRegistry::with_builtins();
-        assert_eq!(reg.kinds().collect::<Vec<_>>(), vec![EchoRingProgram::KIND]);
+        assert_eq!(
+            reg.kinds().collect::<Vec<_>>(),
+            vec![EchoRingProgram::KIND, ScriptProgram::KIND]
+        );
         let p = EchoRingProgram::new(2);
         let state = WireProgram::encode_state(&p);
         let mut boxed = reg
@@ -253,6 +363,34 @@ mod tests {
         assert_eq!(control, Control::Continue);
         let (unicast, _) = outbox.into_parts();
         assert_eq!(unicast, vec![(2, vec![1])]);
+    }
+
+    #[test]
+    fn scripts_replay_in_order_and_survive_the_wire_mid_run() {
+        // Node 0 sends twice to node 1 in round 0 and broadcasts in round 1;
+        // node 1 is checkpointed through its wire state after every round.
+        let programs = vec![
+            ScriptProgram::new(2)
+                .send(0, 1, &[1, 2])
+                .send(0, 1, &[3])
+                .broadcast(1, &[9]),
+            ScriptProgram::new(2),
+        ];
+        let report = Engine::new(ExecutorKind::Sequential).run(programs.clone());
+        let b = ScriptProgram::BROADCAST;
+        assert_eq!(report.programs[1].log(), &[0, 3, 1, 2, 3, b, 1, 9]);
+        assert_eq!(report.programs[0].log(), &[b, 1, 9]);
+        assert_eq!(report.engine_rounds, 3);
+
+        let mut listener = programs[1].clone();
+        let mut inbox = NodeInbox::empty(2);
+        inbox.unicast[0] = vec![1, 2, 3];
+        for round in 0..2 {
+            let _ = step_node(&mut listener, 1, 2, round, &inbox);
+            listener = ScriptProgram::decode_state(1, 2, &WireProgram::encode_state(&listener));
+            inbox = NodeInbox::empty(2);
+        }
+        assert_eq!(listener.log(), &[0, 3, 1, 2, 3]);
     }
 
     #[test]

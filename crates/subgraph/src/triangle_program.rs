@@ -15,15 +15,21 @@
 //! Valiant relaying — for its scatter and gather. The communication pattern
 //! of the 3D product is *oblivious* (it depends only on `n`, never on the
 //! matrix contents), so the state machine can reproduce the exact same
-//! relaying without headers and without a coordinator: every node derives
-//! the full global pattern from `n`, hashes each word to its relay with the
-//! same deterministic hash the simulator uses
-//! ([`cc_clique::RelayPolicy::SingleHash`]), and relays forward received
-//! words by re-enumerating the sender's pattern. Destinations reassemble
-//! payloads the same way. Per-round link loads — and therefore executed
-//! rounds, total words, and the final count — are **identical** to
-//! [`crate::count_triangles_3d`] on a `SingleHash` clique, which the tests
-//! pin exactly.
+//! relaying without headers and without a coordinator: every word is hashed
+//! to its relay with the draw the simulator itself uses
+//! ([`cc_clique::single_hash_relay`], the router's
+//! [`cc_clique::RelayPolicy::SingleHash`] arm), and because the pattern and
+//! the draw depend only on `(n, seed)`, the relays' forwarding schedule is
+//! common knowledge. It is tabulated **once per process** ([`RelaySchedule`]:
+//! for each route step, relay and source, the destinations of the words the
+//! relay receives from that source, in stream order — one flat array behind
+//! an `n² + 1` offset table) on the first forwarding round, and shared by
+//! every node program of the in-process engine or of a worker process; a
+//! relay forwards by zipping each received stream with its table row.
+//! Destinations reassemble payloads by enumerating the messages addressed to
+//! them. Per-round link loads — and therefore executed rounds, total words,
+//! and the final count — are **identical** to [`crate::count_triangles_3d`]
+//! on a `SingleHash` clique, which the tests pin exactly.
 //!
 //! Engine-round schedule (7 barriers):
 //!
@@ -37,28 +43,10 @@
 //! | 5 | local dot product; broadcast it |
 //! | 6 | sum broadcasts → `tr(A²·A)`; halt |
 
-use cc_clique::{Clique, Control, NodeProgram, RoundCtx, WireProgram};
+use cc_clique::{single_hash_relay, Clique, Control, NodeProgram, RoundCtx, WireProgram};
 use cc_core::Plan3d;
 use cc_graph::Graph;
-
-/// SplitMix64 finaliser — **must** match the simulator's relay hash
-/// (`cc_clique`'s `splitmix`) for the program's relay choices, and hence
-/// its per-round link loads, to coincide with [`cc_clique::Clique::route`]
-/// under [`cc_clique::RelayPolicy::SingleHash`]. The round-parity tests
-/// pin this.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// The relay the simulator's `route` assigns to word `j` of a
-/// `(src, dst)` message under the single-hash policy.
-fn relay_of(seed: u64, n: usize, src: usize, dst: usize, j: usize) -> usize {
-    let h = splitmix(seed ^ ((src as u64) << 42) ^ ((dst as u64) << 21) ^ j as u64);
-    (h % n as u64) as usize
-}
+use std::sync::{Arc, Mutex};
 
 /// One route step of the oblivious 3D pattern: the `(dst, words)` message
 /// list a given source emits, in emission order, with only the *lengths*
@@ -98,6 +86,99 @@ fn gather_pattern(plan: &Plan3d, src: usize) -> Vec<(usize, usize)> {
     plan.block_range(u1).map(|r| (r, len)).collect()
 }
 
+/// The forwarding schedule of one oblivious route step: for relay `r` and
+/// source `s`, the destinations of the words `r` receives from `s`, in
+/// stream order. Laid out flat, like the transport's link slabs — row
+/// `r * n + s` is `dsts[offsets[r * n + s]..offsets[r * n + s + 1]]` — and
+/// built by the same two-pass counting sort.
+#[derive(Debug)]
+struct StepTable {
+    n: usize,
+    offsets: Vec<u32>,
+    dsts: Vec<u32>,
+}
+
+impl StepTable {
+    fn build(n: usize, seed: u64, pattern: impl Fn(usize) -> Vec<(usize, usize)>) -> Self {
+        let patterns: Vec<Vec<(usize, usize)>> = (0..n).map(pattern).collect();
+        let words = || {
+            patterns.iter().enumerate().flat_map(|(src, messages)| {
+                messages
+                    .iter()
+                    .flat_map(move |&(dst, len)| (0..len).map(move |j| (src, dst, j)))
+            })
+        };
+        // Pass one: draw every word's relay and size every row.
+        let mut cursor = vec![0u32; n * n];
+        let relays: Vec<u32> = words()
+            .map(|(src, dst, j)| {
+                let relay = single_hash_relay(seed, n, src, dst, j);
+                cursor[relay * n + src] += 1;
+                relay as u32
+            })
+            .collect();
+        let mut offsets = Vec::with_capacity(n * n + 1);
+        let mut at = 0u32;
+        for c in &mut cursor {
+            offsets.push(at);
+            at += std::mem::replace(c, at);
+        }
+        offsets.push(at);
+        // Pass two: scatter the destinations, in the sources' stream order.
+        let mut dsts = vec![0u32; at as usize];
+        for ((src, dst, _), relay) in words().zip(relays) {
+            let c = &mut cursor[relay as usize * n + src];
+            dsts[*c as usize] = dst as u32;
+            *c += 1;
+        }
+        Self { n, offsets, dsts }
+    }
+
+    /// Where `relay` forwards the words it received from `src`, in order.
+    fn row(&self, relay: usize, src: usize) -> &[u32] {
+        let at = relay * self.n + src;
+        &self.dsts[self.offsets[at] as usize..self.offsets[at + 1] as usize]
+    }
+}
+
+/// Both route steps' forwarding schedules for one `(n, seed)`.
+#[derive(Debug)]
+struct RelaySchedule {
+    n: usize,
+    seed: u64,
+    scatter: StepTable,
+    gather: StepTable,
+}
+
+impl RelaySchedule {
+    /// The schedule for `(n, seed)`: tabulated on first use and then shared
+    /// by every node program in the process. Only the last-used schedule is
+    /// kept, so the cache cannot grow; a process alternating between cliques
+    /// rebuilds it on each switch.
+    fn shared(n: usize, seed: u64) -> Arc<Self> {
+        static LAST_USED: Mutex<Option<Arc<RelaySchedule>>> = Mutex::new(None);
+        // A panic while holding the lock can only come from the build below,
+        // which leaves the previous entry (or none) in place.
+        let mut last = LAST_USED
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        match &*last {
+            Some(hit) if hit.n == n && hit.seed == seed => hit.clone(),
+            _ => {
+                let plan = Plan3d::new(n);
+                let built = Arc::new(Self {
+                    n,
+                    seed,
+                    scatter: StepTable::build(n, seed, |src| scatter_pattern(&plan, src)),
+                    gather: StepTable::build(n, seed, |src| gather_pattern(&plan, src)),
+                });
+                *last = Some(built.clone());
+                built
+            }
+        }
+    }
+}
+
 /// Phase A of a route step: split this node's real messages word-by-word
 /// over the hashed relays, preserving the global enumeration order so
 /// relays and destinations can reconstruct the streams.
@@ -107,7 +188,7 @@ fn send_via_relays(ctx: &mut RoundCtx<'_>, seed: u64, messages: &[(usize, Vec<u6
     let mut per_relay: Vec<Vec<u64>> = vec![Vec::new(); n];
     for (dst, words) in messages {
         for (j, &w) in words.iter().enumerate() {
-            per_relay[relay_of(seed, n, src, *dst, j)].push(w);
+            per_relay[single_hash_relay(seed, n, src, *dst, j)].push(w);
         }
     }
     for (relay, words) in per_relay.into_iter().enumerate() {
@@ -118,28 +199,29 @@ fn send_via_relays(ctx: &mut RoundCtx<'_>, seed: u64, messages: &[(usize, Vec<u6
 }
 
 /// Phase B of a route step: forward every word this node relayed to its
-/// final destination, derived by re-enumerating each sender's oblivious
-/// pattern (no headers on the wire — the pattern is common knowledge).
-fn forward_as_relay(
-    ctx: &mut RoundCtx<'_>,
-    seed: u64,
-    pattern: impl Fn(usize) -> Vec<(usize, usize)>,
-) {
+/// final destination, read off the step's tabulated schedule (no headers on
+/// the wire — the pattern is common knowledge).
+///
+/// # Panics
+///
+/// Panics if a source's stream is not exactly as long as the schedule says:
+/// the sender ran a different pattern, and forwarding would misdeliver.
+fn forward_as_relay(ctx: &mut RoundCtx<'_>, table: &StepTable) {
     let n = ctx.n();
     let me = ctx.node();
     let mut per_dst: Vec<Vec<u64>> = vec![Vec::new(); n];
     for src in 0..n {
         let stream = ctx.received(src);
-        let mut cursor = 0usize;
-        for (dst, len) in pattern(src) {
-            for j in 0..len {
-                if relay_of(seed, n, src, dst, j) == me {
-                    per_dst[dst].push(stream[cursor]);
-                    cursor += 1;
-                }
-            }
+        let row = table.row(me, src);
+        assert_eq!(
+            stream.len(),
+            row.len(),
+            "relay stream does not match the forwarding schedule \
+             (relay {me}, source {src})"
+        );
+        for (&word, &dst) in stream.iter().zip(row) {
+            per_dst[dst as usize].push(word);
         }
-        debug_assert_eq!(cursor, stream.len(), "relay stream fully consumed");
     }
     for (dst, words) in per_dst.into_iter().enumerate() {
         if !words.is_empty() {
@@ -166,7 +248,7 @@ fn reassemble(
                 continue;
             }
             for j in 0..len {
-                let relay = relay_of(seed, n, src, dst, j);
+                let relay = single_hash_relay(seed, n, src, dst, j);
                 let stream = ctx.received(relay);
                 out_src.push(stream[cursors[relay]]);
                 cursors[relay] += 1;
@@ -259,10 +341,19 @@ impl WireProgram for TriangleProgram {
         state
     }
 
-    fn decode_state(_node: usize, n: usize, state: &[u64]) -> Self {
-        let sq_len = state[4] as usize;
+    /// # Panics
+    ///
+    /// Panics if `state` is not an encoding for a clique of `n` nodes: no
+    /// header, an `A²` row that is neither absent nor `n` long, or a total
+    /// length other than header + `A²` row + adjacency row.
+    fn decode_state(node: usize, n: usize, state: &[u64]) -> Self {
+        let sq_len = state.get(4).map_or(usize::MAX, |&len| len as usize);
+        assert!(
+            (sq_len == 0 || sq_len == n) && state.len() == 5 + sq_len + n,
+            "malformed cc.triangle state for node {node}: {} words for n={n}",
+            state.len()
+        );
         let (sq_row, row) = state[5..].split_at(sq_len);
-        debug_assert_eq!(row.len(), n, "adjacency row must cover the clique");
         Self {
             row: row.iter().map(|&x| x as i64).collect(),
             directed: state[0] != 0,
@@ -288,7 +379,7 @@ impl NodeProgram for TriangleProgram {
             }
             // Scatter phase B: forward as relay.
             1 => {
-                forward_as_relay(ctx, seed, |src| scatter_pattern(&plan, src));
+                forward_as_relay(ctx, &RelaySchedule::shared(n, seed).scatter);
                 Control::Continue
             }
             // Block product on the subcube owners; gather phase A.
@@ -354,7 +445,7 @@ impl NodeProgram for TriangleProgram {
             }
             // Gather phase B: forward as relay.
             3 => {
-                forward_as_relay(ctx, seed, |src| gather_pattern(&plan, src));
+                forward_as_relay(ctx, &RelaySchedule::shared(n, seed).gather);
                 Control::Continue
             }
             // Assemble the A² row; start the trace's transpose exchange.
@@ -576,6 +667,137 @@ mod tests {
         let back = TriangleProgram::decode_state(3, 12, &WireProgram::encode_state(&fresh));
         assert_eq!(back.sq_row, fresh.sq_row);
         assert_eq!(back.count, None);
+    }
+
+    /// The schedule as every relay used to derive it: enumerate the whole
+    /// pattern and keep the words whose relay draw is `me`.
+    fn enumerated_rows(
+        n: usize,
+        seed: u64,
+        me: usize,
+        pattern: impl Fn(usize) -> Vec<(usize, usize)>,
+    ) -> Vec<Vec<u32>> {
+        (0..n)
+            .map(|src| {
+                let mut row = Vec::new();
+                for (dst, len) in pattern(src) {
+                    for j in 0..len {
+                        if single_hash_relay(seed, n, src, dst, j) == me {
+                            row.push(dst as u32);
+                        }
+                    }
+                }
+                row
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tabulated_schedule_equals_the_per_relay_enumeration() {
+        for (n, seed) in [(8usize, 3u64), (27, 0x5eed_c11e), (30, 7), (64, u64::MAX)] {
+            let plan = Plan3d::new(n);
+            let schedule = RelaySchedule::shared(n, seed);
+            for me in 0..n {
+                let scatter = enumerated_rows(n, seed, me, |src| scatter_pattern(&plan, src));
+                let gather = enumerated_rows(n, seed, me, |src| gather_pattern(&plan, src));
+                for src in 0..n {
+                    assert_eq!(
+                        schedule.scatter.row(me, src),
+                        scatter[src],
+                        "scatter n={n} relay={me} src={src}"
+                    );
+                    assert_eq!(
+                        schedule.gather.row(me, src),
+                        gather[src],
+                        "gather n={n} relay={me} src={src}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn alternating_cliques_each_get_their_own_schedule() {
+        // One process, one cache entry: two cliques of different size and
+        // different route seed take turns, and every run must be forwarded
+        // by its own (n, seed) schedule.
+        let cliques = [(12usize, 11u64), (20, 0xfeed)];
+        for turn in 0..4u64 {
+            let (n, route_seed) = cliques[turn as usize % 2];
+            let g = generators::gnp(n, 0.4, turn);
+            let mut clique = Clique::with_config(
+                n,
+                CliqueConfig {
+                    relay_policy: RelayPolicy::SingleHash,
+                    route_seed,
+                    ..CliqueConfig::default()
+                },
+            );
+            assert_eq!(
+                count_triangles_program(&mut clique, &g),
+                oracle::count_triangles(&g),
+                "turn {turn}: n={n} seed={route_seed}"
+            );
+        }
+    }
+
+    /// Steps relay 0 of an 8-clique through its first forwarding round with
+    /// `delta` words more (or fewer) from source 1 than the schedule says.
+    fn forward_with_a_wrong_stream(delta: isize) {
+        let (n, seed) = (8usize, 5u64);
+        let g = generators::gnp(n, 0.5, 1);
+        let schedule = RelaySchedule::shared(n, seed);
+        let mut unicast: Vec<Vec<u64>> = (0..n)
+            .map(|src| vec![0; schedule.scatter.row(0, src).len()])
+            .collect();
+        let len = unicast[1].len() as isize + delta;
+        unicast[1].resize(len as usize, 0);
+        let inbox = cc_runtime::NodeInbox::from_parts(unicast, vec![Vec::new(); n]);
+        let mut program = TriangleProgram::new(&g, 0, seed);
+        let _ = cc_runtime::step_node(&mut program, 0, n, 1, &inbox);
+    }
+
+    #[test]
+    #[should_panic(expected = "relay stream does not match the forwarding schedule")]
+    fn a_relay_stream_longer_than_its_schedule_row_is_refused() {
+        forward_with_a_wrong_stream(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "relay stream does not match the forwarding schedule")]
+    fn a_relay_stream_shorter_than_its_schedule_row_is_refused() {
+        forward_with_a_wrong_stream(-1);
+    }
+
+    /// A well-formed pre-run state for node 2 of a 6-clique.
+    fn fresh_state() -> Vec<u64> {
+        let g = generators::gnp(6, 0.5, 2);
+        WireProgram::encode_state(&TriangleProgram::new(&g, 2, 9))
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed cc.triangle state")]
+    fn a_state_shorter_than_its_header_is_refused() {
+        let _ = TriangleProgram::decode_state(2, 6, &fresh_state()[..4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed cc.triangle state")]
+    fn a_state_with_a_partial_square_row_is_refused() {
+        // Claims a 3-word A² row on a 6-clique; the total length is kept
+        // consistent with the claim so only the row length is wrong.
+        let mut state = fresh_state();
+        state[4] = 3;
+        state.extend([0; 3]);
+        let _ = TriangleProgram::decode_state(2, 6, &state);
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed cc.triangle state")]
+    fn a_state_whose_rows_do_not_fill_it_is_refused() {
+        let mut state = fresh_state();
+        state.pop();
+        let _ = TriangleProgram::decode_state(2, 6, &state);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::{LinkSlab, Transport};
 use cc_runtime::{Fabric, LinkLoads, NodeInbox, NodeOutbox, ResidentOutcome, Word};
+use std::sync::Arc;
 
 /// Routes [`cc_runtime::Engine`] round barriers through a [`Transport`]:
 /// each engine round's outboxes are gathered into one [`LinkSlab`] and
@@ -26,6 +27,22 @@ impl<'a> TransportFabric<'a> {
     }
 }
 
+/// One node's round as [`NodeOutbox::into_parts`] yields it: `(dst, words)`
+/// unicast payloads and broadcast slabs, both in send order.
+type OutboxParts = (Vec<(usize, Vec<Word>)>, Vec<Arc<[Word]>>);
+
+/// Gathers the unicast sends of consecutive nodes' outboxes (`parts[i]`
+/// belongs to node `first + i`) into one slab of an `n`-clique, each link's
+/// payloads in send order.
+pub(crate) fn gather_outboxes(n: usize, first: usize, parts: &[OutboxParts]) -> LinkSlab {
+    let runs = parts.iter().enumerate().flat_map(|(i, (unicast, _))| {
+        unicast
+            .iter()
+            .map(move |(dst, words)| (first + i, *dst, words.as_slice()))
+    });
+    LinkSlab::from_runs(n, runs)
+}
+
 impl Fabric for TransportFabric<'_> {
     fn deliver_round(
         &mut self,
@@ -34,12 +51,7 @@ impl Fabric for TransportFabric<'_> {
     ) -> (Vec<NodeInbox>, LinkLoads) {
         assert_eq!(n, self.transport.n(), "engine and transport disagree on n");
         let parts: Vec<_> = outboxes.into_iter().map(NodeOutbox::into_parts).collect();
-        let runs = parts.iter().enumerate().flat_map(|(src, (unicast, _))| {
-            unicast
-                .iter()
-                .map(move |(dst, words)| (src, *dst, words.as_slice()))
-        });
-        self.transport.send_slab(LinkSlab::from_runs(n, runs));
+        self.transport.send_slab(gather_outboxes(n, 0, &parts));
         for (src, (_, broadcast)) in parts.into_iter().enumerate() {
             for slab in broadcast {
                 self.transport.broadcast(src, slab);

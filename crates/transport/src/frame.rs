@@ -32,8 +32,9 @@ pub enum Frame {
     },
     /// Unicast payload for the `(src, dst)` link in round `epoch`. Words
     /// are in send order; several payload frames for one link concatenate.
-    /// The per-link unit of the channel backend and the TCP peer mesh; the
-    /// star backends move a round as [`Frame::Shard`]s instead.
+    /// The per-link unit of the channel backend; the stream backends (star
+    /// rounds and the TCP peer mesh) move a round as [`Frame::Shard`]s
+    /// instead.
     Payload {
         /// Round this payload belongs to.
         epoch: u64,
@@ -125,8 +126,10 @@ pub enum Frame {
         kind: String,
     },
     /// Worker → orchestrator: one resident round is done — the worker
-    /// stepped its shard, exchanged payloads peer-to-peer, and accounted
-    /// the loads charged to its owned destinations.
+    /// stepped its shard, exchanged shards peer-to-peer, and accounted the
+    /// words charged on every link into its owned destinations, as the
+    /// dense table [`Frame::Commit`] carries
+    /// (`loads[(dst - lo) * n + src]`; self-links hold `0`).
     ResidentDone {
         /// The round being committed.
         epoch: u64,
@@ -135,8 +138,8 @@ pub enum Frame {
         /// Encoded payload bytes this worker sent directly to peers this
         /// round (bytes that did **not** transit the orchestrator).
         peer_bytes: u64,
-        /// Per-link `(src, dst, words)` accounting entries for owned dsts.
-        loads: Vec<(u32, u32, u64)>,
+        /// Charged words per owned link, in link order.
+        loads: Vec<u32>,
     },
     /// Orchestrator → workers: the resident barrier for `epoch` is
     /// released; `live` is the clique-wide live count after the round.
@@ -163,9 +166,11 @@ pub enum Frame {
     /// [`crate::LinkSlab`], which are contiguous in it — as a single frame:
     /// the `count · n` per-link word counts in link order
     /// (`lens[(dst - lo) * n + src]`), then every link's words end to end.
-    /// Orchestrator → worker to ship the shard, worker → orchestrator to
-    /// echo it. On the wire the word count is the sum of `lens`, so a frame
-    /// whose table and words disagree does not decode.
+    /// On the star: orchestrator → worker to ship the shard, worker →
+    /// orchestrator to echo it. On the peer mesh: worker → worker, what the
+    /// sender's own nodes sent into the receiver's shard. On the wire the
+    /// word count is the sum of `lens`, so a frame whose table and words
+    /// disagree does not decode.
     Shard {
         /// Round this shard belongs to.
         epoch: u64,
@@ -302,12 +307,7 @@ impl Frame {
                 buf.extend_from_slice(&epoch.to_le_bytes());
                 buf.extend_from_slice(&live.to_le_bytes());
                 buf.extend_from_slice(&peer_bytes.to_le_bytes());
-                buf.extend_from_slice(&(loads.len() as u32).to_le_bytes());
-                for (src, dst, words) in loads {
-                    buf.extend_from_slice(&src.to_le_bytes());
-                    buf.extend_from_slice(&dst.to_le_bytes());
-                    buf.extend_from_slice(&words.to_le_bytes());
-                }
+                put_table(&mut buf, loads.iter().copied());
             }
             Frame::Release { epoch, live } => {
                 buf.push(TAG_RELEASE);
@@ -385,25 +385,12 @@ impl Frame {
                 epoch: r.u64()?,
                 kind: r.string()?,
             },
-            TAG_RESIDENT_DONE => {
-                let epoch = r.u64()?;
-                let live = r.u32()?;
-                let peer_bytes = r.u64()?;
-                let n = r.u32()? as usize;
-                if n.saturating_mul(16) > MAX_FRAME_BYTES {
-                    return Err(FrameError::Oversized(n as u64));
-                }
-                let mut loads = Vec::with_capacity(n.min(r.remaining() / 16));
-                for _ in 0..n {
-                    loads.push((r.u32()?, r.u32()?, r.u64()?));
-                }
-                Frame::ResidentDone {
-                    epoch,
-                    live,
-                    peer_bytes,
-                    loads,
-                }
-            }
+            TAG_RESIDENT_DONE => Frame::ResidentDone {
+                epoch: r.u64()?,
+                live: r.u32()?,
+                peer_bytes: r.u64()?,
+                loads: r.table()?,
+            },
             TAG_RELEASE => Frame::Release {
                 epoch: r.u64()?,
                 live: r.u32()?,
@@ -752,7 +739,7 @@ mod tests {
                 epoch: 11,
                 live: 3,
                 peer_bytes: u64::MAX,
-                loads: vec![(1, 0, 9)],
+                loads: vec![0, 9, u32::MAX],
             },
             Frame::Release { epoch: 11, live: 0 },
             Frame::Telemetry {

@@ -27,9 +27,10 @@
 //!   (loopback by default, multi-host with an explicit bind address), plus
 //!   a **program-resident** mode: [`cc_runtime::WireProgram`] shards are
 //!   shipped to the workers once, per-round traffic flows worker→worker
-//!   over a direct peer mesh, and the orchestrator's per-round role shrinks
-//!   to brokering the barrier (commit tokens and epochs) and collecting
-//!   final states — the star becomes a clique.
+//!   over a direct peer mesh — one [`Frame::Shard`] per peer per round —
+//!   and the orchestrator's per-round role shrinks to brokering the barrier
+//!   (dense commit tables and epochs) and collecting final states — the
+//!   star becomes a clique.
 //!
 //! ## One round, one buffer
 //!
@@ -41,16 +42,21 @@
 //! ([`Transport::send_slab`]); the barrier hands a slab back
 //! ([`RoundDelivery::unicast`]) together with the round's broadcast slabs
 //! (one list per *source*, shared by every recipient) and its canonical
-//! [`LinkLoads`]. On the star backends (unix sockets, star TCP) the slab is
+//! [`LinkLoads`]. On the stream backends (unix sockets, TCP) the slab is
 //! also the wire unit: each worker owns a contiguous range of destinations,
-//! hence a contiguous range of the slab, which ships as **one**
+//! hence a contiguous range of any slab, which ships as **one**
 //! [`Frame::Shard`] (the range's per-link lengths, then its words, encoded
-//! straight from the slab's slices), is echoed as one frame, and is
-//! appended to the delivered slab in one step; the workers' commit tokens
-//! carry their charged words as dense tables in the same link order, so the
-//! canonical loads are read off them without a sort. The channel backend
-//! and the TCP peer mesh cut per-link [`Frame::Payload`]s from slab slices
-//! instead. Nothing on any path keeps a queue per link.
+//! straight from the slab's slices). On the star the orchestrator ships
+//! each worker its range of the round's slab, the worker echoes it as one
+//! frame, and it is appended to the delivered slab in one step. On the
+//! program-resident peer mesh each worker gathers its own nodes' outboxes
+//! into a slab, keeps its own range and ships every peer the peer's range;
+//! the receiver cuts its nodes' inboxes from the shards, each source's
+//! words from the shard of the worker owning that source. Either way the
+//! workers' commit tokens carry their charged words as dense tables in the
+//! same link order, so the canonical loads are read off them without a
+//! sort. The channel backend cuts per-link [`Frame::Payload`]s from slab
+//! slices instead. Nothing on any path keeps a queue per link.
 //!
 //! ## Determinism contract
 //!
@@ -392,11 +398,10 @@ impl TransportKind {
     }
 }
 
-/// Merges the load triples the channel nodes or resident TCP workers
-/// reported (each accounts its own destinations) into one canonical
-/// [`LinkLoads`]: globally
-/// sorted by `(src, dst)`, zero and self entries already excluded by
-/// construction of the inputs (and re-filtered by `add`).
+/// Merges the load triples the channel nodes reported (each accounts its
+/// own destinations) into one canonical [`LinkLoads`]: globally sorted by
+/// `(src, dst)`, zero and self entries already excluded by construction of
+/// the inputs (and re-filtered by `add`).
 pub(crate) fn merge_loads(mut triples: Vec<(usize, usize, usize)>) -> LinkLoads {
     triples.sort_unstable();
     let mut loads = LinkLoads::new();

@@ -24,6 +24,7 @@ use crate::slab::SlabAppender;
 use crate::RoundDelivery;
 use cc_runtime::{LinkLoads, Word};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::time::Instant;
 
 /// The orchestrator's handle on one worker process.
@@ -141,17 +142,7 @@ pub(crate) fn finish_round<W: StarWorker>(
             }
         }
     }
-    assert_eq!(
-        charged.len(),
-        n * n,
-        "worker shards must partition the clique"
-    );
-    let mut loads = LinkLoads::new();
-    for src in 0..n {
-        for dst in 0..n {
-            loads.add(src, dst, charged[dst * n + src] as usize);
-        }
-    }
+    let loads = loads_from_commits(n, &charged);
 
     // Broadcast lanes are the orchestrator's own slabs: the workers counted
     // them, but immutable shared data is not echoed back to its publisher.
@@ -224,23 +215,10 @@ pub(crate) fn serve_round<R: Read, W: Write>(
         frame = read_frame(reader)?;
     }
 
-    // A link is charged its unicast words plus everything its source
-    // broadcast; self messages are local moves and free.
     let lens = shard.as_ref().map(|(lens, _)| lens.as_slice());
-    let mut loads = Vec::with_capacity(count * n);
-    for d in 0..count {
-        for src in 0..n {
-            let charged = if src == lo + d {
-                0
-            } else {
-                lens.map_or(0, |lens| lens[d * n + src] as usize) + bcast_words[src]
-            };
-            loads.push(
-                u32::try_from(charged)
-                    .map_err(|_| protocol_error("link load overflows the commit table"))?,
-            );
-        }
-    }
+    let loads = commit_table(lo..lo + count, &bcast_words, |d, src| {
+        lens.map_or(0, |lens| lens[d * n + src] as usize)
+    })?;
 
     // The echo, batched like the orchestrator's ship phase: the shard and
     // the round-commit token travel back as one length-prefixed batch — one
@@ -266,6 +244,54 @@ pub(crate) fn serve_round<R: Read, W: Write>(
     writer.write_all(&batch)?;
     writer.flush()?;
     Ok(epoch + 1)
+}
+
+/// The dense table a worker commits a round with: the words charged on every
+/// link into the destinations `owned`, in link order. A link is charged its
+/// unicast words (`unicast(dst - owned.start, src)`) plus everything its
+/// source broadcast (`bcast_words[src]`, one entry per node of the clique);
+/// self messages are local moves and free.
+pub(crate) fn commit_table(
+    owned: Range<usize>,
+    bcast_words: &[usize],
+    unicast: impl Fn(usize, usize) -> usize,
+) -> io::Result<Vec<u32>> {
+    let mut loads = Vec::with_capacity(owned.len() * bcast_words.len());
+    for (d, dst) in owned.enumerate() {
+        for (src, &bcast) in bcast_words.iter().enumerate() {
+            let charged = if src == dst {
+                0
+            } else {
+                unicast(d, src) + bcast
+            };
+            loads.push(
+                u32::try_from(charged)
+                    .map_err(|_| protocol_error("link load overflows the commit table"))?,
+            );
+        }
+    }
+    Ok(loads)
+}
+
+/// The round's canonical [`LinkLoads`], read off the workers' commit tables
+/// laid end to end in shard order (`charged[dst * n + src]`).
+///
+/// # Panics
+///
+/// Panics if the tables do not cover the clique's `n²` links.
+pub(crate) fn loads_from_commits(n: usize, charged: &[u32]) -> LinkLoads {
+    assert_eq!(
+        charged.len(),
+        n * n,
+        "worker shards must partition the clique"
+    );
+    let mut loads = LinkLoads::new();
+    for src in 0..n {
+        for dst in 0..n {
+            loads.add(src, dst, charged[dst * n + src] as usize);
+        }
+    }
+    loads
 }
 
 pub(crate) fn check(ok: bool, msg: &str) -> io::Result<()> {

@@ -20,12 +20,20 @@
 //! and the full routing table ([`Frame::Peers`]). When the engine runs
 //! [`cc_runtime::WireProgram`]s, the encoded program states ship to the
 //! workers **once** ([`Frame::ResidentStart`] + [`Frame::Program`]); each
-//! round the workers step their shards locally, exchange payloads directly
-//! over the peer mesh, and the orchestrator's role shrinks to brokering
-//! the barrier: collect one [`Frame::ResidentDone`] commit token per
-//! worker (carrying the shard's link accounting and live count), merge the
-//! loads, release the round ([`Frame::Release`]). When every program has
-//! halted the workers return their final states and the engine decodes
+//! round the workers step their shards locally and exchange the traffic
+//! directly over the peer mesh, with the round's [`LinkSlab`] as the wire
+//! unit exactly as on the star: a worker gathers its nodes' outboxes into
+//! one slab, reads its own destination shard straight out of it, and ships
+//! every peer the peer's shard as **one** [`Frame::Shard`] (none when the
+//! shard is empty) followed by the round's broadcast slabs, encoded once,
+//! and the round delimiter — one batch, one write per peer per round. The
+//! receiver checks each shard against its assignment and against the
+//! sources its sender owns (`MeshRound`). The orchestrator's role shrinks to
+//! brokering the barrier: collect one [`Frame::ResidentDone`] commit token
+//! per worker (the live count and the words charged on every owned link, as
+//! the dense table [`Frame::Commit`] carries), read the canonical loads off
+//! the tables, release the round ([`Frame::Release`]). When every program
+//! has halted the workers return their final states and the engine decodes
 //! them — results, rounds, words, and fingerprints bit-identical to every
 //! other backend.
 //!
@@ -35,16 +43,21 @@
 //! thread per link drains incoming frames into a shared queue, so the
 //! blocking batched writes on the send side can never distributed-deadlock.
 
-use crate::frame::{push_frame, push_frame_bytes, read_frame, write_frame, Frame};
+use crate::fabric::gather_outboxes;
+use crate::frame::{
+    push_bcast_frame, push_frame, push_shard_frame, read_frame, write_frame, Frame,
+};
 use crate::pending::Pending;
 use crate::socket::{find_worker_binary, shard};
-use crate::star::{self, check, protocol_error, StarWorker};
-use crate::{merge_loads, LinkSlab, RoundDelivery, Transport};
+use crate::star::{self, check, commit_table, loads_from_commits, protocol_error, StarWorker};
+use crate::{BcastLanes, LinkSlab, RoundDelivery, Transport};
 use cc_runtime::{
-    step_node, Control, LinkLoads, NodeInbox, ResidentNode, ResidentOutcome, ResidentRegistry, Word,
+    step_node, Control, LinkLoads, NodeInbox, NodeOutbox, ResidentNode, ResidentOutcome,
+    ResidentRegistry, Word,
 };
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::process::{Child, Command};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -371,12 +384,13 @@ impl Transport for TcpTransport {
         }
 
         // Barrier-broker loop: one ResidentDone commit token per worker
-        // per round, loads merged into the same canonical order every
-        // other backend produces, then the Release that lets the next
-        // round start. No payload ever crosses this process.
+        // per round — workers own ascending destination shards, so their
+        // tables laid end to end are the clique's `charged[dst * n + src]`
+        // — then the Release that lets the next round start. No payload
+        // ever crosses this process.
         let mut engine_rounds = 0u64;
         loop {
-            let mut all_loads = Vec::new();
+            let mut charged: Vec<u32> = Vec::with_capacity(n * n);
             let mut live_total = 0u64;
             let mut round_peer_bytes = 0u64;
             let barrier_start = Instant::now();
@@ -393,13 +407,14 @@ impl Transport for TcpTransport {
                             loads,
                         } => {
                             assert_eq!(e, epoch, "resident commit for a different epoch");
+                            assert_eq!(
+                                loads.len(),
+                                (wk.hi - wk.lo) * n,
+                                "commit table does not cover the worker's shard"
+                            );
                             live_total += live as u64;
                             round_peer_bytes += peer_bytes;
-                            all_loads.extend(
-                                loads
-                                    .into_iter()
-                                    .map(|(s, d, w)| (s as usize, d as usize, w as usize)),
-                            );
+                            charged.extend_from_slice(&loads);
                             cc_telemetry::global().emit(cc_telemetry::TraceLevel::Rounds, || {
                                 cc_telemetry::Event::BarrierLane {
                                     backend: "tcp",
@@ -414,7 +429,7 @@ impl Transport for TcpTransport {
                     }
                 }
             }
-            let loads = merge_loads(all_loads);
+            let loads = loads_from_commits(n, &charged);
             engine_rounds += 1;
             self.peer_bytes += round_peer_bytes;
             cc_telemetry::global().emit(cc_telemetry::TraceLevel::Rounds, || {
@@ -554,8 +569,9 @@ struct Mesh {
     /// FIFO order is preserved (one reader thread per link, one channel
     /// sender each).
     rx: mpsc::Receiver<(usize, io::Result<Frame>)>,
-    /// `owner[dst]` — the worker simulating destination `dst`.
-    owner: Vec<usize>,
+    /// `shards[j]` — the nodes worker `j` simulates: ascending, and
+    /// together exactly `0..n`.
+    shards: Vec<Range<usize>>,
 }
 
 impl Mesh {
@@ -602,23 +618,18 @@ impl Mesh {
             writers[j] = Some(writer);
         }
 
-        let owner = (0..w)
-            .flat_map(|j| {
+        let shards = (0..w)
+            .map(|j| {
                 let (lo, hi) = shard(n, w, j);
-                std::iter::repeat_n(j, hi - lo)
+                lo..hi
             })
             .collect();
         Ok(Self {
             me,
             writers,
             rx,
-            owner,
+            shards,
         })
-    }
-
-    /// Indices of all peer workers (everyone but `me`).
-    fn peer_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.writers.len()).filter(move |&j| j != self.me)
     }
 }
 
@@ -822,13 +833,158 @@ fn flush_telemetry(
     writer.flush()
 }
 
+/// One resident round's traffic from the peer mesh, as it arrives at worker
+/// `me` of an `n`-clique: at most one shard per peer, every broadcast slab,
+/// and the peers' round delimiters. Holds no socket, so its checks can be
+/// driven frame by frame.
+#[derive(Debug)]
+struct MeshRound<'a> {
+    epoch: u64,
+    n: usize,
+    /// `workers[j]` — the nodes worker `j` simulates ([`Mesh::shards`]).
+    workers: &'a [Range<usize>],
+    me: usize,
+    /// `shards[j]` — the shard peer `j` shipped this round, if any.
+    shards: Vec<Option<PeerShard>>,
+    /// Words every source broadcast this round, own nodes included.
+    bcast_words: Vec<usize>,
+    bcast_slabs: BcastLanes,
+    /// Peers that have delimited the round.
+    ends: usize,
+}
+
+/// What one peer's nodes sent into this worker's destinations: the per-link
+/// lengths (`lens[(dst - lo) * n + src]`, zero wherever the peer does not
+/// own `src`), the words end to end, and how many of them have been handed
+/// out to inboxes so far.
+#[derive(Debug)]
+struct PeerShard {
+    lens: Vec<u32>,
+    words: Vec<Word>,
+    taken: usize,
+}
+
+impl PeerShard {
+    /// The words on `link`; links must be asked for in ascending order.
+    fn next_link(&mut self, link: usize) -> &[Word] {
+        let from = self.taken;
+        self.taken += self.lens[link] as usize;
+        &self.words[from..self.taken]
+    }
+}
+
+impl<'a> MeshRound<'a> {
+    fn new(epoch: u64, n: usize, workers: &'a [Range<usize>], me: usize) -> Self {
+        Self {
+            epoch,
+            n,
+            workers,
+            me,
+            shards: workers.iter().map(|_| None).collect(),
+            bcast_words: vec![0; n],
+            bcast_slabs: vec![Vec::new(); n],
+            ends: 0,
+        }
+    }
+
+    /// Records a slab one of this worker's own nodes broadcast.
+    fn broadcast(&mut self, src: usize, slab: Arc<[Word]>) {
+        self.bcast_words[src] += slab.len();
+        self.bcast_slabs[src].push(slab);
+    }
+
+    /// Takes one frame from worker `peer`. The Release barrier guarantees
+    /// no peer can be a round ahead, so every frame must belong to this
+    /// epoch.
+    fn accept(&mut self, peer: usize, frame: Frame) -> io::Result<()> {
+        let (owned, sources) = (&self.workers[self.me], &self.workers[peer]);
+        match frame {
+            Frame::Shard {
+                epoch,
+                lo,
+                lens,
+                words,
+            } => {
+                check(epoch == self.epoch, "peer shard from a different epoch")?;
+                check(
+                    lo as usize == owned.start,
+                    "peer shard starts at a destination this worker does not own",
+                )?;
+                check(
+                    lens.len() == owned.len() * self.n,
+                    "peer shard length table does not cover the owned links",
+                )?;
+                check(
+                    self.shards[peer].is_none(),
+                    "second shard from one peer in one round",
+                )?;
+                let misrouted = lens.chunks_exact(self.n).any(|into_dst| {
+                    (into_dst.iter().enumerate())
+                        .any(|(src, &len)| len != 0 && !sources.contains(&src))
+                });
+                check(
+                    !misrouted,
+                    "peer shard carries words from a source its sender does not own",
+                )?;
+                self.shards[peer] = Some(PeerShard {
+                    lens,
+                    words,
+                    taken: 0,
+                });
+            }
+            Frame::Bcast { epoch, src, words } => {
+                check(epoch == self.epoch, "peer broadcast from a different epoch")?;
+                let src = src as usize;
+                check(src < self.n, "peer broadcast source out of range")?;
+                self.broadcast(src, words.into());
+            }
+            Frame::RoundEnd { epoch } => {
+                check(epoch == self.epoch, "peer round delimiter epoch mismatch")?;
+                self.ends += 1;
+            }
+            other => return Err(protocol_error(&format!("unexpected peer frame {other:?}"))),
+        }
+        Ok(())
+    }
+
+    /// Closes the round: the next inboxes of the owned destinations —
+    /// per-source unicast lanes, cut from `own` (this worker's slab) or from
+    /// the shard of the peer owning the source, plus the full broadcast
+    /// lane set (every node hears every slab, sender included) — and the
+    /// round's commit table.
+    fn deliver(mut self, own: &LinkSlab) -> io::Result<(Vec<NodeInbox>, Vec<u32>)> {
+        let n = self.n;
+        let owned = self.workers[self.me].clone();
+        let mut inboxes = Vec::with_capacity(owned.len());
+        for (d, dst) in owned.clone().enumerate() {
+            let mut unicast = Vec::with_capacity(n);
+            for (j, sources) in self.workers.iter().enumerate() {
+                for src in sources.clone() {
+                    let words = match &mut self.shards[j] {
+                        _ if j == self.me => own.link(src, dst),
+                        Some(shard) => shard.next_link(d * n + src),
+                        None => &[],
+                    };
+                    unicast.push(words.to_vec());
+                }
+            }
+            inboxes.push(NodeInbox::from_parts(unicast, self.bcast_slabs.clone()));
+        }
+        let loads = commit_table(owned, &self.bcast_words, |d, src| {
+            inboxes[d].received(src).len()
+        })?;
+        Ok((inboxes, loads))
+    }
+}
+
 /// One full program-resident session: decode the shipped shard, then per
-/// round — step the owned programs exactly as the engine steps them,
-/// exchange payloads directly with the peer workers, account the owned
-/// destinations' loads with the engine's formula, commit with a
-/// [`Frame::ResidentDone`] token, and wait for the orchestrator's
-/// [`Frame::Release`] — until the clique-wide live count hits zero, then
-/// return the final encoded states. Returns the epoch after the session.
+/// round — step the owned programs exactly as the engine steps them, gather
+/// their outboxes into one [`LinkSlab`] and exchange it with the peer
+/// workers a shard at a time, account the owned destinations' loads with
+/// the engine's formula, commit with a [`Frame::ResidentDone`] token, and
+/// wait for the orchestrator's [`Frame::Release`] — until the clique-wide
+/// live count hits zero, then return the final encoded states. Returns the
+/// epoch after the session.
 #[allow(clippy::too_many_arguments)]
 fn resident_session(
     reader: &mut BufReader<TcpStream>,
@@ -887,7 +1043,7 @@ fn resident_session(
         let mut outboxes = Vec::with_capacity(count);
         for (i, program) in programs.iter_mut().enumerate() {
             if halted[i] {
-                outboxes.push(Default::default());
+                outboxes.push(NodeOutbox::default());
                 continue;
             }
             let (control, outbox) = step_node(program.as_mut(), lo + i, n, round, &inboxes[i]);
@@ -899,151 +1055,58 @@ fn resident_session(
         let live_local = halted.iter().filter(|&&h| !h).count();
         round += 1;
 
-        // Exchange phase: owned-destination traffic lands locally, the
-        // rest ships straight to the owning peer; broadcasts ship to every
-        // peer and apply locally to the whole owned shard.
-        let mut rows: Vec<Vec<Word>> = vec![Vec::new(); count * n];
-        let mut bcast_words = vec![0usize; n];
-        let mut bcast_slabs: Vec<Vec<Arc<[Word]>>> = vec![Vec::new(); n];
-        let mut batches: Vec<Vec<u8>> = vec![Vec::new(); mesh.writers.len()];
-        let mut batch_frames = vec![0usize; mesh.writers.len()];
-        for (i, outbox) in outboxes.into_iter().enumerate() {
-            let src = lo + i;
-            let (unicast, broadcast) = outbox.into_parts();
-            for (dst, words) in unicast {
-                if (lo..lo + count).contains(&dst) {
-                    let lane = &mut rows[(dst - lo) * n + src];
-                    if lane.is_empty() {
-                        *lane = words;
-                    } else {
-                        lane.extend(words);
-                    }
-                } else {
-                    push_frame(
-                        &mut batches[mesh.owner[dst]],
-                        &Frame::Payload {
-                            epoch,
-                            src: src as u32,
-                            dst: dst as u32,
-                            words,
-                        },
-                    );
-                    batch_frames[mesh.owner[dst]] += 1;
-                }
-            }
-            for slab in broadcast {
-                bcast_words[src] += slab.len();
-                let bytes = Frame::Bcast {
-                    epoch,
-                    src: src as u32,
-                    words: slab.to_vec(),
-                }
-                .encode();
-                for j in mesh.peer_indices() {
-                    push_frame_bytes(&mut batches[j], &bytes);
-                    batch_frames[j] += 1;
-                }
-                bcast_slabs[src].push(slab);
+        // Exchange phase: the round's slab is the wire unit. Every peer gets
+        // its destination shard of this worker's slab as one frame (none
+        // when nothing goes there), every broadcast slab — encoded once —
+        // and the round delimiter, as one batch in one write; this worker's
+        // own shard never leaves the slab.
+        let parts: Vec<_> = outboxes.into_iter().map(NodeOutbox::into_parts).collect();
+        let slab = gather_outboxes(n, lo, &parts);
+        let mut arrivals = MeshRound::new(epoch, n, &mesh.shards, mesh.me);
+        let mut bcast_batch = Vec::new();
+        let mut bcast_frames = 0usize;
+        for (i, (_, broadcast)) in parts.into_iter().enumerate() {
+            for words in broadcast {
+                push_bcast_frame(&mut bcast_batch, epoch, (lo + i) as u32, &words);
+                bcast_frames += 1;
+                arrivals.broadcast(lo + i, words);
             }
         }
         let mut peer_bytes = 0u64;
-        for j in mesh.peer_indices() {
-            push_frame(&mut batches[j], &Frame::RoundEnd { epoch });
-            batch_frames[j] += 1;
-            peer_bytes += batches[j].len() as u64;
-        }
-        for (j, batch) in batches.iter().enumerate() {
-            if j == mesh.me {
-                continue;
+        for (writer, dsts) in mesh.writers.iter_mut().zip(&mesh.shards) {
+            let Some(writer) = writer else { continue };
+            let mut batch = Vec::new();
+            let mut frames = bcast_frames + 1;
+            let (lens, words) = slab.shard(dsts.clone());
+            if !words.is_empty() {
+                push_shard_frame(&mut batch, epoch, dsts.start as u32, lens, words);
+                frames += 1;
             }
-            let w = mesh.writers[j].as_mut().expect("mesh link");
-            w.write_all(batch)?;
-            w.flush()?;
+            batch.extend_from_slice(&bcast_batch);
+            push_frame(&mut batch, &Frame::RoundEnd { epoch });
+            peer_bytes += batch.len() as u64;
+            writer.write_all(&batch)?;
+            writer.flush()?;
             cc_telemetry::global().emit(cc_telemetry::TraceLevel::Full, || {
                 cc_telemetry::Event::FrameBatch {
                     backend: "tcp",
-                    frames: batch_frames[j],
+                    frames,
                     bytes: batch.len(),
                 }
             });
         }
 
-        // Drain peers until every link has delimited the round. The
-        // Release barrier guarantees no peer can be a round ahead, so
-        // every frame seen here belongs to this epoch.
-        let mut ends = 0usize;
+        // Drain peers until every link has delimited the round.
         let peer_count = mesh.writers.len() - 1;
-        while ends < peer_count {
-            let (_peer, frame) = mesh
+        while arrivals.ends < peer_count {
+            let (peer, frame) = mesh
                 .rx
                 .recv()
                 .map_err(|_| protocol_error("peer mesh closed mid-round"))?;
-            match frame? {
-                Frame::Payload {
-                    epoch: e,
-                    src,
-                    dst,
-                    words,
-                } => {
-                    check(e == epoch, "peer payload from a different epoch")?;
-                    let (src, dst) = (src as usize, dst as usize);
-                    check(
-                        src < n && (lo..lo + count).contains(&dst),
-                        "misrouted peer payload",
-                    )?;
-                    let lane = &mut rows[(dst - lo) * n + src];
-                    if lane.is_empty() {
-                        *lane = words;
-                    } else {
-                        lane.extend(words);
-                    }
-                }
-                Frame::Bcast {
-                    epoch: e,
-                    src,
-                    words,
-                } => {
-                    check(e == epoch, "peer broadcast from a different epoch")?;
-                    let src = src as usize;
-                    check(src < n, "peer broadcast source out of range")?;
-                    bcast_words[src] += words.len();
-                    bcast_slabs[src].push(words.into());
-                }
-                Frame::RoundEnd { epoch: e } => {
-                    check(e == epoch, "peer round delimiter epoch mismatch")?;
-                    ends += 1;
-                }
-                other => return Err(protocol_error(&format!("unexpected peer frame {other:?}"))),
-            }
+            arrivals.accept(peer, frame?)?;
         }
-
-        // Accounting: the engine's per-link formula over the owned
-        // destinations (self links free, broadcast charged on every
-        // outgoing link of its source).
-        let mut loads: Vec<(u32, u32, u64)> = Vec::new();
-        for d in 0..count {
-            let dst = lo + d;
-            for src in 0..n {
-                let charged = if src == dst {
-                    0
-                } else {
-                    rows[d * n + src].len() + bcast_words[src]
-                };
-                if charged > 0 {
-                    loads.push((src as u32, dst as u32, charged as u64));
-                }
-            }
-        }
-
-        // Next round's inboxes: per-source unicast lanes plus the full
-        // broadcast lane set (every node hears every slab, sender
-        // included) — what the engine's `NodeInbox` is made of.
-        for d in 0..count {
-            let unicast: Vec<Vec<Word>> = (0..n)
-                .map(|src| std::mem::take(&mut rows[d * n + src]))
-                .collect();
-            inboxes[d] = NodeInbox::from_parts(unicast, bcast_slabs.clone());
-        }
+        let (delivered, loads) = arrivals.deliver(&slab)?;
+        inboxes = delivered;
 
         // The worker's own view of the round: its shard's live count and
         // the bytes it pushed into the mesh.
@@ -1107,7 +1170,7 @@ fn resident_session(
 mod tests {
     use super::*;
     use crate::TransportFabric;
-    use cc_runtime::{EchoRingProgram, Engine, ExecutorKind, Fabric as _};
+    use cc_runtime::{EchoRingProgram, Engine, ExecutorKind, Fabric as _, ScriptProgram};
 
     fn run_echo_ring(fabric: &mut dyn cc_runtime::Fabric, n: usize) -> (Vec<Vec<Word>>, u64, u64) {
         let engine = Engine::new(ExecutorKind::Sequential);
@@ -1169,6 +1232,175 @@ mod tests {
             star.epoch()
         };
         assert_eq!(transport.epoch(), star_epochs);
+    }
+
+    /// Seven nodes over three workers (shards 0..2, 2..4, 4..7). Round 0:
+    /// node 0 sends twice to node 5 with another destination in between
+    /// and once to itself, node 6 sends across and within its shard; round
+    /// 1 is broadcasts only, two slabs from one source among them; round 2
+    /// mixes both. Worker 1's nodes never send.
+    fn scripted_clique() -> Vec<ScriptProgram> {
+        let node = || ScriptProgram::new(3);
+        vec![
+            node()
+                .send(0, 5, &[1, 2])
+                .send(0, 1, &[10])
+                .send(0, 5, &[3])
+                .send(0, 0, &[7])
+                .broadcast(2, &[9])
+                .send(2, 3, &[30]),
+            node().broadcast(1, &[8, 8]),
+            node(),
+            node(),
+            node().broadcast(1, &[4]).broadcast(1, &[Word::MAX, 5]),
+            node().send(2, 6, &[50]).send(2, 0, &[51]).send(2, 6, &[52]),
+            node()
+                .send(0, 0, &[60])
+                .send(0, 2, &[61, 62])
+                .send(0, 4, &[63]),
+        ]
+    }
+
+    /// Final logs, the per-round link loads, rounds and words of the
+    /// scripted run on `fabric`.
+    #[allow(clippy::type_complexity)]
+    fn run_script(
+        fabric: &mut dyn cc_runtime::Fabric,
+    ) -> (Vec<Vec<Word>>, Vec<Vec<(usize, usize, usize)>>, u64, u64) {
+        let mut loads_log = Vec::new();
+        let report = Engine::new(ExecutorKind::Sequential).run_wire_traced_on(
+            fabric,
+            scripted_clique(),
+            |loads: &LinkLoads| loads_log.push(loads.iter().collect()),
+        );
+        let logs = report.programs.iter().map(|p| p.log().to_vec()).collect();
+        (logs, loads_log, report.rounds, report.words)
+    }
+
+    #[test]
+    fn resident_mesh_matches_inmemory_on_uneven_shards() {
+        let mut reference = crate::InMemoryTransport::new(7);
+        let expected = run_script(&mut TransportFabric::new(&mut reference));
+        // The script did what it is there for: node 5 heard node 0's two
+        // sends as one stream in call order, and round 1 charged nothing
+        // but broadcasts (every link of sources 1 and 4, no others).
+        assert!(expected.0[5].starts_with(&[0, 3, 1, 2, 3]));
+        assert_eq!(expected.1.len(), 4, "three sending rounds and the halt");
+        assert_eq!(expected.1[1].len(), 12);
+        assert!(expected.1[1]
+            .iter()
+            .all(|&(src, _, words)| (src, words) == (1, 2) || (src, words) == (4, 3)));
+        assert!(expected.1[3].is_empty());
+
+        let mut transport = TcpTransport::new(7, 3, true, None);
+        let got = run_script(&mut TransportFabric::new(&mut transport));
+        assert_eq!(got, expected);
+        assert_eq!(transport.orchestrator_bytes(), 0);
+        assert!(transport.peer_bytes() > 0);
+    }
+
+    /// Three workers over a 7-clique.
+    const WORKERS: [Range<usize>; 3] = [0..2, 2..4, 4..7];
+
+    /// Worker 1 (destinations 2..4) at epoch 9.
+    fn arrivals() -> MeshRound<'static> {
+        MeshRound::new(9, 7, &WORKERS, 1)
+    }
+
+    /// A shard into destinations 2..4 carrying `len` words on each listed
+    /// `(dst, src)` link.
+    fn peer_shard(epoch: u64, lo: u32, links: usize, loaded: &[(usize, usize, u32)]) -> Frame {
+        let mut lens = vec![0u32; links];
+        for &(dst, src, len) in loaded {
+            lens[(dst - 2) * 7 + src] = len;
+        }
+        Frame::Shard {
+            epoch,
+            lo,
+            words: (0..lens.iter().sum::<u32>()).map(Word::from).collect(),
+            lens,
+        }
+    }
+
+    /// Why `round` refuses `frame` from worker 2 (sources 4..7).
+    fn refusal(round: &mut MeshRound, frame: Frame) -> String {
+        let err = round
+            .accept(2, frame)
+            .expect_err("the frame must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        err.to_string()
+    }
+
+    #[test]
+    fn peer_shards_that_break_the_round_contract_are_refused() {
+        let good = || peer_shard(9, 2, 14, &[(2, 4, 1), (3, 6, 2)]);
+        assert_eq!(
+            refusal(&mut arrivals(), peer_shard(8, 2, 14, &[(2, 4, 1)])),
+            "peer shard from a different epoch"
+        );
+        assert_eq!(
+            refusal(&mut arrivals(), peer_shard(9, 0, 14, &[(2, 4, 1)])),
+            "peer shard starts at a destination this worker does not own"
+        );
+        assert_eq!(
+            refusal(&mut arrivals(), peer_shard(9, 2, 7, &[(2, 4, 1)])),
+            "peer shard length table does not cover the owned links"
+        );
+        let mut round = arrivals();
+        round.accept(2, good()).unwrap();
+        assert_eq!(
+            refusal(&mut round, good()),
+            "second shard from one peer in one round"
+        );
+        // Source 3 belongs to this worker, source 1 to worker 0: worker 2
+        // may not put words on either's links.
+        for foreign in [3, 1] {
+            assert_eq!(
+                refusal(
+                    &mut arrivals(),
+                    peer_shard(9, 2, 14, &[(2, 4, 1), (3, foreign, 1)])
+                ),
+                "peer shard carries words from a source its sender does not own"
+            );
+        }
+        assert_eq!(
+            refusal(&mut arrivals(), Frame::RoundEnd { epoch: 10 }),
+            "peer round delimiter epoch mismatch"
+        );
+    }
+
+    #[test]
+    fn a_mesh_round_cuts_inboxes_from_every_owners_shard() {
+        // Worker 1's own nodes: 2 sends [20, 21] to 3, and 3 to itself.
+        let own = [(2usize, 3usize, vec![20u64, 21]), (3, 3, vec![33])];
+        let own = LinkSlab::from_runs(7, own.iter().map(|(s, d, w)| (*s, *d, w.as_slice())));
+        let mut round = arrivals();
+        round.broadcast(2, vec![5, 5].into());
+        // Worker 2 ships words 0, 1, 2 on links (4→2), (6→3), (6→3) and a
+        // broadcast; worker 0 ships nothing but its delimiter.
+        round
+            .accept(2, peer_shard(9, 2, 14, &[(2, 4, 1), (3, 6, 2)]))
+            .unwrap();
+        let bcast = Frame::Bcast {
+            epoch: 9,
+            src: 6,
+            words: vec![7],
+        };
+        round.accept(2, bcast).unwrap();
+        round.accept(2, Frame::RoundEnd { epoch: 9 }).unwrap();
+        round.accept(0, Frame::RoundEnd { epoch: 9 }).unwrap();
+        assert_eq!(round.ends, 2);
+
+        let (inboxes, loads) = round.deliver(&own).unwrap();
+        assert_eq!(inboxes[0].received(4), &[0]);
+        assert_eq!(inboxes[1].received(2), &[20, 21]);
+        assert_eq!(inboxes[1].received(3), &[33]);
+        assert_eq!(inboxes[1].received(6), &[1, 2]);
+        assert_eq!(inboxes[0].total_words(), 1 + 3);
+        assert_eq!(inboxes[1].total_words(), 5 + 3);
+        // Links into 2, then into 3: unicast plus the source's broadcast
+        // words, nothing on the self links (2→2 and 3→3).
+        assert_eq!(loads, vec![0, 0, 0, 0, 1, 0, 1, 0, 0, 4, 0, 0, 0, 3]);
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn frame() -> BoxedStrategy<Frame> {
         any::<u64>(),
         any::<u32>(),
         word(),
-        vec((any::<u32>(), any::<u32>(), word()), 0..20),
+        vec(table_entry(), 0..40),
     )
         .prop_map(|(epoch, live, peer_bytes, loads)| Frame::ResidentDone {
             epoch,
@@ -396,7 +396,7 @@ fn every_two_chunk_split_of_a_frame_decodes() {
             epoch: u64::MAX,
             live: 3,
             peer_bytes: 0xDEAD_BEEF,
-            loads: vec![(0, 1, 9), (2, 3, u64::MAX)],
+            loads: vec![0, 9, u32::MAX, 1],
         },
         Frame::Peers {
             addrs: vec![
@@ -446,12 +446,24 @@ fn shards_round_trip_at_the_extremes() {
         loads: vec![0, u32::MAX, 0, 1],
     };
     assert_eq!(Frame::decode(&commit.encode()), Ok(commit));
+    // The resident commit: an all-zero table (an idle round) and none.
+    for loads in [vec![0; 14], vec![]] {
+        let done = Frame::ResidentDone {
+            epoch: u64::MAX,
+            live: u32::MAX,
+            peer_bytes: u64::MAX,
+            loads,
+        };
+        assert_eq!(Frame::decode(&done.encode()), Ok(done));
+    }
 }
 
-/// Byte offset of the table's entry count in a shard body (tag, epoch, lo)
-/// and in a commit body (tag, epoch).
+/// Byte offset of the table's entry count in a shard body (tag, epoch, lo),
+/// in a commit body (tag, epoch) and in a resident commit body (tag, epoch,
+/// live, peer bytes).
 const SHARD_COUNT_AT: usize = 1 + 8 + 4;
 const COMMIT_COUNT_AT: usize = 1 + 8;
+const RESIDENT_DONE_COUNT_AT: usize = 1 + 8 + 4 + 8;
 
 #[test]
 fn hostile_shard_and_commit_bytes_fail_typed() {
@@ -461,9 +473,16 @@ fn hostile_shard_and_commit_bytes_fail_typed() {
         loads: vec![0, 5, 9],
     }
     .encode();
+    let done = Frame::ResidentDone {
+        epoch: 7,
+        live: 2,
+        peer_bytes: 4096,
+        loads: vec![0, 5, 9],
+    }
+    .encode();
 
     // Truncated at every cut.
-    for body in [&shard, &commit] {
+    for body in [&shard, &commit, &done] {
         for cut in 0..body.len() {
             assert_eq!(
                 Frame::decode(&body[..cut]),
@@ -496,7 +515,11 @@ fn hostile_shard_and_commit_bytes_fail_typed() {
 
     // A declared entry count larger than the body, and one beyond the
     // frame cap: neither may size a vector.
-    for (body, at) in [(&shard, SHARD_COUNT_AT), (&commit, COMMIT_COUNT_AT)] {
+    for (body, at) in [
+        (&shard, SHARD_COUNT_AT),
+        (&commit, COMMIT_COUNT_AT),
+        (&done, RESIDENT_DONE_COUNT_AT),
+    ] {
         assert_eq!(
             Frame::decode(&patched(body, at, 1 << 20)),
             Err(FrameError::Truncated)
@@ -507,9 +530,24 @@ fn hostile_shard_and_commit_bytes_fail_typed() {
         );
     }
 
+    // A table one entry short of its declared count, and one entry long.
+    let entries = u32::from_le_bytes(
+        done[RESIDENT_DONE_COUNT_AT..RESIDENT_DONE_COUNT_AT + 4]
+            .try_into()
+            .unwrap(),
+    );
+    assert_eq!(
+        Frame::decode(&patched(&done, RESIDENT_DONE_COUNT_AT, entries + 1)),
+        Err(FrameError::Truncated)
+    );
+    assert_eq!(
+        Frame::decode(&patched(&done, RESIDENT_DONE_COUNT_AT, entries - 1)),
+        Err(FrameError::Trailing(4))
+    );
+
     // A flipped tag: the body is read under another layout (or none) and
     // must not come back as the frame it was.
-    for body in [&shard, &commit] {
+    for body in [&shard, &commit, &done] {
         for tag in 0..=255u8 {
             if tag == body[0] {
                 continue;

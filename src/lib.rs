@@ -274,7 +274,9 @@
 //!   words transit the orchestrator. *Peer-resident mode* (`tcp-peer`)
 //!   is the multi-layer refactor: [`WireProgram`](runtime::WireProgram)
 //!   shards are serialized and shipped to the workers **once**, per-round
-//!   messages flow worker → worker over direct peer links, and the
+//!   messages flow worker → worker over direct peer links — the slab is
+//!   the wire unit here too, one
+//!   [`Frame::Shard`](transport::Frame::Shard) per peer per round — and the
 //!   orchestrator's per-round role shrinks to brokering the barrier and
 //!   collecting final states.
 //!
@@ -283,11 +285,18 @@
 //! the shard assignment and the full **routing table** (`Assign` +
 //! `Peers`), from which workers dial each other lazily. A resident
 //! session is `ResidentStart` + one `Program` frame per owned node; each
-//! round the workers step their shards locally, exchange
-//! `Payload`/`Bcast` frames directly, and report `ResidentDone` (live
-//! count, peer bytes, per-link loads) — the orchestrator merges the
-//! accounting and answers `Release`, so the barrier epoch stream stays
-//! identical to the star backends'. For **multi-host runs**, start the
+//! round a worker steps its shard locally, gathers its nodes' outboxes
+//! into one slab, keeps its own destination range and ships every peer
+//! the peer's range as one `Shard` frame (none when empty) with the
+//! round's `Bcast` slabs, and reports `ResidentDone` (live count, peer
+//! bytes, and the words charged on every owned link as the dense table
+//! `Commit` carries) — the orchestrator reads the canonical loads off the
+//! tables in `(src, dst)` order and answers `Release`, so the barrier
+//! epoch stream stays identical to the star backends'. A receiving worker
+//! refuses a shard from another epoch, for destinations it does not own,
+//! with a short table, a second one from the same peer, or with words on
+//! a link whose source its sender does not simulate. For **multi-host
+//! runs**, start the
 //! orchestrating process with
 //! `CC_TCP_EXTERN=1 CC_TRANSPORT=tcp-peer:<workers>:<host>:<port>` and
 //! launch one `cc-clique-host tcp://<host>:<port> <worker>` per worker
