@@ -139,9 +139,11 @@ impl Semiring for MinPlus {
     fn mul(&self, a: &Dist, b: &Dist) -> Dist {
         *a + *b
     }
+    #[inline]
     fn write_elem(&self, e: &Dist, out: &mut WordWriter) {
         out.push(e.0 as u64);
     }
+    #[inline]
     fn read_elem(&self, r: &mut WordReader<'_>) -> Dist {
         Dist(r.next() as i64)
     }

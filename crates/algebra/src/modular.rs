@@ -70,9 +70,11 @@ impl Semiring for ModRing {
         debug_assert!(*a < self.p && *b < self.p, "non-canonical element");
         (a * b) % self.p
     }
+    #[inline]
     fn write_elem(&self, e: &u64, out: &mut WordWriter) {
         out.push(*e);
     }
+    #[inline]
     fn read_elem(&self, r: &mut WordReader<'_>) -> u64 {
         r.next()
     }

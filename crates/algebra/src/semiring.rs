@@ -137,9 +137,11 @@ impl Semiring for BoolSemiring {
     fn mul(&self, a: &bool, b: &bool) -> bool {
         *a && *b
     }
+    #[inline]
     fn write_elem(&self, e: &bool, out: &mut WordWriter) {
         out.push(u64::from(*e));
     }
+    #[inline]
     fn read_elem(&self, r: &mut WordReader<'_>) -> bool {
         r.next() != 0
     }
@@ -183,9 +185,11 @@ impl Semiring for IntRing {
     fn mul(&self, a: &i64, b: &i64) -> i64 {
         a * b
     }
+    #[inline]
     fn write_elem(&self, e: &i64, out: &mut WordWriter) {
         out.push(*e as u64);
     }
+    #[inline]
     fn read_elem(&self, r: &mut WordReader<'_>) -> i64 {
         r.next() as i64
     }

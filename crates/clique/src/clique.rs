@@ -2,6 +2,8 @@
 
 use crate::inbox::Inboxes;
 use crate::network::Network;
+use crate::outbox::Outbox;
+use crate::schedule::{pack_head, splitmix, RouteSchedule};
 use crate::stats::Stats;
 use crate::word::Word;
 use cc_netsim::{NetsimConfig, NetsimTransport};
@@ -24,7 +26,7 @@ pub enum Mode {
 }
 
 /// Relay-selection policy of the balanced router (see [`Clique::route`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RelayPolicy {
     /// Power-of-two-choices: hash two candidate relays per word, pick the
     /// less loaded. Keeps per-link loads within a small constant of the
@@ -448,39 +450,60 @@ impl Clique {
     /// all nodes in advance, so no destination headers are transmitted). For
     /// data-dependent patterns use [`Clique::route_dynamic`], which charges
     /// one extra header word per message.
-    pub fn route<F>(&mut self, messages: F) -> Inboxes
+    ///
+    /// # Relay schedules are drawn once per shape
+    ///
+    /// The relay of every word depends only on `n`, the configured
+    /// `route_seed` and `relay_policy`, and the step's *shape*: the ordered
+    /// sequence of `(src, dst, len)` over its messages, empty ones included
+    /// — never on the words. An oblivious algorithm routes the same few
+    /// shapes over and over, so the draw (one relay per word plus both
+    /// phases' per-link word counts) is kept in a process-wide cache keyed
+    /// by exactly those four things and shared by every clique in the
+    /// process. A lookup compares the whole shape, message by message (a
+    /// hash only pre-filters); a hit scatters the words by table, a miss
+    /// draws first — results, rounds, words and fingerprints are identical
+    /// either way. The cache is least-recently-used and bounded by a fixed
+    /// 8 MiB of tables; a step whose schedule alone exceeds that is drawn,
+    /// used once and dropped. [`Clique::route_dynamic`] steps are drawn on
+    /// every call and never enter the cache: their shapes follow the data.
+    pub fn route<F>(&mut self, mut messages: F) -> Inboxes
     where
         F: FnMut(usize) -> Vec<(usize, Vec<Word>)>,
     {
-        self.route_inner(messages, false)
+        self.require_unicast("route");
+        let outboxes = (0..self.n).map(|v| messages(v).into()).collect();
+        self.route_outboxes(outboxes, false)
     }
 
     /// Like [`Clique::route`], but for data-dependent (non-oblivious)
     /// patterns: each message is charged one extra word carrying its
-    /// destination, which the relay needs in order to forward it.
-    pub fn route_dynamic<F>(&mut self, messages: F) -> Inboxes
+    /// destination, which the relay needs in order to forward it. The relay
+    /// schedule of a dynamic step is drawn per call and never cached.
+    pub fn route_dynamic<F>(&mut self, mut messages: F) -> Inboxes
     where
         F: FnMut(usize) -> Vec<(usize, Vec<Word>)>,
     {
-        self.route_inner(messages, true)
+        self.require_unicast("route");
+        let outboxes = (0..self.n).map(|v| messages(v).into()).collect();
+        self.route_outboxes(outboxes, true)
     }
 
     /// [`Clique::route`] with the per-node generator evaluated on the
-    /// configured executor. Requires a `Fn + Sync` generator; relay
-    /// assignment, round costs, and delivered inboxes are identical to the
-    /// sequential primitive (messages are merged back in node order before
-    /// relays are drawn).
+    /// configured executor, writing each node's messages into one flat
+    /// [`Outbox`] (a generator that already holds `Vec<(usize, Vec<Word>)>`
+    /// converts with `.into()`). Requires a `Fn + Sync` generator; relay
+    /// assignment, schedule caching, round costs, and delivered inboxes are
+    /// identical to the sequential primitive (outboxes are taken in node
+    /// order).
     pub fn route_par<F>(&mut self, messages: F) -> Inboxes
     where
-        F: Fn(usize) -> Vec<(usize, Vec<Word>)> + Sync,
+        F: Fn(usize) -> Outbox + Sync,
     {
         // Fail fast before any generator fan-out, like `route` does.
         self.require_unicast("route");
-        // Fan the generator out, then replay the results through the
-        // sequential primitive (map returns them in node order), so the
-        // validation/collection logic exists once.
-        let mut per_node = self.exec.map(self.n, &messages).into_iter();
-        self.route_inner(|_| per_node.next().expect("one result per node"), false)
+        let outboxes = self.exec.map(self.n, &messages);
+        self.route_outboxes(outboxes, false)
     }
 
     /// [`Clique::route_dynamic`] with the per-node generator evaluated on
@@ -488,115 +511,70 @@ impl Clique {
     /// charged per message, exactly like the sequential primitive).
     pub fn route_dynamic_par<F>(&mut self, messages: F) -> Inboxes
     where
-        F: Fn(usize) -> Vec<(usize, Vec<Word>)> + Sync,
+        F: Fn(usize) -> Outbox + Sync,
     {
         // Fail fast before any generator fan-out, like `route_dynamic` does.
         self.require_unicast("route");
-        let mut per_node = self.exec.map(self.n, &messages).into_iter();
-        self.route_inner(|_| per_node.next().expect("one result per node"), true)
+        let outboxes = self.exec.map(self.n, &messages);
+        self.route_outboxes(outboxes, true)
     }
 
-    fn route_inner<F>(&mut self, mut messages: F, charge_headers: bool) -> Inboxes
-    where
-        F: FnMut(usize) -> Vec<(usize, Vec<Word>)>,
-    {
-        self.require_unicast("route");
+    /// The one router behind every `route*` entry point: fetches (oblivious
+    /// steps) or draws (dynamic ones) the step's [`RouteSchedule`] and ships
+    /// both phases by it.
+    fn route_outboxes(&mut self, outboxes: Vec<Outbox>, dynamic: bool) -> Inboxes {
         let n = self.n;
-        // (src, dst, words) triples, collected up front.
-        let mut msgs: Vec<(usize, usize, Vec<Word>)> = Vec::new();
-        for v in 0..n {
-            for (dst, words) in messages(v) {
-                assert!(dst < n, "route destination {dst} out of range (n={n})");
-                if !words.is_empty() {
-                    msgs.push((v, dst, words));
-                }
-            }
+        for (dst, _) in outboxes.iter().flat_map(Outbox::messages) {
+            assert!(dst < n, "route destination {dst} out of range (n={n})");
         }
-        // Assign each word a relay, balancing both the (src -> relay) and
-        // (relay -> dst) phases. Relays are drawn by a deterministic hash
-        // with power-of-two-choices (the less loaded of two candidates),
-        // which keeps per-link loads within a small constant of the ideal
-        // ⌈load/n⌉ — the guarantee of the routing schemes the paper invokes.
-        //
-        // The draw is pass one of a counting sort: it records every word's
-        // relay and counts the words on every (src -> relay) and
-        // (relay -> dst) link. `a_load` and `b_load` are laid out like the
-        // slabs they size (`[relay * n + src]` and `[dst * n + relay]`) and
-        // double as the two-choice rule's load tables.
-        let payload = if charge_headers { 2 } else { 1 };
-        let total: usize = msgs.iter().map(|(_, _, words)| words.len()).sum();
-        let mut a_load = vec![0usize; n * n];
-        let mut b_load = vec![0usize; n * n];
-        let mut relays: Vec<u32> = Vec::with_capacity(total);
-        let seed = self.cfg.route_seed;
-        for (src, dst, words) in &msgs {
-            for j in 0..words.len() {
-                let relay = match self.cfg.relay_policy {
-                    RelayPolicy::SingleHash => single_hash_relay(seed, n, *src, *dst, j),
-                    RelayPolicy::TwoChoice => {
-                        let h = relay_hash(seed, *src, *dst, j);
-                        let r1 = (h % n as u64) as usize;
-                        let r2 = ((h >> 32) % n as u64) as usize;
-                        let cost = |r: usize| a_load[r * n + src].max(b_load[dst * n + r]);
-                        if cost(r1) <= cost(r2) {
-                            r1
-                        } else {
-                            r2
-                        }
-                    }
-                };
-                a_load[relay * n + src] += payload;
-                b_load[dst * n + relay] += payload;
-                relays.push(relay as u32);
-            }
-        }
+        // (src, dst, words) in collection order: node by node, each node's
+        // messages as it emitted them.
+        let messages = outboxes
+            .iter()
+            .enumerate()
+            .flat_map(|(src, out)| out.messages().map(move |(dst, words)| (src, dst, words)));
+        let shape = messages
+            .clone()
+            .map(|(src, dst, words)| pack_head(src, dst, words.len()));
+        let (seed, policy) = (self.cfg.route_seed, self.cfg.relay_policy);
+        let schedule = if dynamic {
+            Arc::new(RouteSchedule::build(n, seed, policy, 2, shape.collect()))
+        } else {
+            RouteSchedule::cached(n, seed, policy, shape)
+        };
 
         // Both phases physically travel through the transport: every word
         // to its relay, the round barrier, then the relays' forwards and the
-        // barrier again. Charged loads come from the fabric's accounting of
-        // that traffic; what the relays received is dropped with the
-        // barrier's delivery.
-        self.ship_phase(&msgs, &relays, a_load, charge_headers, |src, relay, _| {
-            (src, relay)
-        });
-        self.ship_phase(&msgs, &relays, b_load, charge_headers, |_, relay, dst| {
-            (relay, dst)
-        });
+        // barrier again. Each phase is pass two of a counting sort — the
+        // schedule sized every link — and is charged from the fabric's
+        // accounting of the slab it is handed; what the relays received is
+        // dropped with the barrier's delivery.
+        for phase in 0..2 {
+            let mut slab = SlabWriter::from_counts(n, schedule.link_counts(phase));
+            let mut relays = schedule.relays().iter();
+            for (src, dst, words) in messages.clone() {
+                for (&w, &relay) in words.iter().zip(&mut relays) {
+                    let (from, to) = if phase == 0 {
+                        (src, relay as usize)
+                    } else {
+                        (relay as usize, dst)
+                    };
+                    slab.push(from, to, w);
+                    if dynamic {
+                        slab.push(from, to, dst as Word);
+                    }
+                }
+            }
+            self.net.send_slab(slab.finish());
+            let (_, loads) = self.net.flush();
+            self.charge_loads(&loads);
+        }
 
         // Deliver whole messages in collection order: per-link word streams
         // are interleaved across relays on the wire, so reassembly per
         // (dst, src) pair is modelled (the pattern is known; headers were
         // charged when it is not).
-        Inboxes::from_messages(n, &msgs)
-    }
-
-    /// One phase of [`Clique::route`], pass two of its counting sort: scatters
-    /// each word (plus its destination header when the pattern is
-    /// data-dependent) onto the link `link(src, relay, dst)` picks, hands
-    /// the slab to the fabric in one call, and runs and charges the barrier.
-    /// `counts` sizes the slab: words per link, headers included.
-    fn ship_phase(
-        &mut self,
-        msgs: &[(usize, usize, Vec<Word>)],
-        relays: &[u32],
-        counts: Vec<usize>,
-        charge_headers: bool,
-        link: impl Fn(usize, usize, usize) -> (usize, usize),
-    ) {
-        let mut slab = SlabWriter::from_counts(self.n, counts);
-        let mut relay = relays.iter();
-        for (src, dst, words) in msgs {
-            for (w, &r) in words.iter().zip(&mut relay) {
-                let (from, to) = link(*src, r as usize, *dst);
-                slab.push(from, to, *w);
-                if charge_headers {
-                    slab.push(from, to, *dst as Word);
-                }
-            }
-        }
-        self.net.send_slab(slab.finish());
-        let (_, loads) = self.net.flush();
-        self.charge_loads(&loads);
+        Inboxes::from_slab(LinkSlab::from_runs(n, messages))
     }
 
     /// Runs one [`NodeProgram`] per node on the runtime engine, charging the
@@ -822,30 +800,6 @@ impl Clique {
         let words = self.broadcast(|v| value_of(v) as u64);
         words.into_iter().map(|w| w as i64).min().expect("n >= 2")
     }
-}
-
-/// The relay [`Clique::route`] draws for word `j` of a `(src, dst)` message
-/// under [`RelayPolicy::SingleHash`] on a clique of `n` nodes whose
-/// `route_seed` is `seed`. The draw depends on nothing else, so a node
-/// program that knows an oblivious pattern can reproduce the router's relay
-/// choices — and hence its per-link loads — without a coordinator.
-#[must_use]
-#[inline]
-pub fn single_hash_relay(seed: u64, n: usize, src: usize, dst: usize, j: usize) -> usize {
-    (relay_hash(seed, src, dst, j) % n as u64) as usize
-}
-
-/// The hash both relay policies draw their candidates from.
-fn relay_hash(seed: u64, src: usize, dst: usize, j: usize) -> u64 {
-    splitmix(seed ^ ((src as u64) << 42) ^ ((dst as u64) << 21) ^ j as u64)
-}
-
-/// SplitMix64 finaliser; deterministic relay-balancing hash.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

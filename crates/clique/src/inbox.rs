@@ -25,7 +25,8 @@ impl Inboxes {
 
     /// Delivers whole `(src, dst, words)` messages: each `(dst, src)` pair
     /// receives its messages concatenated in slice order.
-    pub(crate) fn from_messages(n: usize, msgs: &[(usize, usize, Vec<Word>)]) -> Self {
+    #[cfg(test)]
+    fn from_messages(n: usize, msgs: &[(usize, usize, Vec<Word>)]) -> Self {
         Self::from_slab(LinkSlab::from_runs(
             n,
             msgs.iter()

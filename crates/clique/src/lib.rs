@@ -17,7 +17,8 @@
 //! * [`Clique::route`] — balanced two-phase routing in the style of
 //!   Lenzen (PODC 2013): messages are spread over intermediate relays so that
 //!   any instance where each node sends and receives at most `n` words
-//!   completes in `O(1)` rounds.
+//!   completes in `O(1)` rounds. The relays of a step are drawn once per
+//!   message shape (see "Relay schedules" below).
 //! * [`Clique::broadcast`] / [`Clique::broadcast_vec`] — one-to-all
 //!   broadcast of one word (or a word sequence) from every node.
 //! * [`Clique::gossip`] — "learn everything": every node obtains the union of
@@ -37,7 +38,8 @@
 //! counts, and pattern fingerprints bit-identical. [`Clique::exchange_par`]
 //! / [`Clique::route_par`] / [`Clique::route_dynamic_par`] /
 //! [`Clique::gossip_par`] accept `Fn + Sync` generators evaluated on the
-//! backend, and [`Clique::run_programs`] drives per-node [`NodeProgram`]
+//! backend — the two routed ones write each node's messages into one flat
+//! [`Outbox`] — and [`Clique::run_programs`] drives per-node [`NodeProgram`]
 //! state machines round by round. The `CC_EXECUTOR` environment variable
 //! retargets every default-configured clique (how CI runs the suite on
 //! each backend).
@@ -52,15 +54,35 @@
 //! length-prefixed frames, round-commit barrier). Every primitive builds
 //! its step's traffic as one flat destination-major buffer
 //! (`cc_transport::LinkSlab`, a two-pass counting sort over the generated
-//! messages — for [`Clique::route`], the relay draw is pass one) and hands
-//! it to the fabric in one call; the [`Inboxes`] it gets back are a view of
-//! the delivered buffer. Deliveries,
+//! messages — for [`Clique::route`], pass one is the step's relay schedule,
+//! drawn once per shape) and hands it to the fabric in one call; the
+//! [`Inboxes`] it gets back are a view of the delivered buffer. Deliveries,
 //! rounds, words, pattern fingerprints, and barrier epochs
 //! ([`Clique::transport_epochs`]) are bit-identical across fabrics; the
 //! `CC_TRANSPORT` environment variable (`inmemory` / `channel` /
 //! `socket[:workers]`) retargets every default-configured clique exactly
 //! like `CC_EXECUTOR`, and an unrecognised value is reported once instead
 //! of being silently swallowed.
+//!
+//! ## Relay schedules
+//!
+//! The property the router's cache serves is **routed steps whose message
+//! shape repeats within a process**. Which relay carries which word of a
+//! [`Clique::route`] step depends only on `n`, the `route_seed`, the
+//! [`RelayPolicy`] and the step's shape — the ordered `(src, dst, len)` of
+//! its messages — and the paper's algebraic algorithms are oblivious: a
+//! fast matrix product routes the same four shapes whatever the matrices
+//! hold, and a Seidel or triangle query is a chain of such products. So a
+//! step's schedule (one relay per word, `u16`, plus both phases' per-link
+//! word counts, `u32`) is drawn on first use and kept in a process-wide,
+//! least-recently-used cache bounded at 8 MiB of tables; a later step with
+//! the same four-part key — the shape compared in full — scatters its words
+//! by table instead of hashing each one. Steps whose shape follows the data
+//! go through [`Clique::route_dynamic`], which draws per call and never
+//! touches the cache, as does any step whose schedule alone would exceed
+//! the budget. Cached or drawn, a step delivers the same inboxes and charges
+//! the same rounds, words and fingerprints: the fabric still derives its
+//! accounting from the slab it is handed.
 //!
 //! ## Network conditions
 //!
@@ -94,11 +116,15 @@
 mod clique;
 mod inbox;
 mod network;
+mod outbox;
+mod schedule;
 mod stats;
 mod word;
 
-pub use crate::clique::{single_hash_relay, Clique, CliqueConfig, Mode, RelayPolicy};
+pub use crate::clique::{Clique, CliqueConfig, Mode, RelayPolicy};
 pub use crate::inbox::Inboxes;
+pub use crate::outbox::Outbox;
+pub use crate::schedule::{route_schedule_stats, single_hash_relay};
 pub use crate::stats::{PhaseStats, Stats};
 pub use crate::word::{
     pack_pair, read_exact, unpack_pair, write_all, AsWords, Word, WordReader, WordWriter,

@@ -58,6 +58,9 @@ impl WordWriter {
     }
 
     /// Appends one word.
+    // Called once per routed word from other crates' encoders: without the
+    // hint it is an out-of-line call per word (no LTO in this workspace).
+    #[inline]
     pub fn push(&mut self, w: Word) {
         self.buf.push(w);
     }
@@ -78,6 +81,16 @@ impl WordWriter {
     #[must_use]
     pub fn into_words(self) -> Vec<Word> {
         self.buf
+    }
+
+    /// Appends already encoded words.
+    pub(crate) fn extend_from_slice(&mut self, words: &[Word]) {
+        self.buf.extend_from_slice(words);
+    }
+
+    /// Everything written so far — for the router, which owns the writer.
+    pub(crate) fn as_slice(&self) -> &[Word] {
+        &self.buf
     }
 }
 
@@ -113,6 +126,7 @@ impl<'a> WordReader<'a> {
     // Not an Iterator: reads are infallible by contract and panic on
     // underflow, which `Iterator::next`'s Option shape would obscure.
     #[allow(clippy::should_implement_trait)]
+    #[inline]
     pub fn next(&mut self) -> Word {
         let w = self
             .words

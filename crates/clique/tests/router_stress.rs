@@ -3,7 +3,16 @@
 //! borrows from Lenzen — `O(⌈L/n⌉)` rounds for per-node loads `L` — must
 //! hold (up to small constants) regardless of how the load is shaped.
 
-use cc_clique::{Clique, CliqueConfig, RelayPolicy};
+use cc_clique::{route_schedule_stats, Clique, CliqueConfig, Outbox, RelayPolicy};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+
+/// The relay-schedule cache and its counters are process-wide and every test
+/// in this file routes, so every test takes this lock: the cache tests can
+/// then assert exact hit, miss and byte deltas.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Ideal rounds for a routing instance: `max(out, in) / n`, the
 /// information-theoretic floor.
@@ -13,6 +22,7 @@ fn ideal(per_node_load: usize, n: usize) -> u64 {
 
 #[test]
 fn single_hot_destination() {
+    let _serial = serial();
     // Every node sends its full budget to ONE destination: in-load n·L at
     // the target. Rounds must track the receiver bottleneck, not explode.
     let n = 64;
@@ -35,6 +45,7 @@ fn single_hot_destination() {
 
 #[test]
 fn single_hot_source() {
+    let _serial = serial();
     let n = 64;
     let mut c = Clique::new(n);
     c.route(|v| {
@@ -54,6 +65,7 @@ fn single_hot_source() {
 
 #[test]
 fn permutation_pattern_is_cheap() {
+    let _serial = serial();
     // One word per node to a permuted destination: the lightest possible
     // routing instance; must be a handful of rounds.
     let n = 128;
@@ -68,6 +80,7 @@ fn permutation_pattern_is_cheap() {
 
 #[test]
 fn block_scatter_matches_theory() {
+    let _serial = serial();
     // The 3D algorithm's shape: each node sends n/p words to p² peers.
     let n = 125;
     let p = 5;
@@ -88,6 +101,7 @@ fn block_scatter_matches_theory() {
 
 #[test]
 fn two_choice_beats_single_hash_on_balanced_loads() {
+    let _serial = serial();
     let n = 64;
     let run = |policy: RelayPolicy| {
         let cfg = CliqueConfig {
@@ -108,6 +122,7 @@ fn two_choice_beats_single_hash_on_balanced_loads() {
 
 #[test]
 fn gossip_with_empty_and_uneven_contributions() {
+    let _serial = serial();
     let n = 32;
     let mut c = Clique::new(n);
     let all = c.gossip(|v| {
@@ -128,6 +143,7 @@ fn gossip_with_empty_and_uneven_contributions() {
 
 #[test]
 fn route_preserves_per_source_order() {
+    let _serial = serial();
     let n = 16;
     let mut c = Clique::new(n);
     let inbox = c.route(|v| vec![((v + 1) % n, (0..10).map(|j| (v * 100 + j) as u64).collect())]);
@@ -140,6 +156,7 @@ fn route_preserves_per_source_order() {
 
 #[test]
 fn repeated_routes_accumulate_rounds_monotonically() {
+    let _serial = serial();
     let n = 16;
     let mut c = Clique::new(n);
     let mut last = 0;
@@ -278,40 +295,258 @@ fn stress_pattern(n: usize, seed: u64) -> Vec<Vec<(usize, Vec<u64>)>> {
     messages
 }
 
+fn cfg(policy: RelayPolicy, route_seed: u64) -> CliqueConfig {
+    CliqueConfig {
+        relay_policy: policy,
+        route_seed,
+        record_patterns: true,
+        ..CliqueConfig::default()
+    }
+}
+
+/// Routes `messages` on a fresh clique and reports everything the reference
+/// router reports.
+fn routed(
+    n: usize,
+    cfg: &CliqueConfig,
+    dynamic: bool,
+    messages: &[Vec<(usize, Vec<u64>)>],
+) -> reference::Outcome {
+    let mut c = Clique::with_config(n, cfg.clone());
+    let inbox = if dynamic {
+        c.route_dynamic(|v| messages[v].clone())
+    } else {
+        c.route(|v| messages[v].clone())
+    };
+    reference::Outcome {
+        inboxes: (0..n)
+            .map(|dst| {
+                (0..n)
+                    .map(|src| inbox.received(dst, src).to_vec())
+                    .collect()
+            })
+            .collect(),
+        rounds: c.rounds(),
+        words: c.stats().words(),
+        fingerprints: c.stats().pattern_fingerprints().to_vec(),
+    }
+}
+
+fn expected(
+    n: usize,
+    cfg: &CliqueConfig,
+    dynamic: bool,
+    messages: &[Vec<(usize, Vec<u64>)>],
+) -> reference::Outcome {
+    reference::route(n, cfg.route_seed, cfg.relay_policy, dynamic, messages)
+}
+
 #[test]
 fn slab_router_matches_the_word_at_a_time_reference() {
+    let _serial = serial();
     let n = 13;
     for seed in [1u64, 7, 23] {
         let messages = stress_pattern(n, seed);
         for policy in [RelayPolicy::SingleHash, RelayPolicy::TwoChoice] {
             for dynamic in [false, true] {
-                let cfg = CliqueConfig {
-                    relay_policy: policy,
-                    route_seed: 0xfeed ^ seed,
-                    record_patterns: true,
-                    ..CliqueConfig::default()
-                };
-                let expected = reference::route(n, cfg.route_seed, policy, dynamic, &messages);
-                let mut c = Clique::with_config(n, cfg);
-                let inbox = if dynamic {
-                    c.route_dynamic(|v| messages[v].clone())
-                } else {
-                    c.route(|v| messages[v].clone())
-                };
-                let got = reference::Outcome {
-                    inboxes: (0..n)
-                        .map(|dst| {
-                            (0..n)
-                                .map(|src| inbox.received(dst, src).to_vec())
-                                .collect()
-                        })
-                        .collect(),
-                    rounds: c.rounds(),
-                    words: c.stats().words(),
-                    fingerprints: c.stats().pattern_fingerprints().to_vec(),
-                };
-                assert_eq!(got, expected, "seed {seed}, {policy:?}, dynamic={dynamic}");
+                let cfg = cfg(policy, 0xfeed ^ seed);
+                assert_eq!(
+                    routed(n, &cfg, dynamic, &messages),
+                    expected(n, &cfg, dynamic, &messages),
+                    "seed {seed}, {policy:?}, dynamic={dynamic}"
+                );
             }
+        }
+    }
+}
+
+/// `SCHEDULE_CACHE_BYTES` in `crates/clique/src/schedule.rs`.
+const CACHE_BUDGET: usize = 8 << 20;
+
+/// Routes one shape of `per_node` one-word messages from every node of a
+/// 13-clique — about `130 · per_node` bytes of schedule — distinct per
+/// `salt`, and returns the words delivered and the cache's bytes afterwards.
+fn route_filler(cfg: &CliqueConfig, per_node: usize, salt: usize) -> (u64, usize) {
+    let n = 13;
+    let mut c = Clique::with_config(n, cfg.clone());
+    let inbox = c.route_par(|v| {
+        let mut out = Outbox::new();
+        for k in 0..per_node {
+            out.message((v + k + salt) % n)
+                .push((v * per_node + k) as u64);
+        }
+        out
+    });
+    let delivered = (0..n).map(|dst| inbox.total_received(dst) as u64).sum();
+    (delivered, route_schedule_stats().2)
+}
+
+#[test]
+fn schedules_are_drawn_once_per_shape_and_redrawn_after_eviction() {
+    let _serial = serial();
+    let n = 13;
+    for policy in [RelayPolicy::TwoChoice, RelayPolicy::SingleHash] {
+        let cfg = cfg(policy, 0xcac4e);
+        let messages = stress_pattern(n, 5);
+        let want = expected(n, &cfg, false, &messages);
+
+        let (hits, misses, _) = route_schedule_stats();
+        assert_eq!(routed(n, &cfg, false, &messages), want, "{policy:?} cold");
+        let (h, m, bytes) = route_schedule_stats();
+        assert_eq!((h, m), (hits, misses + 1), "{policy:?}: first use draws");
+        assert!(bytes > 0 && bytes <= CACHE_BUDGET);
+
+        assert_eq!(routed(n, &cfg, false, &messages), want, "{policy:?} warm");
+        assert_eq!(
+            route_schedule_stats(),
+            (hits + 1, misses + 1, bytes),
+            "{policy:?}: second use is served from the cache"
+        );
+
+        // A dynamic step looks nothing up and stores nothing.
+        let dynamic = routed(n, &cfg, true, &messages);
+        assert_eq!(dynamic, expected(n, &cfg, true, &messages));
+        assert_eq!(route_schedule_stats(), (hits + 1, misses + 1, bytes));
+
+        // Four other shapes of ≈ 2.6 MB each push the first one out.
+        for salt in 0..4 {
+            let (delivered, bytes) = route_filler(&cfg, 20_000, salt);
+            assert_eq!(delivered, 13 * 20_000);
+            assert!(bytes <= CACHE_BUDGET, "the cache outgrew its budget");
+        }
+        assert_eq!(route_schedule_stats().1, misses + 5);
+        assert_eq!(
+            routed(n, &cfg, false, &messages),
+            want,
+            "{policy:?} evicted"
+        );
+        let (h, m, bytes) = route_schedule_stats();
+        assert_eq!(
+            (h, m),
+            (hits + 1, misses + 6),
+            "{policy:?}: evicted, so redrawn"
+        );
+        assert!(bytes <= CACHE_BUDGET);
+    }
+}
+
+#[test]
+fn a_schedule_larger_than_the_budget_is_used_once_and_not_kept() {
+    let _serial = serial();
+    let n = 13;
+    let cfg = cfg(RelayPolicy::TwoChoice, 0xb16);
+    // 70 000 one-word messages per node: ≈ 9.1 MB of shape and relays.
+    let messages: Vec<Vec<(usize, Vec<u64>)>> = (0..n)
+        .map(|v| {
+            (0..70_000)
+                .map(|k| ((v + k) % n, vec![(v ^ k) as u64]))
+                .collect()
+        })
+        .collect();
+    let want = expected(n, &cfg, false, &messages);
+    let (hits, misses, bytes) = route_schedule_stats();
+    for pass in 1..=2 {
+        assert_eq!(routed(n, &cfg, false, &messages), want, "pass {pass}");
+        assert_eq!(
+            route_schedule_stats(),
+            (hits, misses + pass, bytes),
+            "an over-budget schedule is drawn per call and evicts nothing"
+        );
+    }
+}
+
+#[test]
+fn message_order_and_empty_messages_are_part_of_the_shape() {
+    let _serial = serial();
+    let n = 13;
+    let cfg = cfg(RelayPolicy::TwoChoice, 0x0de4);
+    let forward = stress_pattern(n, 11);
+    // The same set of messages, every node's list reversed: the two-choice
+    // rule sees different running loads, so the relays differ.
+    let mut reversed = forward.clone();
+    reversed.iter_mut().for_each(|msgs| msgs.reverse());
+    // And the first pattern with one empty message slipped in.
+    let mut padded = forward.clone();
+    padded[4].insert(0, (9, vec![]));
+    assert_ne!(
+        expected(n, &cfg, false, &forward).fingerprints,
+        expected(n, &cfg, false, &reversed).fingerprints,
+        "the pair must tell a shared schedule apart"
+    );
+    // Interleaved, cold then warm: each pattern keeps getting its own answer.
+    for round in 0..2 {
+        for (name, messages) in [
+            ("forward", &forward),
+            ("reversed", &reversed),
+            ("padded", &padded),
+        ] {
+            assert_eq!(
+                routed(n, &cfg, false, messages),
+                expected(n, &cfg, false, messages),
+                "{name}, round {round}"
+            );
+        }
+    }
+}
+
+#[test]
+fn cliques_of_different_size_and_seed_share_the_cache_without_mixing() {
+    let _serial = serial();
+    // Same pattern seed throughout: only n and route_seed tell the keys apart.
+    let cases = [(13, 0xa11ce), (11, 0xa11ce), (13, 0xb0b)];
+    for policy in [RelayPolicy::TwoChoice, RelayPolicy::SingleHash] {
+        for round in 0..3 {
+            for (n, route_seed) in cases {
+                let cfg = cfg(policy, route_seed);
+                let messages = stress_pattern(n, 3);
+                assert_eq!(
+                    routed(n, &cfg, false, &messages),
+                    expected(n, &cfg, false, &messages),
+                    "{policy:?} n={n} seed={route_seed:#x} round {round}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn concurrent_routers_of_different_shapes_stay_correct() {
+    let _serial = serial();
+    let n = 13;
+    let cfg = cfg(RelayPolicy::TwoChoice, 0x7177);
+    let patterns = [stress_pattern(n, 41), stress_pattern(n, 42)];
+    // Both threads look up, draw and insert at the same moments: the barrier
+    // releases them into every iteration together, and the fillers keep
+    // evicting what the other thread just stored.
+    let start = Barrier::new(patterns.len());
+    let outcomes: Vec<Vec<(reference::Outcome, usize)>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..patterns.len())
+            .map(|t| {
+                let (cfg, start, messages) = (&cfg, &start, &patterns[t]);
+                scope.spawn(move || {
+                    (0..6)
+                        .map(|i| {
+                            start.wait();
+                            let got = routed(n, cfg, false, messages);
+                            let (_, bytes) = route_filler(cfg, 30_000, 100 + 10 * t + i % 2);
+                            (got, bytes)
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("router thread panicked"))
+            .collect()
+    });
+    // Compared only after both threads are done: a failed assertion between
+    // two barrier waits would leave the other thread waiting for ever.
+    for (t, (got, messages)) in outcomes.iter().zip(&patterns).enumerate() {
+        let want = expected(n, &cfg, false, messages);
+        for (i, (outcome, bytes)) in got.iter().enumerate() {
+            assert_eq!(*outcome, want, "thread {t}, pass {i}");
+            assert!(*bytes <= CACHE_BUDGET, "the cache outgrew its budget");
         }
     }
 }

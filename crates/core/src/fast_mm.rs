@@ -12,25 +12,34 @@
 //! 3. **term owner** — holds the full `Ŝ⁽ʷ⁾`, `T̂⁽ʷ⁾` for one term `w` and
 //!    computes the product `P̂⁽ʷ⁾ = Ŝ⁽ʷ⁾ T̂⁽ʷ⁾` locally (step 4).
 //!
-//! The communication pattern depends only on `(n, d, m)`, never on matrix
-//! contents — the algorithm is oblivious, as claimed in the paper and
-//! verified by the pattern-fingerprint tests.
+//! The communication pattern depends only on `(n, d, m)` and the element
+//! width, never on matrix contents — the algorithm is oblivious, as claimed
+//! in the paper and verified by the pattern-fingerprint tests. The code
+//! leans on that twice. The four routed steps (1, 3, 5, 7) write their
+//! elements straight into one flat [`Outbox`] per node and repeat the same
+//! message shapes on every call, so [`Clique::route_par`] draws their relay
+//! schedules once per process. And the three decoding steps never walk a
+//! sender's emission order to find their own data: the [`FastPlan`] fixes
+//! where every block sits on every link, so
+//!
+//! * **step 2** reads row `ρ`'s `(S, T)` slice pair for cell `(x₁, x₂)` at
+//!   the offset of the cells this node owns earlier in label row `x₁`, and
+//!   accumulates `Ŝ⁽ʷ⁾`/`T̂⁽ʷ⁾` by row slices into one flat buffer per node,
+//!   laid out `[cell][w][Ŝ, T̂][r][c]` — the order step 3 transmits it in;
+//! * **step 4** decodes each link front to back into `sub`-long row slices
+//!   of the full `Ŝ⁽ʷ⁾`, `T̂⁽ʷ⁾`;
+//! * **step 6** finds block `idx` of term `w` (slot `w / n` of node
+//!   `w mod n`) at element `(slot · cells + idx) · sub²` of that node's
+//!   link and evaluates `λ` by row slices.
+//!
+//! Before decoding, every step checks **every** incoming link's length
+//! against what the plan says it carries, and names the step and both nodes
+//! when they disagree.
 
 use crate::fast_plan::FastPlan;
 use crate::row_matrix::RowMatrix;
-use cc_algebra::{BilinearAlgorithm, Matrix, Ring, Semiring};
-use cc_clique::{Clique, WordReader, WordWriter};
-
-fn encode_iter<'a, S: Semiring>(s: &S, iter: impl Iterator<Item = &'a S::Elem>) -> Vec<u64>
-where
-    S::Elem: 'a,
-{
-    let mut w = WordWriter::new();
-    for e in iter {
-        s.write_elem(e, &mut w);
-    }
-    w.into_words()
-}
+use cc_algebra::{BilinearAlgorithm, Matrix, Ring};
+use cc_clique::{Clique, Inboxes, Outbox, WordReader};
 
 /// Computes `P = S·T` over a ring with the fast bilinear algorithm.
 ///
@@ -106,8 +115,8 @@ where
         alg.m(),
         "plan was built for a different algorithm"
     );
-    let (d, m, q, sub) = (plan.d(), plan.m(), plan.q(), plan.sub());
-    let side = d * sub; // cell-local matrix side
+    let (q, sub) = (plan.q(), plan.sub());
+    let real = |x: usize| plan.real_indices_with_label(x);
 
     clique.phase("fastmm", |clique| {
         // Node-local steps (2, 4, 6, and the row assemblies) are
@@ -120,99 +129,31 @@ where
         let inbox1 = clique.phase("fastmm.scatter", |c| {
             c.route_par(|v| {
                 let x1 = plan.label_of(v);
-                (0..q)
-                    .map(|x2| {
-                        let cols = plan.real_indices_with_label(x2);
-                        let payload = encode_iter(
-                            ring,
-                            cols.iter()
-                                .map(|&c| &a.row(v)[c])
-                                .chain(cols.iter().map(|&c| &b.row(v)[c])),
-                        );
-                        (plan.cell_owner(x1, x2), payload)
-                    })
-                    .collect()
+                let mut out = Outbox::new();
+                for x2 in 0..q {
+                    let wr = out.message(plan.cell_owner(x1, x2));
+                    for row in [a.row(v), b.row(v)] {
+                        for &col in real(x2) {
+                            ring.write_elem(&row[col], wr);
+                        }
+                    }
+                }
+                out
             })
         });
 
         // ---- Step 2: cell owners assemble cells and form Ŝ⁽ʷ⁾, T̂⁽ʷ⁾. ----
-        // hats[v] = per owned cell, per term w: (Ŝ⁽ʷ⁾, T̂⁽ʷ⁾) sub-blocks.
-        type HatPairs<E> = Vec<Vec<(Matrix<E>, Matrix<E>)>>;
-        let hats: Vec<HatPairs<R::Elem>> = exec.map(n, |u| {
-            let mut per_cell = Vec::new();
-            for &(x1, x2) in plan.cells_of(u) {
-                let mut s_cell = Matrix::filled(side, side, ring.zero());
-                let mut t_cell = Matrix::filled(side, side, ring.zero());
-                let cols = plan.real_indices_with_label(x2);
-                for &rho in plan.real_indices_with_label(x1) {
-                    // Decode this row's (S, T) slice, skipping slices this
-                    // node received for *other* cells from the same sender.
-                    let words = inbox1.received(u, rho);
-                    let mut rd = WordReader::new(words);
-                    for x2p in 0..q {
-                        if plan.cell_owner(x1, x2p) != u {
-                            continue;
-                        }
-                        let len = plan.real_indices_with_label(x2p).len();
-                        if x2p == x2 {
-                            let (i, _, r) = plan.decompose(rho);
-                            let local_row = i * sub + r;
-                            for &col in cols {
-                                let (j, _, cc) = plan.decompose(col);
-                                s_cell[(local_row, j * sub + cc)] = ring.read_elem(&mut rd);
-                            }
-                            for &col in cols {
-                                let (j, _, cc) = plan.decompose(col);
-                                t_cell[(local_row, j * sub + cc)] = ring.read_elem(&mut rd);
-                            }
-                            break;
-                        }
-                        for _ in 0..2 * len {
-                            let _ = ring.read_elem(&mut rd);
-                        }
-                    }
-                }
-                // Linear combinations per term.
-                let mut per_w = Vec::with_capacity(m);
-                for w in 0..m {
-                    let mut s_hat = Matrix::filled(sub, sub, ring.zero());
-                    for &(i, j, coeff) in alg.alpha(w) {
-                        for r in 0..sub {
-                            for cc in 0..sub {
-                                let term = ring.scale(coeff, &s_cell[(i * sub + r, j * sub + cc)]);
-                                s_hat[(r, cc)] = ring.add(&s_hat[(r, cc)], &term);
-                            }
-                        }
-                    }
-                    let mut t_hat = Matrix::filled(sub, sub, ring.zero());
-                    for &(i, j, coeff) in alg.beta(w) {
-                        for r in 0..sub {
-                            for cc in 0..sub {
-                                let term = ring.scale(coeff, &t_cell[(i * sub + r, j * sub + cc)]);
-                                t_hat[(r, cc)] = ring.add(&t_hat[(r, cc)], &term);
-                            }
-                        }
-                    }
-                    per_w.push((s_hat, t_hat));
-                }
-                per_cell.push(per_w);
-            }
-            per_cell
-        });
+        let hats: Vec<Vec<R::Elem>> = exec.map(n, |u| form_hats(plan, ring, alg, &inbox1, u));
 
         // ---- Step 3: cells send Ŝ⁽ʷ⁾, T̂⁽ʷ⁾ sub-blocks to term owners. ----
         let inbox3 = clique.phase("fastmm.to_terms", |c| {
             c.route_par(|u| {
-                let mut out = Vec::new();
-                for per_w in &hats[u] {
-                    for (w, (s_hat, t_hat)) in per_w.iter().enumerate() {
-                        let payload = encode_iter(
-                            ring,
-                            (0..sub)
-                                .flat_map(|r| s_hat.row(r))
-                                .chain((0..sub).flat_map(|r| t_hat.row(r))),
-                        );
-                        out.push((plan.term_owner(w), payload));
+                let mut out = Outbox::new();
+                // One (Ŝ⁽ʷ⁾, T̂⁽ʷ⁾) pair per owned cell per term, as laid out.
+                for (k, pair) in hats[u].chunks_exact(2 * sub * sub).enumerate() {
+                    let wr = out.message(plan.term_owner(k % plan.m()));
+                    for e in pair {
+                        ring.write_elem(e, wr);
                     }
                 }
                 out
@@ -224,58 +165,22 @@ where
         // The dominant local work of the whole algorithm (one dense product
         // per owned term); work stealing keeps skewed term ownership
         // balanced across workers.
-        let full = q * sub;
-        let phat: Vec<Vec<Matrix<R::Elem>>> = exec.map(n, |t| {
-            let my_terms = plan.terms_of(t);
-            if my_terms.is_empty() {
-                return Vec::new(); // no owned term: nothing was sent here
-            }
-            let mut s_full: Vec<Matrix<R::Elem>> = my_terms
-                .iter()
-                .map(|_| Matrix::filled(full, full, ring.zero()))
-                .collect();
-            let mut t_full = s_full.clone();
-            for src in 0..n {
-                let words = inbox3.received(t, src);
-                let mut rd = WordReader::new(words);
-                for &(x1, x2) in plan.cells_of(src) {
-                    // One (Ŝ⁽ʷ⁾, T̂⁽ʷ⁾) sub-block pair per owned term, ascending.
-                    for (sf, tf) in s_full.iter_mut().zip(&mut t_full) {
-                        for r in 0..sub {
-                            for cc in 0..sub {
-                                sf[(x1 * sub + r, x2 * sub + cc)] = ring.read_elem(&mut rd);
-                            }
-                        }
-                        for r in 0..sub {
-                            for cc in 0..sub {
-                                tf[(x1 * sub + r, x2 * sub + cc)] = ring.read_elem(&mut rd);
-                            }
-                        }
-                    }
-                }
-                assert!(rd.is_exhausted(), "step-4 payload length mismatch");
-            }
-            s_full
-                .iter()
-                .zip(&t_full)
-                .map(|(sf, tf)| ring.mul_dense(sf, tf))
-                .collect()
-        });
+        let phat: Vec<Vec<Matrix<R::Elem>>> =
+            exec.map(n, |t| multiply_terms(plan, ring, &inbox3, t));
 
         // ---- Step 5: term owners return P̂⁽ʷ⁾ sub-blocks to cell owners. ----
         let inbox5 = clique.phase("fastmm.from_terms", |c| {
             c.route_par(|t| {
-                let mut out = Vec::new();
-                for (slot, &_w) in plan.terms_of(t).iter().enumerate() {
+                let mut out = Outbox::new();
+                for product in &phat[t] {
                     for x1 in 0..q {
                         for x2 in 0..q {
-                            let payload = encode_iter(
-                                ring,
-                                (0..sub)
-                                    .flat_map(|r| (0..sub).map(move |cc| (r, cc)))
-                                    .map(|(r, cc)| &phat[t][slot][(x1 * sub + r, x2 * sub + cc)]),
-                            );
-                            out.push((plan.cell_owner(x1, x2), payload));
+                            let wr = out.message(plan.cell_owner(x1, x2));
+                            for r in 0..sub {
+                                for e in &product.row(x1 * sub + r)[x2 * sub..][..sub] {
+                                    ring.write_elem(e, wr);
+                                }
+                            }
                         }
                     }
                 }
@@ -285,82 +190,22 @@ where
         drop(phat);
 
         // ---- Step 6: cell owners decode P̂⁽ʷ⁾ and evaluate λ. ----
-        // p_cell[v] = per owned cell: the (d·sub)² block P[∗x₁∗, ∗x₂∗].
-        let p_cells: Vec<Vec<Matrix<R::Elem>>> = exec.map(n, |u| {
-            let cells = plan.cells_of(u);
-            // Gather P̂⁽ʷ⁾ sub-blocks for every term, per owned cell.
-            let mut phat_blocks: Vec<Vec<Matrix<R::Elem>>> =
-                vec![Vec::with_capacity(m); cells.len()];
-            for w in 0..m {
-                let t = plan.term_owner(w);
-                let words = inbox5.received(u, t);
-                let mut rd = WordReader::new(words);
-                // Re-walk the sender's emission order, extracting our cells.
-                let mut extracted: Vec<Option<Matrix<R::Elem>>> = vec![None; cells.len()];
-                for &wp in plan.terms_of(t) {
-                    for x1 in 0..q {
-                        for x2 in 0..q {
-                            if plan.cell_owner(x1, x2) != u {
-                                continue;
-                            }
-                            let mut blockm = Matrix::filled(sub, sub, ring.zero());
-                            for r in 0..sub {
-                                for cc in 0..sub {
-                                    blockm[(r, cc)] = ring.read_elem(&mut rd);
-                                }
-                            }
-                            if wp == w {
-                                let idx = cells
-                                    .iter()
-                                    .position(|&cl| cl == (x1, x2))
-                                    .expect("own cell");
-                                extracted[idx] = Some(blockm);
-                            }
-                        }
-                    }
-                }
-                for (idx, blk) in extracted.into_iter().enumerate() {
-                    phat_blocks[idx].push(blk.expect("every owned cell receives every term"));
-                }
-            }
-            let mut per_cell = Vec::with_capacity(cells.len());
-            for (idx, _) in cells.iter().enumerate() {
-                let mut p_cell = Matrix::filled(side, side, ring.zero());
-                for i in 0..d {
-                    for j in 0..d {
-                        for &(w, coeff) in alg.lambda(i, j) {
-                            for r in 0..sub {
-                                for cc in 0..sub {
-                                    let term = ring.scale(coeff, &phat_blocks[idx][w][(r, cc)]);
-                                    let cur = &p_cell[(i * sub + r, j * sub + cc)];
-                                    p_cell[(i * sub + r, j * sub + cc)] = ring.add(cur, &term);
-                                }
-                            }
-                        }
-                    }
-                }
-                per_cell.push(p_cell);
-            }
-            per_cell
-        });
+        // p_cells[u] = per owned cell: the (d·sub)² block P[∗x₁∗, ∗x₂∗].
+        let p_cells: Vec<Vec<Matrix<R::Elem>>> =
+            exec.map(n, |u| evaluate_lambda(plan, ring, alg, &inbox5, u));
 
         // ---- Step 7: cells return product rows to row owners. ----
         let inbox7 = clique.phase("fastmm.assemble", |c| {
             c.route_par(|u| {
-                let mut out = Vec::new();
-                for (idx, &(x1, x2)) in plan.cells_of(u).iter().enumerate() {
-                    let cols = plan.real_indices_with_label(x2);
-                    for &rho in plan.real_indices_with_label(x1) {
-                        let (i, _, r) = plan.decompose(rho);
-                        let local_row = i * sub + r;
-                        let payload = encode_iter(
-                            ring,
-                            cols.iter().map(|&col| {
-                                let (j, _, cc) = plan.decompose(col);
-                                &p_cells[u][idx][(local_row, j * sub + cc)]
-                            }),
-                        );
-                        out.push((rho, payload));
+                let mut out = Outbox::new();
+                for (p_cell, &(x1, x2)) in p_cells[u].iter().zip(plan.cells_of(u)) {
+                    // Cell row k is the k-th real row with label x₁, and
+                    // its real columns are a prefix (see `form_hats`).
+                    for (k, &rho) in real(x1).iter().enumerate() {
+                        let wr = out.message(rho);
+                        for e in &p_cell.row(k)[..real(x2).len()] {
+                            ring.write_elem(e, wr);
+                        }
                     }
                 }
                 out
@@ -372,24 +217,195 @@ where
             let x1 = plan.label_of(rho);
             let mut row = vec![ring.zero(); n];
             for src in 0..n {
-                let words = inbox7.received(rho, src);
-                if words.is_empty() {
-                    continue;
-                }
+                let blocks = plan.cells_of(src).iter().filter(|cell| cell.0 == x1);
+                let expect: usize = blocks.clone().map(|&(_, x2)| real(x2).len()).sum();
+                let words = link(&inbox7, 7, src, rho, expect * ring.elem_width());
                 let mut rd = WordReader::new(words);
-                for &(cx1, cx2) in plan.cells_of(src) {
-                    if cx1 != x1 {
-                        continue;
-                    }
-                    for &col in plan.real_indices_with_label(cx2) {
-                        row[col] = ring.read_elem(&mut rd);
-                    }
+                for &col in blocks.flat_map(|&(_, x2)| real(x2)) {
+                    row[col] = ring.read_elem(&mut rd);
                 }
-                assert!(rd.is_exhausted(), "step-7 payload length mismatch");
             }
             row
         }))
     })
+}
+
+/// What `dst` received from `src` in the routed step feeding local step
+/// `step`, once its length is known to be what the plan says.
+///
+/// # Panics
+///
+/// Panics, naming the step and both nodes, if the link does not carry
+/// exactly `expect` words.
+fn link(inbox: &Inboxes, step: u8, src: usize, dst: usize, expect: usize) -> &[u64] {
+    let words = inbox.received(dst, src);
+    assert!(
+        words.len() == expect,
+        "step-{step} payload from node {src} to node {dst}: {} words, plan expects {expect}",
+        words.len()
+    );
+    words
+}
+
+/// `dst += coeff · src`, slice against slice.
+fn axpy<R: Ring>(ring: &R, coeff: i64, src: &[R::Elem], dst: &mut [R::Elem]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = ring.add(d, &ring.scale(coeff, s));
+    }
+}
+
+/// Step 2 at cell owner `u`: decodes the cells it owns from `inbox1` and
+/// returns `Ŝ⁽ʷ⁾`, `T̂⁽ʷ⁾` for every owned cell and every term, flat, in the
+/// order step 3 sends them: `[cell][w][Ŝ, T̂][r][c]`.
+fn form_hats<R: Ring>(
+    plan: &FastPlan,
+    ring: &R,
+    alg: &BilinearAlgorithm,
+    inbox1: &Inboxes,
+    u: usize,
+) -> Vec<R::Elem> {
+    let (m, sub, width) = (plan.m(), plan.sub(), ring.elem_width());
+    let side = plan.d() * sub;
+    let cells = plan.cells_of(u);
+    let real = |x: usize| plan.real_indices_with_label(x);
+    // A row owner with label x₁ sends one (S, T) slice pair per cell this
+    // node owns in row x₁ of the label grid, in cell order.
+    let mut sent = vec![0usize; plan.q()];
+    for &(x1, x2) in cells {
+        sent[x1] += 2 * real(x2).len();
+    }
+    for src in 0..plan.n() {
+        link(inbox1, 2, src, u, sent[plan.label_of(src)] * width);
+    }
+
+    let block = sub * sub;
+    let mut hats = vec![ring.zero(); cells.len() * m * 2 * block];
+    // Elements of a label-x₁ link that belong to cells already decoded.
+    let mut skip = vec![0usize; plan.q()];
+    for (&(x1, x2), hats) in cells.iter().zip(hats.chunks_exact_mut(m * 2 * block)) {
+        // Real indices with one label are ascending and padding cuts only a
+        // suffix, so the k-th of them has cell-local index k: row ρ's
+        // slices are a prefix of cell row k, and the rest stays zero.
+        let mut s_cell = Matrix::filled(side, side, ring.zero());
+        let mut t_cell = s_cell.clone();
+        for (k, &rho) in real(x1).iter().enumerate() {
+            let mut rd = WordReader::new(&inbox1.received(u, rho)[skip[x1] * width..]);
+            for cell in [&mut s_cell, &mut t_cell] {
+                for e in &mut cell.row_mut(k)[..real(x2).len()] {
+                    *e = ring.read_elem(&mut rd);
+                }
+            }
+        }
+        skip[x1] += 2 * real(x2).len();
+        for (w, pair) in hats.chunks_exact_mut(2 * block).enumerate() {
+            let (s_hat, t_hat) = pair.split_at_mut(block);
+            for (cell, hat, terms) in [
+                (&s_cell, s_hat, alg.alpha(w)),
+                (&t_cell, t_hat, alg.beta(w)),
+            ] {
+                for &(i, j, coeff) in terms {
+                    for (r, hat_row) in hat.chunks_exact_mut(sub).enumerate() {
+                        axpy(
+                            ring,
+                            coeff,
+                            &cell.row(i * sub + r)[j * sub..][..sub],
+                            hat_row,
+                        );
+                    }
+                }
+            }
+        }
+    }
+    hats
+}
+
+/// Step 4 at term owner `t`: assembles the full `Ŝ⁽ʷ⁾`, `T̂⁽ʷ⁾` of every
+/// owned term from `inbox3` and returns the products `P̂⁽ʷ⁾`, in term order.
+fn multiply_terms<R: Ring>(
+    plan: &FastPlan,
+    ring: &R,
+    inbox3: &Inboxes,
+    t: usize,
+) -> Vec<Matrix<R::Elem>> {
+    let (sub, full) = (plan.sub(), plan.q() * plan.sub());
+    let terms = plan.terms_of(t).len();
+    let mut s_full = vec![Matrix::filled(full, full, ring.zero()); terms];
+    let mut t_full = s_full.clone();
+    for src in 0..plan.n() {
+        // One (Ŝ⁽ʷ⁾, T̂⁽ʷ⁾) sub-block pair per cell of `src` per owned term.
+        let pairs = plan.cells_of(src).len() * terms;
+        let words = link(inbox3, 4, src, t, pairs * 2 * sub * sub * ring.elem_width());
+        let mut rd = WordReader::new(words);
+        for &(x1, x2) in plan.cells_of(src) {
+            for slot in 0..terms {
+                for hat in [&mut s_full[slot], &mut t_full[slot]] {
+                    for r in 0..sub {
+                        for e in &mut hat.row_mut(x1 * sub + r)[x2 * sub..][..sub] {
+                            *e = ring.read_elem(&mut rd);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    s_full
+        .iter()
+        .zip(&t_full)
+        .map(|(sf, tf)| ring.mul_dense(sf, tf))
+        .collect()
+}
+
+/// Step 6 at cell owner `u`: decodes `P̂⁽ʷ⁾[x₁∗, x₂∗]` of every term from
+/// `inbox5` and returns, per owned cell, the block `P[∗x₁∗, ∗x₂∗]`.
+fn evaluate_lambda<R: Ring>(
+    plan: &FastPlan,
+    ring: &R,
+    alg: &BilinearAlgorithm,
+    inbox5: &Inboxes,
+    u: usize,
+) -> Vec<Matrix<R::Elem>> {
+    let (n, d, m, sub, width) = (plan.n(), plan.d(), plan.m(), plan.sub(), ring.elem_width());
+    let cells = plan.cells_of(u).len();
+    let block = sub * sub;
+    for t in 0..n {
+        // Per owned term, one sub-block per cell of `u`, in cell order.
+        link(
+            inbox5,
+            6,
+            t,
+            u,
+            plan.terms_of(t).len() * cells * block * width,
+        );
+    }
+    (0..cells)
+        .map(|idx| {
+            // This cell's sub-block of every term, `[w][r][c]`.
+            let mut phat = Vec::with_capacity(m * block);
+            for w in 0..m {
+                let (t, slot) = (plan.term_owner(w), w / n);
+                debug_assert_eq!(plan.terms_of(t)[slot], w);
+                let at = (slot * cells + idx) * block * width;
+                let mut rd = WordReader::new(&inbox5.received(u, t)[at..]);
+                phat.extend((0..block).map(|_| ring.read_elem(&mut rd)));
+            }
+            let mut p_cell = Matrix::filled(d * sub, d * sub, ring.zero());
+            for i in 0..d {
+                for j in 0..d {
+                    for &(w, coeff) in alg.lambda(i, j) {
+                        for (r, src) in phat[w * block..][..block].chunks_exact(sub).enumerate() {
+                            axpy(
+                                ring,
+                                coeff,
+                                src,
+                                &mut p_cell.row_mut(i * sub + r)[j * sub..][..sub],
+                            );
+                        }
+                    }
+                }
+            }
+            p_cell
+        })
+        .collect()
 }
 
 /// [`multiply`] with the Strassen tensor power best suited to the clique
@@ -410,7 +426,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_algebra::IntRing;
+    use cc_algebra::{IntRing, Semiring};
     use cc_clique::CliqueConfig;
 
     fn rand_matrix(n: usize, seed: u64) -> Matrix<i64> {
@@ -474,6 +490,161 @@ mod tests {
             );
             assert_eq!(p.to_matrix(), Matrix::mul(&f13, &a, &b), "n={n}");
         }
+    }
+
+    /// Every plan shape the offsets must survive, each checked against the
+    /// local product over `ring` with elements drawn through `elem`.
+    fn check_awkward_plans<R: Ring + Sync>(ring: &R, elem: impl Fn(i64) -> R::Elem)
+    where
+        R::Elem: Send + Sync,
+    {
+        let strassen = BilinearAlgorithm::strassen();
+        let squared = strassen.power(2);
+        let plans = [
+            // Several terms per node (m = 7 > n), odd n: padded rows.
+            ("m > n", FastPlan::new(5, &strassen), &strassen),
+            ("m > n", FastPlan::new(6, &strassen), &strassen),
+            // q² = 9 > n = 6: some nodes own two cells.
+            ("two cells", FastPlan::with_q(6, &strassen, 3), &strassen),
+            // q = 4 > n = 3: cells of one label row share an owner, so a
+            // link carries several slice pairs; label 3 has no real index.
+            ("shared row", FastPlan::with_q(3, &strassen, 4), &strassen),
+            // m = 49 > n = 20: up to three terms per node.
+            ("three terms", FastPlan::new(20, &squared), &squared),
+            // m = 7 < n = 12 and q² < n: nodes with no term, nodes with no cell.
+            ("idle nodes", FastPlan::new(12, &strassen), &strassen),
+            // n = 7 is not a multiple of d·q: the last rows are padding.
+            ("padding", FastPlan::with_q(7, &strassen, 2), &strassen),
+        ];
+        for (what, plan, alg) in plans {
+            let n = plan.n();
+            let a = rand_matrix(n, 7 + n as u64).map(|&x| elem(x));
+            let b = rand_matrix(n, 70 + n as u64).map(|&x| elem(x));
+            let mut clique = Clique::new(n);
+            let p = multiply_with_plan(
+                &mut clique,
+                ring,
+                alg,
+                &plan,
+                &RowMatrix::from_matrix(&a),
+                &RowMatrix::from_matrix(&b),
+            );
+            assert_eq!(
+                p.to_matrix(),
+                Matrix::mul(ring, &a, &b),
+                "{what}: n={n} q={} m={}",
+                plan.q(),
+                plan.m()
+            );
+        }
+    }
+
+    #[test]
+    fn awkward_plans_over_the_integers() {
+        check_awkward_plans(&IntRing, |x| x);
+    }
+
+    #[test]
+    fn awkward_plans_over_a_prime_field() {
+        let f13 = cc_algebra::ModRing::new(13);
+        check_awkward_plans(&f13, |x| f13.reduce(x));
+    }
+
+    #[test]
+    fn awkward_plans_over_wide_elements() {
+        // Three words per element: every offset is exercised with a width.
+        use cc_algebra::{CappedPoly, PolyRing};
+        let ring = PolyRing::new(3);
+        assert_eq!(ring.elem_width(), 3);
+        check_awkward_plans(&ring, |x| {
+            let lead = CappedPoly::monomial(3, x.rem_euclid(3) as usize);
+            ring.add(&lead, &ring.scale(x, &CappedPoly::monomial(3, 2)))
+        });
+    }
+
+    /// Inboxes in which every `src → dst` link carries `len(src, dst)` zero
+    /// words.
+    fn inboxes_of_lengths(n: usize, len: impl Fn(usize, usize) -> usize) -> Inboxes {
+        Clique::new(n).exchange(|src| (0..n).map(|dst| (dst, vec![0; len(src, dst)])).collect())
+    }
+
+    /// Words the plan puts on the step-1 link `src → dst`.
+    fn step1_words(plan: &FastPlan, src: usize, dst: usize) -> usize {
+        plan.cells_of(dst)
+            .iter()
+            .filter(|cell| cell.0 == plan.label_of(src))
+            .map(|cell| 2 * plan.real_indices_with_label(cell.1).len())
+            .sum()
+    }
+
+    /// Words the plan puts on the step-5 link `src → dst`.
+    fn step5_words(plan: &FastPlan, src: usize, dst: usize) -> usize {
+        plan.terms_of(src).len() * plan.cells_of(dst).len() * plan.sub() * plan.sub()
+    }
+
+    #[test]
+    fn decoding_steps_accept_what_the_plan_prescribes() {
+        let alg = BilinearAlgorithm::strassen();
+        let plan = FastPlan::with_q(6, &alg, 3);
+        let inbox1 = inboxes_of_lengths(6, |s, u| step1_words(&plan, s, u));
+        let inbox5 = inboxes_of_lengths(6, |t, u| step5_words(&plan, t, u));
+        for u in 0..6 {
+            assert!(form_hats(&plan, &IntRing, &alg, &inbox1, u)
+                .iter()
+                .all(|&e| e == 0));
+            assert_eq!(
+                evaluate_lambda(&plan, &IntRing, &alg, &inbox5, u).len(),
+                plan.cells_of(u).len()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "step-2 payload from node 5 to node 1: 3 words, plan expects 4")]
+    fn step_2_names_a_short_link() {
+        let alg = BilinearAlgorithm::strassen();
+        let plan = FastPlan::with_q(6, &alg, 3);
+        assert_eq!(step1_words(&plan, 5, 1), 4);
+        let inbox1 = inboxes_of_lengths(6, |s, u| {
+            step1_words(&plan, s, u) - usize::from((s, u) == (5, 1))
+        });
+        form_hats(&plan, &IntRing, &alg, &inbox1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "step-2 payload from node 4 to node 1: 1 words, plan expects 0")]
+    fn step_2_names_a_link_that_should_be_silent() {
+        let alg = BilinearAlgorithm::strassen();
+        let plan = FastPlan::with_q(6, &alg, 3);
+        assert_eq!(step1_words(&plan, 4, 1), 0);
+        let inbox1 = inboxes_of_lengths(6, |s, u| {
+            step1_words(&plan, s, u) + usize::from((s, u) == (4, 1))
+        });
+        form_hats(&plan, &IntRing, &alg, &inbox1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "step-6 payload from node 0 to node 2: 5 words, plan expects 4")]
+    fn step_6_names_a_long_link() {
+        let alg = BilinearAlgorithm::strassen();
+        let plan = FastPlan::with_q(6, &alg, 3);
+        assert_eq!(step5_words(&plan, 0, 2), 4);
+        let inbox5 = inboxes_of_lengths(6, |t, u| {
+            step5_words(&plan, t, u) + usize::from((t, u) == (0, 2))
+        });
+        evaluate_lambda(&plan, &IntRing, &alg, &inbox5, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "step-6 payload from node 3 to node 2: 1 words, plan expects 2")]
+    fn step_6_names_a_short_link() {
+        let alg = BilinearAlgorithm::strassen();
+        let plan = FastPlan::with_q(6, &alg, 3);
+        assert_eq!(step5_words(&plan, 3, 2), 2);
+        let inbox5 = inboxes_of_lengths(6, |t, u| {
+            step5_words(&plan, t, u) - usize::from((t, u) == (3, 2))
+        });
+        evaluate_lambda(&plan, &IntRing, &alg, &inbox5, 2);
     }
 
     #[test]

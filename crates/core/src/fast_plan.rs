@@ -246,6 +246,8 @@ impl FastPlan {
 
     /// The *real* (unpadded) row/column indices with label digit `x`, in
     /// `(i, r)`-major order — the transmission order of all scatter steps.
+    /// The order is ascending, so padding removes a suffix of it: the `k`-th
+    /// real index has cell-local index `i·sub + r = k`.
     #[must_use]
     pub fn real_indices_with_label(&self, x: usize) -> &[usize] {
         &self.label_indices[x]
@@ -323,6 +325,26 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..30).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn the_kth_real_index_of_a_label_has_cell_local_index_k() {
+        // `fast_mm` decodes row slices as prefixes of cell rows on the
+        // strength of this: padding cuts only a suffix of a label's indices.
+        let alg = BilinearAlgorithm::strassen();
+        for plan in [
+            FastPlan::new(30, &alg),
+            FastPlan::with_q(7, &alg, 2),
+            FastPlan::with_q(3, &alg, 4),
+            FastPlan::new(50, &alg.power(2)),
+        ] {
+            for x in 0..plan.q() {
+                for (k, &rho) in plan.real_indices_with_label(x).iter().enumerate() {
+                    let (i, label, r) = plan.decompose(rho);
+                    assert_eq!((label, i * plan.sub() + r), (x, k), "{plan:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,14 +9,37 @@
 use crate::plan3d::Plan3d;
 use crate::row_matrix::RowMatrix;
 use cc_algebra::{Dist, Matrix, MinPlus, Semiring};
-use cc_clique::{Clique, WordReader, WordWriter};
+use cc_clique::{Clique, Outbox, WordReader};
 
-fn encode_slice<S: Semiring>(s: &S, slice: &[S::Elem]) -> Vec<u64> {
-    let mut w = WordWriter::new();
-    for e in slice {
-        s.write_elem(e, &mut w);
+/// Step 1 of both 3D products, at row owner `v`: its slice `S[v, u₂∗∗]` to
+/// every active node `(rb, u₂, u₃)` and its slice `T[v, u₃∗∗]` to every
+/// active node `(u₁, rb, u₃)`, where `rb` is the block of row `v`.
+fn scatter_row<S: Semiring>(
+    plan: &Plan3d,
+    s: &S,
+    a_row: &[S::Elem],
+    b_row: &[S::Elem],
+    v: usize,
+) -> Outbox {
+    let (p, rb) = (plan.p(), plan.block_of_row(v));
+    let mut out = Outbox::new();
+    let mut send = |dst: usize, slice: &[S::Elem]| {
+        let w = out.message(dst);
+        for e in slice {
+            s.write_elem(e, w);
+        }
+    };
+    for u2 in 0..p {
+        for u3 in 0..p {
+            send(plan.node_of(rb, u2, u3), &a_row[plan.block_range(u2)]);
+        }
     }
-    w.into_words()
+    for u3 in 0..p {
+        for u1 in 0..p {
+            send(plan.node_of(u1, rb, u3), &b_row[plan.block_range(u3)]);
+        }
+    }
+    out
 }
 
 fn decode_slice<S: Semiring>(s: &S, words: &[u64], count: usize) -> Vec<S::Elem> {
@@ -79,27 +102,7 @@ where
 
         // Step 1: row owners scatter row slices to the active subcube nodes.
         let inbox = clique.phase("mm3d.scatter", |c| {
-            c.route_par(|v| {
-                let rb = plan.block_of_row(v);
-                let mut out = Vec::new();
-                // S[v, u₂∗∗] to every active u = (rb, u₂, u₃).
-                for u2 in 0..p {
-                    let cols = plan.block_range(u2);
-                    let payload = encode_slice(s, &a.row(v)[cols]);
-                    for u3 in 0..p {
-                        out.push((plan.node_of(rb, u2, u3), payload.clone()));
-                    }
-                }
-                // T[v, u₃∗∗] to every active u = (u₁, rb, u₃).
-                for u3 in 0..p {
-                    let cols = plan.block_range(u3);
-                    let payload = encode_slice(s, &b.row(v)[cols]);
-                    for u1 in 0..p {
-                        out.push((plan.node_of(u1, rb, u3), payload.clone()));
-                    }
-                }
-                out
-            })
+            c.route_par(|v| scatter_row(&plan, s, a.row(v), b.row(v), v))
         });
 
         // Step 2: each active node multiplies its blocks locally — the
@@ -141,15 +144,17 @@ where
         // Step 3: active nodes return product row slices to the row owners.
         let inbox2 = clique.phase("mm3d.gather", |c| {
             c.route_par(|u| {
-                if u >= plan.active() {
-                    return Vec::new();
+                let mut out = Outbox::new();
+                if u < plan.active() {
+                    let (u1, _, _) = plan.digits(u);
+                    for (idx, r) in plan.block_range(u1).enumerate() {
+                        let w = out.message(r);
+                        for e in partials[u].row(idx) {
+                            s.write_elem(e, w);
+                        }
+                    }
                 }
-                let (u1, _, _) = plan.digits(u);
-                let part = &partials[u];
-                plan.block_range(u1)
-                    .enumerate()
-                    .map(|(idx, r)| (r, encode_slice(s, part.row(idx))))
-                    .collect()
+                out
             })
         });
 
@@ -203,25 +208,7 @@ pub fn distance_product_with_witness(
 
         // Step 1 is identical to `multiply` over MinPlus.
         let inbox = clique.phase("mm3d.scatter", |c| {
-            c.route_par(|v| {
-                let rb = plan.block_of_row(v);
-                let mut out = Vec::new();
-                for u2 in 0..p {
-                    let cols = plan.block_range(u2);
-                    let payload = encode_slice(&s, &a.row(v)[cols]);
-                    for u3 in 0..p {
-                        out.push((plan.node_of(rb, u2, u3), payload.clone()));
-                    }
-                }
-                for u3 in 0..p {
-                    let cols = plan.block_range(u3);
-                    let payload = encode_slice(&s, &b.row(v)[cols]);
-                    for u1 in 0..p {
-                        out.push((plan.node_of(u1, rb, u3), payload.clone()));
-                    }
-                }
-                out
-            })
+            c.route_par(|v| scatter_row(&plan, &s, a.row(v), b.row(v), v))
         });
 
         // Step 2: local min-plus block products tracking the arg-min inner
@@ -277,22 +264,18 @@ pub fn distance_product_with_witness(
         // Step 3: return (distance, witness) pairs — two words per entry.
         let inbox2 = clique.phase("mm3d.gather", |c| {
             c.route_par(|u| {
-                if u >= plan.active() {
-                    return Vec::new();
-                }
-                let (u1, _, _) = plan.digits(u);
-                let part = &partials[u];
-                plan.block_range(u1)
-                    .enumerate()
-                    .map(|(idx, r)| {
-                        let mut w = WordWriter::new();
-                        for (d, q) in part.row(idx) {
-                            s.write_elem(d, &mut w);
+                let mut out = Outbox::new();
+                if u < plan.active() {
+                    let (u1, _, _) = plan.digits(u);
+                    for (idx, r) in plan.block_range(u1).enumerate() {
+                        let w = out.message(r);
+                        for (d, q) in partials[u].row(idx) {
+                            s.write_elem(d, w);
                             w.push(*q as u64);
                         }
-                        (r, w.into_words())
-                    })
-                    .collect()
+                    }
+                }
+                out
             })
         });
 

@@ -228,7 +228,7 @@ where
                     );
                 }
             }
-            flush(msgs)
+            flush(msgs).into()
         })
     });
     // Each node parses its seed inbox exactly once (on the executor); the
@@ -274,7 +274,7 @@ where
                     }
                 }
             }
-            flush(msgs)
+            flush(msgs).into()
         })
     });
     let fwd_ent = exec.map(n, |h| decode(&fwds, h));
@@ -343,7 +343,7 @@ where
             if let Some((cx, w)) = cur.take() {
                 out.push((cx, w.into_words()));
             }
-            out
+            out.into()
         })
     });
 

@@ -342,7 +342,7 @@ pub fn detect_4cycle(clique: &mut Clique, g: &Graph) -> bool {
                 }
                 debug_assert!(count <= 8 * degrees[y], "Lemma 13 bound per tile");
             }
-            out
+            out.into()
         });
 
         // Each x checks for two walks meeting at the same z ≠ x (scanned on

@@ -87,9 +87,10 @@
 //! [`LinkSlab`](transport::LinkSlab), see "Transport layer" below), handed
 //! to the fabric in a single call, and — on the in-memory fabric — handed
 //! back as the inboxes without a word being copied. The balanced router
-//! draws a relay per word while counting per-link loads (pass one), then
-//! scatters the words into the phase's slab (pass two), once per phase;
-//! nothing on the path is per-word or per-link.
+//! draws a relay per word and counts per-link loads once per message
+//! *shape* (pass one, cached process-wide: see "Relay schedules" in
+//! [`clique`]), then scatters the words into each phase's slab by that
+//! table (pass two); nothing on the path allocates per word or per link.
 //!
 //! The determinism contract is strict: results, executed round counts, and
 //! communication-pattern fingerprints are **bit-identical** across

@@ -97,7 +97,8 @@ proptest! {
         let run = |kind: ExecutorKind| {
             let mut c = Clique::with_config(n, cfg(kind));
             let via_links = c.exchange_par(pattern(n, seed));
-            let via_relays = c.route_par(pattern(n, seed ^ 0xabc));
+            let relayed = pattern(n, seed ^ 0xabc);
+            let via_relays = c.route_par(|v| relayed(v).into());
             let inboxes: Vec<Vec<Vec<u64>>> = (0..n)
                 .map(|dst| {
                     (0..n)
@@ -465,6 +466,30 @@ fn algorithms_are_transport_independent() {
         let got = run_algorithms_with(cfg_transport(kind), n, seed);
         assert_eq!(reference, got, "transport {kind:?} diverged");
     }
+}
+
+/// The relay-schedule cell of the matrix: the router draws a routed step's
+/// relays on first use of its shape and serves them from a process-wide
+/// cache afterwards. The same queries run twice in this process — cold, on
+/// a route seed nothing else here uses, then warm — agree on every result,
+/// rounds, words, pattern fingerprints, and barrier epochs.
+#[test]
+fn a_warm_schedule_cache_replays_the_cold_run() {
+    use congested_clique::clique::route_schedule_stats;
+    let config = CliqueConfig {
+        route_seed: 0xc01d_5eed,
+        ..cfg_transport(TransportKind::InMemory)
+    };
+    let (_, misses, _) = route_schedule_stats();
+    let cold = run_algorithms_with(config.clone(), 12, 41);
+    let (hits, drawn, _) = route_schedule_stats();
+    assert!(
+        drawn > misses,
+        "an unseen route seed must draw its schedules"
+    );
+    let warm = run_algorithms_with(config, 12, 41);
+    assert!(route_schedule_stats().0 > hits, "the second run must hit");
+    assert_eq!(cold, warm, "a cached schedule changed the run");
 }
 
 /// The tentpole acceptance pin: triangle counting as a wire program on the
