@@ -23,6 +23,11 @@
 //! [`BilinearAlgorithm`], which is exactly the form the paper's fast
 //! distributed multiplication (Section 2.2) consumes.
 //!
+//! [`BitMatrix`], [`BoolSemiring`]'s `mul_dense`, [`Kernel`] and
+//! [`kernel::tile`] are pinned by `benchmark/`'s `local-mm` workload and
+//! `algebra.*_us.*` probes, so the Boolean kernels stay as they are until a
+//! `[benchmark]` PR decides them (ROADMAP item 4).
+//!
 //! ## Example
 //!
 //! ```rust

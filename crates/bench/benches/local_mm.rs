@@ -153,7 +153,7 @@ criterion_group!(benches_unused, bench_kernels);
 
 fn main() {
     // Hand-rolled entry instead of `criterion_main!` so the shim's recorded
-    // measurements can be exported (same scheme as pool_scaling).
+    // measurements can be exported (same scheme as runtime_scaling).
     let _ = benches_unused;
     let (rounds, words) = assert_cross_kernel_identity();
     let mut criterion = Criterion::default();

@@ -1,7 +1,7 @@
 //! Network-condition overhead: Seidel APSP and the resident
 //! `TriangleProgram` workload on cliques of growing size, with the fabric
 //! conditioned by each `cc-netsim` profile (`off`, `lan`, `wan`, `lossy`,
-//! `flaky-node`) over two transport backends (`inmemory`, `channel`).
+//! `flaky-node`) over two transport backends (`inmemory`, star `tcp`).
 //!
 //! The determinism split is **asserted before anything is exported**: every
 //! profile × backend cell must reproduce the unconditioned in-memory run's
@@ -31,7 +31,14 @@ const PROFILES: [NetsimProfile; 5] = [
 ];
 const BACKENDS: [(&str, TransportKind); 2] = [
     ("inmemory", TransportKind::InMemory),
-    ("channel", TransportKind::Channel),
+    (
+        "tcp",
+        TransportKind::Tcp {
+            workers: 2,
+            resident: false,
+            addr: None,
+        },
+    ),
 ];
 
 /// The deterministic half of one cell: everything the netsim contract says
@@ -208,7 +215,7 @@ fn main() {
 
 /// Writes `BENCH_netsim.json` at the workspace root from the deterministic
 /// model costs and the criterion measurements (ids look like
-/// `apsp_seidel/n32/lossy/channel`).
+/// `apsp_seidel/n32/lossy/tcp`).
 fn export_json(measurements: Vec<criterion::Measurement>, model_costs: &[ModelCost]) {
     use std::fmt::Write as _;
 
@@ -258,7 +265,7 @@ fn export_json(measurements: Vec<criterion::Measurement>, model_costs: &[ModelCo
         "{{\n  \"host_available_parallelism\": {host_threads},\n  \"netsim_seed\": \
          {NETSIM_SEED},\n  \"note\": \"Seidel APSP and the resident TriangleProgram workload \
          under every cc-netsim profile (off/lan/wan/lossy/flaky-node) over the inmemory and \
-         channel fabrics. Results, rounds, words, and pattern fingerprints are asserted \
+         star tcp fabrics. Results, rounds, words, and pattern fingerprints are asserted \
          bit-identical to the unconditioned run before export (loss is absorbed by retransmit, \
          flaky-node crash/restart re-ships program state); sim_time_ns is the simulated \
          completion time (max over delivering links per round), asserted reproducible per seed \

@@ -118,8 +118,8 @@ fn noop(_c: &mut Criterion) {}
 fn main() {
     // Hand-rolled entry instead of `criterion_main!` so the shim's recorded
     // measurements can be exported — one measurement pass feeds both the
-    // stdout report and BENCH_service.json (same scheme as the pool,
-    // sparse, and transport scaling benches).
+    // stdout report and BENCH_service.json (same scheme as the sparse
+    // and transport scaling benches).
     let _ = benches_unused;
     let mut criterion = Criterion::default();
     bench_service_scaling(&mut criterion);

@@ -90,7 +90,7 @@ fn noop(_c: &mut Criterion) {}
 fn main() {
     // Hand-rolled entry instead of `criterion_main!` so the shim's recorded
     // measurements can be exported — one measurement pass feeds both the
-    // stdout report and BENCH_sparse.json (same scheme as pool_scaling).
+    // stdout report and BENCH_sparse.json (same scheme as runtime_scaling).
     let _ = benches_unused;
     let mut criterion = Criterion::default();
     let model_costs = bench_sparse_scaling(&mut criterion);

@@ -1,8 +1,8 @@
 //! Transport overhead: one full fast bilinear multiplication (`fast_mm`) on
 //! cliques of `n ∈ {64, 128, 256}` nodes, with the traffic carried by each
-//! star-topology transport backend — the in-memory slab move, per-node
-//! thread queues (`channel`), multi-process unix-socket workers (`socket`),
-//! and TCP-stream workers (`tcp`) — plus a program-resident workload
+//! star-topology transport backend — the in-memory slab move,
+//! multi-process unix-socket workers (`socket`), and TCP-stream workers
+//! (`tcp`) — plus a program-resident workload
 //! (`TriangleProgram` via `count_triangles_program`) that additionally runs
 //! peer-resident TCP (`tcp-peer`), where shards are shipped to the workers
 //! once and per-round words flow worker → worker.
@@ -32,9 +32,8 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 const SIZES: [usize; 3] = [64, 128, 256];
 const TRIANGLE_SIZES: [usize; 2] = [32, 64];
 const SOCKET_WORKERS: usize = 2;
-const STAR_BACKENDS: [(&str, TransportKind); 4] = [
+const STAR_BACKENDS: [(&str, TransportKind); 3] = [
     ("inmemory", TransportKind::InMemory),
-    ("channel", TransportKind::Channel),
     (
         "socket",
         TransportKind::Socket {
@@ -202,8 +201,8 @@ fn noop(_c: &mut Criterion) {}
 fn main() {
     // Hand-rolled entry instead of `criterion_main!` so the shim's recorded
     // measurements can be exported — one measurement pass feeds both the
-    // stdout report and BENCH_transport.json (same scheme as pool_scaling
-    // and sparse_scaling).
+    // stdout report and BENCH_transport.json (same scheme as
+    // sparse_scaling).
     let _ = benches_unused;
     let mut criterion = Criterion::default();
     let model_costs = bench_transport_scaling(&mut criterion);
@@ -271,7 +270,7 @@ fn export_json(measurements: Vec<criterion::Measurement>, model_costs: &[ModelCo
          TriangleProgram workload (star + peer-resident TCP) end-to-end per transport backend. \
          Rounds, words, and pattern fingerprints are asserted bit-identical across backends \
          before export (the determinism contract); *_ns is wall-clock including transport \
-         construction (thread spawn for channel, worker-process spawn for socket/tcp). \
+         construction (worker-process spawn for socket/tcp). \
          bytes_through_orchestrator counts payload bytes transiting the orchestrator — \
          asserted ~0 for tcp-peer (programs resident on workers, words flow peer-to-peer) and \
          > 0 for the star process backends. overhead_vs_inmemory is the median ratio against \

@@ -58,9 +58,8 @@ fn main() {
         .memory()
         .expect("with_memory aggregates in memory");
 
-    let backends: [(&str, TransportKind); 5] = [
+    let backends: [(&str, TransportKind); 4] = [
         ("inmemory", TransportKind::InMemory),
-        ("channel", TransportKind::Channel),
         ("socket", TransportKind::Socket { workers: 2 }),
         (
             "tcp",
@@ -324,10 +323,9 @@ fn replay(path: &str) {
 /// (each is a complete JSON document, so splicing preserves validity);
 /// absent artifacts are listed rather than silently dropped.
 fn collate_existing_artifacts() -> String {
-    const ARTIFACTS: [&str; 7] = [
+    const ARTIFACTS: [&str; 6] = [
         "kernel",
         "netsim",
-        "pool",
         "runtime",
         "service",
         "sparse",

@@ -69,8 +69,7 @@ pub struct CliqueConfig {
     /// environment variable).
     pub exec_cutover: Option<usize>,
     /// Message fabric carrying every communication step (see
-    /// [`TransportKind`]): the in-memory slab move (the default),
-    /// cross-thread channels with one inbox queue per node, or true
+    /// [`TransportKind`]): the in-memory slab move (the default) or true
     /// multi-process unix-socket / TCP workers. Deliveries, rounds, words, and
     /// pattern fingerprints are bit-identical across backends. The default
     /// consults the `CC_TRANSPORT` environment variable — mirroring
@@ -290,7 +289,8 @@ impl Clique {
     }
 
     /// Name of the transport backend carrying this clique's traffic
-    /// (`"inmemory"`, `"channel"`, `"socket"`, or `"tcp"`).
+    /// (`"inmemory"`, `"socket"` for the unix-socket star, or `"tcp"` for
+    /// both TCP modes).
     #[must_use]
     pub fn transport_name(&self) -> &'static str {
         self.net.transport_name()

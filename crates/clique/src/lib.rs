@@ -29,13 +29,12 @@
 //! ## Execution backends
 //!
 //! Simulations run on a pluggable executor selected through
-//! [`CliqueConfig::executor`]: [`ExecutorKind::Sequential`] (the default),
-//! [`ExecutorKind::Parallel`] — a **persistent worker pool** built once at
-//! clique construction, reused by every step, joined when the clique drops
-//! — or [`ExecutorKind::Spawn`], the legacy scoped-threads-per-call
-//! backend kept for ablation. All shard node-local computation and message
-//! delivery via the [`cc_runtime`] engine while keeping results, round
-//! counts, and pattern fingerprints bit-identical. [`Clique::exchange_par`]
+//! [`CliqueConfig::executor`]: [`ExecutorKind::Sequential`] (the default)
+//! or [`ExecutorKind::Parallel`] — a **persistent worker pool** built once
+//! at clique construction, reused by every step, joined when the clique
+//! drops. The pool shards node-local computation and message delivery via
+//! the [`cc_runtime`] engine while keeping results, round counts, and
+//! pattern fingerprints bit-identical. [`Clique::exchange_par`]
 //! / [`Clique::route_par`] / [`Clique::route_dynamic_par`] /
 //! [`Clique::gossip_par`] accept `Fn + Sync` generators evaluated on the
 //! backend — the two routed ones write each node's messages into one flat
@@ -48,10 +47,9 @@
 //!
 //! Orthogonally to the executor, [`CliqueConfig::transport`] selects the
 //! **message fabric** every communication step travels through (see
-//! [`TransportKind`]): the in-memory fabric (the default), cross-thread
-//! channels with one inbox queue per node, or true multi-process
-//! simulation over unix sockets or TCP (`cc-clique-node` worker processes,
-//! length-prefixed frames, round-commit barrier). Every primitive builds
+//! [`TransportKind`]): the in-memory fabric (the default) or true
+//! multi-process simulation over unix sockets or TCP (`cc-clique-node`
+//! worker processes, length-prefixed frames, round-commit barrier). Every primitive builds
 //! its step's traffic as one flat destination-major buffer
 //! (`cc_transport::LinkSlab`, a two-pass counting sort over the generated
 //! messages — for [`Clique::route`], pass one is the step's relay schedule,
@@ -59,8 +57,8 @@
 //! [`Inboxes`] it gets back are a view of the delivered buffer. Deliveries,
 //! rounds, words, pattern fingerprints, and barrier epochs
 //! ([`Clique::transport_epochs`]) are bit-identical across fabrics; the
-//! `CC_TRANSPORT` environment variable (`inmemory` / `channel` /
-//! `socket[:workers]`) retargets every default-configured clique exactly
+//! `CC_TRANSPORT` environment variable (`inmemory` / `socket[:workers]` /
+//! `tcp[-peer][:workers]`) retargets every default-configured clique exactly
 //! like `CC_EXECUTOR`, and an unrecognised value is reported once instead
 //! of being silently swallowed.
 //!

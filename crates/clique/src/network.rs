@@ -20,9 +20,8 @@ use std::sync::Arc;
 /// use the network to talk to itself).
 ///
 /// Where the traffic physically travels is the transport's business: the
-/// in-memory backend moves the slab straight into the delivery, the channel
-/// backend cuts it into frames for per-node thread queues, and the socket
-/// and TCP backends ship it shard by shard to worker processes. All are
+/// in-memory backend moves the slab straight into the delivery, and the
+/// socket and TCP backends ship it shard by shard to worker processes. All are
 /// bit-identical in deliveries, loads, and therefore rounds and pattern
 /// fingerprints.
 #[derive(Debug)]
@@ -162,7 +161,12 @@ mod tests {
         fill(&mut reference);
         let reference = reference.flush_full();
         let backends: Vec<Box<dyn Transport>> = vec![
-            TransportKind::Channel.build(7, Executor::default()),
+            TransportKind::Tcp {
+                workers: 2,
+                resident: false,
+                addr: None,
+            }
+            .build(7, Executor::default()),
             TransportKind::Socket { workers: 3 }.build(7, Executor::default()),
         ];
         for backend in backends {

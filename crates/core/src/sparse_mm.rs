@@ -32,7 +32,7 @@
 //!
 //! All node-local work fans out on the clique's configured executor and all
 //! communication uses the `_par` primitives, so results, rounds, words, and
-//! fingerprints are bit-identical across Sequential/Parallel/Spawn backends.
+//! fingerprints are bit-identical across the Sequential and Parallel backends.
 
 use crate::fast_mm;
 use crate::row_matrix::RowMatrix;

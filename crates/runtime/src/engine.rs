@@ -353,7 +353,7 @@ impl Engine {
     ) -> Vec<NodeOutbox> {
         let n = programs.len();
         // One piece per node, dispatched on the executor (inline when
-        // sequential or below the cutover, pooled/scoped otherwise):
+        // sequential or below the cutover, pooled otherwise):
         // `map_chunks_mut` hands each worker exclusive ownership of its
         // `(program, halted)` pairs and merges outboxes back in node order
         // — deterministic by construction. The engine itself never spawns.

@@ -30,14 +30,6 @@ pub enum ExecutorKind {
         /// Worker thread count; `0` means "one per available CPU".
         threads: usize,
     },
-    /// The legacy parallel backend: spawn and join *scoped* threads on
-    /// every call. Same results as [`ExecutorKind::Parallel`], strictly
-    /// more per-call overhead; kept as the baseline for the pool ablation
-    /// bench (`BENCH_pool.json`).
-    Spawn {
-        /// Worker thread count; `0` means "one per available CPU".
-        threads: usize,
-    },
 }
 
 impl ExecutorKind {
@@ -48,7 +40,7 @@ impl ExecutorKind {
     }
 
     /// Reads the backend from the `CC_EXECUTOR` environment variable
-    /// (`sequential`, `parallel`/`pooled`, or `spawn`, optionally suffixed
+    /// (`sequential` or `parallel`/`pooled`, optionally suffixed
     /// `:<threads>` as in `parallel:4`), falling back to `fallback` when
     /// unset. This is how CI forces the whole test suite onto the parallel
     /// backend without touching call sites. A malformed value is reported
@@ -58,13 +50,13 @@ impl ExecutorKind {
         crate::env_config::from_env_or(
             "cc-runtime",
             "CC_EXECUTOR",
-            "sequential, parallel[:threads], or spawn[:threads]",
+            "sequential or parallel[:threads]",
             fallback,
             Self::parse,
         )
     }
 
-    /// Parses a backend spec (`sequential`, `parallel`/`pooled`, `spawn`,
+    /// Parses a backend spec (`sequential` or `parallel`/`pooled`,
     /// optionally suffixed `:<threads>`); `None` for unknown names **or**
     /// malformed thread suffixes. `parallel:banana` must not silently mean
     /// `threads: 0` (machine-sized) — rejecting the whole spec lets
@@ -78,7 +70,6 @@ impl ExecutorKind {
         match name.to_ascii_lowercase().as_str() {
             "sequential" | "seq" => Some(ExecutorKind::Sequential),
             "parallel" | "pooled" | "pool" => Some(ExecutorKind::Parallel { threads }),
-            "spawn" | "scoped" => Some(ExecutorKind::Spawn { threads }),
             _ => None,
         }
     }
@@ -86,12 +77,10 @@ impl ExecutorKind {
     fn resolved_threads(self) -> usize {
         match self {
             ExecutorKind::Sequential => 1,
-            ExecutorKind::Parallel { threads: 0 } | ExecutorKind::Spawn { threads: 0 } => {
-                std::thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            }
-            ExecutorKind::Parallel { threads } | ExecutorKind::Spawn { threads } => threads,
+            ExecutorKind::Parallel { threads: 0 } => std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1),
+            ExecutorKind::Parallel { threads } => threads,
         }
     }
 }
@@ -99,7 +88,7 @@ impl ExecutorKind {
 /// A handle that runs independent per-index work on some backend.
 ///
 /// The core operation is [`Executor::map`]: evaluate `f(0), …, f(n-1)` and
-/// return the results in index order. The parallel backends distribute
+/// return the results in index order. The parallel backend distributes
 /// indices over worker threads with an atomic work-stealing counter (so
 /// skewed per-index costs still balance) and then merge results by index,
 /// which makes the output — and anything downstream of it — independent of
@@ -122,12 +111,11 @@ pub struct Executor {
     threads: usize,
     /// Piece-count threshold below which parallel kinds run inline.
     cutover: usize,
-    /// The persistent pool (pooled kind with `threads > 1` only).
+    /// The persistent pool: present exactly when `threads > 1`.
     pool: Option<Arc<WorkerPool>>,
-    /// OS threads this executor (and its clones) ever spawned — pool
-    /// workers at construction plus any per-call scoped threads. The
-    /// race-free spawn probe: on the pooled backend this must never move
-    /// after `new` returns.
+    /// OS threads this executor (and its clones) ever spawned — the pool
+    /// workers, at construction. The race-free spawn probe: this must
+    /// never move after `new` returns.
     spawns: Arc<AtomicUsize>,
 }
 
@@ -233,8 +221,7 @@ impl Executor {
     /// OS threads this executor (and its clones, which share the counter)
     /// has ever spawned. The pooled backend spawns exactly `threads - 1`
     /// workers inside [`Executor::new`] and never again — the spawn probe
-    /// the determinism tests pin; the spawn backend grows this on every
-    /// dispatched call. Per-instance, so concurrent tests cannot perturb
+    /// the determinism tests pin. Per-instance, so concurrent tests cannot perturb
     /// each other's readings (unlike the process-global
     /// [`crate::pool_threads_spawned`] diagnostic).
     #[must_use]
@@ -252,6 +239,13 @@ impl Executor {
             return 1;
         }
         self.threads.clamp(1, n.max(1))
+    }
+
+    /// The pool a dispatched job runs on.
+    fn pool(&self) -> &WorkerPool {
+        self.pool
+            .as_deref()
+            .expect("threads_for dispatches only when threads > 1, which builds a pool")
     }
 
     /// Evaluates `f` at every index in `0..n`, returning results in index
@@ -279,10 +273,7 @@ impl Executor {
             }
             out
         };
-        let parts: Vec<Vec<(usize, T)>> = match &self.pool {
-            Some(pool) => run_pooled(pool, steal_loop),
-            None => run_scoped(threads, &self.spawns, steal_loop),
-        };
+        let parts: Vec<Vec<(usize, T)>> = run_pooled(self.pool(), steal_loop);
         // Deterministic merge: results land in their index slot regardless
         // of which worker computed them.
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -327,35 +318,20 @@ impl Executor {
         for (i, piece) in pieces.into_iter().enumerate() {
             assignments[i % threads].push((i, piece));
         }
-        let parts: Vec<Vec<(usize, U)>> = match &self.pool {
-            Some(pool) => {
-                // Hand each participant exclusive ownership of its
-                // assignment through a per-slot mutex (uncontended: slot
-                // `s` is taken only by participant `s`).
-                let assignments: Vec<Mutex<Share<'_, T>>> =
-                    assignments.into_iter().map(Mutex::new).collect();
-                run_pooled(pool, |slot| {
-                    let mine = assignments
-                        .get(slot)
-                        .map(|m| std::mem::take(&mut *m.lock().expect("assignment mutex")))
-                        .unwrap_or_default();
-                    mine.into_iter()
-                        .map(|(i, piece)| (i, f(i, piece)))
-                        .collect::<Vec<_>>()
-                })
-            }
-            None => {
-                let assignments = Mutex::new(assignments.into_iter().map(Some).collect::<Vec<_>>());
-                run_scoped(threads, &self.spawns, |slot| {
-                    let mine = assignments.lock().expect("assignment mutex")[slot]
-                        .take()
-                        .unwrap_or_default();
-                    mine.into_iter()
-                        .map(|(i, piece)| (i, f(i, piece)))
-                        .collect::<Vec<_>>()
-                })
-            }
-        };
+        // Hand each participant exclusive ownership of its assignment
+        // through a per-slot mutex (uncontended: slot `s` is taken only by
+        // participant `s`).
+        let assignments: Vec<Mutex<Share<'_, T>>> =
+            assignments.into_iter().map(Mutex::new).collect();
+        let parts: Vec<Vec<(usize, U)>> = run_pooled(self.pool(), |slot| {
+            let mine = assignments
+                .get(slot)
+                .map(|m| std::mem::take(&mut *m.lock().expect("assignment mutex")))
+                .unwrap_or_default();
+            mine.into_iter()
+                .map(|(i, piece)| (i, f(i, piece)))
+                .collect::<Vec<_>>()
+        });
         let mut slots: Vec<Option<U>> = (0..n_pieces).map(|_| None).collect();
         for part in parts {
             for (i, v) in part {
@@ -479,32 +455,6 @@ fn run_pooled<R: Send>(pool: &WorkerPool, work: impl Fn(usize) -> R + Sync) -> V
     parts.into_inner().expect("parts mutex")
 }
 
-/// The legacy backend: spawn `threads` scoped threads for this one call and
-/// join them before returning. Each spawn is recorded on the executor's
-/// spawn counter so the probes see exactly what this backend costs.
-fn run_scoped<R: Send>(
-    threads: usize,
-    spawns: &AtomicUsize,
-    work: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|slot| {
-                let work = &work;
-                spawns.fetch_add(1, Ordering::SeqCst);
-                scope.spawn(move || work(slot))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,36 +465,29 @@ mod tests {
         Executor::with_cutover(ExecutorKind::Parallel { threads }, 0)
     }
 
-    fn spawner(threads: usize) -> Executor {
-        Executor::with_cutover(ExecutorKind::Spawn { threads }, 0)
-    }
-
     #[test]
     fn map_matches_sequential_reference() {
         let seq = Executor::new(ExecutorKind::Sequential);
         let f = |i: usize| (i * i) as u64 ^ 0xdead;
-        for par in [pooled(4), spawner(4)] {
-            for n in [0, 1, 2, 7, 64, 1000] {
-                assert_eq!(seq.map(n, f), par.map(n, f), "n={n} kind={:?}", par.kind());
-            }
+        let par = pooled(4);
+        for n in [0, 1, 2, 7, 64, 1000] {
+            assert_eq!(seq.map(n, f), par.map(n, f), "n={n}");
         }
     }
 
     #[test]
     fn map_handles_skewed_work() {
-        for par in [pooled(3), spawner(3)] {
-            let out = par.map(100, |i| {
-                // Index 0 is far more expensive than the rest; work stealing
-                // keeps the other workers busy.
-                if i == 0 {
-                    (0..100_000u64).fold(0, |a, x| a ^ x.wrapping_mul(31))
-                } else {
-                    i as u64
-                }
-            });
-            assert_eq!(out.len(), 100);
-            assert_eq!(out[5], 5);
-        }
+        let out = pooled(3).map(100, |i| {
+            // Index 0 is far more expensive than the rest; work stealing
+            // keeps the other workers busy.
+            if i == 0 {
+                (0..100_000u64).fold(0, |a, x| a ^ x.wrapping_mul(31))
+            } else {
+                i as u64
+            }
+        });
+        assert_eq!(out.len(), 100);
+        assert_eq!(out[5], 5);
     }
 
     #[test]
@@ -599,12 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn spawn_backend_spawns_per_call_but_pool_does_not() {
-        // The ablation contrast the pool exists to win.
-        let sp = spawner(3);
-        let _ = sp.map(64, |i| i);
-        let _ = sp.map(64, |i| i);
-        assert_eq!(sp.threads_spawned(), 6, "spawn backend pays per call");
+    fn pool_pays_for_its_threads_at_construction_only() {
         let po = pooled(3);
         let _ = po.map(64, |i| i);
         let _ = po.map(64, |i| i);
@@ -651,7 +589,6 @@ mod tests {
         };
         let reference = run(&Executor::new(ExecutorKind::Sequential));
         assert_eq!(reference, run(&pooled(4)));
-        assert_eq!(reference, run(&spawner(4)));
     }
 
     #[test]
@@ -692,15 +629,14 @@ mod tests {
             Some(ExecutorKind::Parallel { threads: 4 })
         );
         assert_eq!(
-            ExecutorKind::parse("spawn:2"),
-            Some(ExecutorKind::Spawn { threads: 2 })
-        );
-        assert_eq!(
             ExecutorKind::parse("pooled:0"),
             Some(ExecutorKind::Parallel { threads: 0 }),
             "an explicit 0 means machine-sized"
         );
-        assert_eq!(ExecutorKind::parse("fancy"), None);
+        // The deleted spawn-per-call backend's spellings are malformed now.
+        for gone in ["fancy", "spawn", "spawn:2", "scoped"] {
+            assert_eq!(ExecutorKind::parse(gone), None, "{gone}");
+        }
     }
 
     #[test]
@@ -709,7 +645,7 @@ mod tests {
         // (machine-sized), silently misconfiguring the backend. A bad
         // suffix must reject the whole spec so `from_env_or` falls back.
         assert_eq!(ExecutorKind::parse("parallel:banana"), None);
-        assert_eq!(ExecutorKind::parse("spawn:"), None, "empty suffix");
+        assert_eq!(ExecutorKind::parse("parallel:"), None, "empty suffix");
         assert_eq!(ExecutorKind::parse("parallel:-2"), None);
         assert_eq!(ExecutorKind::parse("parallel:4x"), None);
         assert_eq!(

@@ -14,12 +14,11 @@
 //!   [`ExecutorKind::Parallel`] fans work out over a **persistent worker
 //!   pool** (threads spawned once at `Executor::new`, parked between calls,
 //!   joined when the last handle drops) and merges per-shard results at a
-//!   deterministic barrier; [`ExecutorKind::Spawn`] is the legacy
-//!   spawn-scoped-threads-per-call backend, kept as the pool's ablation
-//!   baseline. All backends produce the same outputs in the same order, so
-//!   round counts, inbox contents and pattern fingerprints never depend on
-//!   the backend (verified by the determinism property tests). Jobs smaller
-//!   than a tunable cutover run inline ([`Executor::threads_for`]).
+//!   deterministic barrier. Both backends produce the same outputs in the
+//!   same order, so round counts, inbox contents and pattern fingerprints
+//!   never depend on the backend (verified by the determinism property
+//!   tests). Jobs smaller than a tunable cutover run inline
+//!   ([`Executor::threads_for`]).
 //! * [`NodeProgram`] — one node's per-round state machine:
 //!   `fn round(&mut self, ctx: &mut RoundCtx) -> Control`. This replaces the
 //!   global-lockstep closure style for algorithms that opt in: instead of a
@@ -42,6 +41,16 @@
 //! this by only parallelising *independent per-node* work (stepping node
 //! state machines, assembling per-destination inboxes) and merging results
 //! in node-index order at each barrier.
+//!
+//! ## Variant ledger
+//!
+//! A variant stays while a `benchmark/` workload or probe runs on it, or it
+//! covers a scenario nothing else does; no entry, no variant.
+//!
+//! | `CC_EXECUTOR` | earns its place with |
+//! |---|---|
+//! | `sequential` | every `benchmark/` workload runs on it: the reference semantics |
+//! | `parallel[:threads]` | probe `runtime.map_us.parallel2`, and the forced-parallel CI lane (`CC_EXECUTOR=parallel CC_EXEC_CUTOVER=2`) that holds the determinism contract under real dispatch |
 //!
 //! ## Example
 //!

@@ -7,8 +7,7 @@
 //!   the only place the pool ever creates threads (observable through the
 //!   owning executor's spawn counter, which the spawn-probe tests pin).
 //! * **Reuse** — every [`WorkerPool::run`] call publishes one job to the
-//!   same parked workers; no threads are spawned or joined per call, which
-//!   is exactly the per-call overhead the scoped-thread backend pays.
+//!   same parked workers; no threads are spawned or joined per call.
 //! * **Shutdown** — dropping the last handle to the pool flips the shutdown
 //!   flag, wakes every worker, and joins them; no threads outlive the pool.
 //!

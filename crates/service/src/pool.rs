@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 /// fixed `(executor, transport)` configuration.
 ///
 /// Building a clique is the expensive part of a one-shot call: the pooled
-/// executor spawns worker threads, the channel transport one OS thread per
-/// node, the socket transport whole worker processes. The pool pays that
+/// executor spawns worker threads, the socket and TCP transports whole
+/// worker processes. The pool pays that
 /// once per `(n, config)` and then serves every subsequent query by
 /// [`Clique::reset`] — which zeroes the accounting but keeps the warm
 /// infrastructure — so the steady-state cost of a query is the simulation

@@ -149,7 +149,7 @@ pub enum Event {
     ///
     /// [`TraceLevel::Rounds`]: crate::TraceLevel::Rounds
     TransportRound {
-        /// Backend name (`"inmemory"`, `"channel"`, `"socket"`).
+        /// Backend name (`"inmemory"`, `"socket"`, `"tcp"`).
         backend: &'static str,
         /// Barrier epoch this round committed.
         epoch: u64,
@@ -603,7 +603,6 @@ fn intern(s: &str) -> &'static str {
     // Fast path: the names the instrumented layers actually emit.
     const KNOWN: &[&str] = &[
         "inmemory",
-        "channel",
         "socket",
         "tcp",
         "lan",

@@ -1,57 +1,32 @@
-//! The worker process of the multi-process transports: simulates a
-//! contiguous shard of clique nodes on behalf of an orchestrator, speaking
-//! length-prefixed frames.
+//! The worker process of the process fabric: simulates a contiguous shard of
+//! clique nodes on behalf of an orchestrator (`cc_transport::StreamTransport`),
+//! speaking length-prefixed frames.
 //!
-//! Usage:
-//! * unix-socket star mode (`cc_transport::SocketTransport`):
-//!   `cc-clique-node <socket-path> <worker> <lo> <count> <n> [trace]` —
-//!   the optional `trace` is the orchestrator-forwarded `CC_TRACE` level
-//!   name (defaults to `off`)
-//! * TCP star / program-resident mode (`cc_transport::TcpTransport`):
-//!   `cc-clique-node tcp://<host>:<port> <worker>` — the shard assignment
-//!   and peer routing table arrive over the wire. Only the builtin
-//!   registry programs are decodable here; algorithm programs need the
-//!   facade's `cc-clique-host` binary.
+//! Usage: `cc-clique-node <endpoint> <worker>` with `<endpoint>` the
+//! orchestrator's `unix://<path>` or `tcp://<host>:<port>`; the shard
+//! assignment, trace level and peer routing table arrive over the wire.
+//! Only the builtin registry programs are decodable here; algorithm programs
+//! need the facade's `cc-clique-host` binary.
 
-use std::path::Path;
 use std::process::exit;
 
+fn registry() -> cc_runtime::ResidentRegistry {
+    cc_runtime::ResidentRegistry::with_builtins()
+}
+
 fn main() {
+    let name = env!("CARGO_BIN_NAME");
     let args: Vec<String> = std::env::args().collect();
-    if args.len() >= 2 {
-        if let Some(addr) = args[1].strip_prefix("tcp://") {
-            if args.len() != 3 {
-                eprintln!("usage: cc-clique-node tcp://<host>:<port> <worker>");
-                exit(2);
-            }
-            let worker: u32 = args[2].parse().unwrap_or_else(|_| {
-                eprintln!("cc-clique-node: bad worker index {:?}", args[2]);
-                exit(2);
-            });
-            let registry = cc_runtime::ResidentRegistry::with_builtins();
-            if let Err(e) = cc_transport::tcp_worker_main(addr, worker, registry) {
-                eprintln!("cc-clique-node tcp worker {worker}: {e}");
-                exit(1);
-            }
-            return;
-        }
-    }
-    if args.len() != 6 && args.len() != 7 {
-        eprintln!("usage: cc-clique-node <socket-path> <worker> <lo> <count> <n> [trace]");
-        exit(2);
-    }
-    let parse = |i: usize| -> usize {
-        args[i].parse().unwrap_or_else(|_| {
-            eprintln!("cc-clique-node: bad numeric argument {:?}", args[i]);
-            exit(2);
-        })
+    let worker = match args.as_slice() {
+        [_, _, worker] => worker.parse::<u32>().ok(),
+        _ => None,
     };
-    let (worker, lo, count, n) = (parse(2), parse(3), parse(4), parse(5));
-    let trace = args.get(6).map_or("off", String::as_str);
-    if let Err(e) =
-        cc_transport::worker_main(Path::new(&args[1]), worker as u32, lo, count, n, trace)
-    {
-        eprintln!("cc-clique-node worker {worker}: {e}");
+    let Some(worker) = worker else {
+        eprintln!("usage: {name} unix://<path>|tcp://<host>:<port> <worker>");
+        exit(2);
+    };
+    if let Err(e) = cc_transport::worker_main(&args[1], worker, registry()) {
+        eprintln!("{name} worker {worker}: {e}");
         exit(1);
     }
 }

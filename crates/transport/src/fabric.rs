@@ -12,8 +12,8 @@ use std::sync::Arc;
 /// rows the engine's [`NodeInbox`] is made of. On the in-memory backend this is
 /// behaviourally identical to the engine's built-in
 /// [`cc_runtime::EngineFabric`] (same loads, same inbox assembly, shared
-/// broadcast slabs); on channel and socket backends the same program
-/// traffic physically crosses thread queues or process boundaries.
+/// broadcast slabs); on the socket and TCP backends the same program
+/// traffic physically crosses process boundaries.
 #[derive(Debug)]
 pub struct TransportFabric<'a> {
     transport: &'a mut dyn Transport,

@@ -4,10 +4,9 @@
 //! one link, a worker's whole destination shard of a round, a broadcast
 //! slab, a round delimiter, a worker greeting, or a round-commit token. On
 //! byte streams (unix sockets, TCP) frames travel length-prefixed (`u32`
-//! little-endian byte count, then the encoded frame); the channel backend
-//! ships the same encoded bytes through per-node queues, so one codec — and
-//! one set of round-trip property tests — covers every backend that leaves
-//! shared memory.
+//! little-endian byte count, then the encoded frame), so one codec — and one
+//! set of round-trip property tests — covers everything that leaves shared
+//! memory.
 //!
 //! All integers are little-endian. [`Word`]s are transmitted verbatim as 8
 //! bytes, so the full 64-bit width survives the wire (property-tested with
@@ -32,9 +31,9 @@ pub enum Frame {
     },
     /// Unicast payload for the `(src, dst)` link in round `epoch`. Words
     /// are in send order; several payload frames for one link concatenate.
-    /// The per-link unit of the channel backend; the stream backends (star
-    /// rounds and the TCP peer mesh) move a round as [`Frame::Shard`]s
-    /// instead.
+    /// No fabric sends it — rounds move as [`Frame::Shard`]s; kept for the
+    /// `transport.encode_ns_per_word.*` probe until a `[benchmark]` PR
+    /// repoints it at [`Frame::Shard`].
     Payload {
         /// Round this payload belongs to.
         epoch: u64,
@@ -77,8 +76,7 @@ pub enum Frame {
     /// Orderly teardown: the peer should exit its receive loop.
     Shutdown,
     /// Orchestrator → worker shard assignment: the worker owns nodes
-    /// `lo..lo + count` of an `n`-node clique. Sent once at setup on
-    /// backends whose workers learn their shard over the wire (TCP).
+    /// `lo..lo + count` of an `n`-node clique. Sent once at setup.
     Assign {
         /// Index of the worker in the orchestrator's spawn order.
         worker: u32,
@@ -94,7 +92,8 @@ pub enum Frame {
         trace: String,
     },
     /// Worker → orchestrator: the address (`host:port`) the worker's peer
-    /// listener is bound to, for the orchestrator's routing table.
+    /// listener is bound to, for the orchestrator's routing table; empty
+    /// when the worker bound none (unix sockets).
     PeerAddr {
         /// The reporting worker.
         worker: u32,
@@ -434,12 +433,6 @@ impl Frame {
     }
 }
 
-/// Encoded size of a [`Frame::Payload`] body carrying `words` words: tag,
-/// epoch, src, dst, word count, words.
-fn payload_len(words: usize) -> usize {
-    1 + 8 + 4 + 4 + 4 + 8 * words
-}
-
 fn put_payload(buf: &mut Vec<u8>, epoch: u64, src: u32, dst: u32, words: &[Word]) {
     buf.push(TAG_PAYLOAD);
     buf.extend_from_slice(&epoch.to_le_bytes());
@@ -603,16 +596,6 @@ pub fn push_frame_bytes(batch: &mut Vec<u8>, body: &[u8]) {
     batch.extend_from_slice(body);
 }
 
-/// Encodes a [`Frame::Payload`] body straight from a word slice — the bytes
-/// of `Frame::Payload { .. }.encode()` without first copying the words into
-/// a frame. This is how a [`crate::LinkSlab`] link goes onto a queue.
-#[must_use]
-pub fn encode_payload(epoch: u64, src: u32, dst: u32, words: &[Word]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(payload_len(words.len()));
-    put_payload(&mut buf, epoch, src, dst, words);
-    buf
-}
-
 /// Appends one length-prefixed [`Frame::Shard`] to a batch buffer, encoded
 /// straight from a per-link length table and the shard's word slice —
 /// exactly the bytes [`push_frame`] produces for the equivalent frame. This
@@ -758,19 +741,6 @@ mod tests {
         ];
         for f in frames {
             assert_eq!(Frame::decode(&f.encode()), Ok(f.clone()), "{f:?}");
-        }
-    }
-
-    #[test]
-    fn payloads_encode_identically_from_a_slice() {
-        for words in [vec![], vec![7], vec![0, Word::MAX, 42]] {
-            let frame = Frame::Payload {
-                epoch: 9,
-                src: 3,
-                dst: 1,
-                words: words.clone(),
-            };
-            assert_eq!(encode_payload(9, 3, 1, &words), frame.encode());
         }
     }
 

@@ -4,33 +4,38 @@
 //! each node's next inbox and the per-link word counts are charged. This
 //! crate makes the fabric carrying that traffic **pluggable**: the
 //! [`Transport`] trait covers per-round send/recv, the barrier rendezvous,
-//! and per-link word accounting, and four deterministic backends implement
+//! and per-link word accounting, and two deterministic backends implement
 //! it:
 //!
 //! * [`InMemoryTransport`] — the classical single-process fabric: the
 //!   round's [`LinkSlab`] is moved from the sender to the delivery and the
 //!   accounting is read off its offset table. The reference semantics, and
 //!   the fastest.
-//! * [`ChannelTransport`] — cross-thread message passing: one OS thread and
-//!   one MPSC inbox queue per simulated node; the parent feeds encoded
-//!   [`Frame`]s into each inbox, and rounds are delimited by an epoch
-//!   rendezvous (every node returns its assembled inbox and accounting for
-//!   the epoch before the round is charged).
-//! * [`SocketTransport`] — true multi-process simulation: a parent
-//!   orchestrator spawns `cc-clique-node` worker processes, each owning a
-//!   contiguous shard of destinations, and exchanges length-prefixed
-//!   frames over unix domain sockets: one [`Frame::Shard`] per worker per
-//!   round out, the same frame echoed back. The round barrier is a
-//!   round-commit token: the round completes only when every worker has
-//!   committed the epoch with a dense table of the words it charged.
-//! * [`TcpTransport`] — the same orchestrator/worker protocol over TCP
-//!   (loopback by default, multi-host with an explicit bind address), plus
-//!   a **program-resident** mode: [`cc_runtime::WireProgram`] shards are
-//!   shipped to the workers once, per-round traffic flows worker→worker
-//!   over a direct peer mesh — one [`Frame::Shard`] per peer per round —
-//!   and the orchestrator's per-round role shrinks to brokering the barrier
-//!   (dense commit tables and epochs) and collecting final states — the
+//! * [`StreamTransport`] — true multi-process simulation: an orchestrator
+//!   and worker processes, each owning a contiguous shard of destinations,
+//!   exchanging length-prefixed [`Frame`]s over one byte stream per worker.
+//!   Two constructors differ only in how a worker is reached:
+//!   [`StreamTransport::unix`] (backend `"socket"`, `cc-clique-node`
+//!   children over a unix domain socket) and [`StreamTransport::tcp`]
+//!   (backend `"tcp"`, loopback by default, multi-host with an explicit bind
+//!   address). A classical round is a *star* round: one [`Frame::Shard`] per
+//!   worker out, the same frame echoed back, and a round-commit token — the
+//!   round completes only when every worker has committed the epoch with a
+//!   dense table of the words it charged. TCP adds a **program-resident**
+//!   mode: [`cc_runtime::WireProgram`] shards ship to the workers once,
+//!   per-round traffic flows worker→worker over a direct peer mesh — one
+//!   [`Frame::Shard`] per peer per round — and the orchestrator's per-round
+//!   role shrinks to brokering the barrier and collecting final states: the
 //!   star becomes a clique.
+//!
+//! Setup is one handshake for both constructors: the orchestrator binds a
+//! listener and spawns `<worker-binary> <endpoint> <worker>` per worker
+//! (`unix://<path>` or `tcp://<host>:<port>`); each worker connects and
+//! greets with [`Frame::Hello`] + [`Frame::PeerAddr`] (its peer-listener
+//! address; empty on a unix socket), and is answered with its shard
+//! ([`Frame::Assign`], which also forwards the trace level) and the routing
+//! table ([`Frame::Peers`]). The worker side of all of it is
+//! [`worker_main`].
 //!
 //! ## One round, one buffer
 //!
@@ -42,40 +47,56 @@
 //! ([`Transport::send_slab`]); the barrier hands a slab back
 //! ([`RoundDelivery::unicast`]) together with the round's broadcast slabs
 //! (one list per *source*, shared by every recipient) and its canonical
-//! [`LinkLoads`]. On the stream backends (unix sockets, TCP) the slab is
-//! also the wire unit: each worker owns a contiguous range of destinations,
-//! hence a contiguous range of any slab, which ships as **one**
-//! [`Frame::Shard`] (the range's per-link lengths, then its words, encoded
-//! straight from the slab's slices). On the star the orchestrator ships
-//! each worker its range of the round's slab, the worker echoes it as one
-//! frame, and it is appended to the delivered slab in one step. On the
-//! program-resident peer mesh each worker gathers its own nodes' outboxes
-//! into a slab, keeps its own range and ships every peer the peer's range;
-//! the receiver cuts its nodes' inboxes from the shards, each source's
-//! words from the shard of the worker owning that source. Either way the
-//! workers' commit tokens carry their charged words as dense tables in the
-//! same link order, so the canonical loads are read off them without a
-//! sort. The channel backend cuts per-link [`Frame::Payload`]s from slab
-//! slices instead. Nothing on any path keeps a queue per link.
+//! [`LinkLoads`]. On the stream backend the slab is also the wire unit: each
+//! worker owns a contiguous range of destinations, hence a contiguous range
+//! of any slab, which ships as **one** [`Frame::Shard`] (the range's
+//! per-link lengths, then its words, encoded straight from the slab's
+//! slices). On the star the orchestrator ships each worker its range of the
+//! round's slab, the worker echoes it as one frame, and it is appended to
+//! the delivered slab in one step. On the program-resident peer mesh each
+//! worker gathers its own nodes' outboxes into a slab, keeps its own range
+//! and ships every peer the peer's range; the receiver cuts its nodes'
+//! inboxes from the shards, each source's words from the shard of the worker
+//! owning that source. Either way the workers' commit tokens carry their
+//! charged words as dense tables in the same link order, so the canonical
+//! loads are read off them without a sort. Nothing on any path keeps a queue
+//! per link.
 //!
 //! ## Determinism contract
 //!
 //! For any send pattern, every backend produces the same deliveries, the
 //! same canonical `(src, dst)`-ordered [`LinkLoads`], and therefore the same
 //! round counts and pattern fingerprints, bit for bit. Backends differ only
-//! in *where* the traffic physically travels: thread queues, socket buffers,
-//! or shared memory.
+//! in *where* the traffic physically travels: socket buffers or shared
+//! memory.
 //!
 //! The backend is chosen through [`TransportKind`]; like the executor's
 //! `CC_EXECUTOR`, the `CC_TRANSPORT` environment variable retargets every
 //! default-configured simulation in the process
 //! ([`TransportKind::from_env_or`]), which is how CI runs the full suite on
 //! each fabric.
+//!
+//! ## Variant ledger
+//!
+//! A variant stays while a `benchmark/` workload or probe runs on it, or it
+//! covers a scenario nothing else does; no entry, no variant.
+//!
+//! | `CC_TRANSPORT` | built by | earns its place with |
+//! |---|---|---|
+//! | `inmemory` | [`InMemoryTransport`] | workload `tri-inmem` (and every other in-process workload): the reference semantics |
+//! | `socket` | [`StreamTransport::unix`] | workload `tri-socket`, probes `transport.round_us.socket.*` |
+//! | `tcp` | [`StreamTransport::tcp`], star | probes `transport.round_us.tcp.*`, `transport.setup_ms.tcp`; the only star that crosses hosts |
+//! | `tcp-peer` | [`StreamTransport::tcp`], resident | workload `triprog-tcp-peer`: payloads bypass the orchestrator |
+//!
+//! [`Frame::Payload`] and [`Transport::send`] (with `Pending`'s append log)
+//! serve no fabric any more; both are kept for the
+//! `transport.encode_ns_per_word.*` / `transport.round_us.*` probes until a
+//! `[benchmark]` PR repoints those at [`Frame::Shard`] and
+//! [`Transport::send_slab`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod channel;
 mod fabric;
 pub mod frame;
 mod inmemory;
@@ -86,16 +107,14 @@ mod star;
 mod tcp;
 mod traced;
 
-pub use crate::channel::ChannelTransport;
 pub use crate::fabric::TransportFabric;
 pub use crate::frame::{
-    encode_frame_batch, encode_payload, push_bcast_frame, push_frame, push_frame_bytes,
-    push_shard_frame, read_frame, write_frame, Frame, FrameError, MAX_FRAME_BYTES,
+    encode_frame_batch, push_bcast_frame, push_frame, push_frame_bytes, push_shard_frame,
+    read_frame, write_frame, Frame, FrameError, MAX_FRAME_BYTES,
 };
 pub use crate::inmemory::InMemoryTransport;
 pub use crate::slab::{LinkSlab, SlabWriter};
-pub use crate::socket::{worker_main, SocketTransport, DEFAULT_SOCKET_WORKERS};
-pub use crate::tcp::{tcp_worker_main, TcpTransport, DEFAULT_TCP_WORKERS};
+pub use crate::socket::{worker_main, StreamTransport, DEFAULT_STREAM_WORKERS};
 pub use crate::traced::TracedTransport;
 
 use cc_runtime::{Executor, LinkLoads, ResidentOutcome, Word};
@@ -135,7 +154,7 @@ pub struct RoundDelivery {
 /// deterministic: identical call sequences yield identical
 /// [`RoundDelivery`]s on every backend.
 pub trait Transport: fmt::Debug + Send {
-    /// Human-readable backend name (`"inmemory"`, `"channel"`, `"socket"`).
+    /// Human-readable backend name (`"inmemory"`, `"socket"`, `"tcp"`).
     fn name(&self) -> &'static str;
 
     /// Number of simulated nodes.
@@ -263,13 +282,10 @@ pub enum TransportKind {
     /// default): the round's slab is moved from sender to delivery.
     #[default]
     InMemory,
-    /// Cross-thread fabric: one node thread + MPSC inbox queue per node,
-    /// rounds delimited by an epoch rendezvous.
-    Channel,
     /// Multi-process fabric: `cc-clique-node` worker processes over unix
     /// domain sockets, barrier via per-epoch round-commit tokens.
     Socket {
-        /// Worker process count; `0` means [`DEFAULT_SOCKET_WORKERS`]
+        /// Worker process count; `0` means [`DEFAULT_STREAM_WORKERS`]
         /// (clamped to `n`).
         workers: usize,
     },
@@ -278,7 +294,7 @@ pub enum TransportKind {
     /// optional program-resident mode where rounds flow worker→worker over
     /// a direct peer mesh.
     Tcp {
-        /// Worker process count; `0` means [`DEFAULT_TCP_WORKERS`]
+        /// Worker process count; `0` means [`DEFAULT_STREAM_WORKERS`]
         /// (clamped to `n`).
         workers: usize,
         /// Program-resident mode (`tcp-peer` / `peer` specs): ship
@@ -293,7 +309,7 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// Parses a backend spec: `inmemory`/`memory`/`mem`, `channel`/`mpsc`,
+    /// Parses a backend spec: `inmemory`/`memory`/`mem`,
     /// `socket`/`unix` (optionally suffixed `:<workers>` as in `socket:8`),
     /// or `tcp`/`tcp-peer`/`peer` with the grammar
     /// `tcp[:<workers>][:<host>:<port>]` — `tcp`, `tcp:4`,
@@ -312,7 +328,6 @@ impl TransportKind {
             "inmemory" | "in-memory" | "memory" | "mem" if rest.is_none() => {
                 Some(TransportKind::InMemory)
             }
-            "channel" | "mpsc" if rest.is_none() => Some(TransportKind::Channel),
             "socket" | "unix" => Some(TransportKind::Socket {
                 workers: match rest {
                     Some(w) => w.parse().ok()?,
@@ -365,28 +380,27 @@ impl TransportKind {
         cc_runtime::env_config::from_env_or(
             "cc-transport",
             "CC_TRANSPORT",
-            "inmemory, channel, socket[:workers], or tcp[-peer][:workers][:host:port]",
+            "inmemory, socket[:workers], or tcp[-peer][:workers][:host:port]",
             fallback,
             Self::parse,
         )
     }
 
     /// Builds a transport of this kind for `n` nodes. No backend runs
-    /// anything on the executor any more — the in-memory barrier moves one
-    /// slab instead of sharding a flush, and the others have their own
-    /// concurrency (node threads, worker processes) — so `_exec` is kept
-    /// only so existing callers compile unchanged.
+    /// anything on the executor — the in-memory barrier moves one slab and
+    /// the stream fabric's concurrency is its worker processes — so `_exec`
+    /// is kept only because `benchmark/` calls this signature; the next
+    /// `[benchmark]` PR drops it.
     #[must_use]
     pub fn build(self, n: usize, _exec: Executor) -> Box<dyn Transport> {
         let inner: Box<dyn Transport> = match self {
             TransportKind::InMemory => Box::new(InMemoryTransport::new(n)),
-            TransportKind::Channel => Box::new(ChannelTransport::new(n)),
-            TransportKind::Socket { workers } => Box::new(SocketTransport::new(n, workers)),
+            TransportKind::Socket { workers } => Box::new(StreamTransport::unix(n, workers)),
             TransportKind::Tcp {
                 workers,
                 resident,
                 addr,
-            } => Box::new(TcpTransport::new(n, workers, resident, addr)),
+            } => Box::new(StreamTransport::tcp(n, workers, resident, addr)),
         };
         // Observer-only instrumentation: wrapped at build time only when
         // round tracing is on, so untraced runs keep the bare backend.
@@ -396,19 +410,6 @@ impl TransportKind {
             inner
         }
     }
-}
-
-/// Merges the load triples the channel nodes reported (each accounts its
-/// own destinations) into one canonical [`LinkLoads`]: globally sorted by
-/// `(src, dst)`, zero and self entries already excluded by construction of
-/// the inputs (and re-filtered by `add`).
-pub(crate) fn merge_loads(mut triples: Vec<(usize, usize, usize)>) -> LinkLoads {
-    triples.sort_unstable();
-    let mut loads = LinkLoads::new();
-    for (src, dst, words) in triples {
-        loads.add(src, dst, words);
-    }
-    loads
 }
 
 #[cfg(test)]
@@ -422,11 +423,6 @@ mod tests {
             Some(TransportKind::InMemory)
         );
         assert_eq!(TransportKind::parse("MEM"), Some(TransportKind::InMemory));
-        assert_eq!(
-            TransportKind::parse("channel"),
-            Some(TransportKind::Channel)
-        );
-        assert_eq!(TransportKind::parse("mpsc"), Some(TransportKind::Channel));
         assert_eq!(
             TransportKind::parse("socket"),
             Some(TransportKind::Socket { workers: 0 })
@@ -482,9 +478,9 @@ mod tests {
         assert_eq!(TransportKind::parse("socket:-1"), None);
         assert_eq!(TransportKind::parse("socket:4x"), None);
         assert_eq!(
-            TransportKind::parse("channel:2"),
+            TransportKind::parse("inmemory:2"),
             None,
-            "worker suffixes are socket-only"
+            "worker suffixes are for the process fabrics"
         );
     }
 
@@ -496,13 +492,17 @@ mod tests {
         let fb = TransportKind::InMemory;
         assert_eq!(TransportKind::resolve(None, fb), Ok(fb));
         assert_eq!(
-            TransportKind::resolve(Some("channel"), fb),
-            Ok(TransportKind::Channel)
+            TransportKind::resolve(Some("unix:3"), fb),
+            Ok(TransportKind::Socket { workers: 3 })
         );
-        assert_eq!(
-            TransportKind::resolve(Some("sockets"), fb),
-            Err("sockets".to_string())
-        );
+        // The deleted thread-queue fabric's spellings are malformed now,
+        // not a silent preference for something else.
+        for gone in ["sockets", "channel", "mpsc"] {
+            assert_eq!(
+                TransportKind::resolve(Some(gone), fb),
+                Err(gone.to_string())
+            );
+        }
         assert_eq!(TransportKind::resolve(Some(""), fb), Err(String::new()));
     }
 }

@@ -252,9 +252,8 @@ impl SlabWriter {
     }
 }
 
-/// Builds a [`LinkSlab`] from pieces that already arrive in slab order
-/// (non-decreasing `dst * n + src`) — the channel nodes' rows link by link,
-/// the star workers' echoed shards whole — by plain appending, with no
+/// Builds a [`LinkSlab`] from the star workers' echoed shards, which
+/// arrive whole and in destination order, by plain appending, with no
 /// counting pass.
 #[derive(Debug)]
 pub(crate) struct SlabAppender {
@@ -273,22 +272,6 @@ impl SlabAppender {
             offsets,
             words: Vec::new(),
         }
-    }
-
-    /// Appends `words` to the `(src, dst)` link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the link precedes one already appended to.
-    pub(crate) fn append(&mut self, src: usize, dst: usize, words: &[Word]) {
-        assert!(src < self.n && dst < self.n, "node index out of range");
-        let link = dst * self.n + src;
-        assert!(
-            link + 1 >= self.offsets.len(),
-            "link runs must arrive in (dst, src) order"
-        );
-        self.offsets.resize(link + 1, self.words.len());
-        self.words.extend_from_slice(words);
     }
 
     /// Appends a whole destination shard starting at destination `lo`:
@@ -374,23 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn appender_matches_the_counting_sort() {
-        let runs = [
-            (1usize, 0usize, [8u64]),
-            (0, 2, [1]),
-            (0, 2, [2]),
-            (2, 2, [3]),
-        ];
-        let sorted = LinkSlab::from_runs(3, runs.iter().map(|(s, d, w)| (*s, *d, &w[..])));
-        let mut app = SlabAppender::new(3);
-        for (s, d, w) in &runs {
-            app.append(*s, *d, w);
-        }
-        assert_eq!(app.finish(), sorted);
-        assert_eq!(SlabAppender::new(3).finish(), LinkSlab::empty(3));
-    }
-
-    #[test]
     fn shards_leave_and_reenter_a_slab_whole() {
         let runs = [
             (1usize, 0usize, vec![8u64]),
@@ -410,6 +376,7 @@ mod tests {
             app.append_shard(dsts.start, &lens.collect::<Vec<_>>(), words.to_vec());
         }
         assert_eq!(app.finish(), slab);
+        assert_eq!(SlabAppender::new(3).finish(), LinkSlab::empty(3));
     }
 
     #[test]
@@ -424,13 +391,5 @@ mod tests {
     #[should_panic(expected = "does not sum")]
     fn appender_rejects_a_table_that_disagrees_with_the_words() {
         SlabAppender::new(2).append_shard(0, &[1, 1], vec![7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "(dst, src) order")]
-    fn appender_rejects_out_of_order_links() {
-        let mut app = SlabAppender::new(2);
-        app.append(0, 1, &[1]);
-        app.append(1, 0, &[2]);
     }
 }

@@ -1,4 +1,4 @@
-//! The star round protocol shared by the unix-socket and TCP backends.
+//! The star round protocol of the process fabric (unix sockets and TCP alike).
 //!
 //! A round's unicast traffic is one destination-major [`crate::LinkSlab`],
 //! and each worker owns a contiguous range of destinations, so a worker's
@@ -12,39 +12,25 @@
 //! appends each echoed shard to the delivered slab in one step and reads the
 //! canonical [`LinkLoads`] off the workers' tables. A shard nothing was sent
 //! to is not shipped and not echoed.
-//!
-//! The two backends differ only in the stream type and in how an I/O failure
-//! is diagnosed ([`StarWorker`]).
 
 use crate::frame::{
     push_bcast_frame, push_frame, push_frame_bytes, push_shard_frame, read_frame, Frame,
 };
 use crate::pending::Pending;
 use crate::slab::SlabAppender;
+use crate::socket::{push_telemetry, Worker};
 use crate::RoundDelivery;
 use cc_runtime::{LinkLoads, Word};
 use std::io::{self, Read, Write};
 use std::ops::Range;
 use std::time::Instant;
 
-/// The orchestrator's handle on one worker process.
-pub(crate) trait StarWorker {
-    /// Destination shard `[lo, hi)` the worker simulates.
-    fn shard(&self) -> (usize, usize);
-    /// Ships one coalesced batch and flushes; panics with the backend's
-    /// diagnosis on failure.
-    fn ship(&mut self, batch: &[u8]);
-    /// Reads the worker's next barrier frame; panics with the backend's
-    /// diagnosis on failure.
-    fn next_frame(&mut self) -> Frame;
-}
-
 /// One star round barrier, orchestrator side. Returns the delivery and adds
 /// the payload bytes funnelled through this process to `orchestrator_bytes`.
-pub(crate) fn finish_round<W: StarWorker>(
+pub(crate) fn finish_round(
     backend: &'static str,
     pending: &mut Pending,
-    workers: &mut [W],
+    workers: &mut [Worker],
     epoch: u64,
     orchestrator_bytes: &mut u64,
 ) -> RoundDelivery {
@@ -67,7 +53,7 @@ pub(crate) fn finish_round<W: StarWorker>(
     // single write. Workers drain their input completely before echoing, so
     // these writes cannot deadlock against the echo phase.
     for wk in workers.iter_mut() {
-        let (lo, hi) = wk.shard();
+        let (lo, hi) = (wk.lo, wk.hi);
         let mut batch = Vec::new();
         let mut frames = bcast_frames + 1;
         let (lens, words) = slab.shard(lo..hi);
@@ -88,7 +74,7 @@ pub(crate) fn finish_round<W: StarWorker>(
                 bytes: batch.len(),
             }
         });
-        wk.ship(&batch);
+        wk.ship(&batch, "a round batch acknowledgement");
     }
     drop(slab);
 
@@ -100,10 +86,10 @@ pub(crate) fn finish_round<W: StarWorker>(
     let mut charged: Vec<u32> = Vec::with_capacity(n * n);
     let barrier_start = Instant::now();
     for (idx, wk) in workers.iter_mut().enumerate() {
-        let (lo, hi) = wk.shard();
+        let (lo, hi) = (wk.lo, wk.hi);
         let links = (hi - lo) * n;
         loop {
-            match wk.next_frame() {
+            match wk.next_frame("the star round's echoes and commit token") {
                 Frame::Shard {
                     epoch: e,
                     lo: l,
@@ -116,9 +102,6 @@ pub(crate) fn finish_round<W: StarWorker>(
                         "worker echoed a shard other than its own"
                     );
                     unicast.append_shard(lo, &lens, words);
-                }
-                Frame::Telemetry { worker, lines } => {
-                    cc_telemetry::global().merge_worker(worker, &lines);
                 }
                 Frame::Commit { epoch: e, loads } => {
                     assert_eq!(e, epoch, "round-commit token for a different epoch");
@@ -239,7 +222,7 @@ pub(crate) fn serve_round<R: Read, W: Write>(
             bytes: batch.len() + commit_body.len() + 4,
         }
     });
-    crate::tcp::push_telemetry(&mut batch, worker, wire);
+    push_telemetry(&mut batch, worker, wire);
     push_frame_bytes(&mut batch, &commit_body);
     writer.write_all(&batch)?;
     writer.flush()?;

@@ -1,567 +1,52 @@
-//! The TCP backend: the socket orchestrator/worker protocol made
-//! host-portable, plus the **program-resident** mode that turns the star
-//! into a clique.
+//! The TCP peer mesh: the worker side of the **program-resident** mode that
+//! turns the star into a clique (`CC_TRANSPORT=tcp-peer`), and the only part
+//! of the process fabric that is TCP-only.
 //!
-//! ## Star mode (`CC_TRANSPORT=tcp`)
+//! At setup each TCP worker binds a *peer listener* and the orchestrator
+//! hands every worker the full routing table (the `socket` module's
+//! handshake). When the engine runs [`cc_runtime::WireProgram`]s, the
+//! encoded program states ship to the workers **once**
+//! ([`Frame::ResidentStart`] + [`Frame::Program`]); each round the workers
+//! step their shards locally and exchange the traffic directly over the
+//! mesh, with the round's [`LinkSlab`] as the wire unit exactly as on the
+//! star: a worker gathers its nodes' outboxes into one slab, reads its own
+//! destination shard straight out of it, and ships every peer the peer's
+//! shard as **one** [`Frame::Shard`] (none when the shard is empty) followed
+//! by the round's broadcast slabs, encoded once, and the round delimiter —
+//! one batch, one write per peer per round. The receiver checks each shard
+//! against its assignment and against the sources its sender owns
+//! (`MeshRound`). The worker then commits the round to the orchestrator
+//! with one [`Frame::ResidentDone`] (the live count and the words charged on
+//! every owned link, as the dense table [`Frame::Commit`] carries) and waits
+//! for the [`Frame::Release`]. When every program has halted the workers
+//! return their final states — results, rounds, words, and fingerprints
+//! bit-identical to every other backend.
 //!
-//! Identical round structure to [`crate::SocketTransport`], with TCP
-//! streams instead of unix sockets (the round itself is the shared
-//! `star` module): the orchestrator ships every round's slab to the workers
-//! one [`Frame::Shard`] each, appends the echoed shards back into a slab,
-//! and reads the round's loads off the dense tables in the per-epoch
-//! round-commit tokens. Works across hosts, but every payload still
-//! transits the orchestrator.
-//!
-//! ## Program-resident mode (`CC_TRANSPORT=tcp-peer`)
-//!
-//! The multi-layer refactor this backend exists for. At setup, each worker
-//! binds a *peer listener* and reports its address ([`Frame::PeerAddr`]);
-//! the orchestrator answers with the shard assignment ([`Frame::Assign`])
-//! and the full routing table ([`Frame::Peers`]). When the engine runs
-//! [`cc_runtime::WireProgram`]s, the encoded program states ship to the
-//! workers **once** ([`Frame::ResidentStart`] + [`Frame::Program`]); each
-//! round the workers step their shards locally and exchange the traffic
-//! directly over the peer mesh, with the round's [`LinkSlab`] as the wire
-//! unit exactly as on the star: a worker gathers its nodes' outboxes into
-//! one slab, reads its own destination shard straight out of it, and ships
-//! every peer the peer's shard as **one** [`Frame::Shard`] (none when the
-//! shard is empty) followed by the round's broadcast slabs, encoded once,
-//! and the round delimiter — one batch, one write per peer per round. The
-//! receiver checks each shard against its assignment and against the
-//! sources its sender owns (`MeshRound`). The orchestrator's role shrinks to
-//! brokering the barrier: collect one [`Frame::ResidentDone`] commit token
-//! per worker (the live count and the words charged on every owned link, as
-//! the dense table [`Frame::Commit`] carries), read the canonical loads off
-//! the tables, release the round ([`Frame::Release`]). When every program
-//! has halted the workers return their final states and the engine decodes
-//! them — results, rounds, words, and fingerprints bit-identical to every
-//! other backend.
-//!
-//! The peer mesh is established lazily on the first resident session:
-//! worker `i` dials every `j < i` from the routing table and accepts from
-//! every `j > i`, identifying links with [`Frame::Hello`]. One reader
-//! thread per link drains incoming frames into a shared queue, so the
-//! blocking batched writes on the send side can never distributed-deadlock.
+//! The mesh is established lazily on the first resident session: worker `i`
+//! dials every `j < i` from the routing table and accepts from every
+//! `j > i`, identifying links with [`Frame::Hello`]. One reader thread per
+//! link drains incoming frames into a shared queue, so the blocking batched
+//! writes on the send side can never distributed-deadlock.
 
 use crate::fabric::gather_outboxes;
 use crate::frame::{
     push_bcast_frame, push_frame, push_shard_frame, read_frame, write_frame, Frame,
 };
-use crate::pending::Pending;
-use crate::socket::{find_worker_binary, shard};
-use crate::star::{self, check, commit_table, loads_from_commits, protocol_error, StarWorker};
-use crate::{BcastLanes, LinkSlab, RoundDelivery, Transport};
-use cc_runtime::{
-    step_node, Control, LinkLoads, NodeInbox, NodeOutbox, ResidentNode, ResidentOutcome,
-    ResidentRegistry, Word,
-};
-use std::io::{self, BufReader, BufWriter, Write as _};
+use crate::socket::{push_telemetry, shard, Assignment, ACCEPT_DEADLINE};
+use crate::star::{check, commit_table, protocol_error};
+use crate::{BcastLanes, LinkSlab};
+use cc_runtime::{step_node, Control, NodeInbox, NodeOutbox, ResidentNode, ResidentRegistry, Word};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
-use std::process::{Child, Command};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-/// Default worker-process count when [`crate::TransportKind::Tcp`] has
-/// `workers: 0` (clamped to `n`).
-pub const DEFAULT_TCP_WORKERS: usize = 2;
-
-/// How long the orchestrator waits for all workers to connect (and workers
-/// wait for their peers) before declaring the setup failed.
-const ACCEPT_DEADLINE: Duration = Duration::from_secs(30);
-
-/// The TCP orchestrator: spawns (or, with `CC_TCP_EXTERN=1`, waits for)
-/// `cc-clique-host` / `cc-clique-node` workers, runs the socket backend's
-/// star protocol for classical rounds, and hosts program-resident sessions
-/// where per-round traffic bypasses it entirely (see the module docs).
-#[derive(Debug)]
-pub struct TcpTransport {
-    pending: Pending,
-    epoch: u64,
-    resident: bool,
-    workers: Vec<Worker>,
-    /// Encoded payload/broadcast bytes shipped through this orchestrator.
-    /// Star rounds add every round's traffic; resident rounds add nothing —
-    /// that asymmetry is the refactor's measurable win.
-    orchestrator_bytes: u64,
-    /// Encoded payload bytes exchanged worker→worker across all resident
-    /// sessions (reported by the workers' commit tokens).
-    peer_bytes: u64,
-}
-
-#[derive(Debug)]
-struct Worker {
-    /// `None` for externally-launched workers (`CC_TCP_EXTERN=1`).
-    child: Option<Child>,
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    /// Destination shard `[lo, hi)` this worker simulates.
-    lo: usize,
-    hi: usize,
-}
-
-impl Worker {
-    /// Reads the next frame during a round barrier, turning an I/O failure
-    /// into a diagnosis instead of an opaque error: a worker whose stream
-    /// dies mid-barrier has crashed (or been killed), and the whole round
-    /// must fail loudly — the remaining workers are released by the
-    /// orchestrator's teardown, never left deadlocked on a barrier that
-    /// cannot complete.
-    fn read_barrier_frame(&mut self, what: &str) -> Frame {
-        match read_frame(&mut self.reader) {
-            Ok(frame) => frame,
-            Err(e) => self.barrier_failure(what, &e),
-        }
-    }
-
-    /// Ships one coalesced batch, with the same loud diagnosis on failure
-    /// (a dead worker surfaces here as a broken pipe).
-    fn ship_batch(&mut self, batch: &[u8], what: &str) {
-        if let Err(e) = self
-            .writer
-            .write_all(batch)
-            .and_then(|()| self.writer.flush())
-        {
-            self.barrier_failure(what, &e);
-        }
-    }
-
-    /// Panics with the worker's exit status when the process is known to be
-    /// gone, or the raw I/O error otherwise.
-    fn barrier_failure(&mut self, what: &str, e: &io::Error) -> ! {
-        let status = self
-            .child
-            .as_mut()
-            .and_then(|c| c.try_wait().ok().flatten());
-        match status {
-            Some(status) => panic!(
-                "tcp worker (shard {}..{}) died mid-barrier ({status}) while the \
-                 orchestrator was waiting for {what}: {e}",
-                self.lo, self.hi
-            ),
-            None => panic!(
-                "tcp worker (shard {}..{}) became unreachable mid-barrier while the \
-                 orchestrator was waiting for {what}: {e}",
-                self.lo, self.hi
-            ),
-        }
-    }
-}
-
-impl StarWorker for Worker {
-    fn shard(&self) -> (usize, usize) {
-        (self.lo, self.hi)
-    }
-
-    fn ship(&mut self, batch: &[u8]) {
-        self.ship_batch(batch, "a round batch acknowledgement");
-    }
-
-    fn next_frame(&mut self) -> Frame {
-        self.read_barrier_frame("the star round's echoes and commit token")
-    }
-}
-
-impl TcpTransport {
-    /// Binds the orchestrator listener (an ephemeral loopback port unless
-    /// `addr` pins one), launches `workers` worker processes (`0` means
-    /// [`DEFAULT_TCP_WORKERS`], clamped to `n`) unless `CC_TCP_EXTERN=1`
-    /// defers to externally-run ones, completes the Hello/PeerAddr
-    /// handshake, and distributes shard assignments plus the peer routing
-    /// table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker binary cannot be found or the workers fail to
-    /// connect — a broken multi-process setup must fail loudly, not
-    /// degrade into a different backend.
-    #[must_use]
-    pub fn new(n: usize, workers: usize, resident: bool, addr: Option<SocketAddr>) -> Self {
-        let w = if workers == 0 {
-            DEFAULT_TCP_WORKERS
-        } else {
-            workers
-        }
-        .clamp(1, n);
-        let bind = addr.unwrap_or_else(|| "127.0.0.1:0".parse().expect("loopback addr"));
-        let listener =
-            TcpListener::bind(bind).unwrap_or_else(|e| panic!("bind orchestrator {bind}: {e}"));
-        let local = listener.local_addr().expect("orchestrator local addr");
-        listener
-            .set_nonblocking(true)
-            .expect("non-blocking accept loop");
-
-        // With CC_TCP_EXTERN=1 the workers are launched out-of-band (other
-        // hosts, other shells): print where to point them and wait.
-        let external = std::env::var("CC_TCP_EXTERN").is_ok_and(|v| v == "1");
-        let mut children: Vec<Option<Child>> = Vec::with_capacity(w);
-        if external {
-            eprintln!(
-                "cc-transport: waiting for {w} external workers; run \
-                 `cc-clique-host tcp://{local} <worker-index>` on each host"
-            );
-            children.resize_with(w, || None);
-        } else {
-            let bin = find_worker_binary(&["cc-clique-host", "cc-clique-node"]);
-            for worker in 0..w {
-                let child = Command::new(&bin)
-                    .arg(format!("tcp://{local}"))
-                    .arg(worker.to_string())
-                    .spawn()
-                    .unwrap_or_else(|e| panic!("spawn {}: {e}", bin.display()));
-                children.push(Some(child));
-            }
-        }
-
-        // Workers connect in arbitrary order, identify themselves with a
-        // Hello frame, and report their peer-listener address.
-        let mut slots: Vec<Option<(Worker, String)>> = (0..w).map(|_| None).collect();
-        let deadline = Instant::now() + ACCEPT_DEADLINE;
-        for _ in 0..w {
-            let stream = accept_one(&listener, &mut children, deadline);
-            stream.set_nodelay(true).expect("nodelay worker stream");
-            stream
-                .set_nonblocking(false)
-                .expect("blocking worker stream");
-            let mut reader = BufReader::new(stream.try_clone().expect("clone worker stream"));
-            let writer = BufWriter::new(stream);
-            let worker = match read_frame(&mut reader).expect("worker greeting") {
-                Frame::Hello { worker } => worker as usize,
-                other => panic!("expected Hello from worker, got {other:?}"),
-            };
-            let peer_addr = match read_frame(&mut reader).expect("worker peer address") {
-                Frame::PeerAddr { worker: pw, addr } => {
-                    assert_eq!(pw as usize, worker, "PeerAddr for a different worker");
-                    addr
-                }
-                other => panic!("expected PeerAddr from worker, got {other:?}"),
-            };
-            assert!(worker < w, "worker index {worker} out of range");
-            assert!(slots[worker].is_none(), "worker {worker} connected twice");
-            let (lo, hi) = shard(n, w, worker);
-            slots[worker] = Some((
-                Worker {
-                    child: children[worker].take(),
-                    reader,
-                    writer,
-                    lo,
-                    hi,
-                },
-                peer_addr,
-            ));
-        }
-
-        let (mut workers, addrs): (Vec<Worker>, Vec<String>) = slots
-            .into_iter()
-            .map(|s| s.expect("every worker connected"))
-            .unzip();
-
-        // Distribute the shard assignment and the routing table; the peer
-        // mesh itself is dialled lazily on the first resident session. The
-        // assignment carries the orchestrator's trace level so workers
-        // inherit it over the handshake instead of from a (possibly
-        // absent) shared environment.
-        let trace = cc_telemetry::global().level().name().to_string();
-        for (idx, wk) in workers.iter_mut().enumerate() {
-            let mut batch = Vec::new();
-            push_frame(
-                &mut batch,
-                &Frame::Assign {
-                    worker: idx as u32,
-                    lo: wk.lo as u32,
-                    count: (wk.hi - wk.lo) as u32,
-                    n: n as u32,
-                    trace: trace.clone(),
-                },
-            );
-            push_frame(
-                &mut batch,
-                &Frame::Peers {
-                    addrs: addrs.clone(),
-                },
-            );
-            wk.writer
-                .write_all(&batch)
-                .and_then(|()| wk.writer.flush())
-                .expect("ship assignment to worker");
-        }
-
-        Self {
-            pending: Pending::new(n),
-            epoch: 0,
-            resident,
-            workers,
-            orchestrator_bytes: 0,
-            peer_bytes: 0,
-        }
-    }
-
-    /// Total worker→worker payload bytes reported across all resident
-    /// sessions so far.
-    #[must_use]
-    pub fn peer_bytes(&self) -> u64 {
-        self.peer_bytes
-    }
-}
-
-impl Transport for TcpTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn n(&self) -> usize {
-        self.pending.n()
-    }
-
-    fn send(&mut self, src: usize, dst: usize, words: &[Word]) {
-        self.pending.send(src, dst, words);
-    }
-
-    fn send_slab(&mut self, slab: LinkSlab) {
-        self.pending.send_slab(slab);
-    }
-
-    fn broadcast(&mut self, src: usize, slab: Arc<[Word]>) {
-        self.pending.broadcast(src, slab);
-    }
-
-    fn finish_round(&mut self) -> RoundDelivery {
-        // The star round barrier, shared with the socket backend.
-        let round = star::finish_round(
-            "tcp",
-            &mut self.pending,
-            &mut self.workers,
-            self.epoch,
-            &mut self.orchestrator_bytes,
-        );
-        self.epoch += 1;
-        round
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn is_resident(&self) -> bool {
-        self.resident
-    }
-
-    fn run_resident(
-        &mut self,
-        kind: &str,
-        states: Vec<Vec<Word>>,
-        on_round: &mut dyn FnMut(&LinkLoads),
-    ) -> Option<ResidentOutcome> {
-        if !self.resident {
-            return None;
-        }
-        let n = self.pending.n();
-        assert_eq!(states.len(), n, "one program state per node");
-        let mut epoch = self.epoch;
-
-        // Ship phase: each worker receives the session header and its
-        // shard's encoded program states, once.
-        for wk in &mut self.workers {
-            let mut batch = Vec::new();
-            push_frame(
-                &mut batch,
-                &Frame::ResidentStart {
-                    epoch,
-                    kind: kind.to_string(),
-                },
-            );
-            for (node, state) in states.iter().enumerate().take(wk.hi).skip(wk.lo) {
-                push_frame(
-                    &mut batch,
-                    &Frame::Program {
-                        node: node as u32,
-                        state: state.clone(),
-                    },
-                );
-            }
-            push_frame(&mut batch, &Frame::RoundEnd { epoch });
-            wk.ship_batch(&batch, "a resident session start");
-        }
-
-        // Barrier-broker loop: one ResidentDone commit token per worker
-        // per round — workers own ascending destination shards, so their
-        // tables laid end to end are the clique's `charged[dst * n + src]`
-        // — then the Release that lets the next round start. No payload
-        // ever crosses this process.
-        let mut engine_rounds = 0u64;
-        loop {
-            let mut charged: Vec<u32> = Vec::with_capacity(n * n);
-            let mut live_total = 0u64;
-            let mut round_peer_bytes = 0u64;
-            let barrier_start = Instant::now();
-            for (idx, wk) in self.workers.iter_mut().enumerate() {
-                loop {
-                    match wk.read_barrier_frame("a resident round-commit token") {
-                        Frame::Telemetry { worker, lines } => {
-                            cc_telemetry::global().merge_worker(worker, &lines);
-                        }
-                        Frame::ResidentDone {
-                            epoch: e,
-                            live,
-                            peer_bytes,
-                            loads,
-                        } => {
-                            assert_eq!(e, epoch, "resident commit for a different epoch");
-                            assert_eq!(
-                                loads.len(),
-                                (wk.hi - wk.lo) * n,
-                                "commit table does not cover the worker's shard"
-                            );
-                            live_total += live as u64;
-                            round_peer_bytes += peer_bytes;
-                            charged.extend_from_slice(&loads);
-                            cc_telemetry::global().emit(cc_telemetry::TraceLevel::Rounds, || {
-                                cc_telemetry::Event::BarrierLane {
-                                    backend: "tcp",
-                                    epoch,
-                                    worker: idx as u32,
-                                    wall_ns: barrier_start.elapsed().as_nanos() as u64,
-                                }
-                            });
-                            break;
-                        }
-                        other => panic!("unexpected frame from resident worker: {other:?}"),
-                    }
-                }
-            }
-            let loads = loads_from_commits(n, &charged);
-            engine_rounds += 1;
-            self.peer_bytes += round_peer_bytes;
-            cc_telemetry::global().emit(cc_telemetry::TraceLevel::Rounds, || {
-                cc_telemetry::Event::ResidentRound {
-                    backend: "tcp",
-                    epoch,
-                    live: live_total,
-                    peer_bytes: round_peer_bytes,
-                    orchestrator_bytes: 0,
-                }
-            });
-            on_round(&loads);
-            let mut release = Vec::new();
-            push_frame(
-                &mut release,
-                &Frame::Release {
-                    epoch,
-                    live: live_total as u32,
-                },
-            );
-            for wk in &mut self.workers {
-                wk.ship_batch(&release, "a round release acknowledgement");
-            }
-            epoch += 1;
-            if live_total == 0 {
-                break;
-            }
-        }
-
-        // Collect finals: each worker returns its shard's encoded states.
-        let mut finals: Vec<Vec<Word>> = vec![Vec::new(); n];
-        for wk in &mut self.workers {
-            let mut got = 0usize;
-            loop {
-                match wk.read_barrier_frame("the resident session's final states") {
-                    Frame::Program { node, state } => {
-                        let node = node as usize;
-                        assert!(
-                            (wk.lo..wk.hi).contains(&node),
-                            "final state outside the worker's shard"
-                        );
-                        finals[node] = state;
-                        got += 1;
-                    }
-                    Frame::Telemetry { worker, lines } => {
-                        cc_telemetry::global().merge_worker(worker, &lines);
-                    }
-                    Frame::RoundEnd { epoch: e } => {
-                        assert_eq!(e, epoch, "finals delimiter epoch mismatch");
-                        break;
-                    }
-                    other => panic!("unexpected frame in resident finals: {other:?}"),
-                }
-            }
-            assert_eq!(got, wk.hi - wk.lo, "worker returned a partial shard");
-        }
-
-        self.epoch = epoch;
-        Some(ResidentOutcome {
-            finals,
-            engine_rounds,
-        })
-    }
-
-    fn orchestrator_bytes(&self) -> u64 {
-        self.orchestrator_bytes
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        for wk in &mut self.workers {
-            let _ = write_frame(&mut wk.writer, &Frame::Shutdown);
-            let _ = wk.writer.flush();
-        }
-        // Drain each stream to EOF before reaping: workers flush their
-        // final telemetry snapshot on Shutdown, after all barrier traffic.
-        // Anything unparseable (or a stream already dead) just ends the
-        // drain — teardown must never fail on observer data.
-        for wk in &mut self.workers {
-            while let Ok(frame) = read_frame(&mut wk.reader) {
-                if let Frame::Telemetry { worker, lines } = frame {
-                    cc_telemetry::global().merge_worker(worker, &lines);
-                }
-            }
-        }
-        for wk in &mut self.workers {
-            if let Some(child) = &mut wk.child {
-                let _ = child.wait();
-            }
-        }
-    }
-}
-
-/// Accepts one worker connection, polling so a worker that died before
-/// connecting is reported instead of hanging the orchestrator forever.
-fn accept_one(
-    listener: &TcpListener,
-    children: &mut [Option<Child>],
-    deadline: Instant,
-) -> TcpStream {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => return stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                for (i, child) in children.iter_mut().enumerate() {
-                    if let Some(c) = child {
-                        if let Ok(Some(status)) = c.try_wait() {
-                            panic!("tcp worker {i} exited before connecting: {status}");
-                        }
-                    }
-                }
-                assert!(
-                    Instant::now() < deadline,
-                    "tcp workers did not connect within {ACCEPT_DEADLINE:?}"
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => panic!("accept worker connection: {e}"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Worker side
-// ---------------------------------------------------------------------------
 
 /// The direct worker→worker links of one worker, plus the shared queue its
 /// per-link reader threads drain into. Built lazily on the first resident
 /// session and reused for every later one.
 #[derive(Debug)]
-struct Mesh {
+pub(crate) struct Mesh {
     me: usize,
     /// `writers[j]` — the link to worker `j` (`None` at `me`).
     writers: Vec<Option<BufWriter<TcpStream>>>,
@@ -578,7 +63,12 @@ impl Mesh {
     /// Establishes the full mesh: dial every lower-indexed peer, accept
     /// every higher-indexed one, identify links by Hello exchange, spawn
     /// one reader thread per link.
-    fn connect(peers: &[String], me: usize, n: usize, listener: &TcpListener) -> io::Result<Self> {
+    pub(crate) fn connect(
+        peers: &[String],
+        me: usize,
+        n: usize,
+        listener: &TcpListener,
+    ) -> io::Result<Self> {
         let w = peers.len();
         let (tx, rx) = mpsc::channel();
         let mut writers: Vec<Option<BufWriter<TcpStream>>> = (0..w).map(|_| None).collect();
@@ -680,157 +170,6 @@ fn poll_accept(listener: &TcpListener, deadline: Instant) -> io::Result<(TcpStre
             Err(e) => return Err(e),
         }
     }
-}
-
-/// The TCP worker process body: connect to the orchestrator, bind a peer
-/// listener and report it, take the shard assignment and routing table,
-/// then serve star rounds and program-resident sessions until told to shut
-/// down. `addr` is the orchestrator's `host:port` (no scheme prefix);
-/// `registry` supplies the decodable program kinds — transport-only
-/// binaries pass [`ResidentRegistry::with_builtins`], the facade's
-/// `cc-clique-host` registers algorithm programs on top.
-pub fn tcp_worker_main(addr: &str, worker: u32, registry: ResidentRegistry) -> io::Result<()> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    // The peer listener binds the interface this worker reaches the
-    // orchestrator through, so the advertised address is routable from the
-    // other workers in multi-host runs.
-    let peer_listener = TcpListener::bind((stream.local_addr()?.ip(), 0))?;
-    let peer_addr = peer_listener.local_addr()?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    write_frame(&mut writer, &Frame::Hello { worker })?;
-    write_frame(
-        &mut writer,
-        &Frame::PeerAddr {
-            worker,
-            addr: peer_addr.to_string(),
-        },
-    )?;
-    writer.flush()?;
-
-    let (lo, count, n, trace) = match read_frame(&mut reader)? {
-        Frame::Assign {
-            worker: w,
-            lo,
-            count,
-            n,
-            trace,
-        } => {
-            check(w == worker, "assignment for a different worker")?;
-            (lo as usize, count as usize, n as usize, trace)
-        }
-        other => return Err(protocol_error(&format!("expected Assign, got {other:?}"))),
-    };
-    let peers = match read_frame(&mut reader)? {
-        Frame::Peers { addrs } => addrs,
-        other => return Err(protocol_error(&format!("expected Peers, got {other:?}"))),
-    };
-    let wire = install_wire_sink(&trace);
-
-    let mut mesh: Option<Mesh> = None;
-    let mut epoch = 0u64;
-    loop {
-        match read_frame(&mut reader)? {
-            Frame::Shutdown => {
-                flush_telemetry(&mut writer, worker, wire.as_deref())?;
-                return Ok(());
-            }
-            Frame::ResidentStart { epoch: e, kind } => {
-                check(e == epoch, "resident session from a different epoch")?;
-                let mesh = match &mut mesh {
-                    Some(m) => m,
-                    none => none.insert(Mesh::connect(&peers, worker as usize, n, &peer_listener)?),
-                };
-                epoch = resident_session(
-                    &mut reader,
-                    &mut writer,
-                    mesh,
-                    &registry,
-                    &kind,
-                    epoch,
-                    lo,
-                    count,
-                    n,
-                    worker,
-                    wire.as_deref(),
-                )?;
-            }
-            first => {
-                epoch = star::serve_round(
-                    "tcp",
-                    &mut reader,
-                    &mut writer,
-                    first,
-                    epoch,
-                    (lo, count, n),
-                    worker,
-                    wire.as_deref(),
-                )?;
-            }
-        }
-    }
-}
-
-/// Installs the worker's telemetry from the orchestrator-forwarded trace
-/// level name: a buffering [`cc_telemetry::WireSink`] when tracing is on
-/// (events ship back piggybacked on commits), an explicit Off handle when
-/// it isn't — the forwarded spec wins over whatever `CC_TRACE` the worker
-/// process inherited, so multi-host workers behave like the orchestrator.
-/// First-install-wins still applies: if the worker process already
-/// initialised telemetry (in-process tests), the existing handle stays and
-/// no events ship.
-pub(crate) fn install_wire_sink(trace: &str) -> Option<Arc<cc_telemetry::WireSink>> {
-    let level = cc_telemetry::TraceSpec::parse(trace)
-        .map(|spec| spec.level)
-        .unwrap_or_default();
-    if level == cc_telemetry::TraceLevel::Off {
-        let _ = cc_telemetry::install(cc_telemetry::Telemetry::off());
-        return None;
-    }
-    let wire = Arc::new(cc_telemetry::WireSink::new());
-    match cc_telemetry::install(cc_telemetry::Telemetry::with_sink(level, wire.clone())) {
-        Ok(()) => Some(wire),
-        Err(_) => None, // someone beat us to it; don't ship a dead buffer
-    }
-}
-
-/// Appends one `Frame::Telemetry` carrying the wire sink's drained lines
-/// to `batch`, if there is anything to ship. Returns without touching the
-/// batch when tracing is off or nothing was captured, so an untraced run
-/// puts zero extra bytes on the wire.
-pub(crate) fn push_telemetry(
-    batch: &mut Vec<u8>,
-    worker: u32,
-    wire: Option<&cc_telemetry::WireSink>,
-) {
-    let Some(wire) = wire else { return };
-    if wire.is_empty() {
-        return;
-    }
-    push_frame(
-        batch,
-        &Frame::Telemetry {
-            worker,
-            lines: wire.drain(),
-        },
-    );
-}
-
-/// Writes the final telemetry flush directly to the orchestrator stream
-/// (the Shutdown path, where no batch is being assembled).
-fn flush_telemetry(
-    writer: &mut BufWriter<TcpStream>,
-    worker: u32,
-    wire: Option<&cc_telemetry::WireSink>,
-) -> io::Result<()> {
-    let mut batch = Vec::new();
-    push_telemetry(&mut batch, worker, wire);
-    if batch.is_empty() {
-        return Ok(());
-    }
-    writer.write_all(&batch)?;
-    writer.flush()
 }
 
 /// One resident round's traffic from the peer mesh, as it arrives at worker
@@ -986,16 +325,14 @@ impl<'a> MeshRound<'a> {
 /// live count hits zero, then return the final encoded states. Returns the
 /// epoch after the session.
 #[allow(clippy::too_many_arguments)]
-fn resident_session(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
+pub(crate) fn resident_session<R: Read, W: Write>(
+    reader: &mut R,
+    writer: &mut W,
     mesh: &mut Mesh,
     registry: &ResidentRegistry,
     kind: &str,
     mut epoch: u64,
-    lo: usize,
-    count: usize,
-    n: usize,
+    &Assignment { lo, count, n, .. }: &Assignment,
     worker: u32,
     wire: Option<&cc_telemetry::WireSink>,
 ) -> io::Result<u64> {
@@ -1169,8 +506,10 @@ fn resident_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TransportFabric;
-    use cc_runtime::{EchoRingProgram, Engine, ExecutorKind, Fabric as _, ScriptProgram};
+    use crate::{StreamTransport, Transport as _, TransportFabric};
+    use cc_runtime::{
+        EchoRingProgram, Engine, ExecutorKind, Fabric as _, LinkLoads, ScriptProgram,
+    };
 
     fn run_echo_ring(fabric: &mut dyn cc_runtime::Fabric, n: usize) -> (Vec<Vec<Word>>, u64, u64) {
         let engine = Engine::new(ExecutorKind::Sequential);
@@ -1192,7 +531,7 @@ mod tests {
             cc_runtime::EngineFabric::new(cc_runtime::Executor::new(ExecutorKind::Sequential));
         let expected = run_echo_ring(&mut reference, n);
 
-        let mut transport = TcpTransport::new(n, 2, false, None);
+        let mut transport = StreamTransport::tcp(n, 2, false, None);
         let mut fabric = TransportFabric::new(&mut transport);
         assert!(!fabric.is_resident());
         let got = run_echo_ring(&mut fabric, n);
@@ -1210,7 +549,7 @@ mod tests {
             cc_runtime::EngineFabric::new(cc_runtime::Executor::new(ExecutorKind::Sequential));
         let expected = run_echo_ring(&mut reference, n);
 
-        let mut transport = TcpTransport::new(n, 3, true, None);
+        let mut transport = StreamTransport::tcp(n, 3, true, None);
         let mut fabric = TransportFabric::new(&mut transport);
         assert!(fabric.is_resident());
         let got = run_echo_ring(&mut fabric, n);
@@ -1226,7 +565,7 @@ mod tests {
         );
         // Epoch parity with the star backends: one epoch per engine round.
         let star_epochs = {
-            let mut star = TcpTransport::new(n, 2, false, None);
+            let mut star = StreamTransport::tcp(n, 2, false, None);
             let mut fabric = TransportFabric::new(&mut star);
             run_echo_ring(&mut fabric, n);
             star.epoch()
@@ -1292,7 +631,7 @@ mod tests {
             .all(|&(src, _, words)| (src, words) == (1, 2) || (src, words) == (4, 3)));
         assert!(expected.1[3].is_empty());
 
-        let mut transport = TcpTransport::new(7, 3, true, None);
+        let mut transport = StreamTransport::tcp(7, 3, true, None);
         let got = run_script(&mut TransportFabric::new(&mut transport));
         assert_eq!(got, expected);
         assert_eq!(transport.orchestrator_bytes(), 0);
@@ -1406,38 +745,33 @@ mod tests {
     #[test]
     fn killed_worker_fails_the_round_barrier_loudly() {
         let n = 6;
-        let mut transport = TcpTransport::new(n, 2, false, None);
-        // A warm round proves the fabric works before the sabotage.
-        transport.send(0, 1, &[1, 2]);
-        let _ = transport.finish_round();
-
-        // Kill worker 0's process and reap it, so the next barrier meets a
-        // dead stream rather than a slow worker.
-        let child = transport.workers[0]
-            .child
-            .as_mut()
-            .expect("spawned workers carry a child handle");
-        child.kill().expect("kill tcp worker");
-        let _ = child.wait();
-
-        transport.send(0, 1, &[3]);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        for mut transport in [
+            StreamTransport::unix(n, 2),
+            StreamTransport::tcp(n, 2, false, None),
+        ] {
+            // A warm round proves the fabric works before the sabotage.
+            transport.send(0, 1, &[1, 2]);
             let _ = transport.finish_round();
-        }));
-        // The regression this pins: the barrier must fail with a diagnosis,
-        // not hang waiting for a commit token that can never arrive (the
-        // test harness itself would time out) and not report an opaque
-        // broken-pipe error.
-        let payload = result.expect_err("a dead worker must fail the barrier");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .expect("panic payload is a message");
-        assert!(
-            msg.contains("mid-barrier"),
-            "barrier failure must diagnose the dead worker: {msg}"
-        );
+            transport.kill_worker(0);
+
+            transport.send(0, 1, &[3]);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = transport.finish_round();
+            }));
+            // The regression this pins: the barrier must fail with a
+            // diagnosis, not hang waiting for a commit token that can never
+            // arrive (the test harness itself would time out) and not
+            // report an opaque broken-pipe error.
+            let payload = result.expect_err("a dead worker must fail the barrier");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("panic payload is a message");
+            let named = format!("{} worker (shard 0..3)", transport.name());
+            assert!(
+                msg.contains(&named) && msg.contains("mid-barrier"),
+                "barrier failure must diagnose the dead worker: {msg}"
+            );
+        }
     }
 
     #[test]
@@ -1445,7 +779,7 @@ mod tests {
         // w clamps to 1 ⇒ no peer links at all; everything is local and
         // the orchestrator still only brokers the barrier.
         let n = 3;
-        let mut transport = TcpTransport::new(n, 1, true, None);
+        let mut transport = StreamTransport::tcp(n, 1, true, None);
         let engine = Engine::new(ExecutorKind::Sequential);
         let mut fabric = TransportFabric::new(&mut transport);
         let report = engine.run_wire_traced_on(

@@ -125,7 +125,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn channel_and_socket_match_inmemory(
+    fn socket_and_tcp_match_inmemory(
         n in 2usize..10,
         rounds in 1u64..5,
         seed in 0u64..1_000_000,
@@ -133,7 +133,7 @@ proptest! {
     ) {
         let mut reference = TransportKind::InMemory.build(n, sequential());
         let expected = drive(&mut *reference, n, rounds, seed);
-        for kind in [TransportKind::Channel, TransportKind::Socket { workers }] {
+        for kind in [tcp_workers(workers, false), TransportKind::Socket { workers }] {
             let mut t = kind.build(n, sequential());
             let got = drive(&mut *t, n, rounds, seed);
             prop_assert_eq!(&got, &expected, "{:?} diverged", kind);
@@ -142,7 +142,7 @@ proptest! {
 }
 
 #[test]
-fn slab_rounds_match_on_all_six_transports_and_under_decorators() {
+fn slab_rounds_match_on_every_transport_and_under_decorators() {
     let (n, rounds) = (7, 4);
     for seed in [3, 77, 4_242] {
         let mut reference = TransportKind::InMemory.build(n, sequential());
@@ -152,7 +152,6 @@ fn slab_rounds_match_on_all_six_transports_and_under_decorators() {
             "the pattern must actually carry traffic"
         );
         for kind in [
-            TransportKind::Channel,
             TransportKind::Socket { workers: 1 },
             TransportKind::Socket { workers: 3 },
             tcp(false),
@@ -180,11 +179,9 @@ fn slab_rounds_match_on_all_six_transports_and_under_decorators() {
                 NetsimTransport::wrap(TransportKind::InMemory.build(n, sequential()), lossy),
             ),
             (
-                "netsim(lossy) over traced channel",
+                "netsim(lossy) over traced tcp",
                 NetsimTransport::wrap(
-                    Box::new(TracedTransport::new(
-                        TransportKind::Channel.build(n, sequential()),
-                    )),
+                    Box::new(TracedTransport::new(tcp(false).build(n, sequential()))),
                     lossy,
                 ),
             ),
@@ -229,7 +226,7 @@ fn star_shards_match_inmemory_on_uneven_and_sparse_rounds() {
 fn loads_are_canonical_on_every_backend() {
     for kind in [
         TransportKind::InMemory,
-        TransportKind::Channel,
+        tcp(false),
         TransportKind::Socket { workers: 2 },
     ] {
         let mut t = kind.build(5, Executor::new(ExecutorKind::Sequential));
@@ -261,7 +258,7 @@ fn single_node_clique_is_all_self_traffic() {
     // move, nothing is ever charged.
     for kind in [
         TransportKind::InMemory,
-        TransportKind::Channel,
+        tcp_workers(1, false),
         TransportKind::Socket { workers: 1 },
     ] {
         let mut t = kind.build(1, Executor::new(ExecutorKind::Sequential));

@@ -41,7 +41,12 @@ fn rejects_offsets_that_do_not_cover_the_words() {
 
 #[test]
 fn sends_and_slabs_concatenate_per_link_in_call_order() {
-    for kind in [TransportKind::InMemory, TransportKind::Channel] {
+    let tcp = TransportKind::Tcp {
+        workers: 2,
+        resident: false,
+        addr: None,
+    };
+    for kind in [TransportKind::InMemory, tcp] {
         let mut t = kind.build(3, Executor::default());
         t.send(0, 1, &[1]);
         t.send(2, 0, &[9]);

@@ -1,16 +1,17 @@
 //! Multi-process congested clique simulation over real sockets, end to end.
 //!
-//! The socket and TCP transports turn one simulation into a little
+//! The process fabric (`StreamTransport`) turns one simulation into a little
 //! distributed system: a parent orchestrator (this process) plus worker
 //! processes (`cc-clique-node` over unix sockets, `cc-clique-host` over
-//! TCP), each simulating a contiguous shard of nodes. Every round's
+//! TCP — one handshake, one round protocol), each simulating a contiguous
+//! shard of nodes. Every round's
 //! traffic crosses real OS sockets as length-prefixed frames, and the
 //! round barrier is a **round-commit token** — the parent charges a round
 //! only after every worker has committed its epoch.
 //!
 //! The first demonstration runs the paper's triangle counting and APSP on
-//! four fabrics — shared memory, cross-thread channels, unix-socket worker
-//! processes, and TCP worker processes — and shows the determinism
+//! three fabrics — shared memory, unix-socket worker processes, and TCP
+//! worker processes — and shows the determinism
 //! contract: identical counts, distances, rounds, words, and barrier
 //! epochs, regardless of where the words physically travelled.
 //!
@@ -46,16 +47,12 @@ fn main() {
     let graph = generators::gnp(n, 0.3, 7);
     let weighted = generators::weighted_gnp(n, 0.3, 9, true, 11);
 
-    println!("=== pluggable transports: one simulation, four fabrics ===\n");
+    println!("=== pluggable transports: one simulation, three fabrics ===\n");
     let mut reference = None;
     for (label, kind) in [
         (
             "inmemory (shared-memory slab move)",
             TransportKind::InMemory,
-        ),
-        (
-            "channel  (one thread + inbox queue per node)",
-            TransportKind::Channel,
         ),
         (
             "socket   (4 worker processes over unix sockets)",
@@ -101,7 +98,7 @@ fn main() {
         }
     }
 
-    println!("all four fabrics agree bit-for-bit — transport is a deployment choice,");
+    println!("all three fabrics agree bit-for-bit — transport is a deployment choice,");
     println!("not a semantics choice. CC_TRANSPORT=tcp retargets any run of this suite.\n");
 
     println!("=== netsim: the same worker processes behind a lossy network ===\n");

@@ -1,15 +1,17 @@
-//! The algorithm-aware TCP worker: hosts program-resident shards for the
-//! `tcp`/`tcp-peer` transports with every facade-level [`WireProgram`]
-//! registered, so resident sessions can ship real algorithm state machines
-//! (not just the transport-crate builtins that `cc-clique-node` knows).
+//! The algorithm-aware worker process of the process fabric: as
+//! `cc-clique-node`, with every facade-level [`WireProgram`] registered, so
+//! program-resident sessions can ship real algorithm state machines (not
+//! just the runtime builtins).
 //!
-//! Usage: `cc-clique-host tcp://<host>:<port> <worker>`
+//! Usage: `cc-clique-host <endpoint> <worker>` with `<endpoint>` the
+//! orchestrator's `unix://<path>` or `tcp://<host>:<port>`.
 //!
-//! The orchestrator spawns this binary automatically when it sits next to
-//! the test/bench executable; for multi-host runs, start the orchestrating
-//! process with `CC_TCP_EXTERN=1 CC_TRANSPORT=tcp-peer:<w>:<host>:<port>`
-//! and launch one `cc-clique-host` per worker index against the printed
-//! address (see the facade's "Transport layer" docs).
+//! The TCP orchestrator spawns this binary automatically when it sits next
+//! to the test/bench executable; for multi-host runs, start the
+//! orchestrating process with
+//! `CC_TCP_EXTERN=1 CC_TRANSPORT=tcp-peer:<w>:<host>:<port>` and launch one
+//! `cc-clique-host` per worker index against the printed endpoint (see the
+//! facade's "Transport layer" docs).
 //!
 //! [`WireProgram`]: cc_runtime::WireProgram
 
@@ -24,23 +26,18 @@ fn registry() -> cc_runtime::ResidentRegistry {
 }
 
 fn main() {
+    let name = env!("CARGO_BIN_NAME");
     let args: Vec<String> = std::env::args().collect();
-    let usage = || -> ! {
-        eprintln!("usage: cc-clique-host tcp://<host>:<port> <worker>");
+    let worker = match args.as_slice() {
+        [_, _, worker] => worker.parse::<u32>().ok(),
+        _ => None,
+    };
+    let Some(worker) = worker else {
+        eprintln!("usage: {name} unix://<path>|tcp://<host>:<port> <worker>");
         exit(2);
     };
-    if args.len() != 3 {
-        usage();
-    }
-    let Some(addr) = args[1].strip_prefix("tcp://") else {
-        usage();
-    };
-    let Ok(worker) = args[2].parse::<u32>() else {
-        eprintln!("cc-clique-host: bad worker index {:?}", args[2]);
-        exit(2);
-    };
-    if let Err(e) = cc_transport::tcp_worker_main(addr, worker, registry()) {
-        eprintln!("cc-clique-host worker {worker}: {e}");
+    if let Err(e) = cc_transport::worker_main(&args[1], worker, registry()) {
+        eprintln!("{name} worker {worker}: {e}");
         exit(1);
     }
 }

@@ -8,8 +8,7 @@
 //!   ([`NodeProgram`](runtime::NodeProgram) state machines, pluggable
 //!   [`Sequential`/`Parallel`](runtime::ExecutorKind) executors).
 //! * [`transport`] — pluggable message fabrics carrying the simulation's
-//!   traffic: in-memory, cross-thread channels, multi-process unix
-//!   sockets.
+//!   traffic: in-memory, or multi-process over unix sockets or TCP.
 //! * [`netsim`] — deterministic network conditioning behind the transport
 //!   seam: per-link latency/jitter, stragglers, message loss with
 //!   retransmit, node crash/restart fault plans.
@@ -52,12 +51,10 @@
 //! pluggable executor chosen through
 //! [`CliqueConfig::executor`](clique::CliqueConfig) —
 //! [`ExecutorKind::Sequential`](runtime::ExecutorKind) (the reference
-//! semantics, and the default), [`ExecutorKind::Parallel`](runtime::ExecutorKind)
-//! (the **persistent worker pool**), or
-//! [`ExecutorKind::Spawn`](runtime::ExecutorKind) (the legacy
-//! scoped-threads-per-call backend, kept as the pool's ablation baseline —
-//! see `BENCH_pool.json`). Setting the `CC_EXECUTOR` environment variable
-//! (`sequential` / `parallel` / `spawn`, optionally `:<threads>`) retargets
+//! semantics, and the default) or
+//! [`ExecutorKind::Parallel`](runtime::ExecutorKind) (the **persistent
+//! worker pool**). Setting the `CC_EXECUTOR` environment variable
+//! (`sequential` / `parallel`, optionally `:<threads>`) retargets
 //! every default-configured clique in the process, which is how CI runs the
 //! whole suite on each backend.
 //!
@@ -249,17 +246,17 @@
 //!   shared-memory fabric: the barrier *moves* the slab from sender to
 //!   delivery and reads the accounting off its offset table (the default,
 //!   and the reference semantics);
-//! * [`TransportKind::Channel`](transport::TransportKind) — one OS thread
-//!   and one MPSC inbox queue per simulated node, fed frames cut from the
-//!   slab; rounds are delimited by an epoch rendezvous in which every node
-//!   returns its assembled row and per-link accounting;
-//! * [`TransportKind::Socket`](transport::TransportKind) — **true
-//!   multi-process simulation**: the parent spawns `cc-clique-node` worker
-//!   processes, each simulating a contiguous shard of destinations, and
-//!   every round's words cross unix domain sockets as length-prefixed
-//!   frames ([`transport::Frame`], property-tested to round-trip
-//!   bit-exactly). The slab is the wire unit: a worker's shard is one
-//!   contiguous range of it and travels as **one**
+//! * [`TransportKind::Socket`](transport::TransportKind) and
+//!   [`TransportKind::Tcp`](transport::TransportKind) — **true
+//!   multi-process simulation**, one fabric
+//!   ([`StreamTransport`](transport::StreamTransport)) reached two ways: the
+//!   orchestrator spawns worker processes, each simulating a contiguous
+//!   shard of destinations, over unix domain sockets (`socket`,
+//!   `cc-clique-node` workers) or TCP streams (`tcp`, `cc-clique-host`
+//!   workers, host-portable), and every round's words cross as
+//!   length-prefixed frames ([`transport::Frame`], property-tested to
+//!   round-trip bit-exactly). The slab is the wire unit: a worker's shard is
+//!   one contiguous range of it and travels as **one**
 //!   [`Frame::Shard`](transport::Frame::Shard) — the per-link length
 //!   table, then the words, encoded straight from the slab's slices — and
 //!   comes back as one echoed frame appended to the delivered slab whole.
@@ -268,23 +265,24 @@
 //!   words it charged as a dense table laid out like its shard, the
 //!   orchestrator reads the canonical loads off those tables with no
 //!   sort, and a round is charged only after every worker commits its
-//!   epoch.
-//! * [`TransportKind::Tcp`](transport::TransportKind) — the same frame
-//!   codec and round-commit barrier over **TCP streams**, in two modes.
-//!   *Star mode* (`tcp`) is the socket topology over TCP: every round's
-//!   words transit the orchestrator. *Peer-resident mode* (`tcp-peer`)
-//!   is the multi-layer refactor: [`WireProgram`](runtime::WireProgram)
-//!   shards are serialized and shipped to the workers **once**, per-round
-//!   messages flow worker → worker over direct peer links — the slab is
-//!   the wire unit here too, one
+//!   epoch. That is the *star*: every round's words transit the
+//!   orchestrator. TCP adds a *peer-resident mode* (`tcp-peer`):
+//!   [`WireProgram`](runtime::WireProgram) shards are serialized and
+//!   shipped to the workers **once**, per-round messages flow worker →
+//!   worker over direct peer links — the slab is the wire unit here too, one
 //!   [`Frame::Shard`](transport::Frame::Shard) per peer per round — and the
 //!   orchestrator's per-round role shrinks to brokering the barrier and
 //!   collecting final states.
 //!
-//! The peer-resident setup handshake: each worker binds a peer listener
-//! and reports it (`Hello` + `PeerAddr`); the orchestrator answers with
-//! the shard assignment and the full **routing table** (`Assign` +
-//! `Peers`), from which workers dial each other lazily. A resident
+//! The setup handshake is the same on both: a worker is started as
+//! `<binary> <endpoint> <worker>` (`unix://<path>` or
+//! `tcp://<host>:<port>`), connects, and greets with `Hello` + `PeerAddr`
+//! (the peer listener it bound on TCP; empty on a unix socket); the
+//! orchestrator answers with the shard assignment and the full **routing
+//! table** (`Assign` + `Peers`), from which TCP workers dial each other
+//! lazily. A worker refuses an assignment it could not serve (an empty
+//! clique, a shard past it, a shard table no frame could carry, a routing
+//! table that does not reach it) before sizing anything from it. A resident
 //! session is `ResidentStart` + one `Program` frame per owned node; each
 //! round a worker steps its shard locally, gathers its nodes' outboxes
 //! into one slab, keeps its own destination range and ships every peer
@@ -293,7 +291,7 @@
 //! bytes, and the words charged on every owned link as the dense table
 //! `Commit` carries) — the orchestrator reads the canonical loads off the
 //! tables in `(src, dst)` order and answers `Release`, so the barrier
-//! epoch stream stays identical to the star backends'. A receiving worker
+//! epoch stream stays identical to the star's. A receiving worker
 //! refuses a shard from another epoch, for destinations it does not own,
 //! with a short table, a second one from the same peer, or with words on
 //! a link whose source its sender does not simulate. For **multi-host
@@ -311,7 +309,7 @@
 //! on all of them — star or peer-resident — (pinned across the transport
 //! × executor matrix in `tests/runtime_determinism.rs`), so where the
 //! traffic travels is a deployment choice, never a semantics choice.
-//! `CC_TRANSPORT` (`inmemory` / `channel` / `socket[:workers]` /
+//! `CC_TRANSPORT` (`inmemory` / `socket[:workers]` /
 //! `tcp[:workers][:host:port]` / `tcp-peer[:workers][:host:port]`)
 //! retargets every default-configured simulation the way `CC_EXECUTOR`
 //! does for executors — CI runs the full suite on each fabric — and an
@@ -321,9 +319,7 @@
 //! transited the orchestrator, **≈ 0 in peer-resident mode** while star
 //! mode carries every round through it (asserted in CI on
 //! `BENCH_transport.json`'s `bytes_through_orchestrator` column).
-//! `BENCH_transport.json` quantifies the overhead (fast_mm at
-//! `n ∈ {64, 128, 256}`: thread queues ≈ 3–4.5×, worker processes ≈
-//! 2.5–3× the shared-memory wall-clock on the CI host); the
+//! `BENCH_transport.json` records the overhead per fabric; the
 //! `multi_process` example drives the socket and TCP orchestrators end
 //! to end. A star round puts one batch per `(worker, round)` on the wire
 //! each way — the shard frame, the broadcast slabs (encoded once for all

@@ -30,21 +30,23 @@ fn cfg_transport(kind: TransportKind) -> CliqueConfig {
     }
 }
 
+/// The TCP fabric in star mode.
+const TCP_STAR: TransportKind = TransportKind::Tcp {
+    workers: 2,
+    resident: false,
+    addr: None,
+};
+
 /// The transport axis of the determinism matrix: the in-memory reference,
-/// the cross-thread channel fabric, the multi-process socket fabric (both
-/// worker-count extremes the test budget allows), and the TCP fabric in
-/// both its star and program-resident modes.
-fn transport_axis() -> [TransportKind; 6] {
+/// the multi-process socket fabric (both worker-count extremes the test
+/// budget allows), and the TCP fabric in both its star and program-resident
+/// modes.
+fn transport_axis() -> [TransportKind; 5] {
     [
         TransportKind::InMemory,
-        TransportKind::Channel,
         TransportKind::Socket { workers: 1 },
         TransportKind::Socket { workers: 3 },
-        TransportKind::Tcp {
-            workers: 2,
-            resident: false,
-            addr: None,
-        },
+        TCP_STAR,
         TransportKind::Tcp {
             workers: 2,
             resident: true,
@@ -227,9 +229,8 @@ proptest! {
 
     /// The ported algorithm layer — APSP tables, triangle counts (closure
     /// and NodeProgram), 4-cycle detection, girth — is bit-identical
-    /// across the sequential reference, the pooled executor, and the
-    /// legacy spawn-per-call executor, down to rounds, words, and pattern
-    /// fingerprints.
+    /// across the sequential reference and the pooled executor, down to
+    /// rounds, words, and pattern fingerprints.
     #[test]
     fn ported_algorithms_are_executor_independent(
         n in 8usize..18,
@@ -237,15 +238,13 @@ proptest! {
         threads in 2usize..6,
     ) {
         let seq = run_algorithms(ExecutorKind::Sequential, n, seed);
-        for kind in [ExecutorKind::Parallel { threads }, ExecutorKind::Spawn { threads }] {
-            let par = run_algorithms(kind, n, seed);
-            prop_assert_eq!(&seq, &par, "backend {:?} diverged", kind);
-        }
+        let par = run_algorithms(ExecutorKind::Parallel { threads }, n, seed);
+        prop_assert_eq!(&seq, &par, "pooled backend diverged");
     }
 }
 
 /// The slower ported entry points (approximate APSP, small-weights APSP,
-/// the sparse square, directed girth), pinned across all three backends on
+/// the sparse square, directed girth), pinned across both backends on
 /// fixed instances.
 #[test]
 fn remaining_ported_algorithms_are_executor_independent() {
@@ -281,16 +280,11 @@ fn remaining_ported_algorithms_are_executor_independent() {
             run(ExecutorKind::Parallel { threads }),
             "pooled backend diverged (threads={threads})"
         );
-        assert_eq!(
-            seq,
-            run(ExecutorKind::Spawn { threads }),
-            "spawn backend diverged (threads={threads})"
-        );
     }
 }
 
 /// The `sparse_square` density boundary, pinned exactly at the Theorem 4
-/// threshold and across all three executor backends: K₅ padded to n = 9
+/// threshold and across both executor backends: K₅ padded to n = 9
 /// gives a maximum of 16 = 2n−2 two-walks (accepted), one pendant edge
 /// more gives 17 = 2n−1 (rejected). The accepted square must agree with
 /// the general `sparse_mm` path it now wraps, bit-identically on every
@@ -340,18 +334,13 @@ fn sparse_square_density_boundary_is_executor_independent() {
             run(ExecutorKind::Parallel { threads }),
             "pooled backend diverged (threads={threads})"
         );
-        assert_eq!(
-            seq,
-            run(ExecutorKind::Spawn { threads }),
-            "spawn backend diverged (threads={threads})"
-        );
     }
 }
 
 /// The new sparse/rectangular MM subsystem (PR 3): products, witnessed
 /// distance products, rectangular slabs, and the dispatching triangle
 /// front door are bit-identical — results, rounds, words, fingerprints —
-/// across Sequential, the pooled Parallel, and the legacy Spawn backends.
+/// across the Sequential and the pooled Parallel backends.
 #[test]
 fn sparse_and_rect_mm_are_executor_independent() {
     use congested_clique::core::{rect_mm, sparse_mm, RectMatrix};
@@ -411,11 +400,6 @@ fn sparse_and_rect_mm_are_executor_independent() {
             seq,
             run(ExecutorKind::Parallel { threads }),
             "pooled backend diverged (threads={threads})"
-        );
-        assert_eq!(
-            seq,
-            run(ExecutorKind::Spawn { threads }),
-            "spawn backend diverged (threads={threads})"
         );
     }
 }
@@ -557,7 +541,7 @@ fn algorithms_are_kernel_independent() {
         for config in [
             cfg(ExecutorKind::Sequential),
             cfg(ExecutorKind::Parallel { threads: 3 }),
-            cfg_transport(TransportKind::Channel),
+            cfg_transport(TCP_STAR),
             cfg_transport(TransportKind::Socket { workers: 2 }),
         ] {
             let got = run_algorithms_with(config.clone(), n, seed);
@@ -595,17 +579,17 @@ fn algorithms_are_netsim_condition_independent() {
         let got = run_algorithms_with(config, n, seed);
         assert_eq!(reference, got, "netsim profile {profile:?} diverged");
     }
-    // Conditioning composes with a non-default fabric: a lossy channel
-    // backend still reproduces the unconditioned in-memory reference.
+    // Conditioning composes with a non-default fabric: a lossy TCP star
+    // still reproduces the unconditioned in-memory reference.
     let config = CliqueConfig {
         netsim: NetsimConfig {
             profile: NetsimProfile::Lossy,
             seed: 7,
         },
-        ..cfg_transport(TransportKind::Channel)
+        ..cfg_transport(TCP_STAR)
     };
     let got = run_algorithms_with(config, n, seed);
-    assert_eq!(reference, got, "lossy-conditioned channel fabric diverged");
+    assert_eq!(reference, got, "lossy-conditioned tcp fabric diverged");
 
     // Non-vacuousness check for the flaky-node cell: at this scale the
     // fault plan must actually crash nodes (so the bit-identity above
@@ -730,15 +714,15 @@ proptest! {
             )
         };
         let reference = run(TransportKind::InMemory);
-        for kind in [TransportKind::Channel, TransportKind::Socket { workers: 2 }] {
+        for kind in [TCP_STAR, TransportKind::Socket { workers: 2 }] {
             let got = run(kind);
             prop_assert_eq!(&got, &reference, "transport {:?} diverged", kind);
         }
     }
 }
 
-/// Transports compose with executors: the full backend matrix (pooled and
-/// spawn executors × channel and socket fabrics) reproduces the
+/// Transports compose with executors: the backend matrix (sequential and
+/// pooled executors × tcp and socket stars) reproduces the
 /// sequential/in-memory reference on the paper's multiplication engines.
 #[test]
 fn matrix_multiplication_is_transport_and_executor_independent() {
@@ -766,11 +750,10 @@ fn matrix_multiplication_is_transport_and_executor_independent() {
 
     let reference = run(cfg_transport(TransportKind::InMemory));
     assert_eq!(reference.0, expected, "fast_mm must be correct");
-    for transport in [TransportKind::Channel, TransportKind::Socket { workers: 2 }] {
+    for transport in [TCP_STAR, TransportKind::Socket { workers: 2 }] {
         for executor in [
             ExecutorKind::Sequential,
             ExecutorKind::Parallel { threads: 3 },
-            ExecutorKind::Spawn { threads: 2 },
         ] {
             let config = CliqueConfig {
                 transport,
@@ -860,7 +843,7 @@ fn cached_queries_replay_fresh_results_across_backends() {
         ExecutorKind::Sequential,
         ExecutorKind::Parallel { threads: 3 },
     ] {
-        for transport in [TransportKind::InMemory, TransportKind::Channel] {
+        for transport in [TransportKind::InMemory, TCP_STAR] {
             assert_eq!(
                 reference,
                 run(executor, transport),
@@ -978,8 +961,8 @@ fn full_tracing_is_bit_identical_to_off() {
     let full = probe("full");
     assert_eq!(
         off.len(),
-        12,
-        "probe must cover the 2-executor × 6-transport matrix: {off:?}"
+        2 * transport_axis().len(),
+        "probe must cover the 2-executor × transport-axis matrix: {off:?}"
     );
     assert_eq!(off, full, "CC_TRACE=full must be observer-only");
 }

@@ -43,7 +43,11 @@ fn full_capture_holds_phases_rounds_links_and_dispatches() {
     let mut accounting = Vec::new();
     for transport in [
         TransportKind::InMemory,
-        TransportKind::Channel,
+        TransportKind::Tcp {
+            workers: 2,
+            resident: false,
+            addr: None,
+        },
         TransportKind::Socket { workers: 2 },
     ] {
         let mut clique = Clique::with_config(n, cfg(transport));
@@ -76,7 +80,7 @@ fn full_capture_holds_phases_rounds_links_and_dispatches() {
 
     // Per-round link events from every backend, with consistent histograms
     // and per-round skew (max >= mean on every round).
-    for backend in ["inmemory", "channel", "socket"] {
+    for backend in ["inmemory", "tcp", "socket"] {
         let t = snap
             .transports
             .get(backend)
@@ -87,10 +91,13 @@ fn full_capture_holds_phases_rounds_links_and_dispatches() {
         assert!(t.hist.total() > 0, "{backend}: link histogram populated");
         assert!(t.barrier_ns > 0, "{backend}: barrier wall-clock");
     }
-    // Frame batches are socket-only (Full level).
-    let socket = &snap.transports["socket"];
-    assert!(socket.frame_batches > 0, "socket coalesces frame batches");
-    assert!(socket.frame_bytes > 0);
+    // Frame batches are what the process fabric puts on the wire (Full
+    // level).
+    for backend in ["socket", "tcp"] {
+        let wire = &snap.transports[backend];
+        assert!(wire.frame_batches > 0, "{backend} coalesces frame batches");
+        assert!(wire.frame_bytes > 0);
+    }
     assert_eq!(snap.transports["inmemory"].frame_batches, 0);
 
     // Executor fan-out decisions at Full: with cutover 2 both sides of the
