@@ -1,9 +1,12 @@
-//! Ablation experiments for the design choices DESIGN.md calls out:
+//! Ablation experiments for three design choices:
 //!
-//! 1. **Label-grid search vs. the paper's `q = ⌈√n⌉`** in the fast MM plan
-//!    (DESIGN.md §2 "padding"): the searched plan reduces padding waste.
-//! 2. **Two-choice vs. single-hash relays** in the balanced router
-//!    (DESIGN.md §5 "Routing"): two choices tighten per-link maxima.
+//! 1. **Label-grid search vs. the paper's `q = ⌈√n⌉`** in the fast MM plan:
+//!    when `n` is not a perfect square, forcing `q² ≈ n` pads the label
+//!    grid, and searching `q` for the lowest per-node load cuts that waste.
+//! 2. **Two-choice vs. single-hash relays** in the balanced router: one
+//!    hashed relay per word leaves the busiest link `O(log n / log log n)`
+//!    balls-into-bins slack, and taking the less loaded of two candidates
+//!    tightens per-link maxima.
 //! 3. **Balanced routing vs. direct links** for the 3D scatter pattern:
 //!    why the Lenzen-style primitive is essential for Theorem 1.
 //!

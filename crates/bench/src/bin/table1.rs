@@ -7,8 +7,9 @@
 //! Absolute round counts are implementation constants; the reproduction
 //! claims are the *fitted exponents* and the ours-vs-baseline orderings.
 //! With Strassen (σ = log₂ 7) the ring-multiplication exponent target is
-//! `1 − 2/σ ≈ 0.288` instead of the paper's `0.158` (which needs Le Gall's
-//! ω — see DESIGN.md §2).
+//! `1 − 2/σ ≈ 0.288` instead of the paper's `0.158`, which needs Le Gall's
+//! ω < 2.3729: that bound proves an algorithm exists without giving a
+//! tensor small enough to execute, so Strassen is what the simulator runs.
 
 use cc_algebra::Matrix;
 use cc_bench::{sweep, table_header, TableRow};

@@ -8,7 +8,7 @@ use crate::stats::Stats;
 use crate::word::Word;
 use cc_netsim::{NetsimConfig, NetsimTransport};
 use cc_runtime::{Engine, Executor, ExecutorKind, LinkLoads, NodeProgram, WireProgram};
-use cc_transport::{LinkSlab, SlabWriter, TransportFabric, TransportKind};
+use cc_transport::{LinkSlab, TransportFabric, TransportKind};
 use std::sync::Arc;
 
 /// Communication regime of the simulated clique.
@@ -457,16 +457,18 @@ impl Clique {
     /// `route_seed` and `relay_policy`, and the step's *shape*: the ordered
     /// sequence of `(src, dst, len)` over its messages, empty ones included
     /// — never on the words. An oblivious algorithm routes the same few
-    /// shapes over and over, so the draw (one relay per word plus both
-    /// phases' per-link word counts) is kept in a process-wide cache keyed
-    /// by exactly those four things and shared by every clique in the
-    /// process. A lookup compares the whole shape, message by message (a
-    /// hash only pre-filters); a hit scatters the words by table, a miss
-    /// draws first — results, rounds, words and fingerprints are identical
-    /// either way. The cache is least-recently-used and bounded by a fixed
-    /// 8 MiB of tables; a step whose schedule alone exceeds that is drawn,
-    /// used once and dropped. [`Clique::route_dynamic`] steps are drawn on
-    /// every call and never enter the cache: their shapes follow the data.
+    /// shapes over and over, so the draw is compiled — where each word
+    /// lands in either phase's slab and where each message lands in the
+    /// delivery — and kept in a process-wide cache keyed by exactly those
+    /// four things and shared by every clique in the process. A lookup
+    /// compares the whole shape, message by message (a hash only
+    /// pre-filters); a hit writes every word straight to its slot, a miss
+    /// draws and compiles first — results, rounds, words and fingerprints
+    /// are identical either way. The cache is least-recently-used and
+    /// bounded by a fixed 8 MiB of tables; a step whose compiled tables
+    /// would exceed that is drawn, used once and dropped, without tables.
+    /// [`Clique::route_dynamic`] steps are drawn on every call and never
+    /// enter the cache: their shapes follow the data.
     pub fn route<F>(&mut self, mut messages: F) -> Inboxes
     where
         F: FnMut(usize) -> Vec<(usize, Vec<Word>)>,
@@ -527,45 +529,27 @@ impl Clique {
         for (dst, _) in outboxes.iter().flat_map(Outbox::messages) {
             assert!(dst < n, "route destination {dst} out of range (n={n})");
         }
-        // (src, dst, words) in collection order: node by node, each node's
+        // (src, dst, len) in collection order: node by node, each node's
         // messages as it emitted them.
-        let messages = outboxes
-            .iter()
-            .enumerate()
-            .flat_map(|(src, out)| out.messages().map(move |(dst, words)| (src, dst, words)));
-        let shape = messages
-            .clone()
-            .map(|(src, dst, words)| pack_head(src, dst, words.len()));
+        let shape = outboxes.iter().enumerate().flat_map(|(src, out)| {
+            out.messages()
+                .map(move |(dst, words)| pack_head(src, dst, words.len()))
+        });
         let (seed, policy) = (self.cfg.route_seed, self.cfg.relay_policy);
         let schedule = if dynamic {
-            Arc::new(RouteSchedule::build(n, seed, policy, 2, shape.collect()))
+            Arc::new(RouteSchedule::build(n, seed, policy, true, shape.collect()))
         } else {
             RouteSchedule::cached(n, seed, policy, shape)
         };
 
         // Both phases physically travel through the transport: every word
         // to its relay, the round barrier, then the relays' forwards and the
-        // barrier again. Each phase is pass two of a counting sort — the
-        // schedule sized every link — and is charged from the fabric's
-        // accounting of the slab it is handed; what the relays received is
-        // dropped with the barrier's delivery.
+        // barrier again. The schedule sized every link and places every
+        // word; each phase is charged from the fabric's accounting of the
+        // slab it is handed, and what the relays received is dropped with
+        // the barrier's delivery.
         for phase in 0..2 {
-            let mut slab = SlabWriter::from_counts(n, schedule.link_counts(phase));
-            let mut relays = schedule.relays().iter();
-            for (src, dst, words) in messages.clone() {
-                for (&w, &relay) in words.iter().zip(&mut relays) {
-                    let (from, to) = if phase == 0 {
-                        (src, relay as usize)
-                    } else {
-                        (relay as usize, dst)
-                    };
-                    slab.push(from, to, w);
-                    if dynamic {
-                        slab.push(from, to, dst as Word);
-                    }
-                }
-            }
-            self.net.send_slab(slab.finish());
+            self.net.send_slab(schedule.slab(phase, &outboxes));
             let (_, loads) = self.net.flush();
             self.charge_loads(&loads);
         }
@@ -574,7 +558,7 @@ impl Clique {
         // are interleaved across relays on the wire, so reassembly per
         // (dst, src) pair is modelled (the pattern is known; headers were
         // charged when it is not).
-        Inboxes::from_slab(LinkSlab::from_runs(n, messages))
+        Inboxes::from_slab(schedule.delivery(&outboxes))
     }
 
     /// Runs one [`NodeProgram`] per node on the runtime engine, charging the

@@ -52,8 +52,9 @@
 //! worker processes, length-prefixed frames, round-commit barrier). Every primitive builds
 //! its step's traffic as one flat destination-major buffer
 //! (`cc_transport::LinkSlab`, a two-pass counting sort over the generated
-//! messages — for [`Clique::route`], pass one is the step's relay schedule,
-//! drawn once per shape) and hands it to the fabric in one call; the
+//! messages — for a [`Clique::route`] step whose shape repeats, one write
+//! per word to a slot compiled once per shape) and hands it to the fabric
+//! in one call; the
 //! [`Inboxes`] it gets back are a view of the delivered buffer. Deliveries,
 //! rounds, words, pattern fingerprints, and barrier epochs
 //! ([`Clique::transport_epochs`]) are bit-identical across fabrics; the
@@ -71,16 +72,21 @@
 //! its messages — and the paper's algebraic algorithms are oblivious: a
 //! fast matrix product routes the same four shapes whatever the matrices
 //! hold, and a Seidel or triangle query is a chain of such products. So a
-//! step's schedule (one relay per word, `u16`, plus both phases' per-link
-//! word counts, `u32`) is drawn on first use and kept in a process-wide,
-//! least-recently-used cache bounded at 8 MiB of tables; a later step with
-//! the same four-part key — the shape compared in full — scatters its words
-//! by table instead of hashing each one. Steps whose shape follows the data
-//! go through [`Clique::route_dynamic`], which draws per call and never
-//! touches the cache, as does any step whose schedule alone would exceed
-//! the budget. Cached or drawn, a step delivers the same inboxes and charges
-//! the same rounds, words and fingerprints: the fabric still derives its
-//! accounting from the slab it is handed.
+//! step's schedule is drawn on first use, compiled, and kept in a
+//! process-wide, least-recently-used cache bounded at 8 MiB of tables. The
+//! compiled step holds, per word, its slot in the phase-A slab (`u32`) and
+//! its offset inside its destination's phase-B row (`u16`, or `u32` when a
+//! row outgrows 16 bits); per non-empty message, its place in the delivery
+//! (`u32`); and both phases' per-link word counts (`u16` where they fit).
+//! A later step with the same four-part key — the shape compared in full —
+//! writes each word straight to its slot and copies each message once into
+//! the delivery, with no hash and no per-link cursor. Steps whose shape
+//! follows the data go through [`Clique::route_dynamic`], which draws per
+//! call, builds no table and never touches the cache, as does any step
+//! whose compiled tables would exceed the budget: both are scattered by a
+//! cursor per link, one pass per phase. Cached or drawn, a step delivers
+//! the same inboxes and charges the same rounds, words and fingerprints:
+//! the fabric still derives its accounting from the slab it is handed.
 //!
 //! ## Network conditions
 //!

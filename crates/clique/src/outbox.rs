@@ -57,9 +57,14 @@ impl Outbox {
         &mut self.words
     }
 
+    /// Every message's words end to end, in send order.
+    pub(crate) fn words(&self) -> &[Word] {
+        self.words.as_slice()
+    }
+
     /// The messages as `(destination, words)`, in send order.
     pub(crate) fn messages(&self) -> impl Iterator<Item = (usize, &[Word])> + Clone {
-        let words = self.words.as_slice();
+        let words = self.words();
         let ends = self
             .heads
             .iter()

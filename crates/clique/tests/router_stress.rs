@@ -364,7 +364,7 @@ fn slab_router_matches_the_word_at_a_time_reference() {
 const CACHE_BUDGET: usize = 8 << 20;
 
 /// Routes one shape of `per_node` one-word messages from every node of a
-/// 13-clique — about `130 · per_node` bytes of schedule — distinct per
+/// 13-clique — about `234 · per_node` bytes of schedule — distinct per
 /// `salt`, and returns the words delivered and the cache's bytes afterwards.
 fn route_filler(cfg: &CliqueConfig, per_node: usize, salt: usize) -> (u64, usize) {
     let n = 13;
@@ -408,7 +408,7 @@ fn schedules_are_drawn_once_per_shape_and_redrawn_after_eviction() {
         assert_eq!(dynamic, expected(n, &cfg, true, &messages));
         assert_eq!(route_schedule_stats(), (hits + 1, misses + 1, bytes));
 
-        // Four other shapes of ≈ 2.6 MB each push the first one out.
+        // Four other shapes of ≈ 4.7 MB each push the first one out.
         for salt in 0..4 {
             let (delivered, bytes) = route_filler(&cfg, 20_000, salt);
             assert_eq!(delivered, 13 * 20_000);
@@ -451,6 +451,32 @@ fn a_schedule_larger_than_the_budget_is_used_once_and_not_kept() {
             route_schedule_stats(),
             (hits, misses + pass, bytes),
             "an over-budget schedule is drawn per call and evicts nothing"
+        );
+    }
+}
+
+#[test]
+fn a_step_whose_compiled_tables_would_not_fit_is_drawn_per_call() {
+    let _serial = serial();
+    let n = 13;
+    let cfg = cfg(RelayPolicy::SingleHash, 0x7ab1e);
+    // 60 000 one-word messages per node: ≈ 7.8 MB of shape and relays, which
+    // fit the budget, but ≈ 14 MB with slot tables, which do not.
+    let messages: Vec<Vec<(usize, Vec<u64>)>> = (0..n)
+        .map(|v| {
+            (0..60_000)
+                .map(|k| ((v + 2 * k) % n, vec![(v * k) as u64]))
+                .collect()
+        })
+        .collect();
+    let want = expected(n, &cfg, false, &messages);
+    let (hits, misses, bytes) = route_schedule_stats();
+    for pass in 1..=2 {
+        assert_eq!(routed(n, &cfg, false, &messages), want, "pass {pass}");
+        assert_eq!(
+            route_schedule_stats(),
+            (hits, misses + pass, bytes),
+            "no tables are built or kept for a step routed once"
         );
     }
 }

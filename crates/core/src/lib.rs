@@ -10,8 +10,9 @@
 //! * [`fast_mm`] — the **fast bilinear algorithm** (paper §2.2):
 //!   `O(n^{1-2/σ})`-round multiplication over rings, parameterised by any
 //!   [`cc_algebra::BilinearAlgorithm`] with `m = O(d^σ)` multiplications
-//!   (Strassen and its tensor powers here; the paper's `ω < 2.373`
-//!   algorithms have no implementable tensor description — see DESIGN.md).
+//!   (Strassen and its tensor powers here; the paper's `ω < 2.373` bounds
+//!   come from laser-method constructions that prove such algorithms exist
+//!   without writing down a tensor small enough to execute).
 //! * [`distance`] — min-plus (distance) products: exact via the 3D
 //!   algorithm, weight-capped via the polynomial-ring embedding (Lemma 18),
 //!   and `(1+δ)`-approximate via weight scaling (Lemma 20).

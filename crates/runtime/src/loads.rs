@@ -9,6 +9,10 @@
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinkLoads {
     loads: Vec<(usize, usize, usize)>,
+    /// The longest entry of `loads`, kept as entries are added.
+    rounds: u64,
+    /// The sum of `loads`, kept as entries are added.
+    words: u64,
 }
 
 impl LinkLoads {
@@ -24,6 +28,8 @@ impl LinkLoads {
     pub fn add(&mut self, src: usize, dst: usize, words: usize) {
         if words > 0 && src != dst {
             self.loads.push((src, dst, words));
+            self.rounds = self.rounds.max(words as u64);
+            self.words += words as u64;
         }
     }
 
@@ -32,17 +38,13 @@ impl LinkLoads {
     /// (each link carries one word per round).
     #[must_use]
     pub fn rounds(&self) -> u64 {
-        self.loads
-            .iter()
-            .map(|&(_, _, w)| w as u64)
-            .max()
-            .unwrap_or(0)
+        self.rounds
     }
 
     /// Total words crossing links.
     #[must_use]
     pub fn words(&self) -> u64 {
-        self.loads.iter().map(|&(_, _, w)| w as u64).sum()
+        self.words
     }
 
     /// Iterates over `(src, dst, words)` entries.
@@ -94,5 +96,26 @@ mod tests {
         loads.add(0, 1, 0);
         assert_eq!(loads.rounds(), 0);
         assert_eq!(loads.iter().count(), 0);
+    }
+
+    #[test]
+    fn kept_totals_equal_a_rescan_after_every_add() {
+        let mut loads = LinkLoads::new();
+        let adds = [
+            (0, 1, 3),
+            (2, 2, 50),
+            (1, 0, 0),
+            (2, 0, 7),
+            (0, 0, 9),
+            (1, 2, 7),
+            (2, 1, 1),
+        ];
+        for (src, dst, words) in adds {
+            loads.add(src, dst, words);
+            let entries: Vec<u64> = loads.iter().map(|(_, _, w)| w as u64).collect();
+            assert_eq!(loads.rounds(), entries.iter().copied().max().unwrap_or(0));
+            assert_eq!(loads.words(), entries.iter().sum::<u64>());
+        }
+        assert_eq!((loads.rounds(), loads.words()), (7, 18));
     }
 }
