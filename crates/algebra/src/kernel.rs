@@ -30,6 +30,28 @@
 //! correct Boolean method returns the same booleans. Each dispatch emits a
 //! `KernelDecision` telemetry event at `TraceLevel::Full`, mirroring the
 //! executor's inline-vs-dispatched events.
+//!
+//! # ISA levels
+//!
+//! The tiled `i64` loop ([`mul_i64_blocked`], and with it every Strassen
+//! leaf) is one `#[inline(always)]` body compiled three times: under
+//! AVX-512 F + DQ + VL (`vpmullq`, a native 8-lane 64-bit multiply), under
+//! AVX2, and for the build target's baseline (SSE2 on x86-64, which has no
+//! vector 64-bit multiply). Each call runs the widest variant that
+//! `std::is_x86_feature_detected!` finds on the running CPU; outside
+//! x86-64 only the baseline body is compiled. The variants are
+//! observer-equivalent to each other, not merely to the schoolbook
+//! reference: they compile the same source, so every output element is
+//! summed in the same k-ascending order, vector `i64` adds and multiplies
+//! wrap exactly as the scalar ones do in a release build, and a debug
+//! build keeps its overflow checks in all of them. There is no knob: the
+//! CPU decides, and `CC_KERNEL`/`CC_TILE` keep their meaning.
+//!
+//! Rows narrower than 32 columns are the one shape where the body does
+//! not stream the output row once per `k`: it holds them in 8-wide
+//! register blocks across the k-tile instead. Streamed, a 16-column row
+//! makes each `k` wait on the previous one's stores, and the AVX-512 build
+//! then ran slower than the baseline.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -229,38 +251,170 @@ pub fn mul_bool(a: &Matrix<bool>, b: &Matrix<bool>) -> Matrix<bool> {
 
 /// Cache-blocked i-k-j `i64` product: the `i` and `k` loops are tiled so a
 /// `tile`-row strip of `b` is reused across a whole `tile`-row strip of
-/// `a`, and the inner `j` loop streams full output rows through a
-/// slice-zip (bounds-check-free, autovectorisable) fused multiply-add.
-/// Exact for any summation order because `i64` addition is associative and
-/// commutative.
+/// `a`, and the inner `j` loop streams output rows through a slice-zip
+/// (vectorisable) multiply-add; rows narrower than 32 columns are held in
+/// registers instead. The loop runs on the widest
+/// [ISA level](self#isa-levels) the running CPU supports. Exact for any
+/// summation order because `i64` addition is associative and commutative.
 ///
 /// # Panics
 ///
 /// Panics if `a.cols() != b.rows()` or `tile == 0`.
 #[must_use]
 pub fn mul_i64_blocked(a: &Matrix<i64>, b: &Matrix<i64>, tile: usize) -> Matrix<i64> {
+    mul_i64_blocked_on(Isa::host(), a, b, tile)
+}
+
+/// [`mul_i64_blocked`] with the loop body compiled for `isa`.
+fn mul_i64_blocked_on(isa: Isa, a: &Matrix<i64>, b: &Matrix<i64>, tile: usize) -> Matrix<i64> {
     assert_eq!(a.cols(), b.rows(), "dimension mismatch in mul_i64_blocked");
     assert!(tile > 0, "tile edge must be positive");
+    let mut out = Matrix::filled(a.rows(), b.cols(), 0);
+    run_on(isa, a, b, tile, &mut out);
+    out
+}
+
+/// An instruction-set level the loop body of [`mul_i64_blocked`] is
+/// compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// AVX-512 F + DQ + VL: `vpmullq` is a native 8-lane 64-bit multiply.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// AVX2: 4 lanes, each 64-bit multiply built from 32-bit ones.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// The build target's baseline (SSE2 on x86-64: no vector 64-bit
+    /// multiply).
+    Portable,
+}
+
+/// Every compiled variant, widest first: the order [`Isa::host`] tries
+/// them in.
+pub(crate) const ISA_VARIANTS: &[Isa] = &[
+    #[cfg(target_arch = "x86_64")]
+    Isa::Avx512,
+    #[cfg(target_arch = "x86_64")]
+    Isa::Avx2,
+    Isa::Portable,
+];
+
+impl Isa {
+    /// Whether the running CPU can execute this variant (a run-time check;
+    /// `std` caches the CPUID probe, so this is a few atomic loads).
+    pub(crate) fn supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => {
+                std::is_x86_feature_detected!("avx512f")
+                    && std::is_x86_feature_detected!("avx512dq")
+                    && std::is_x86_feature_detected!("avx512vl")
+            }
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2 => std::is_x86_feature_detected!("avx2"),
+            Self::Portable => true,
+        }
+    }
+
+    /// The widest variant the running CPU supports.
+    fn host() -> Self {
+        ISA_VARIANTS
+            .iter()
+            .copied()
+            .find(|isa| isa.supported())
+            .unwrap_or(Self::Portable)
+    }
+}
+
+/// Runs the loop body compiled for `isa`: the one place cc-algebra calls
+/// code that needs a CPU feature the build target does not promise.
+///
+/// # Panics
+///
+/// Panics if the running CPU does not support `isa`.
+#[allow(unsafe_code)]
+fn run_on(isa: Isa, a: &Matrix<i64>, b: &Matrix<i64>, tile: usize, out: &mut Matrix<i64>) {
+    assert!(isa.supported(), "{isa:?} is not supported by this CPU");
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `isa.supported()` above detected avx512f, avx512dq and
+        // avx512vl on the running CPU.
+        Isa::Avx512 => unsafe { tiled_i64_avx512(a, b, tile, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `isa.supported()` above detected avx2 on the running CPU.
+        Isa::Avx2 => unsafe { tiled_i64_avx2(a, b, tile, out) },
+        Isa::Portable => tiled_i64(a, b, tile, out),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn tiled_i64_avx512(a: &Matrix<i64>, b: &Matrix<i64>, tile: usize, out: &mut Matrix<i64>) {
+    tiled_i64(a, b, tile, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tiled_i64_avx2(a: &Matrix<i64>, b: &Matrix<i64>, tile: usize, out: &mut Matrix<i64>) {
+    tiled_i64(a, b, tile, out);
+}
+
+/// Output columns one register block of [`tiled_i64`] holds: 8 `i64`
+/// lanes, one 512-bit vector (two AVX2, four SSE2 registers).
+const LANES: usize = 8;
+
+/// Output rows at least this wide are streamed through memory; narrower
+/// ones are accumulated in register blocks.
+const STREAM_COLS: usize = 32;
+
+/// The tiled loop of [`mul_i64_blocked`], accumulating into a zeroed `out`.
+/// Inlined into every [`Isa`] variant, so each compiles the same source and
+/// sums every output element in k-ascending order. Within a `tile × tile`
+/// block of `a`, a wide output row takes every `k` term in one pass over
+/// the row; a narrow one (fewer than [`STREAM_COLS`] columns, see the
+/// [module docs](self#isa-levels)) is split into [`LANES`]-wide chunks,
+/// each held in a local array (registers, once optimised) while all the
+/// `k` terms are added into it.
+#[inline(always)]
+fn tiled_i64(a: &Matrix<i64>, b: &Matrix<i64>, tile: usize, out: &mut Matrix<i64>) {
     let (n, inner, m) = (a.rows(), a.cols(), b.cols());
-    let mut out = vec![0i64; n * m];
     for i0 in (0..n).step_by(tile) {
         for k0 in (0..inner).step_by(tile) {
             let ke = (k0 + tile).min(inner);
             for i in i0..(i0 + tile).min(n) {
-                let arow = a.row(i);
-                let orow = &mut out[i * m..(i + 1) * m];
-                for (k, &aik) in arow[k0..ke].iter().enumerate() {
-                    if aik == 0 {
-                        continue;
-                    }
-                    for (dst, &src) in orow.iter_mut().zip(b.row(k0 + k)) {
-                        *dst += aik * src;
+                let arow = &a.row(i)[k0..ke];
+                let orow = out.row_mut(i);
+                if m >= STREAM_COLS {
+                    accumulate(orow, arow, b, k0, 0);
+                    continue;
+                }
+                for (c, chunk) in orow.chunks_mut(LANES).enumerate() {
+                    if let Ok(chunk) = <&mut [i64; LANES]>::try_from(&mut *chunk) {
+                        let mut acc = *chunk;
+                        accumulate(&mut acc, arow, b, k0, c * LANES);
+                        *chunk = acc;
+                    } else {
+                        accumulate(chunk, arow, b, k0, c * LANES);
                     }
                 }
             }
         }
     }
-    Matrix::from_fn(n, m, |i, j| out[i * m + j])
+}
+
+/// `acc += arow · b[k0.., j0..]`, one `k` at a time in ascending order,
+/// skipping zero entries of `arow`.
+#[inline(always)]
+fn accumulate(acc: &mut [i64], arow: &[i64], b: &Matrix<i64>, k0: usize, j0: usize) {
+    let j1 = j0 + acc.len();
+    for (k, &aik) in arow.iter().enumerate() {
+        if aik == 0 {
+            continue;
+        }
+        for (dst, &src) in acc.iter_mut().zip(&b.row(k0 + k)[j0..j1]) {
+            *dst += aik * src;
+        }
+    }
 }
 
 /// Local Strassen with a blocked base case: recursion from
@@ -382,6 +536,65 @@ mod tests {
             }
             if rows == inner && inner == cols {
                 assert_eq!(mul_i64_strassen(&a, &b, 64), naive);
+            }
+        }
+    }
+
+    #[test]
+    fn every_isa_variant_matches_the_portable_body() {
+        let shapes = [
+            (1, 1, 1),
+            (7, 63, 5),
+            (16, 16, 16),
+            (32, 32, 32),
+            (33, 33, 33),
+            (64, 64, 64),
+            (65, 130, 33),
+            // Two register blocks and a ragged one.
+            (9, 20, 21),
+        ];
+        // 0/1 entries, entries in [-8, 8], and the latter with every third
+        // row zeroed (the `aik == 0` skip on `a`, zero rows of `b` too).
+        let operands = |rows: usize, cols: usize, seed: u64| {
+            let small = rand_int(rows, cols, seed).map(|&x| x.clamp(-8, 8));
+            [
+                rand_int(rows, cols, seed).map(|&x| i64::from(x > 0)),
+                small.clone(),
+                small.map_indexed(|i, _, &x| if i % 3 == 0 { 0 } else { x }),
+            ]
+        };
+        let variants: Vec<Isa> = ISA_VARIANTS
+            .iter()
+            .copied()
+            .filter(|isa| isa.supported())
+            .collect();
+        assert_eq!(variants.last(), Some(&Isa::Portable));
+        for (rows, inner, cols) in shapes {
+            let lhs = operands(rows, inner, 20 + rows as u64);
+            let rhs = operands(inner, cols, 40 + cols as u64);
+            for (a, b) in lhs.iter().zip(&rhs) {
+                let naive = Matrix::mul(&IntRing, a, b);
+                for t in [1, 5, 64, 1000] {
+                    let portable = mul_i64_blocked_on(Isa::Portable, a, b, t);
+                    assert_eq!(portable, naive, "{rows}x{inner}x{cols} tile={t}");
+                    for &isa in &variants {
+                        assert_eq!(
+                            mul_i64_blocked_on(isa, a, b, t),
+                            portable,
+                            "{isa:?} {rows}x{inner}x{cols} tile={t}"
+                        );
+                    }
+                }
+            }
+        }
+        // Release builds wrap on overflow, and every variant must wrap
+        // exactly as the portable body does (debug builds panic instead).
+        if !cfg!(debug_assertions) {
+            let a = rand_int(33, 33, 7).map(|&x| x.wrapping_mul(i64::MAX / 3));
+            let b = rand_int(33, 33, 8).map(|&x| x.wrapping_mul(0x0123_4567_89ab_cdef));
+            let portable = mul_i64_blocked_on(Isa::Portable, &a, &b, 5);
+            for &isa in &variants {
+                assert_eq!(mul_i64_blocked_on(isa, &a, &b, 5), portable, "{isa:?}");
             }
         }
     }

@@ -5,7 +5,7 @@
 //!
 //! * round-count measurement sweeps over clique sizes;
 //! * log–log least-squares exponent fits (`rounds ≈ c·n^e`);
-//! * markdown table emission for EXPERIMENTS.md.
+//! * markdown table rows with exponent fits, which `table1` prints.
 //!
 //! Binaries: `table1`, `figures`, `apsp_accuracy`, `lower_bounds`.
 

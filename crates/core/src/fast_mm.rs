@@ -688,7 +688,8 @@ mod tests {
         // At n = 343 (= 7³) the Strassen-powered path moves fewer words than
         // the 3D semiring algorithm — the communication-volume separation
         // that drives the asymptotic round separation. (Absolute *rounds*
-        // cross over at larger n; see EXPERIMENTS.md for the sweep.)
+        // do not cross over at any n this repo reaches: at n = 2401 the
+        // fast product takes 158 rounds against the 3D algorithm's 104.)
         let n = 343;
         let a = rand_matrix(n, 11);
         let b = rand_matrix(n, 12);

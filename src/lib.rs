@@ -179,35 +179,45 @@
 //! ### Local compute kernels
 //!
 //! Underneath every distributed engine sits a node-local dense product,
-//! and that inner loop is now a pluggable kernel behind
+//! and that inner loop is a pluggable kernel behind
 //! [`Semiring::mul_dense`](algebra::Semiring::mul_dense) — selected by
 //! `CC_KERNEL` the way `CC_EXECUTOR` picks a backend:
 //!
-//! * `bitset` (the default, also spelled `auto`) — auto-selects the
-//!   fastest lane per ring: cache-blocked i-k-j tiles with Strassen
-//!   routing for integer products, plus a **bit-packed Boolean kernel**
-//!   ([`algebra::BitMatrix`] stores 64 entries per `u64` word, so an
-//!   AND–OR inner product runs 64 lanes per word operation);
+//! * `bitset` (the default, also spelled `auto`) — cache-blocked i-k-j
+//!   tiles with Strassen routing for integer products, plus a
+//!   **bit-packed Boolean kernel** ([`algebra::BitMatrix`] stores 64
+//!   entries per `u64` word, so an AND–OR inner product runs 64 lanes per
+//!   word operation) for products over [`algebra::BoolSemiring`];
 //! * `blocked` — cache-blocked i-k-j tiles (`CC_TILE`, default 64) for
-//!   both rings, with large square integer products routed through the
-//!   previously dormant [`algebra::strassen_mul_with_base`] so the
-//!   tiled loop becomes Strassen's base case;
+//!   both rings, with large square integer products routed through
+//!   [`algebra::strassen_mul_with_base`] so the tiled loop becomes
+//!   Strassen's base case;
 //! * `naive` — the explicit escape hatch: the reference schoolbook loop,
 //!   unchanged from the seed.
 //!
-//! Both optimised lanes soaked in CI behind `CC_KERNEL` before the
-//! auto-selecting kernel became the default, and kernels are
-//! *observer-equivalent*, not merely "close": `i64` addition is
-//! associative, Strassen is exact over the integers, and any correct
+//! The bit-packed kernel serves products taken over `BoolSemiring`
+//! itself, such as the generic 3D engine called with it. It does not
+//! replace the Boolean products of the paper's fast algorithms:
+//! [`core::boolean::multiply`] and [`core::boolean::multiply_or`] lift
+//! their operands to 0/1 integers, as the paper prescribes below
+//! Lemma 11, run the integer fast product, and threshold the result, so
+//! Seidel's squarings, girth, 4-cycles and triangles all reach the
+//! integer tile kernel. That kernel is compiled per ISA level — AVX-512
+//! (a native 8-lane 64-bit multiply), AVX2, and the baseline target —
+//! and each call runs the widest level the CPU reports at run time. The
+//! levels compile one loop body, so they sum in the same order and wrap
+//! identically; there is no knob for them.
+//!
+//! Kernels are *observer-equivalent*, not merely "close": `i64` addition
+//! is associative, Strassen is exact over the integers, and any correct
 //! Boolean method produces the same bools — so results, rounds, words,
 //! and pattern fingerprints are bit-identical across `CC_KERNEL` values
 //! (pinned in `tests/runtime_determinism.rs`; CI runs full `naive` and
-//! `blocked` lanes against the default). Only `*_ns` moves: `BENCH_kernel.json` holds the
-//! comparison, including the seed-era Boolean path (lift to `i64`, full
-//! integer multiply, threshold pass) that the bit-packed kernel replaces —
-//! [`core::boolean::multiply_or`] now also fuses its threshold and OR
-//! into one indexed pass. At `CC_TRACE=full` every kernel choice is
-//! emitted as a [`KernelDecision`](telemetry::Event) event.
+//! `blocked` lanes against the default). Only `*_ns` moves:
+//! `BENCH_kernel.json` holds the comparison, including the lift shape
+//! (lift to `i64`, schoolbook integer product, threshold pass) against
+//! the bit-packed kernel. At `CC_TRACE=full` every kernel choice is emitted
+//! as a [`KernelDecision`](telemetry::Event) event.
 //!
 //! Relatedly, the pooled executor's dispatch cutover is self-tuning: when
 //! `CC_EXEC_CUTOVER` is unset and the executor has real parallelism, a
