@@ -52,6 +52,31 @@
 //! register blocks across the k-tile instead. Streamed, a 16-column row
 //! makes each `k` wait on the previous one's stores, and the AVX-512 build
 //! then ran slower than the baseline.
+//!
+//! The witnessed min-plus product ([`minplus_witness`]) — the local work
+//! of the 3D distance product and so of exact APSP — runs on the same
+//! ladder. Its body works on *planes*: a row-major `i64` distance slice
+//! with `i64::MAX` as `∞` (the raw form of [`Dist`](crate::Dist)) and a
+//! separate `u64` plane of inner indices, each output row held in 8-wide
+//! register blocks across every `k`. Its witness rule is the one the 3D
+//! engine has always used: an `∞` entry of `S` is skipped; in each row,
+//! the first finite `S[i][k]` writes `(S[i][k] + T[k][j], k)`
+//! unconditionally, even where `T[k][j]` is `∞`; after that a later `k`
+//! replaces an entry only with a strictly smaller candidate; a row of `S`
+//! with no finite entry stays `(∞, u64::MAX)`. A candidate is `∞` if
+//! `T[k][j]` is, else the plain `+` of `Dist`'s addition, so a debug build
+//! keeps its overflow check. Min is exact and every variant compiles the
+//! same source, visiting `k` in ascending order, so the variants return
+//! the same planes bit for bit, `∞` entries and their witnesses included.
+//! There is no knob for this either, and `CC_KERNEL` does not reach it.
+//! The plain min-plus product (`MinPlus`'s `mul_dense`) is still the
+//! schoolbook [`Matrix::mul`].
+//!
+//! Each body reaches its variants through one dispatch, `on_isa`, which
+//! takes the body as an `#[inline(always)]` closure and runs it inside a
+//! `#[target_feature]` trampoline per level. The closure must allocate
+//! its output itself: one that borrows a caller's buffer compiled to a
+//! narrower, slower loop in the AVX-512 trampoline.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -249,6 +274,143 @@ pub fn mul_bool(a: &Matrix<bool>, b: &Matrix<bool>) -> Matrix<bool> {
     }
 }
 
+/// Min-plus product **with witnesses** on row-major
+/// [distance planes](self#isa-levels): `s` is `rows × inner`, `t` is
+/// `inner × cols`, `i64::MAX` is `∞`. Returns the distance plane and the
+/// witness plane, both `rows × cols`; witnesses are inner indices offset by
+/// `first_witness`, and `u64::MAX` where row `i` of `s` has no finite
+/// entry. Runs on the widest [ISA level](self#isa-levels) the CPU supports
+/// whatever the kernel selection: there is no second witness loop.
+///
+/// # Panics
+///
+/// Panics if the plane lengths do not match the dimensions.
+#[must_use]
+pub fn minplus_witness(
+    s: &[i64],
+    t: &[i64],
+    dims: (usize, usize, usize),
+    first_witness: u64,
+) -> (Vec<i64>, Vec<u64>) {
+    emit_decision("planes", "minplus_witness", dims.0, 0);
+    minplus_witness_on(Isa::host(), s, t, dims, first_witness)
+}
+
+/// [`minplus_witness`] compiled for `isa`.
+fn minplus_witness_on(
+    isa: Isa,
+    s: &[i64],
+    t: &[i64],
+    (rows, inner, cols): (usize, usize, usize),
+    first_witness: u64,
+) -> (Vec<i64>, Vec<u64>) {
+    assert_eq!(s.len(), rows * inner, "left plane is not rows x inner");
+    assert_eq!(t.len(), inner * cols, "right plane is not inner x cols");
+    on_isa(
+        isa,
+        #[inline(always)]
+        move || {
+            let mut d = vec![INF; rows * cols];
+            let mut w = vec![u64::MAX; rows * cols];
+            if inner > 0 && cols > 0 {
+                minplus_rows(s, t, inner, cols, first_witness, &mut d, &mut w);
+            }
+            (d, w)
+        },
+    )
+}
+
+/// `∞` in a distance plane: the raw value of [`INFINITY`](crate::INFINITY).
+const INF: i64 = i64::MAX;
+
+/// The loop of [`minplus_witness_on`], writing rows of `d` and `w` that
+/// start as `(∞, u64::MAX)`. Inlined into every [`Isa`] variant. A row of
+/// `s` with no finite entry is left as it is; otherwise its first finite
+/// entry seeds the row and later ones relax it, one ascending `k` at a
+/// time. Every row is split into [`LANES`]-wide chunks held in local arrays
+/// across every `k`, like the narrow rows of [`tiled_i64`].
+#[inline(always)]
+fn minplus_rows(
+    s: &[i64],
+    t: &[i64],
+    inner: usize,
+    cols: usize,
+    first_witness: u64,
+    d: &mut [i64],
+    w: &mut [u64],
+) {
+    let rows = d.chunks_mut(cols).zip(w.chunks_mut(cols));
+    for (srow, (drow, wrow)) in s.chunks_exact(inner).zip(rows) {
+        let Some(first) = srow.iter().position(|&x| x != INF) else {
+            continue;
+        };
+        let cols_from = |j0: usize, dseg: &mut [i64], wseg: &mut [u64]| {
+            relax(dseg, wseg, srow, first, t, cols, j0, first_witness);
+        };
+        let chunks = drow.chunks_mut(LANES).zip(wrow.chunks_mut(LANES));
+        for (c, (dseg, wseg)) in chunks.enumerate() {
+            if dseg.len() == LANES {
+                let (mut dacc, mut wacc) = ([INF; LANES], [u64::MAX; LANES]);
+                cols_from(c * LANES, &mut dacc, &mut wacc);
+                dseg.copy_from_slice(&dacc);
+                wseg.copy_from_slice(&wacc);
+            } else {
+                cols_from(c * LANES, dseg, wseg);
+            }
+        }
+    }
+}
+
+/// Columns `j0..j0 + d.len()` of one output row from `srow` (whose first
+/// finite entry is at `first`) and `t`. Entry `first` writes its candidate
+/// and witness unconditionally, even an infinite candidate; each later
+/// finite `srow[k]` replaces an entry only with a strictly smaller
+/// candidate.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn relax(
+    d: &mut [i64],
+    w: &mut [u64],
+    srow: &[i64],
+    first: usize,
+    t: &[i64],
+    cols: usize,
+    j0: usize,
+    first_witness: u64,
+) {
+    let j1 = j0 + d.len();
+    let tseg = |k: usize| &t[k * cols + j0..k * cols + j1];
+    let sik = srow[first];
+    for (dst, &tkj) in d.iter_mut().zip(tseg(first)) {
+        *dst = candidate(sik, tkj);
+    }
+    w.fill(first_witness + first as u64);
+    for (k, &sik) in srow.iter().enumerate().skip(first + 1) {
+        if sik == INF {
+            continue;
+        }
+        let wit = first_witness + k as u64;
+        for ((dst, wdst), &tkj) in d.iter_mut().zip(w.iter_mut()).zip(tseg(k)) {
+            let cand = candidate(sik, tkj);
+            let better = cand < *dst;
+            *dst = if better { cand } else { *dst };
+            *wdst = if better { wit } else { *wdst };
+        }
+    }
+}
+
+/// `s + t` in the min-plus semiring for a finite `s`: `∞` if `t` is, else
+/// the plain `+` of [`Dist`](crate::Dist)'s addition (overflow-checked in
+/// debug builds).
+#[inline(always)]
+fn candidate(s: i64, t: i64) -> i64 {
+    if t == INF {
+        INF
+    } else {
+        s + t
+    }
+}
+
 /// Cache-blocked i-k-j `i64` product: the `i` and `k` loops are tiled so a
 /// `tile`-row strip of `b` is reused across a whole `tile`-row strip of
 /// `a`, and the inner `j` loop streams output rows through a slice-zip
@@ -269,9 +431,15 @@ pub fn mul_i64_blocked(a: &Matrix<i64>, b: &Matrix<i64>, tile: usize) -> Matrix<
 fn mul_i64_blocked_on(isa: Isa, a: &Matrix<i64>, b: &Matrix<i64>, tile: usize) -> Matrix<i64> {
     assert_eq!(a.cols(), b.rows(), "dimension mismatch in mul_i64_blocked");
     assert!(tile > 0, "tile edge must be positive");
-    let mut out = Matrix::filled(a.rows(), b.cols(), 0);
-    run_on(isa, a, b, tile, &mut out);
-    out
+    on_isa(
+        isa,
+        #[inline(always)]
+        move || {
+            let mut out = Matrix::filled(a.rows(), b.cols(), 0);
+            tiled_i64(a, b, tile, &mut out);
+            out
+        },
+    )
 }
 
 /// An instruction-set level the loop body of [`mul_i64_blocked`] is
@@ -326,37 +494,40 @@ impl Isa {
     }
 }
 
-/// Runs the loop body compiled for `isa`: the one place cc-algebra calls
-/// code that needs a CPU feature the build target does not promise.
+/// Runs `body` compiled for `isa`: the one place cc-algebra calls code that
+/// needs a CPU feature the build target does not promise. Every kernel body
+/// reaches its [`Isa`] variants through here: `body` is a closure over an
+/// `#[inline(always)]` loop, so each `#[target_feature]` trampoline below
+/// inlines it and compiles the loop for that level.
 ///
 /// # Panics
 ///
 /// Panics if the running CPU does not support `isa`.
 #[allow(unsafe_code)]
-fn run_on(isa: Isa, a: &Matrix<i64>, b: &Matrix<i64>, tile: usize, out: &mut Matrix<i64>) {
+fn on_isa<R>(isa: Isa, body: impl FnOnce() -> R) -> R {
     assert!(isa.supported(), "{isa:?} is not supported by this CPU");
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa.supported()` above detected avx512f, avx512dq and
         // avx512vl on the running CPU.
-        Isa::Avx512 => unsafe { tiled_i64_avx512(a, b, tile, out) },
+        Isa::Avx512 => unsafe { on_avx512(body) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa.supported()` above detected avx2 on the running CPU.
-        Isa::Avx2 => unsafe { tiled_i64_avx2(a, b, tile, out) },
-        Isa::Portable => tiled_i64(a, b, tile, out),
+        Isa::Avx2 => unsafe { on_avx2(body) },
+        Isa::Portable => body(),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn tiled_i64_avx512(a: &Matrix<i64>, b: &Matrix<i64>, tile: usize, out: &mut Matrix<i64>) {
-    tiled_i64(a, b, tile, out);
+fn on_avx512<R>(body: impl FnOnce() -> R) -> R {
+    body()
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn tiled_i64_avx2(a: &Matrix<i64>, b: &Matrix<i64>, tile: usize, out: &mut Matrix<i64>) {
-    tiled_i64(a, b, tile, out);
+fn on_avx2<R>(body: impl FnOnce() -> R) -> R {
+    body()
 }
 
 /// Output columns one register block of [`tiled_i64`] holds: 8 `i64`
@@ -476,6 +647,7 @@ pub fn mul_bool_bitset(a: &Matrix<bool>, b: &Matrix<bool>) -> Matrix<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dist, MinPlus, INFINITY};
 
     fn rand_int(rows: usize, cols: usize, seed: u64) -> Matrix<i64> {
         let mut s = seed;
@@ -595,6 +767,105 @@ mod tests {
             let portable = mul_i64_blocked_on(Isa::Portable, &a, &b, 5);
             for &isa in &variants {
                 assert_eq!(mul_i64_blocked_on(isa, &a, &b, 5), portable, "{isa:?}");
+            }
+        }
+    }
+
+    /// The witness loop `semiring_mm` ran on `(Dist, usize)` entries before
+    /// the distance planes, kept as the reference they must reproduce.
+    fn witness_reference(
+        s: &Matrix<Dist>,
+        t: &Matrix<Dist>,
+        inner_start: usize,
+    ) -> Matrix<(Dist, usize)> {
+        let mut prod = Matrix::filled(s.rows(), t.cols(), (INFINITY, usize::MAX));
+        for i in 0..s.rows() {
+            for k in 0..s.cols() {
+                let sik = s[(i, k)];
+                if !sik.is_finite() {
+                    continue;
+                }
+                for j in 0..t.cols() {
+                    let cand = sik + t[(k, j)];
+                    let cur = prod[(i, j)];
+                    let wit = inner_start + k;
+                    if cand < cur.0 || (cand == cur.0 && wit < cur.1) {
+                        prod[(i, j)] = (cand, wit);
+                    }
+                }
+            }
+        }
+        prod
+    }
+
+    /// Entries in [-4, 4] (negatives, many ties), finite with probability
+    /// `density` percent, else `∞`.
+    fn rand_dist(rows: usize, cols: usize, density: u64, seed: u64) -> Matrix<Dist> {
+        let mut s = seed;
+        Matrix::from_fn(rows, cols, |_, _| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if (s >> 40) % 100 < density {
+                Dist::finite(((s >> 33) % 9) as i64 - 4)
+            } else {
+                INFINITY
+            }
+        })
+    }
+
+    fn plane(m: &Matrix<Dist>) -> Vec<i64> {
+        (0..m.rows())
+            .flat_map(|i| m.row(i).iter().map(Dist::raw))
+            .collect()
+    }
+
+    #[test]
+    fn every_isa_variant_matches_the_minplus_reference() {
+        let shapes = [
+            (1, 1, 1),
+            (16, 16, 16),
+            (5, 7, 3),
+            // Two register blocks and a ragged one.
+            (9, 20, 21),
+            // Rows of five register blocks.
+            (33, 17, 40),
+            // No inner index: every entry stays (∞, u64::MAX).
+            (4, 0, 5),
+            // No output column.
+            (3, 4, 0),
+        ];
+        let variants: Vec<Isa> = ISA_VARIANTS
+            .iter()
+            .copied()
+            .filter(|isa| isa.supported())
+            .collect();
+        let first_witness = 7;
+        for (rows, inner, cols) in shapes {
+            for density in [0, 20, 50, 90, 100] {
+                let seed = 100 * density + rows as u64;
+                let mut s = rand_dist(rows, inner, density, seed);
+                let mut t = rand_dist(inner, cols, density, seed + 1);
+                // An all-∞ row of S and an all-∞ column of T.
+                if rows > 1 && inner > 0 {
+                    s = s.map_indexed(|i, _, &x| if i == rows / 2 { INFINITY } else { x });
+                }
+                if cols > 1 && inner > 0 {
+                    t = t.map_indexed(|_, j, &x| if j == cols / 2 { INFINITY } else { x });
+                }
+                let reference = witness_reference(&s, &t, first_witness as usize);
+                let product = Matrix::mul(&MinPlus, &s, &t);
+                let dims = (rows, inner, cols);
+                for &isa in &variants {
+                    let case = format!("{isa:?} {rows}x{inner}x{cols} density={density}");
+                    let (d, w) =
+                        minplus_witness_on(isa, &plane(&s), &plane(&t), dims, first_witness);
+                    let got = Matrix::from_fn(rows, cols, |i, j| {
+                        (Dist::from_raw(d[i * cols + j]), w[i * cols + j] as usize)
+                    });
+                    assert_eq!(got, reference, "witness product, {case}");
+                    assert_eq!(plane(&product), d, "distances, {case}");
+                }
             }
         }
     }

@@ -42,9 +42,10 @@
 //! assert_eq!(via_strassen, Matrix::mul(&IntRing, &a, &b));
 //! ```
 
-// `deny` rather than `forbid`: the tiled `i64` kernel (`kernel.rs`) is
-// compiled per ISA level, and calling a `#[target_feature]` function is
-// unsafe. One audited function opts in, after a run-time feature check.
+// `deny` rather than `forbid`: the tiled `i64` kernel and the min-plus
+// distance-plane kernel (`kernel.rs`) are compiled per ISA level, and
+// calling a `#[target_feature]` function is unsafe. One audited dispatch
+// function serves both bodies and opts in, after a run-time feature check.
 // Everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

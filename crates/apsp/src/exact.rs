@@ -76,8 +76,10 @@ impl ApspTables {
 /// of a sparse graph's weight matrix have few finite entries and ride the
 /// Le Gall 2016 sparse path; as iterated squaring densifies the matrix,
 /// the dispatch flips to the dense 3D engine. Both engines use the same
-/// witness tie-break, so the tables are identical either way
-/// (`CC_MM=sparse|dense` forces one engine).
+/// witness tie-break on finite entries, and the update below only follows
+/// `Q` on a strict improvement, which is finite; the engines' witnesses
+/// for `∞` entries differ but are never read, so the tables are identical
+/// either way (`CC_MM=sparse|dense` forces one engine).
 ///
 /// # Panics
 ///

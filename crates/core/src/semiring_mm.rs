@@ -8,7 +8,7 @@
 
 use crate::plan3d::Plan3d;
 use crate::row_matrix::RowMatrix;
-use cc_algebra::{Dist, Matrix, MinPlus, Semiring};
+use cc_algebra::{kernel, Dist, Matrix, MinPlus, Semiring};
 use cc_clique::{Clique, Outbox, WordReader};
 
 /// Step 1 of both 3D products, at row owner `v`: its slice `S[v, u₂∗∗]` to
@@ -40,6 +40,15 @@ fn scatter_row<S: Semiring>(
         }
     }
     out
+}
+
+/// Decodes one inbox message of `expect` min-plus words straight into a
+/// distance-plane row: the `dst.len()` words after the first `skip`.
+fn decode_dists(dst: &mut [i64], words: &[u64], expect: usize, skip: usize) {
+    assert_eq!(words.len(), expect, "payload length mismatch");
+    for (d, &w) in dst.iter_mut().zip(&words[skip..]) {
+        *d = w as i64;
+    }
 }
 
 fn decode_slice<S: Semiring>(s: &S, words: &[u64], count: usize) -> Vec<S::Elem> {
@@ -181,9 +190,11 @@ where
 /// algorithm over the min-plus semiring (paper §3.3–3.4).
 ///
 /// Returns `(P, Q)` where `Q[u][v] = w` satisfies
-/// `P[u][v] = S[u][w] + T[w][v]` whenever `P[u][v]` is finite; entries of
-/// `Q` for infinite distances are arbitrary. Ties break toward the smallest
-/// witness index, making the result deterministic.
+/// `P[u][v] = S[u][w] + T[w][v]` whenever `P[u][v]` is finite. Ties break
+/// toward the smallest witness index, making the result deterministic.
+/// Where `P[u][v]` is infinite, `Q[u][v]` is the index of the first finite
+/// entry of row `u` of `S`, or `usize::MAX` if that row has none (the
+/// sparse engine returns `usize::MAX` there instead).
 ///
 /// Costs twice the words of [`multiply`] (each entry travels with its
 /// witness).
@@ -212,8 +223,9 @@ pub fn distance_product_with_witness(
         });
 
         // Step 2: local min-plus block products tracking the arg-min inner
-        // index (a *global* column index, offset by the block start).
-        let partials: Vec<Matrix<(Dist, usize)>> = exec.map(plan.active(), |u| {
+        // index (a *global* column index, offset by the block start), on
+        // raw distance/witness planes decoded straight from the inbox.
+        let partials: Vec<(Vec<i64>, Vec<u64>)> = exec.map(plan.active(), |u| {
             let (u1, u2, u3) = plan.digits(u);
             let (r1, r2, r3) = (
                 plan.block_range(u1),
@@ -221,44 +233,21 @@ pub fn distance_product_with_witness(
                 plan.block_range(u3),
             );
             let (h1, h2, h3) = (r1.len(), r2.len(), r3.len());
-            let inner_start = r2.start;
-            let mut s_blk = Matrix::filled(h1, h2, s.zero());
-            let mut t_blk = Matrix::filled(h2, h3, s.zero());
+            let mut s_blk = vec![0; h1 * h2];
+            let mut t_blk = vec![0; h2 * h3];
             for (idx, r) in r1.clone().enumerate() {
                 let has_t = plan.block_of_row(r) == u2;
                 let expect = h2 + if has_t { h3 } else { 0 };
-                let vals = decode_slice(&s, inbox.received(u, r), expect);
-                for (j, e) in vals[..h2].iter().enumerate() {
-                    s_blk[(idx, j)] = *e;
-                }
+                let dst = &mut s_blk[idx * h2..(idx + 1) * h2];
+                decode_dists(dst, inbox.received(u, r), expect, 0);
             }
             for (idx, r) in r2.clone().enumerate() {
                 let has_s = plan.block_of_row(r) == u1;
-                let expect = h3 + if has_s { h2 } else { 0 };
-                let vals = decode_slice(&s, inbox.received(u, r), expect);
-                let t_part = if has_s { &vals[h2..] } else { &vals[..] };
-                for (j, e) in t_part.iter().enumerate() {
-                    t_blk[(idx, j)] = *e;
-                }
+                let skip = if has_s { h2 } else { 0 };
+                let dst = &mut t_blk[idx * h3..(idx + 1) * h3];
+                decode_dists(dst, inbox.received(u, r), h3 + skip, skip);
             }
-            let mut prod = Matrix::filled(h1, h3, (s.zero(), usize::MAX));
-            for i in 0..h1 {
-                for k in 0..h2 {
-                    let sik = s_blk[(i, k)];
-                    if !sik.is_finite() {
-                        continue;
-                    }
-                    for j in 0..h3 {
-                        let cand = sik + t_blk[(k, j)];
-                        let cur = prod[(i, j)];
-                        let wit = inner_start + k;
-                        if cand < cur.0 || (cand == cur.0 && wit < cur.1) {
-                            prod[(i, j)] = (cand, wit);
-                        }
-                    }
-                }
-            }
-            prod
+            kernel::minplus_witness(&s_blk, &t_blk, (h1, h2, h3), r2.start as u64)
         });
 
         // Step 3: return (distance, witness) pairs — two words per entry.
@@ -266,12 +255,15 @@ pub fn distance_product_with_witness(
             c.route_par(|u| {
                 let mut out = Outbox::new();
                 if u < plan.active() {
-                    let (u1, _, _) = plan.digits(u);
+                    let (u1, _, u3) = plan.digits(u);
+                    let h3 = plan.block_range(u3).len();
+                    let (d, q) = &partials[u];
                     for (idx, r) in plan.block_range(u1).enumerate() {
                         let w = out.message(r);
-                        for (d, q) in partials[u].row(idx) {
-                            s.write_elem(d, w);
-                            w.push(*q as u64);
+                        let row = idx * h3..(idx + 1) * h3;
+                        for (&dist, &wit) in d[row.clone()].iter().zip(&q[row]) {
+                            w.push(dist as u64);
+                            w.push(wit);
                         }
                     }
                 }
@@ -289,16 +281,15 @@ pub fn distance_product_with_witness(
                     let u = plan.node_of(rb, u2, u3);
                     let cols = plan.block_range(u3);
                     let words = inbox2.received(r, u);
-                    let mut rd = WordReader::new(words);
-                    for j in cols {
-                        let d = s.read_elem(&mut rd);
-                        let q = rd.next() as usize;
+                    assert_eq!(words.len(), 2 * cols.len(), "payload length mismatch");
+                    for (j, pair) in cols.zip(words.chunks_exact(2)) {
+                        let d = Dist::from_raw(pair[0] as i64);
+                        let q = pair[1] as usize;
                         if d < drow[j] || (d == drow[j] && q < qrow[j]) {
                             drow[j] = d;
                             qrow[j] = q;
                         }
                     }
-                    assert!(rd.is_exhausted(), "payload length mismatch");
                 }
             }
             (drow, qrow)

@@ -521,8 +521,10 @@ where
 /// [`semiring_mm::distance_product_with_witness`], returns `(P, Q)` with
 /// `P[u][v] = S[u][w] + T[w][v]` for `w = Q[u][v]` whenever finite, ties
 /// broken toward the smallest witness index — the same global rule as the
-/// dense engine, so the two paths return identical tables and APSP can
-/// switch between them per squaring.
+/// dense engine, so the two paths return the same `P` and the same finite
+/// entries of `Q`, and APSP can switch between them per squaring. Where
+/// `P[u][v]` is `∞`, `Q[u][v]` is `usize::MAX` here (no candidate was
+/// ever formed); the dense engine names a finite entry of `S` instead.
 ///
 /// "Nonzero" here means *finite* (`∞` is the semiring zero), so the cost
 /// scales with the number of finite entries — for the first squarings of a
@@ -601,10 +603,13 @@ fn witness_with_plan(
 }
 
 /// Density-dispatching witnessed distance product: census, then the sparse
-/// path or the dense 3D engine per [`choose`]. Both branches return
-/// identical `(P, Q)` tables (same witness tie-break), so this is a drop-in
-/// engine for APSP's iterated squaring — early sparse squarings go through
-/// the cheap path, later densified ones through the 3D algorithm.
+/// path or the dense 3D engine per [`choose`]. Both branches return the
+/// same `P` and, wherever `P` is finite, the same `Q` (same witness
+/// tie-break), so this is a drop-in engine for APSP's iterated squaring —
+/// early sparse squarings go through the cheap path, later densified ones
+/// through the 3D algorithm. They differ where `P[u][v]` is `∞`: the dense
+/// engine returns the index of the first finite entry of row `u` of `S`
+/// (`usize::MAX` if there is none), the sparse path always `usize::MAX`.
 ///
 /// # Panics
 ///
@@ -738,11 +743,12 @@ mod tests {
 
     #[test]
     fn witnessed_product_matches_dense_engine_exactly() {
-        // Same distances AND same witnesses: the tie-break rule (smallest
-        // witness among minimal candidates) is global, so sparse and dense
-        // must agree bit-for-bit — the property APSP's per-squaring
-        // dispatch relies on.
+        // Same distances AND, on finite entries, same witnesses: the
+        // tie-break rule (smallest witness among minimal candidates) is
+        // global, so sparse and dense must agree bit-for-bit there — the
+        // property APSP's per-squaring dispatch relies on.
         let n = 18;
+        let (blank_row, blank_col) = (4, 7);
         let f = |x: usize| {
             if x.is_multiple_of(4) {
                 INFINITY
@@ -750,21 +756,47 @@ mod tests {
                 Dist::finite((x % 11) as i64)
             }
         };
-        let a = Matrix::from_fn(n, n, |i, j| f(i * 3 + j * 17));
-        let b = Matrix::from_fn(n, n, |i, j| f(i * 19 + j * 5 + 2));
+        let a = Matrix::from_fn(n, n, |i, j| {
+            if i == blank_row {
+                INFINITY
+            } else {
+                f(i * 3 + j * 17)
+            }
+        });
+        let b = Matrix::from_fn(n, n, |i, j| {
+            if j == blank_col {
+                INFINITY
+            } else {
+                f(i * 19 + j * 5 + 2)
+            }
+        });
         let (ra, rb) = (RowMatrix::from_matrix(&a), RowMatrix::from_matrix(&b));
         let mut c1 = Clique::new(n);
         let (pd, qd) = semiring_mm::distance_product_with_witness(&mut c1, &ra, &rb);
         let mut c2 = Clique::new(n);
         let (ps, qs) = distance_product_with_witness(&mut c2, &ra, &rb);
         assert_eq!(ps.to_matrix(), pd.to_matrix(), "distances");
+        let mut infinite = 0;
         for u in 0..n {
+            let first_finite = a.row(u).iter().position(Dist::is_finite);
             for v in 0..n {
                 if ps.row(u)[v].is_finite() {
                     assert_eq!(qs.row(u)[v], qd.row(u)[v], "witness mismatch at ({u},{v})");
+                    continue;
                 }
+                // The engines differ on ∞ entries, as documented: the dense
+                // one names the first finite entry of row u of S, the
+                // sparse one has no candidate at all.
+                infinite += 1;
+                assert_eq!(qs.row(u)[v], usize::MAX, "sparse ∞ witness at ({u},{v})");
+                assert_eq!(
+                    Some(qd.row(u)[v]).filter(|&w| w != usize::MAX),
+                    first_finite,
+                    "dense ∞ witness at ({u},{v})"
+                );
             }
         }
+        assert!(infinite >= 2 * n - 1, "the blank row and column are ∞");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use cc_algebra::{Dist, IntRing, Matrix, MinPlus, ModRing, INFINITY};
 use cc_clique::Clique;
-use cc_core::{fast_mm, semiring_mm, RowMatrix};
+use cc_core::{fast_mm, semiring_mm, Plan3d, RowMatrix};
 use proptest::prelude::*;
 
 fn int_matrix(n: usize, seed: u64) -> Matrix<i64> {
@@ -31,6 +31,57 @@ fn dist_matrix(n: usize, seed: u64) -> Matrix<Dist> {
             Dist::finite((x % 30) as i64)
         }
     })
+}
+
+/// Entries in [0, 8) (many ties), finite with probability `density`
+/// percent, with row `n / 3` all `∞` when `blank` is set.
+fn dist_matrix_with(n: usize, seed: u64, density: u64, blank: bool) -> Matrix<Dist> {
+    let mut st = seed.wrapping_add(11);
+    Matrix::from_fn(n, n, |i, _| {
+        st = st
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        if (blank && i == n / 3) || (st >> 40) % 100 >= density {
+            INFINITY
+        } else {
+            Dist::finite(((st >> 33) % 8) as i64)
+        }
+    })
+}
+
+/// The 3D engine's witness rule applied locally: each inner block of
+/// [`Plan3d`] runs the `(Dist, usize)` loop the engine's step 2 ran before
+/// its distance planes, and the row owner's reduce keeps the smaller
+/// distance, ties to the smaller witness.
+fn blockwise_witness_product(a: &Matrix<Dist>, b: &Matrix<Dist>) -> (Matrix<Dist>, Matrix<usize>) {
+    let n = a.rows();
+    let plan = Plan3d::new(n);
+    let mut p = Matrix::filled(n, n, INFINITY);
+    let mut q = Matrix::filled(n, n, usize::MAX);
+    for u2 in 0..plan.p() {
+        let mut blk = Matrix::filled(n, n, (INFINITY, usize::MAX));
+        for i in 0..n {
+            for k in plan.block_range(u2) {
+                if !a[(i, k)].is_finite() {
+                    continue;
+                }
+                for j in 0..n {
+                    let cand = a[(i, k)] + b[(k, j)];
+                    let cur = blk[(i, j)];
+                    if cand < cur.0 || (cand == cur.0 && k < cur.1) {
+                        blk[(i, j)] = (cand, k);
+                    }
+                }
+            }
+        }
+        for (i, j, &(d, w)) in blk.iter_indexed() {
+            if d < p[(i, j)] || (d == p[(i, j)] && w < q[(i, j)]) {
+                p[(i, j)] = d;
+                q[(i, j)] = w;
+            }
+        }
+    }
+    (p, q)
 }
 
 proptest! {
@@ -114,5 +165,25 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn witness_plane_matches_the_blockwise_rule(
+        n in 2usize..40,
+        density in 0u64..101,
+        seed in 0u64..10_000,
+    ) {
+        let a = dist_matrix_with(n, seed, density, seed % 3 == 0);
+        // Transposed, the blank row of T becomes an all-∞ column.
+        let b = dist_matrix_with(n, seed ^ 0x5a, density, seed % 2 == 0).transpose();
+        let mut clique = Clique::new(n);
+        let (p, q) = semiring_mm::distance_product_with_witness(
+            &mut clique,
+            &RowMatrix::from_matrix(&a),
+            &RowMatrix::from_matrix(&b),
+        );
+        let (p_ref, q_ref) = blockwise_witness_product(&a, &b);
+        prop_assert_eq!(p.to_matrix(), p_ref);
+        prop_assert_eq!(q.to_matrix(), q_ref);
     }
 }

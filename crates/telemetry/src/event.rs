@@ -134,10 +134,11 @@ pub enum Event {
     /// [`TraceLevel::Full`]: crate::TraceLevel::Full
     KernelDecision {
         /// Kernel actually used (`"naive"`, `"blocked"`, `"strassen"`,
-        /// `"bitset"`, or `"probe"` for the cutover micro-probe).
+        /// `"bitset"`, `"planes"` for the min-plus distance planes, or
+        /// `"probe"` for the cutover micro-probe).
         kernel: &'static str,
         /// Operation dispatched (`"mul_i64"`, `"mul_bool"`,
-        /// `"exec_cutover"`).
+        /// `"minplus_witness"`, `"exec_cutover"`).
         op: &'static str,
         /// Problem size (output rows), or the probed cutover value.
         n: usize,
@@ -613,9 +614,11 @@ fn intern(s: &str) -> &'static str {
         "blocked",
         "strassen",
         "bitset",
+        "planes",
         "probe",
         "mul_i64",
         "mul_bool",
+        "minplus_witness",
         "exec_cutover",
         "crash",
         "recover",

@@ -168,7 +168,8 @@
 //!   its `A²`, and [`apsp::apsp_exact`] dispatches *per squaring*, so a
 //!   sparse graph's early distance products ride the sparse path and the
 //!   densified later ones the 3D engine — with identical tables either
-//!   way (both engines share the smallest-witness tie-break).
+//!   way (both engines share the smallest-witness tie-break on finite
+//!   entries, the only witnesses APSP reads).
 //!
 //! Like everything else, the sparse path fans node-local work out on the
 //! configured executor and communicates through the `_par` primitives, so
@@ -207,6 +208,15 @@
 //! and each call runs the widest level the CPU reports at run time. The
 //! levels compile one loop body, so they sum in the same order and wrap
 //! identically; there is no knob for them.
+//!
+//! The witnessed min-plus product — the local work of the 3D distance
+//! product, and so of exact APSP and its routing tables — runs on the
+//! same ISA ladder ([`algebra::kernel::minplus_witness`], whatever
+//! `CC_KERNEL` says). Its body works on raw `i64` distance planes with a
+//! separate witness plane, and keeps the engine's witness rule exactly,
+//! so distances and witnesses, `∞` entries included, are bit-identical to
+//! the scalar loop the kernel replaced. The plain min-plus product is
+//! still the schoolbook loop.
 //!
 //! Kernels are *observer-equivalent*, not merely "close": `i64` addition
 //! is associative, Strassen is exact over the integers, and any correct
