@@ -880,6 +880,13 @@ mod tests {
                 assert_eq!(mul_bool_blocked(&a, &b, t), naive, "tile={t}");
             }
             assert_eq!(mul_bool_bitset(&a, &b), naive);
+            // `a · I = a`: an inner index a kernel skips empties a column,
+            // which the OR over dense random operands hides.
+            let id = Matrix::from_fn(inner, inner, |i, j| i == j);
+            for t in [1, 7, 64, 1000] {
+                assert_eq!(mul_bool_blocked(&a, &id, t), a, "identity, tile={t}");
+            }
+            assert_eq!(mul_bool_bitset(&a, &id), a, "identity");
         }
     }
 
@@ -893,10 +900,12 @@ mod tests {
             Matrix::mul(&IntRing, &a, &b),
             Matrix::mul(&BoolSemiring, &ba, &bb),
         );
+        let id = Matrix::from_fn(40, 40, |i, j| i == j);
         for k in [Kernel::Naive, Kernel::Blocked, Kernel::Bitset] {
             let _g = scoped(k);
             assert_eq!(mul_i64(&a, &b), iref, "{}", k.name());
             assert_eq!(mul_bool(&ba, &bb), bref, "{}", k.name());
+            assert_eq!(mul_bool(&ba, &id), ba, "{} times identity", k.name());
         }
     }
 }

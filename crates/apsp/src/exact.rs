@@ -79,7 +79,9 @@ impl ApspTables {
 /// witness tie-break on finite entries, and the update below only follows
 /// `Q` on a strict improvement, which is finite; the engines' witnesses
 /// for `∞` entries differ but are never read, so the tables are identical
-/// either way (`CC_MM=sparse|dense` forces one engine).
+/// either way (`sparse_and_rect_mm_are_executor_independent` in
+/// `tests/runtime_determinism.rs` runs the sparse witness product on dense
+/// inputs).
 ///
 /// # Panics
 ///
@@ -241,24 +243,16 @@ mod tests {
             hops *= 2;
         }
         assert_eq!(dist.to_matrix(), oracle::apsp(&g), "dense reference loop");
-        if cc_core::sparse_mm::forced_kind().is_none() {
-            assert!(
-                ca.stats().words() < cd.stats().words(),
-                "dispatched APSP words {} vs dense-only words {}",
-                ca.stats().words(),
-                cd.stats().words()
-            );
-        }
+        assert!(
+            ca.stats().words() < cd.stats().words(),
+            "dispatched APSP words {} vs dense-only words {}",
+            ca.stats().words(),
+            cd.stats().words()
+        );
     }
 
     #[test]
     fn larger_instance_round_cost() {
-        // The bound is about the *dispatched* algorithm: forcing
-        // CC_MM=sparse deliberately drags dense-sized squarings through
-        // the outer-product path (a correctness lane, not a cost one).
-        if cc_core::sparse_mm::forced_kind() == Some(cc_core::sparse_mm::MmKind::Sparse) {
-            return;
-        }
         let g = generators::weighted_gnp(27, 0.3, 7, true, 9);
         let mut clique = Clique::new(27);
         let _ = apsp_exact(&mut clique, &g);

@@ -93,6 +93,27 @@ pub fn samples_cell(samples: &[Sample]) -> String {
         .join(", ")
 }
 
+/// Fewest samples a table row fits: a line through two points always has
+/// `R² = 1`, so it says nothing about the exponent.
+const MIN_FIT_POINTS: usize = 3;
+
+/// The fit cell of a table row: the exponent and `R²` from three samples
+/// on, `not fitted (k points)` below that, and `—` for a series with no
+/// samples at all.
+#[must_use]
+fn fit_cell(samples: &[Sample]) -> String {
+    match samples.len() {
+        0 => "—".into(),
+        k if k < MIN_FIT_POINTS => {
+            format!("not fitted ({k} point{})", if k == 1 { "" } else { "s" })
+        }
+        _ => {
+            let f = fit_exponent(samples);
+            format!("n^{:.3} (R²={:.3})", f.exponent, f.r2)
+        }
+    }
+}
+
 /// A row of the regenerated Table 1.
 #[derive(Debug, Clone)]
 pub struct TableRow {
@@ -113,18 +134,6 @@ impl TableRow {
     /// Renders the row as a markdown table line with exponent fits.
     #[must_use]
     pub fn to_markdown(&self) -> String {
-        let ours_fit = if self.ours.len() >= 2 {
-            let f = fit_exponent(&self.ours);
-            format!("n^{:.3} (R²={:.3})", f.exponent, f.r2)
-        } else {
-            "—".into()
-        };
-        let base_fit = if self.baseline.len() >= 2 {
-            let f = fit_exponent(&self.baseline);
-            format!("n^{:.3} (R²={:.3})", f.exponent, f.r2)
-        } else {
-            "—".into()
-        };
         let base_cell = if self.baseline.is_empty() {
             "—".into()
         } else {
@@ -135,10 +144,10 @@ impl TableRow {
             self.problem,
             self.paper_bound,
             samples_cell(&self.ours),
-            ours_fit,
+            fit_cell(&self.ours),
             self.prior_bound,
             base_cell,
-            base_fit,
+            fit_cell(&self.baseline),
         )
     }
 }
@@ -199,11 +208,18 @@ mod tests {
             paper_bound: "O(n^0.158)".into(),
             ours: vec![Sample { n: 8, rounds: 4 }, Sample { n: 64, rounds: 8 }],
             prior_bound: "O(n^1/3)".into(),
-            baseline: vec![],
+            baseline: vec![Sample { n: 8, rounds: 6 }],
         };
         let md = row.to_markdown();
         assert!(md.contains("demo"));
         assert!(md.contains("4@8"));
         assert!(md.starts_with('|') && md.ends_with('|'));
+        // Rows below three points are not fitted.
+        assert!(md.contains("| not fitted (2 points) |"), "{md}");
+        assert!(md.contains("| not fitted (1 point) |"), "{md}");
+        assert!(!md.contains("R²"), "two points always fit with R²=1: {md}");
+        let three = [8, 27, 64].map(|n| Sample { n, rounds: 5 });
+        assert!(fit_cell(&three).starts_with("n^"));
+        assert_eq!(fit_cell(&[]), "—");
     }
 }

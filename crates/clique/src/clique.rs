@@ -59,23 +59,24 @@ pub struct CliqueConfig {
     /// parked between steps, joined on drop) with results, round counts,
     /// and pattern fingerprints bit-identical to
     /// [`ExecutorKind::Sequential`]. The default consults the
-    /// `CC_EXECUTOR` environment variable, so CI can force every
-    /// simulation in the process onto a parallel backend.
+    /// `CC_EXECUTOR` environment variable, which moves every
+    /// default-configured simulation in the process onto a parallel
+    /// backend.
     pub executor: ExecutorKind,
     /// Overrides the executor's small-`n` sequential cutover (piece counts
     /// below the threshold run inline; see
     /// [`cc_runtime::Executor::with_cutover`]). `None` uses the runtime
-    /// default (`DEFAULT_SEQ_CUTOVER`, or the `CC_EXEC_CUTOVER`
-    /// environment variable).
+    /// default (self-tuned on parallel backends, `DEFAULT_SEQ_CUTOVER` on
+    /// the sequential one).
     pub exec_cutover: Option<usize>,
     /// Message fabric carrying every communication step (see
     /// [`TransportKind`]): the in-memory slab move (the default) or true
     /// multi-process unix-socket / TCP workers. Deliveries, rounds, words, and
     /// pattern fingerprints are bit-identical across backends. The default
     /// consults the `CC_TRANSPORT` environment variable — mirroring
-    /// `CC_EXECUTOR` — so CI can force every simulation in the process onto
-    /// a given fabric; an unrecognised value is reported once and falls
-    /// back to in-memory.
+    /// `CC_EXECUTOR` — which moves every default-configured simulation in
+    /// the process onto a given fabric; an unrecognised value is reported
+    /// once and falls back to in-memory.
     pub transport: TransportKind,
     /// Simulated network conditions layered over the transport (see
     /// [`NetsimConfig`]): seeded per-link latency/jitter, stragglers,

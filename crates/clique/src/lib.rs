@@ -40,8 +40,7 @@
 //! backend — the two routed ones write each node's messages into one flat
 //! [`Outbox`] — and [`Clique::run_programs`] drives per-node [`NodeProgram`]
 //! state machines round by round. The `CC_EXECUTOR` environment variable
-//! retargets every default-configured clique (how CI runs the suite on
-//! each backend).
+//! retargets every default-configured clique.
 //!
 //! ## Transport backends
 //!

@@ -31,8 +31,7 @@ pub fn distance_product(
 /// Density-dispatching distance product: `∞` is the min-plus zero, so a
 /// matrix with few finite entries is *sparse* and the Le Gall 2016 path
 /// ([`crate::sparse_mm`]) prices the product by its finite structure,
-/// falling back to the 3D algorithm when density doesn't pay
-/// (`CC_MM=sparse|dense` overrides).
+/// falling back to the 3D algorithm when density doesn't pay.
 pub fn distance_product_auto(
     clique: &mut Clique,
     a: &RowMatrix<Dist>,

@@ -33,8 +33,10 @@
 //!   `n^{1/3}`-and-up round counts — plus density-dispatching front doors
 //!   ([`sparse_mm::multiply_auto`], [`sparse_mm::multiply_auto_ring`],
 //!   [`sparse_mm::distance_product_with_witness_auto`]) that fall back to
-//!   [`semiring_mm`] / [`fast_mm`] when sparsity doesn't pay
-//!   (`CC_MM=sparse|dense` overrides the choice).
+//!   [`semiring_mm`] / [`fast_mm`] when sparsity doesn't pay. The
+//!   explicit sparse entry points run on dense inputs too:
+//!   `sparse_and_rect_mm_are_executor_independent` in
+//!   `tests/runtime_determinism.rs` checks them there.
 //! * [`rect_mm`] — `n × m · m × n` products ([`RectMatrix`]): a thin inner
 //!   dimension is priced as extreme sparsity (padded inner indices get no
 //!   helpers), a wide one is summed in `⌈m/n⌉` dispatched slabs.

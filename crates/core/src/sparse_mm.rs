@@ -26,7 +26,7 @@
 //! [`semiring_mm`]) strictly better once density stops paying. The
 //! [`multiply_auto`] / [`multiply_auto_ring`] /
 //! [`distance_product_with_witness_auto`] front doors make that call from
-//! the census counts (override with `CC_MM=sparse|dense`), so callers like
+//! the census counts, so callers like
 //! triangle counting and APSP pick the right engine per instance — and, for
 //! APSP, per squaring, as iterated products densify.
 //!
@@ -52,19 +52,6 @@ pub enum MmKind {
     Dense,
 }
 
-/// The engine forced by the `CC_MM` environment variable (`sparse` /
-/// `dense`), or `None` for automatic density dispatch (unset or any other
-/// value). CI uses `CC_MM=sparse` to run the whole suite through the
-/// sparse path.
-#[must_use]
-pub fn forced_kind() -> Option<MmKind> {
-    match std::env::var("CC_MM").ok()?.to_ascii_lowercase().as_str() {
-        "sparse" => Some(MmKind::Sparse),
-        "dense" => Some(MmKind::Dense),
-        _ => None,
-    }
-}
-
 /// What a dense 3D run of this size costs in routed words: scatter ships
 /// each operand row to `p` destinations per block and the gather returns
 /// `n³/p²` partial-row words, each delivered over balanced routing's two
@@ -78,14 +65,11 @@ pub fn dense_words_estimate(n: usize, width: usize) -> u128 {
 }
 
 /// The density decision: sparse iff the plan's estimated route traffic
-/// undercuts the dense engine's ([`dense_words_estimate`]). The `CC_MM`
-/// override wins when set. The inputs are global knowledge after the
-/// census, so every node (and every executor backend) makes the same call.
+/// undercuts the dense engine's ([`dense_words_estimate`]). The inputs
+/// are global knowledge after the census, so every node (and every
+/// executor backend) makes the same call.
 #[must_use]
 pub fn choose(plan: &SparsePlan, width: usize) -> MmKind {
-    if let Some(kind) = forced_kind() {
-        return kind;
-    }
     if plan.estimated_words(width) <= dense_words_estimate(plan.n(), width) {
         MmKind::Sparse
     } else {
@@ -456,8 +440,7 @@ where
 
 /// Density-dispatching product over any semiring: runs the census, then
 /// picks the sparse path or the dense 3D [`semiring_mm`] engine per
-/// [`choose`] (the census' constant-round cost is the price of deciding —
-/// skipped entirely when `CC_MM=dense` has already made the call).
+/// [`choose`] (the census' constant-round cost is the price of deciding).
 ///
 /// # Panics
 ///
@@ -475,9 +458,6 @@ where
     assert_eq!(a.n(), n, "operand A dimension must equal clique size");
     assert_eq!(b.n(), n, "operand B dimension must equal clique size");
     clique.phase("sparsemm.auto", |clique| {
-        if forced_kind() == Some(MmKind::Dense) {
-            return semiring_mm::multiply(clique, s, a, b);
-        }
         let plan = census(clique, s, a, b);
         match choose(&plan, s.elem_width()) {
             MmKind::Sparse => multiply_with_plan(clique, s, &plan, a, b),
@@ -506,9 +486,6 @@ where
     assert_eq!(a.n(), n, "operand A dimension must equal clique size");
     assert_eq!(b.n(), n, "operand B dimension must equal clique size");
     clique.phase("sparsemm.auto", |clique| {
-        if forced_kind() == Some(MmKind::Dense) {
-            return fast_mm::multiply_auto(clique, ring, a, b);
-        }
         let plan = census(clique, ring, a, b);
         match choose(&plan, ring.elem_width()) {
             MmKind::Sparse => multiply_with_plan(clique, ring, &plan, a, b),
@@ -623,9 +600,6 @@ pub fn distance_product_with_witness_auto(
     assert_eq!(a.n(), n, "operand A dimension must equal clique size");
     assert_eq!(b.n(), n, "operand B dimension must equal clique size");
     clique.phase("sparsemm.auto", |clique| {
-        if forced_kind() == Some(MmKind::Dense) {
-            return semiring_mm::distance_product_with_witness(clique, a, b);
-        }
         let plan = census(clique, &MinPlus, a, b);
         // Witness entries travel as (distance, witness) pairs: width 2.
         match choose(&plan, 2) {
@@ -850,14 +824,6 @@ mod tests {
 
     #[test]
     fn dispatcher_picks_sparse_for_sparse_and_dense_for_dense() {
-        // When CC_MM is set — as in the forced-sparse CI lane — the
-        // override wins over every density estimate; the auto decision is
-        // only observable without it.
-        if let Some(kind) = forced_kind() {
-            let any = SparsePlan::new(&[2, 2], &[2, 2]);
-            assert_eq!(choose(&any, 1), kind, "override must win");
-            return;
-        }
         let n = 64;
         let sparse_plan = SparsePlan::new(&vec![2; n], &vec![2; n]);
         assert_eq!(choose(&sparse_plan, 1), MmKind::Sparse);

@@ -9,10 +9,11 @@ use std::sync::{Arc, Mutex};
 /// inline on the calling thread: dispatch (even to a parked pool) costs a
 /// condvar round-trip, which `BENCH_runtime.json` shows dominating small
 /// workloads — at `n = 64` the overhead outweighs the work. Tunable per
-/// executor with [`Executor::with_cutover`] or globally with the
-/// `CC_EXEC_CUTOVER` environment variable; when the variable is unset the
-/// parallel kinds self-tune their default upward from this floor with a
-/// startup micro-probe (see [`Executor::new`]).
+/// executor with [`Executor::with_cutover`] (a clique's
+/// `CliqueConfig::exec_cutover`); otherwise the parallel kinds self-tune
+/// their default upward from this floor with a startup micro-probe (see
+/// [`Executor::new`]). The determinism sweep (`tests/runtime_determinism.rs`)
+/// pins the cutover to 2 so its small sizes really dispatch.
 pub const DEFAULT_SEQ_CUTOVER: usize = 96;
 
 /// Which backend an [`Executor`] uses.
@@ -42,9 +43,10 @@ impl ExecutorKind {
     /// Reads the backend from the `CC_EXECUTOR` environment variable
     /// (`sequential` or `parallel`/`pooled`, optionally suffixed
     /// `:<threads>` as in `parallel:4`), falling back to `fallback` when
-    /// unset. This is how CI forces the whole test suite onto the parallel
-    /// backend without touching call sites. A malformed value is reported
-    /// once per process (see [`crate::env_config`]) before falling back.
+    /// unset, so every default-configured clique in the process can be
+    /// moved onto the parallel backend without touching call sites. A
+    /// malformed value is reported once per process (see
+    /// [`crate::env_config`]) before falling back.
     #[must_use]
     pub fn from_env_or(fallback: ExecutorKind) -> Self {
         crate::env_config::from_env_or(
@@ -138,33 +140,13 @@ impl Executor {
     /// where the worker threads are created — exactly once per executor
     /// lifetime (see the pool-lifecycle notes on [`Executor`]).
     ///
-    /// The inline cutover comes from `CC_EXEC_CUTOVER` when set; otherwise
-    /// the parallel kinds self-tune it from a one-shot startup micro-probe
-    /// (see [`probed_cutover`]) instead of assuming the hardcoded
-    /// [`DEFAULT_SEQ_CUTOVER`] fits every machine.
+    /// The parallel kinds self-tune the inline cutover from a one-shot
+    /// startup micro-probe (see [`probed_cutover`]) instead of assuming the
+    /// hardcoded [`DEFAULT_SEQ_CUTOVER`] fits every machine;
+    /// [`Executor::with_cutover`] sets it explicitly.
     #[must_use]
     pub fn new(kind: ExecutorKind) -> Self {
-        // The fallback is computed lazily (the micro-probe should not run
-        // when the environment pins a cutover), so this mirrors
-        // `env_config::from_env_or` instead of calling it.
-        let cutover = match std::env::var("CC_EXEC_CUTOVER").ok() {
-            None => default_cutover(kind),
-            Some(raw) => match raw.parse().ok() {
-                Some(v) => v,
-                None => {
-                    let fallback = default_cutover(kind);
-                    crate::env_config::warn_once(
-                        "cc-runtime",
-                        "CC_EXEC_CUTOVER",
-                        &raw,
-                        "a non-negative integer",
-                        &fallback.to_string(),
-                    );
-                    fallback
-                }
-            },
-        };
-        Self::with_cutover(kind, cutover)
+        Self::with_cutover(kind, default_cutover(kind))
     }
 
     /// [`Executor::new`] with an explicit small-`n` cutover: jobs with
@@ -350,7 +332,7 @@ impl Executor {
 /// thousand pieces always get the chance to dispatch.
 const MAX_PROBED_CUTOVER: usize = 1024;
 
-/// The `CC_EXEC_CUTOVER` fallback for `kind`: the parallel kinds self-tune
+/// The default cutover for `kind`: the parallel kinds self-tune
 /// from the startup micro-probe, while [`ExecutorKind::Sequential`] (where
 /// the cutover can never matter — every job runs inline) keeps the
 /// documented [`DEFAULT_SEQ_CUTOVER`].
@@ -431,16 +413,6 @@ fn emit_dispatch(pieces: usize, threads: usize) {
     cc_telemetry::global().emit(cc_telemetry::TraceLevel::Full, || {
         cc_telemetry::Event::ExecutorDispatch { pieces, threads }
     });
-}
-
-/// Resolves a `CC_EXEC_CUTOVER` spec: `None` (unset) and parseable values
-/// resolve normally; a malformed value is an error carrying the raw spec —
-/// [`Executor::new`] reports the misconfiguration instead of swallowing it.
-/// A thin wrapper over the shared [`crate::env_config::resolve`], kept so
-/// the historical contract stays unit-tested against the helper.
-#[cfg(test)]
-fn resolve_cutover(spec: Option<&str>) -> Result<usize, String> {
-    crate::env_config::resolve(spec, DEFAULT_SEQ_CUTOVER, |raw| raw.parse().ok())
 }
 
 /// Runs `work(slot)` for slots `0..=pool.workers()` on the persistent pool
@@ -614,8 +586,7 @@ mod tests {
     #[test]
     fn executor_kind_parser_accepts_known_names() {
         // Exercises the parser directly — the env var itself is
-        // process-global (CI sets it for whole suite runs), so the test
-        // must not read or write it.
+        // process-global, so the test must not read or write it.
         assert_eq!(
             ExecutorKind::parse("sequential"),
             Some(ExecutorKind::Sequential)
@@ -653,20 +624,6 @@ mod tests {
             None,
             "even for kinds that ignore threads"
         );
-    }
-
-    #[test]
-    fn cutover_resolution_reports_malformed_specs() {
-        // Unset and well-formed specs resolve silently.
-        assert_eq!(resolve_cutover(None), Ok(DEFAULT_SEQ_CUTOVER));
-        assert_eq!(resolve_cutover(Some("0")), Ok(0));
-        assert_eq!(resolve_cutover(Some("128")), Ok(128));
-        // Malformed specs must surface as errors (Executor::new prints the
-        // warning once), never resolve silently to anything.
-        assert_eq!(resolve_cutover(Some("banana")), Err("banana".to_string()));
-        assert_eq!(resolve_cutover(Some("-3")), Err("-3".to_string()));
-        assert_eq!(resolve_cutover(Some("")), Err(String::new()));
-        assert_eq!(resolve_cutover(Some("96ms")), Err("96ms".to_string()));
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! | `CC_EXECUTOR` | earns its place with |
 //! |---|---|
 //! | `sequential` | every `benchmark/` workload runs on it: the reference semantics |
-//! | `parallel[:threads]` | probe `runtime.map_us.parallel2`, and the forced-parallel CI lane (`CC_EXECUTOR=parallel CC_EXEC_CUTOVER=2`) that holds the determinism contract under real dispatch |
+//! | `parallel[:threads]` | probe `runtime.map_us.parallel2`, and the executor cells of `tests/runtime_determinism.rs` (`exec_cutover: Some(2)`, so small sizes really dispatch) that hold the determinism contract |
 //!
 //! ## Example
 //!

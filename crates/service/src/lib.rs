@@ -39,8 +39,11 @@
 //!
 //! Like `CC_EXECUTOR` and `CC_TRANSPORT`, the `CC_SERVICE` environment
 //! variable (`direct` or `batch[:instances]`) retargets every
-//! default-configured service in the process, which is how CI runs the
-//! suite with the batch scheduler forced on.
+//! default-configured service in the process. `tests/service_behaviour.rs`
+//! holds the scheduler axis:
+//! `direct_and_batch_modes_serve_identical_outcomes` compares the modes,
+//! and `batches_fan_mixed_graphs_and_sizes_through_the_warm_pool` fans one
+//! batch over three instances.
 //!
 //! ## Example
 //!

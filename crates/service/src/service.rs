@@ -75,8 +75,8 @@ impl ServiceMode {
 
     /// Reads the scheduler from the `CC_SERVICE` environment variable,
     /// falling back to `fallback` when unset — mirroring `CC_EXECUTOR` and
-    /// `CC_TRANSPORT`, so CI can force every default-configured service in
-    /// the process through the batch scheduler. A malformed value is
+    /// `CC_TRANSPORT`, it moves every default-configured service in the
+    /// process onto one scheduler. A malformed value is
     /// reported once per process (the shared
     /// [`cc_runtime::env_config`] contract) before falling back.
     #[must_use]

@@ -43,7 +43,8 @@ pub fn count_triangles(clique: &mut Clique, g: &Graph) -> u64 {
 /// so sparse graphs ride the Le Gall 2016 nnz-aware path (rounds bound by
 /// `Σ deg(y)²/n`, constant for bounded degree) while dense graphs fall
 /// back to the fast bilinear engine — automatically, from one degree
-/// census (`CC_MM=sparse|dense` overrides).
+/// census. `sparse_and_rect_mm_are_executor_independent` in
+/// `tests/runtime_determinism.rs` holds the sparse path on dense inputs.
 ///
 /// # Panics
 ///
@@ -178,14 +179,12 @@ mod tests {
         let mut cd = Clique::new(64);
         let dense = count_triangles(&mut cd, &g);
         assert_eq!(auto, dense);
-        if cc_core::sparse_mm::forced_kind().is_none() {
-            assert!(
-                ca.stats().words() < cd.stats().words(),
-                "dispatched words {} vs dense words {}",
-                ca.stats().words(),
-                cd.stats().words()
-            );
-        }
+        assert!(
+            ca.stats().words() < cd.stats().words(),
+            "dispatched words {} vs dense words {}",
+            ca.stats().words(),
+            cd.stats().words()
+        );
     }
 
     #[test]

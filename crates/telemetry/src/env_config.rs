@@ -2,10 +2,10 @@
 //! variable.
 //!
 //! Several layers read their defaults from the environment — `CC_EXECUTOR`
-//! (execution backend), `CC_EXEC_CUTOVER` (small-`n` inline threshold),
-//! `CC_TRANSPORT` (message fabric), `CC_SERVICE` (query-serving scheduler),
-//! `CC_TRACE` (this crate's own trace level) — and all of them want the
-//! same contract:
+//! (execution backend), `CC_TRANSPORT` (message fabric), `CC_NETSIM`
+//! (network conditioning), `CC_SERVICE` (query-serving scheduler),
+//! `CC_KERNEL` / `CC_TILE` (node-local kernel), `CC_TRACE` (this crate's
+//! own trace level) — and all of them want the same contract:
 //!
 //! * **unset** means "use the fallback", silently;
 //! * a **parseable** value wins;
@@ -49,8 +49,8 @@ pub fn resolve<T>(
 /// Reads `var` from the process environment and parses it with `parse`,
 /// falling back to `fallback` when the variable is unset. A value `parse`
 /// rejects is reported once per process per variable ([`warn_once`]) before
-/// falling back — silently running with the wrong configuration is how CI
-/// lanes stop testing what they claim to.
+/// falling back — silently running with the wrong configuration is how a
+/// run stops testing what it claims to.
 ///
 /// `owner` names the reporting crate (`"cc-runtime"`, `"cc-transport"`, …)
 /// and `expected` describes the accepted grammar for the warning text.
@@ -146,9 +146,9 @@ pub fn warn_once_stderr(owner: &str, var: &'static str, raw: &str, expected: &st
 mod tests {
     use super::*;
 
-    // The generic resolution contract, ported from the per-crate copies
-    // (`resolve_cutover` in the executor, `TransportKind::resolve` in the
-    // transport), which are now thin wrappers over this helper.
+    // The generic resolution contract every `CC_*` knob shares
+    // (`TransportKind::resolve` in the transport is a thin wrapper over
+    // this helper).
 
     #[test]
     fn unset_specs_resolve_to_the_fallback_silently() {

@@ -116,7 +116,7 @@ pub enum Event {
     },
     /// One executor fan-out decision ([`TraceLevel::Full`]): how many
     /// independent pieces were queued and whether they dispatched to worker
-    /// threads or ran inline under the `CC_EXEC_CUTOVER` heuristic.
+    /// threads or ran inline under the executor's cutover heuristic.
     ///
     /// [`TraceLevel::Full`]: crate::TraceLevel::Full
     ExecutorDispatch {

@@ -57,7 +57,7 @@ pub struct EngineAgg {
 /// Executor fan-out aggregate across every [`Event::ExecutorDispatch`] seen.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DispatchAgg {
-    /// Jobs that ran inline (below the `CC_EXEC_CUTOVER` boundary).
+    /// Jobs that ran inline (below the executor's cutover).
     pub inline: u64,
     /// Jobs dispatched to worker threads.
     pub dispatched: u64,

@@ -73,8 +73,9 @@
 //! The backend is chosen through [`TransportKind`]; like the executor's
 //! `CC_EXECUTOR`, the `CC_TRANSPORT` environment variable retargets every
 //! default-configured simulation in the process
-//! ([`TransportKind::from_env_or`]), which is how CI runs the full suite on
-//! each fabric.
+//! ([`TransportKind::from_env_or`]). `algorithms_are_transport_independent`
+//! in the facade's `tests/runtime_determinism.rs` holds the fabric axis
+//! in-process.
 //!
 //! ## Variant ledger
 //!

@@ -55,8 +55,9 @@
 //! [`ExecutorKind::Parallel`](runtime::ExecutorKind) (the **persistent
 //! worker pool**). Setting the `CC_EXECUTOR` environment variable
 //! (`sequential` / `parallel`, optionally `:<threads>`) retargets
-//! every default-configured clique in the process, which is how CI runs the
-//! whole suite on each backend.
+//! every default-configured clique in the process. The executor axis is
+//! held in-process by `ported_algorithms_are_executor_independent` and its
+//! neighbours in `tests/runtime_determinism.rs`.
 //!
 //! ### Pool lifecycle
 //!
@@ -71,8 +72,8 @@
 //! the race-free per-executor probe the tests pin). When the
 //! last executor handle drops — normally when the `Clique` does — the
 //! workers are woken, joined, and gone. Jobs smaller than a tunable
-//! cutover ([`Executor::with_cutover`](runtime::Executor::with_cutover),
-//! `CliqueConfig::exec_cutover`, or `CC_EXEC_CUTOVER`; default
+//! cutover ([`Executor::with_cutover`](runtime::Executor::with_cutover) or
+//! `CliqueConfig::exec_cutover`; default
 //! [`DEFAULT_SEQ_CUTOVER`](runtime::DEFAULT_SEQ_CUTOVER)) run inline on
 //! the caller, so small-`n` simulations pay no dispatch overhead at all.
 //!
@@ -161,8 +162,9 @@
 //!   [`core::sparse_mm::multiply_auto_ring`],
 //!   [`core::sparse_mm::distance_product_with_witness_auto`] — compare the
 //!   census-derived sparse estimate against a dense-engine yardstick and
-//!   pick per instance; `CC_MM=sparse|dense` overrides them globally (CI
-//!   runs a forced-sparse lane). Consumers ride the front doors:
+//!   pick per instance. The explicit sparse entry points are checked on a
+//!   dense input too, in `sparse_and_rect_mm_are_executor_independent`
+//!   (`tests/runtime_determinism.rs`). Consumers ride the front doors:
 //!   [`subgraph::sparse_square`] is the Theorem 4 two-walk gate over the
 //!   general sparse path, [`subgraph::count_triangles_auto`] dispatches
 //!   its `A²`, and [`apsp::apsp_exact`] dispatches *per squaring*, so a
@@ -222,15 +224,15 @@
 //! is associative, Strassen is exact over the integers, and any correct
 //! Boolean method produces the same bools — so results, rounds, words,
 //! and pattern fingerprints are bit-identical across `CC_KERNEL` values
-//! (pinned in `tests/runtime_determinism.rs`; CI runs full `naive` and
-//! `blocked` lanes against the default). Only `*_ns` moves:
+//! (pinned by `algorithms_are_kernel_independent` in
+//! `tests/runtime_determinism.rs`). Only `*_ns` moves:
 //! `BENCH_kernel.json` holds the comparison, including the lift shape
 //! (lift to `i64`, schoolbook integer product, threshold pass) against
 //! the bit-packed kernel. At `CC_TRACE=full` every kernel choice is emitted
 //! as a [`KernelDecision`](telemetry::Event) event.
 //!
 //! Relatedly, the pooled executor's dispatch cutover is self-tuning: when
-//! `CC_EXEC_CUTOVER` is unset and the executor has real parallelism, a
+//! no cutover is configured and the executor has real parallelism, a
 //! one-shot startup micro-probe compares thread round-trip cost against
 //! per-piece work and raises the default cutover accordingly (clamped,
 //! cached per process, reported as a probe `KernelDecision` event).
@@ -332,7 +334,8 @@
 //! `CC_TRANSPORT` (`inmemory` / `socket[:workers]` /
 //! `tcp[:workers][:host:port]` / `tcp-peer[:workers][:host:port]`)
 //! retargets every default-configured simulation the way `CC_EXECUTOR`
-//! does for executors — CI runs the full suite on each fabric — and an
+//! does for executors (`algorithms_are_transport_independent` holds the
+//! fabric axis in-process), and an
 //! unrecognised value is reported once, not silently swallowed.
 //! [`Clique::orchestrator_bytes`](clique::Clique::orchestrator_bytes)
 //! exposes the refactor's payoff as a number: the payload bytes that
@@ -386,8 +389,9 @@
 //! [`CliqueConfig::netsim`](clique::CliqueConfig) or the `CC_NETSIM`
 //! variable (`off` | `lan` | `wan` | `lossy` | `flaky-node`, optionally
 //! `:seed`), which rides the same warn-once [`runtime::env_config`] parser
-//! as `CC_EXECUTOR` — CI runs the full suite under `CC_NETSIM=lossy` to
-//! prove the suite cannot tell the difference. `BENCH_netsim.json` charts
+//! as `CC_EXECUTOR`. `algorithms_are_netsim_condition_independent` holds
+//! the netsim axis, every profile and a lossy TCP star included.
+//! `BENCH_netsim.json` charts
 //! the profiles (simulated time, retransmits, wall-clock overhead) across
 //! backends; the `multi_process` example conditions a multi-process fabric
 //! with the lossy profile and reproduces the clean run bit for bit.
@@ -432,8 +436,12 @@
 //! `CC_SERVICE` (`direct` or `batch[:instances]`) retargets every
 //! default-configured service the way `CC_EXECUTOR` and `CC_TRANSPORT`
 //! do theirs (all three ride one shared warn-once parser,
-//! [`runtime::env_config`]); CI runs the suite with the batch scheduler
-//! forced on. `BENCH_service.json` quantifies the point of the layer:
+//! [`runtime::env_config`]). The scheduler axis is held by
+//! `crates/service/tests/service_behaviour.rs`:
+//! `direct_and_batch_modes_serve_identical_outcomes` compares the modes,
+//! and `batches_fan_mixed_graphs_and_sizes_through_the_warm_pool` fans a
+//! batch over three instances.
+//! `BENCH_service.json` quantifies the point of the layer:
 //! warm-pool, duplicate-heavy batches against cold one-shot calls at
 //! duplicate ratios {0%, 50%, 90%}. The `query_service` example drives a
 //! mixed workload end to end.
@@ -447,7 +455,7 @@
 //!
 //! * the [`Engine`](runtime::Engine) times each round barrier (node
 //!   stepping vs delivery) and the [`Executor`](runtime::Executor) reports
-//!   every dispatch-vs-inline decision at the `CC_EXEC_CUTOVER` boundary;
+//!   every dispatch-vs-inline decision at the cutover boundary;
 //! * every [`Transport`](transport::Transport) backend reports per-round
 //!   link histograms — words per link, max-vs-mean skew, barrier wait, and
 //!   (socket) coalesced frame-batch sizes — via an observer-only wrapper

@@ -337,24 +337,48 @@ fn sparse_square_density_boundary_is_executor_independent() {
     }
 }
 
-/// The new sparse/rectangular MM subsystem (PR 3): products, witnessed
-/// distance products, rectangular slabs, and the dispatching triangle
-/// front door are bit-identical — results, rounds, words, fingerprints —
-/// across the Sequential and the pooled Parallel backends.
+/// The sparse/rectangular MM subsystem: products, witnessed distance
+/// products, rectangular slabs, and the dispatching triangle front door
+/// are bit-identical — results, rounds, words, fingerprints — across the
+/// Sequential and pooled Parallel executors and the multi-process socket
+/// fabric. A dense `gnp(16, 0.5)` instance also goes through the explicit
+/// sparse product and the explicit sparse witnessed product, which the
+/// density dispatch would send to the dense engines: the sparse path must
+/// stay correct on inputs it would never be picked for.
 #[test]
 fn sparse_and_rect_mm_are_executor_independent() {
+    use congested_clique::algebra::{Dist, INFINITY};
     use congested_clique::core::{rect_mm, sparse_mm, RectMatrix};
 
     let n = 16;
     let m = 5;
     let sparse_graph = generators::gnp(n, 2.0 / n as f64, 13);
     let adj = sparse_graph.adjacency_matrix();
+    let dense_graph = generators::gnp(n, 0.5, 17);
+    let dense_adj = dense_graph.adjacency_matrix();
     let rect_a = Matrix::from_fn(n, m, |i, j| ((i * 5 + j) % 7) as i64 - 3);
     let rect_b = Matrix::from_fn(m, n, |i, j| ((i * 11 + 3 * j) % 7) as i64 - 3);
     let weighted = generators::weighted_gnp(n, 0.25, 9, true, 21);
+    let w = RowMatrix::from_fn(n, |u, v| {
+        if u == v {
+            Dist::zero()
+        } else {
+            weighted.weight(u, v).map_or(INFINITY, Dist::finite)
+        }
+    });
+    // Few distinct weights, so the witness tie-break decides many entries.
+    let dense_w = RowMatrix::from_fn(n, |u, v| {
+        if u == v {
+            Dist::zero()
+        } else if dense_graph.has_edge(u, v) {
+            Dist::finite(((u * 7 + v * 3) % 3) as i64 + 1)
+        } else {
+            INFINITY
+        }
+    });
 
-    let run = |kind: ExecutorKind| {
-        let mut c = Clique::with_config(n, cfg(kind));
+    let run = |config: CliqueConfig| {
+        let mut c = Clique::with_config(n, config);
         let ra = RowMatrix::from_matrix(&adj);
         let square = sparse_mm::multiply(&mut c, &IntRing, &ra, &ra).to_matrix();
         let rect = rect_mm::multiply(
@@ -364,43 +388,60 @@ fn sparse_and_rect_mm_are_executor_independent() {
             &RectMatrix::from_matrix(&rect_b),
         )
         .to_matrix();
-        let w = RowMatrix::from_fn(n, |u, v| {
-            if u == v {
-                congested_clique::algebra::Dist::zero()
-            } else {
-                weighted.weight(u, v).map_or(
-                    congested_clique::algebra::INFINITY,
-                    congested_clique::algebra::Dist::finite,
-                )
-            }
-        });
         let (dp, wit) = sparse_mm::distance_product_with_witness_auto(&mut c, &w, &w);
         let triangles = subgraph::count_triangles_auto(&mut c, &sparse_graph);
+        let rd = RowMatrix::from_matrix(&dense_adj);
+        let dense_square = sparse_mm::multiply(&mut c, &IntRing, &rd, &rd).to_matrix();
+        let (dense_dp, dense_wit) =
+            sparse_mm::distance_product_with_witness(&mut c, &dense_w, &dense_w);
         (
             square,
             rect,
             dp.to_matrix(),
             wit.to_matrix(),
             triangles,
+            dense_square,
+            dense_dp.to_matrix(),
+            dense_wit.to_matrix(),
             c.rounds(),
             c.stats().words(),
             c.stats().pattern_fingerprints().to_vec(),
         )
     };
 
-    let seq = run(ExecutorKind::Sequential);
+    let seq = run(cfg(ExecutorKind::Sequential));
     assert_eq!(seq.0, Matrix::mul(&IntRing, &adj, &adj), "sparse square");
     assert_eq!(
         seq.1,
         Matrix::mul(&IntRing, &rect_a, &rect_b),
         "rect product"
     );
-    for threads in [2, 5] {
-        assert_eq!(
-            seq,
-            run(ExecutorKind::Parallel { threads }),
-            "pooled backend diverged (threads={threads})"
-        );
+    assert_eq!(
+        seq.5,
+        Matrix::mul(&IntRing, &dense_adj, &dense_adj),
+        "sparse product on a dense input"
+    );
+    // The dense 3D engine is the reference for the witnessed product. The
+    // engines name different witnesses for `∞` entries, so witnesses are
+    // compared where the distance is finite.
+    let mut c3d = Clique::new(n);
+    let (ref_dp, ref_wit) =
+        semiring_mm::distance_product_with_witness(&mut c3d, &dense_w, &dense_w);
+    let (ref_dp, ref_wit) = (ref_dp.to_matrix(), ref_wit.to_matrix());
+    assert_eq!(seq.6, ref_dp, "sparse witnessed distances on a dense input");
+    for u in 0..n {
+        for v in 0..n {
+            if ref_dp[(u, v)].is_finite() {
+                assert_eq!(seq.7[(u, v)], ref_wit[(u, v)], "witness at ({u}, {v})");
+            }
+        }
+    }
+    for config in [
+        cfg(ExecutorKind::Parallel { threads: 2 }),
+        cfg(ExecutorKind::Parallel { threads: 5 }),
+        cfg_transport(TransportKind::Socket { workers: 2 }),
+    ] {
+        assert_eq!(seq, run(config.clone()), "diverged under {config:?}");
     }
 }
 
@@ -610,7 +651,7 @@ fn algorithms_are_netsim_condition_independent() {
     for _ in 0..6 {
         conditioned = subgraph::count_triangles_program(&mut flaky, &g);
     }
-    // Pinned off explicitly so the CC_NETSIM=lossy CI lane cannot
+    // Pinned off explicitly so a `CC_NETSIM` in the environment cannot
     // condition the comparison baseline.
     let mut clean = Clique::with_config(
         n,
@@ -904,8 +945,9 @@ fn trace_probe_worker() {
     // asserts is then proved *with* worker capture and snapshot shipping
     // active, not with telemetry accidentally off. (Asserted here, never
     // printed: PROBE lines must stay identical between off and full.)
-    if std::env::var("CC_TRACE").as_deref() == Ok("full") {
-        let snap = congested_clique::telemetry::global()
+    let telemetry = congested_clique::telemetry::global();
+    if telemetry.level() == congested_clique::telemetry::TraceLevel::Full {
+        let snap = telemetry
             .memory()
             .expect("CC_TRACE=full without a path aggregates in memory")
             .snapshot();
@@ -937,8 +979,8 @@ fn full_tracing_is_bit_identical_to_off() {
                 "--nocapture",
                 "--test-threads=1",
             ])
-            // Explicit on both runs: a CI lane exporting CC_TRACE must not
-            // leak into either side of the comparison.
+            // Explicit on both runs: a `CC_TRACE` in the environment (the
+            // traced CI lane sets one) must not leak into either side.
             .env("CC_TRACE", trace)
             .env("CC_TRACE_PROBE", "1")
             .output()
