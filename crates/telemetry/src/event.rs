@@ -1,4 +1,14 @@
-//! The structured events instrumented layers emit.
+//! The structured events instrumented layers emit, and their one-line JSON
+//! wire format.
+//!
+//! Every variant is stated once, as a row of the `events!` table below: its
+//! wire tag and its documented fields in wire order. The table generates
+//! [`Event`], the encoder behind [`event_json`] and the decoder behind
+//! [`event_from_json`]; the private `Field` trait gives each field type its
+//! JSON form. Adding an event means one table row plus one golden line in
+//! this file's tests.
+
+use std::fmt::Write as _;
 
 /// Power-of-two histogram of per-link word counts within one transport
 /// round: bucket `i` counts links that carried `w` words with
@@ -40,262 +50,336 @@ impl LinkHistogram {
     }
 }
 
-/// One structured observation from an instrumented layer. Events are data,
-/// not behaviour: sinks aggregate or serialise them, and nothing in the
-/// simulation ever reads one back.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// A malformed `CC_*` environment value was ignored (the
-    /// [`crate::env_config::warn_once`] contract routed through the sink).
-    ConfigWarning {
-        /// Reporting crate (`"cc-runtime"`, `"cc-transport"`, …).
-        owner: String,
-        /// The environment variable.
-        var: &'static str,
-        /// The rejected raw value.
-        raw: String,
-        /// The accepted grammar.
-        expected: String,
-        /// The fallback that was used instead.
-        using: String,
-    },
-    /// A named monotone counter increment.
-    Counter {
-        /// Counter name (aggregated by name in the memory sink).
-        name: &'static str,
-        /// Increment.
-        delta: u64,
-    },
-    /// A named gauge observation (last value wins in the memory sink).
-    Gauge {
-        /// Gauge name.
-        name: &'static str,
-        /// Observed value.
-        value: f64,
-    },
-    /// A clique accounting phase opened ([`TraceLevel::Summary`]).
+/// A field's wire key: its name, or the `as "key"` the table gives it.
+macro_rules! wire_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// The event table. Each row is `Variant = "wire_tag" { fields }`, fields in
+/// wire order, and expands to the enum variant, its encoder arm and its
+/// decoder arm (plus, under test, its tag and a random-instance maker).
+macro_rules! events {
+    (
+        $(#[$meta:meta])*
+        pub enum Event {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal {
+                    $( $(#[$fmeta:meta])* $field:ident $(as $key:literal)?: $ty:ty, )*
+                },
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum Event {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty, )* }, )*
+        }
+
+        fn write_event(event: &Event, out: &mut String) {
+            match event {
+                $( Event::$variant { $($field),* } => {
+                    out.push_str(concat!("{\"event\":\"", $tag, "\""));
+                    $(
+                        out.push_str(concat!(",\"", wire_key!($field $($key)?), "\":"));
+                        $field.write(out);
+                    )*
+                } )*
+            }
+            out.push('}');
+        }
+
+        fn decode(fields: &Fields<'_>) -> Option<Event> {
+            Some(match fields.tag()? {
+                $( $tag => Event::$variant {
+                    $( $field: Field::read(fields.get(wire_key!($field $($key)?))?)?, )*
+                }, )*
+                _ => return None,
+            })
+        }
+
+        /// Every wire tag, in table order.
+        #[cfg(test)]
+        const TAGS: &[&str] = &[$($tag),*];
+
+        /// One random-instance maker per row, in table order.
+        #[cfg(test)]
+        const ARBITRARY: &[fn(&mut proptest::strategy::TestRng) -> Event] = &[$(
+            |rng| Event::$variant { $( $field: tests::Arbitrary::arbitrary(rng), )* }
+        ),*];
+    };
+}
+
+events! {
+    /// One structured observation from an instrumented layer. Events are
+    /// data, not behaviour: sinks aggregate or serialise them, and nothing
+    /// in the simulation ever reads one back.
     ///
-    /// [`TraceLevel::Summary`]: crate::TraceLevel::Summary
-    PhaseStart {
-        /// Phase name.
-        name: String,
-    },
-    /// A clique accounting phase closed, with the rounds/words charged to
-    /// the whole clique while it ran and its own wall-clock
-    /// ([`TraceLevel::Summary`]).
-    ///
-    /// [`TraceLevel::Summary`]: crate::TraceLevel::Summary
-    PhaseEnd {
-        /// Phase name.
-        name: String,
-        /// Link-level rounds charged while the phase was open.
-        rounds: u64,
-        /// Words delivered while the phase was open.
-        words: u64,
-        /// Wall-clock the phase body took.
-        wall_ns: u64,
-    },
-    /// One engine round barrier ([`TraceLevel::Rounds`]): node stepping
-    /// wall-clock, barrier (delivery) wall-clock, and the round's link
-    /// accounting.
-    ///
-    /// [`TraceLevel::Rounds`]: crate::TraceLevel::Rounds
-    EngineRound {
-        /// Engine round index (0-based).
-        round: u64,
-        /// Nodes still live entering this round.
-        live: usize,
-        /// Wall-clock of stepping all live nodes.
-        step_ns: u64,
-        /// Wall-clock of the fabric barrier (merge + deliver + account).
-        barrier_ns: u64,
-        /// Link-level rounds this barrier charged (the max per-link load).
-        rounds: u64,
-        /// Words delivered at this barrier.
-        words: u64,
-    },
-    /// One executor fan-out decision ([`TraceLevel::Full`]): how many
-    /// independent pieces were queued and whether they dispatched to worker
-    /// threads or ran inline under the executor's cutover heuristic.
-    ///
-    /// [`TraceLevel::Full`]: crate::TraceLevel::Full
-    ExecutorDispatch {
-        /// Independent pieces in the job (the dispatch queue depth).
-        pieces: usize,
-        /// Worker threads used; `1` means the job ran inline.
-        threads: usize,
-    },
-    /// One node-local kernel dispatch decision ([`TraceLevel::Full`]): which
-    /// multiply kernel the `CC_KERNEL` selection chose for a local product —
-    /// the local-compute mirror of [`Event::ExecutorDispatch`]. Also carries
-    /// the executor's probe-derived cutover (as `kernel = "probe"`,
-    /// `op = "exec_cutover"`, `n` = chosen cutover) when self-tuning runs.
-    ///
-    /// [`TraceLevel::Full`]: crate::TraceLevel::Full
-    KernelDecision {
-        /// Kernel actually used (`"naive"`, `"blocked"`, `"strassen"`,
-        /// `"bitset"`, `"planes"` for the min-plus distance planes, or
-        /// `"probe"` for the cutover micro-probe).
-        kernel: &'static str,
-        /// Operation dispatched (`"mul_i64"`, `"mul_bool"`,
-        /// `"minplus_witness"`, `"exec_cutover"`).
-        op: &'static str,
-        /// Problem size (output rows), or the probed cutover value.
-        n: usize,
-        /// Tile edge in effect (`0` when tiling is not involved).
-        tile: usize,
-    },
-    /// One transport round barrier ([`TraceLevel::Rounds`]): per-link load
-    /// distribution and the barrier wait (rendezvous) wall-clock.
-    ///
-    /// [`TraceLevel::Rounds`]: crate::TraceLevel::Rounds
-    TransportRound {
-        /// Backend name (`"inmemory"`, `"socket"`, `"tcp"`).
-        backend: &'static str,
-        /// Barrier epoch this round committed.
-        epoch: u64,
-        /// Charged links this round.
-        links: usize,
-        /// Total words across all links.
-        words: u64,
-        /// Heaviest link (the round cost).
-        max_link: u64,
-        /// Mean words per charged link.
-        mean_link: f64,
-        /// Wall-clock of the barrier (ship + rendezvous + reassembly).
-        barrier_ns: u64,
-        /// Per-link word-count histogram.
-        hist: LinkHistogram,
-    },
-    /// One coalesced frame batch shipped by a batching backend
-    /// ([`TraceLevel::Full`]).
-    ///
-    /// [`TraceLevel::Full`]: crate::TraceLevel::Full
-    FrameBatch {
-        /// Backend name.
-        backend: &'static str,
-        /// Frames coalesced into the batch.
-        frames: usize,
-        /// Encoded batch size in bytes.
-        bytes: usize,
-    },
-    /// One program-resident round barrier ([`TraceLevel::Rounds`]): the
-    /// workers stepped their shards and exchanged payloads peer-to-peer;
-    /// only the commit tokens crossed the orchestrator. The split between
-    /// `peer_bytes` and `orchestrator_bytes` is the star-vs-clique
-    /// accounting the peer-resident refactor exists to move.
-    ///
-    /// [`TraceLevel::Rounds`]: crate::TraceLevel::Rounds
-    ResidentRound {
-        /// Backend name (`"tcp"`).
-        backend: &'static str,
-        /// Barrier epoch this round committed.
-        epoch: u64,
-        /// Nodes still live after this round's step.
-        live: u64,
-        /// Payload bytes exchanged worker→worker this round.
-        peer_bytes: u64,
-        /// Payload bytes routed through the orchestrator this round
-        /// (`0` by construction in resident mode).
-        orchestrator_bytes: u64,
-    },
-    /// One network-conditioned round barrier ([`TraceLevel::Rounds`]): the
-    /// netsim wrapper's per-round aggregate — simulated completion time
-    /// (the max over delivering links, retransmits included) and how many
-    /// links retransmitted or straggled.
-    ///
-    /// [`TraceLevel::Rounds`]: crate::TraceLevel::Rounds
-    NetsimRound {
-        /// Conditioning profile name (`"lan"`, `"wan"`, `"lossy"`,
-        /// `"flaky-node"`).
-        profile: &'static str,
-        /// Barrier epoch this round committed.
-        epoch: u64,
-        /// Charged links this round.
-        links: usize,
-        /// Simulated round completion time: the slowest link's delivery
-        /// time in simulated nanoseconds.
-        sim_ns: u64,
-        /// Simulated retransmissions across all links this round.
-        retransmits: u64,
-        /// Links hit by straggler injection this round.
-        stragglers: u64,
-    },
-    /// One lossy link's simulated retransmit sequence within a round
-    /// ([`TraceLevel::Full`]).
-    ///
-    /// [`TraceLevel::Full`]: crate::TraceLevel::Full
-    NetsimRetransmit {
-        /// Conditioning profile name.
-        profile: &'static str,
-        /// Barrier epoch the retransmits happened in.
-        epoch: u64,
-        /// Link source node.
-        src: usize,
-        /// Link destination node.
-        dst: usize,
-        /// Delivery attempts the link needed (`2` means one retransmit).
-        attempts: u32,
-    },
-    /// One injected node fault or its recovery ([`TraceLevel::Summary`]).
-    ///
-    /// [`TraceLevel::Summary`]: crate::TraceLevel::Summary
-    NetsimFault {
-        /// Conditioning profile name.
-        profile: &'static str,
-        /// Barrier epoch the fault was injected after.
-        epoch: u64,
-        /// The crashed / recovered node.
-        node: usize,
-        /// `"crash"` or `"recover"`.
-        kind: &'static str,
-        /// Words of serialized program state re-shipped (`0` for crashes;
-        /// recoveries carry the checkpoint size).
-        state_words: usize,
-    },
-    /// An event captured inside a worker process and merged into the
-    /// orchestrator's stream with per-process attribution
-    /// ([`crate::Telemetry::merge_worker`]). Wrapping — instead of a
-    /// `worker_id` on every variant — keeps orchestrator-emitted events
-    /// and worker-emitted events structurally distinct, so aggregates can
-    /// attribute without double counting.
-    Worker {
-        /// Worker process index (the transport shard id).
-        worker: u32,
-        /// The event exactly as the worker emitted it.
-        event: Box<Event>,
-    },
-    /// A warm-pool checkout boundary ([`TraceLevel::Summary`]): the clique
-    /// was reset for reuse, discarding the accounting totals recorded here.
-    /// Delimits phases from different checkouts in long captures.
-    ///
-    /// [`TraceLevel::Summary`]: crate::TraceLevel::Summary
-    Reset {
-        /// Link-level rounds accumulated by the life being discarded.
-        rounds: u64,
-        /// Words accumulated by the life being discarded.
-        words: u64,
-        /// Fabric barrier epoch at reset (epochs keep counting across
-        /// resets).
-        epoch: u64,
-    },
-    /// One worker's lane through one barrier ([`TraceLevel::Rounds`]),
-    /// measured by the orchestrator's commit-collection loop: wall-clock
-    /// from barrier start until this worker's commit token was read. The
-    /// per-epoch maximum identifies the worker that closed the barrier
-    /// (the round's critical path); the spread is straggler skew.
-    ///
-    /// [`TraceLevel::Rounds`]: crate::TraceLevel::Rounds
-    BarrierLane {
-        /// Backend name (`"socket"`, `"tcp"`).
-        backend: &'static str,
-        /// Barrier epoch the lane belongs to.
-        epoch: u64,
-        /// Worker process index.
-        worker: u32,
-        /// Wall-clock from barrier start to this worker's commit token.
-        wall_ns: u64,
-    },
+    /// Each variant is one row of the table in `event.rs`, which also
+    /// generates its [`event_json`] encoding and [`event_from_json`]
+    /// decoding; the row's wire tag is the `"event"` value of its JSON line
+    /// and its fields follow in declaration order. Adding an event means
+    /// one table row plus one golden line in that file's tests.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Event {
+        /// A malformed `CC_*` environment value was ignored (the
+        /// [`crate::env_config::warn_once`] contract routed through the sink).
+        ConfigWarning = "config_warning" {
+            /// Reporting crate (`"cc-runtime"`, `"cc-transport"`, …).
+            owner: String,
+            /// The environment variable.
+            var: &'static str,
+            /// The rejected raw value.
+            raw: String,
+            /// The accepted grammar.
+            expected: String,
+            /// The fallback that was used instead.
+            using: String,
+        },
+        /// A named monotone counter increment.
+        Counter = "counter" {
+            /// Counter name (aggregated by name in the memory sink).
+            name: &'static str,
+            /// Increment.
+            delta: u64,
+        },
+        /// A named gauge observation (last value wins in the memory sink).
+        Gauge = "gauge" {
+            /// Gauge name.
+            name: &'static str,
+            /// Observed value.
+            value: f64,
+        },
+        /// A clique accounting phase opened ([`TraceLevel::Summary`]).
+        ///
+        /// [`TraceLevel::Summary`]: crate::TraceLevel::Summary
+        PhaseStart = "phase_start" {
+            /// Phase name.
+            name: String,
+        },
+        /// A clique accounting phase closed, with the rounds/words charged to
+        /// the whole clique while it ran and its own wall-clock
+        /// ([`TraceLevel::Summary`]).
+        ///
+        /// [`TraceLevel::Summary`]: crate::TraceLevel::Summary
+        PhaseEnd = "phase_end" {
+            /// Phase name.
+            name: String,
+            /// Link-level rounds charged while the phase was open.
+            rounds: u64,
+            /// Words delivered while the phase was open.
+            words: u64,
+            /// Wall-clock the phase body took.
+            wall_ns: u64,
+        },
+        /// One engine round barrier ([`TraceLevel::Rounds`]): node stepping
+        /// wall-clock, barrier (delivery) wall-clock, and the round's link
+        /// accounting.
+        ///
+        /// [`TraceLevel::Rounds`]: crate::TraceLevel::Rounds
+        EngineRound = "engine_round" {
+            /// Engine round index (0-based).
+            round: u64,
+            /// Nodes still live entering this round.
+            live: usize,
+            /// Wall-clock of stepping all live nodes.
+            step_ns: u64,
+            /// Wall-clock of the fabric barrier (merge + deliver + account).
+            barrier_ns: u64,
+            /// Link-level rounds this barrier charged (the max per-link load).
+            rounds: u64,
+            /// Words delivered at this barrier.
+            words: u64,
+        },
+        /// One executor fan-out decision ([`TraceLevel::Full`]): how many
+        /// independent pieces were queued and whether they dispatched to worker
+        /// threads or ran inline under the executor's cutover heuristic.
+        ///
+        /// [`TraceLevel::Full`]: crate::TraceLevel::Full
+        ExecutorDispatch = "executor_dispatch" {
+            /// Independent pieces in the job (the dispatch queue depth).
+            pieces: usize,
+            /// Worker threads used; `1` means the job ran inline.
+            threads: usize,
+        },
+        /// One node-local kernel dispatch decision ([`TraceLevel::Full`]): which
+        /// multiply kernel the `CC_KERNEL` selection chose for a local product —
+        /// the local-compute mirror of [`Event::ExecutorDispatch`]. Also carries
+        /// the executor's probe-derived cutover (as `kernel = "probe"`,
+        /// `op = "exec_cutover"`, `n` = chosen cutover) when self-tuning runs.
+        ///
+        /// [`TraceLevel::Full`]: crate::TraceLevel::Full
+        KernelDecision = "kernel_decision" {
+            /// Kernel actually used (`"naive"`, `"blocked"`, `"strassen"`,
+            /// `"bitset"`, `"planes"` for the min-plus distance planes, or
+            /// `"probe"` for the cutover micro-probe).
+            kernel: &'static str,
+            /// Operation dispatched (`"mul_i64"`, `"mul_bool"`,
+            /// `"minplus_witness"`, `"exec_cutover"`).
+            op: &'static str,
+            /// Problem size (output rows), or the probed cutover value.
+            n: usize,
+            /// Tile edge in effect (`0` when tiling is not involved).
+            tile: usize,
+        },
+        /// One transport round barrier ([`TraceLevel::Rounds`]): per-link load
+        /// distribution and the barrier wait (rendezvous) wall-clock.
+        ///
+        /// [`TraceLevel::Rounds`]: crate::TraceLevel::Rounds
+        TransportRound = "transport_round" {
+            /// Backend name (`"inmemory"`, `"socket"`, `"tcp"`).
+            backend: &'static str,
+            /// Barrier epoch this round committed.
+            epoch: u64,
+            /// Charged links this round.
+            links: usize,
+            /// Total words across all links.
+            words: u64,
+            /// Heaviest link (the round cost).
+            max_link: u64,
+            /// Mean words per charged link.
+            mean_link: f64,
+            /// Wall-clock of the barrier (ship + rendezvous + reassembly).
+            barrier_ns: u64,
+            /// Per-link word-count histogram.
+            hist: LinkHistogram,
+        },
+        /// One coalesced frame batch shipped by a batching backend
+        /// ([`TraceLevel::Full`]).
+        ///
+        /// [`TraceLevel::Full`]: crate::TraceLevel::Full
+        FrameBatch = "frame_batch" {
+            /// Backend name.
+            backend: &'static str,
+            /// Frames coalesced into the batch.
+            frames: usize,
+            /// Encoded batch size in bytes.
+            bytes: usize,
+        },
+        /// One program-resident round barrier ([`TraceLevel::Rounds`]): the
+        /// workers stepped their shards and exchanged payloads peer-to-peer;
+        /// only the commit tokens crossed the orchestrator. The split between
+        /// `peer_bytes` and `orchestrator_bytes` is the star-vs-clique
+        /// accounting the peer-resident refactor exists to move.
+        ///
+        /// [`TraceLevel::Rounds`]: crate::TraceLevel::Rounds
+        ResidentRound = "resident_round" {
+            /// Backend name (`"tcp"`).
+            backend: &'static str,
+            /// Barrier epoch this round committed.
+            epoch: u64,
+            /// Nodes still live after this round's step.
+            live: u64,
+            /// Payload bytes exchanged worker→worker this round.
+            peer_bytes: u64,
+            /// Payload bytes routed through the orchestrator this round
+            /// (`0` by construction in resident mode).
+            orchestrator_bytes: u64,
+        },
+        /// One network-conditioned round barrier ([`TraceLevel::Rounds`]): the
+        /// netsim wrapper's per-round aggregate — simulated completion time
+        /// (the max over delivering links, retransmits included) and how many
+        /// links retransmitted or straggled.
+        ///
+        /// [`TraceLevel::Rounds`]: crate::TraceLevel::Rounds
+        NetsimRound = "netsim_round" {
+            /// Conditioning profile name (`"lan"`, `"wan"`, `"lossy"`,
+            /// `"flaky-node"`).
+            profile: &'static str,
+            /// Barrier epoch this round committed.
+            epoch: u64,
+            /// Charged links this round.
+            links: usize,
+            /// Simulated round completion time: the slowest link's delivery
+            /// time in simulated nanoseconds.
+            sim_ns: u64,
+            /// Simulated retransmissions across all links this round.
+            retransmits: u64,
+            /// Links hit by straggler injection this round.
+            stragglers: u64,
+        },
+        /// One lossy link's simulated retransmit sequence within a round
+        /// ([`TraceLevel::Full`]).
+        ///
+        /// [`TraceLevel::Full`]: crate::TraceLevel::Full
+        NetsimRetransmit = "netsim_retransmit" {
+            /// Conditioning profile name.
+            profile: &'static str,
+            /// Barrier epoch the retransmits happened in.
+            epoch: u64,
+            /// Link source node.
+            src: usize,
+            /// Link destination node.
+            dst: usize,
+            /// Delivery attempts the link needed (`2` means one retransmit).
+            attempts: u32,
+        },
+        /// One injected node fault or its recovery ([`TraceLevel::Summary`]).
+        ///
+        /// [`TraceLevel::Summary`]: crate::TraceLevel::Summary
+        NetsimFault = "netsim_fault" {
+            /// Conditioning profile name.
+            profile: &'static str,
+            /// Barrier epoch the fault was injected after.
+            epoch: u64,
+            /// The crashed / recovered node.
+            node: usize,
+            /// `"crash"` or `"recover"`.
+            kind: &'static str,
+            /// Words of serialized program state re-shipped (`0` for crashes;
+            /// recoveries carry the checkpoint size).
+            state_words: usize,
+        },
+        /// An event captured inside a worker process and merged into the
+        /// orchestrator's stream with per-process attribution
+        /// ([`crate::Telemetry::merge_worker`]). Wrapping — instead of a
+        /// `worker_id` on every variant — keeps orchestrator-emitted events
+        /// and worker-emitted events structurally distinct, so aggregates can
+        /// attribute without double counting. Wrapping is one level deep:
+        /// the decoder rejects a `Worker` inside a `Worker`.
+        Worker = "worker" {
+            /// Worker process index (the transport shard id).
+            worker: u32,
+            /// The event exactly as the worker emitted it (wire key
+            /// `"inner"`).
+            event as "inner": Box<Event>,
+        },
+        /// A warm-pool checkout boundary ([`TraceLevel::Summary`]): the clique
+        /// was reset for reuse, discarding the accounting totals recorded here.
+        /// Delimits phases from different checkouts in long captures.
+        ///
+        /// [`TraceLevel::Summary`]: crate::TraceLevel::Summary
+        Reset = "reset" {
+            /// Link-level rounds accumulated by the life being discarded.
+            rounds: u64,
+            /// Words accumulated by the life being discarded.
+            words: u64,
+            /// Fabric barrier epoch at reset (epochs keep counting across
+            /// resets).
+            epoch: u64,
+        },
+        /// One worker's lane through one barrier ([`TraceLevel::Rounds`]),
+        /// measured by the orchestrator's commit-collection loop: wall-clock
+        /// from barrier start until this worker's commit token was read. The
+        /// per-epoch maximum identifies the worker that closed the barrier
+        /// (the round's critical path); the spread is straggler skew.
+        ///
+        /// [`TraceLevel::Rounds`]: crate::TraceLevel::Rounds
+        BarrierLane = "barrier_lane" {
+            /// Backend name (`"socket"`, `"tcp"`).
+            backend: &'static str,
+            /// Barrier epoch the lane belongs to.
+            epoch: u64,
+            /// Worker process index.
+            worker: u32,
+            /// Wall-clock from barrier start to this worker's commit token.
+            wall_ns: u64,
+        },
+    }
 }
 
 /// Serialises one event as a single-line JSON object (the [`crate::JsonlSink`]
@@ -303,170 +387,9 @@ pub enum Event {
 /// fields escaped.
 #[must_use]
 pub fn event_json(event: &Event) -> String {
-    match event {
-        Event::ConfigWarning {
-            owner,
-            var,
-            raw,
-            expected,
-            using,
-        } => format!(
-            "{{\"event\":\"config_warning\",\"owner\":{},\"var\":{},\"raw\":{},\
-             \"expected\":{},\"using\":{}}}",
-            js(owner),
-            js(var),
-            js(raw),
-            js(expected),
-            js(using)
-        ),
-        Event::Counter { name, delta } => {
-            format!(
-                "{{\"event\":\"counter\",\"name\":{},\"delta\":{delta}}}",
-                js(name)
-            )
-        }
-        Event::Gauge { name, value } => {
-            format!(
-                "{{\"event\":\"gauge\",\"name\":{},\"value\":{value}}}",
-                js(name)
-            )
-        }
-        Event::PhaseStart { name } => {
-            format!("{{\"event\":\"phase_start\",\"name\":{}}}", js(name))
-        }
-        Event::PhaseEnd {
-            name,
-            rounds,
-            words,
-            wall_ns,
-        } => format!(
-            "{{\"event\":\"phase_end\",\"name\":{},\"rounds\":{rounds},\"words\":{words},\
-             \"wall_ns\":{wall_ns}}}",
-            js(name)
-        ),
-        Event::EngineRound {
-            round,
-            live,
-            step_ns,
-            barrier_ns,
-            rounds,
-            words,
-        } => format!(
-            "{{\"event\":\"engine_round\",\"round\":{round},\"live\":{live},\
-             \"step_ns\":{step_ns},\"barrier_ns\":{barrier_ns},\"rounds\":{rounds},\
-             \"words\":{words}}}"
-        ),
-        Event::ExecutorDispatch { pieces, threads } => {
-            format!("{{\"event\":\"executor_dispatch\",\"pieces\":{pieces},\"threads\":{threads}}}")
-        }
-        Event::KernelDecision {
-            kernel,
-            op,
-            n,
-            tile,
-        } => format!(
-            "{{\"event\":\"kernel_decision\",\"kernel\":{},\"op\":{},\"n\":{n},\"tile\":{tile}}}",
-            js(kernel),
-            js(op)
-        ),
-        Event::TransportRound {
-            backend,
-            epoch,
-            links,
-            words,
-            max_link,
-            mean_link,
-            barrier_ns,
-            hist,
-        } => {
-            let buckets: Vec<String> = hist.buckets.iter().map(u64::to_string).collect();
-            format!(
-                "{{\"event\":\"transport_round\",\"backend\":{},\"epoch\":{epoch},\
-                 \"links\":{links},\"words\":{words},\"max_link\":{max_link},\
-                 \"mean_link\":{mean_link},\"barrier_ns\":{barrier_ns},\
-                 \"hist\":[{}]}}",
-                js(backend),
-                buckets.join(",")
-            )
-        }
-        Event::FrameBatch {
-            backend,
-            frames,
-            bytes,
-        } => format!(
-            "{{\"event\":\"frame_batch\",\"backend\":{},\"frames\":{frames},\"bytes\":{bytes}}}",
-            js(backend)
-        ),
-        Event::ResidentRound {
-            backend,
-            epoch,
-            live,
-            peer_bytes,
-            orchestrator_bytes,
-        } => format!(
-            "{{\"event\":\"resident_round\",\"backend\":{},\"epoch\":{epoch},\"live\":{live},\
-             \"peer_bytes\":{peer_bytes},\"orchestrator_bytes\":{orchestrator_bytes}}}",
-            js(backend)
-        ),
-        Event::NetsimRound {
-            profile,
-            epoch,
-            links,
-            sim_ns,
-            retransmits,
-            stragglers,
-        } => format!(
-            "{{\"event\":\"netsim_round\",\"profile\":{},\"epoch\":{epoch},\"links\":{links},\
-             \"sim_ns\":{sim_ns},\"retransmits\":{retransmits},\"stragglers\":{stragglers}}}",
-            js(profile)
-        ),
-        Event::NetsimRetransmit {
-            profile,
-            epoch,
-            src,
-            dst,
-            attempts,
-        } => format!(
-            "{{\"event\":\"netsim_retransmit\",\"profile\":{},\"epoch\":{epoch},\"src\":{src},\
-             \"dst\":{dst},\"attempts\":{attempts}}}",
-            js(profile)
-        ),
-        Event::NetsimFault {
-            profile,
-            epoch,
-            node,
-            kind,
-            state_words,
-        } => format!(
-            "{{\"event\":\"netsim_fault\",\"profile\":{},\"epoch\":{epoch},\"node\":{node},\
-             \"kind\":{},\"state_words\":{state_words}}}",
-            js(profile),
-            js(kind)
-        ),
-        Event::Worker { worker, event } => format!(
-            "{{\"event\":\"worker\",\"worker\":{worker},\"inner\":{}}}",
-            event_json(event)
-        ),
-        Event::Reset {
-            rounds,
-            words,
-            epoch,
-        } => {
-            format!(
-                "{{\"event\":\"reset\",\"rounds\":{rounds},\"words\":{words},\"epoch\":{epoch}}}"
-            )
-        }
-        Event::BarrierLane {
-            backend,
-            epoch,
-            worker,
-            wall_ns,
-        } => format!(
-            "{{\"event\":\"barrier_lane\",\"backend\":{},\"epoch\":{epoch},\"worker\":{worker},\
-             \"wall_ns\":{wall_ns}}}",
-            js(backend)
-        ),
-    }
+    let mut out = String::new();
+    write_event(event, &mut out);
+    out
 }
 
 /// Parses one [`event_json`] line back into an [`Event`] — the merge half
@@ -474,124 +397,106 @@ pub fn event_json(event: &Event) -> String {
 /// inside `Frame::Telemetry`; the orchestrator and `cc-report --replay`
 /// parse them back). Hand-rolled like the writer; returns `None` for
 /// malformed lines or unknown event names rather than failing the run —
-/// telemetry stays observer-only even against a corrupt capture.
+/// telemetry stays observer-only even against a corrupt capture. The lines
+/// come from other processes, so decoding stays linear in the line length
+/// and never recurses.
 #[must_use]
 pub fn event_from_json(line: &str) -> Option<Event> {
-    let fields = parse_object(line.trim())?;
-    let kind = fields.str_field("event")?;
-    let event = match kind.as_str() {
-        "config_warning" => Event::ConfigWarning {
-            owner: fields.str_field("owner")?,
-            var: intern(&fields.str_field("var")?),
-            raw: fields.str_field("raw")?,
-            expected: fields.str_field("expected")?,
-            using: fields.str_field("using")?,
-        },
-        "counter" => Event::Counter {
-            name: intern(&fields.str_field("name")?),
-            delta: fields.u64_field("delta")?,
-        },
-        "gauge" => Event::Gauge {
-            name: intern(&fields.str_field("name")?),
-            value: fields.f64_field("value")?,
-        },
-        "phase_start" => Event::PhaseStart {
-            name: fields.str_field("name")?,
-        },
-        "phase_end" => Event::PhaseEnd {
-            name: fields.str_field("name")?,
-            rounds: fields.u64_field("rounds")?,
-            words: fields.u64_field("words")?,
-            wall_ns: fields.u64_field("wall_ns")?,
-        },
-        "engine_round" => Event::EngineRound {
-            round: fields.u64_field("round")?,
-            live: fields.usize_field("live")?,
-            step_ns: fields.u64_field("step_ns")?,
-            barrier_ns: fields.u64_field("barrier_ns")?,
-            rounds: fields.u64_field("rounds")?,
-            words: fields.u64_field("words")?,
-        },
-        "executor_dispatch" => Event::ExecutorDispatch {
-            pieces: fields.usize_field("pieces")?,
-            threads: fields.usize_field("threads")?,
-        },
-        "kernel_decision" => Event::KernelDecision {
-            kernel: intern(&fields.str_field("kernel")?),
-            op: intern(&fields.str_field("op")?),
-            n: fields.usize_field("n")?,
-            tile: fields.usize_field("tile")?,
-        },
-        "transport_round" => {
-            let buckets = fields.array_field("hist")?;
-            if buckets.len() != LinkHistogram::BUCKETS {
-                return None;
+    decode(&parse_object(line.trim())?)
+}
+
+/// How one field type is written to and read from its JSON value.
+trait Field: Sized {
+    fn write(&self, out: &mut String);
+    fn read(value: &Value<'_>) -> Option<Self>;
+}
+
+macro_rules! number_fields {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
             }
-            let mut hist = LinkHistogram::default();
-            hist.buckets.copy_from_slice(&buckets);
-            Event::TransportRound {
-                backend: intern(&fields.str_field("backend")?),
-                epoch: fields.u64_field("epoch")?,
-                links: fields.usize_field("links")?,
-                words: fields.u64_field("words")?,
-                max_link: fields.u64_field("max_link")?,
-                mean_link: fields.f64_field("mean_link")?,
-                barrier_ns: fields.u64_field("barrier_ns")?,
-                hist,
+
+            fn read(value: &Value<'_>) -> Option<Self> {
+                match value {
+                    Value::Num(raw) => raw.parse().ok(),
+                    _ => None,
+                }
             }
         }
-        "frame_batch" => Event::FrameBatch {
-            backend: intern(&fields.str_field("backend")?),
-            frames: fields.usize_field("frames")?,
-            bytes: fields.usize_field("bytes")?,
-        },
-        "resident_round" => Event::ResidentRound {
-            backend: intern(&fields.str_field("backend")?),
-            epoch: fields.u64_field("epoch")?,
-            live: fields.u64_field("live")?,
-            peer_bytes: fields.u64_field("peer_bytes")?,
-            orchestrator_bytes: fields.u64_field("orchestrator_bytes")?,
-        },
-        "netsim_round" => Event::NetsimRound {
-            profile: intern(&fields.str_field("profile")?),
-            epoch: fields.u64_field("epoch")?,
-            links: fields.usize_field("links")?,
-            sim_ns: fields.u64_field("sim_ns")?,
-            retransmits: fields.u64_field("retransmits")?,
-            stragglers: fields.u64_field("stragglers")?,
-        },
-        "netsim_retransmit" => Event::NetsimRetransmit {
-            profile: intern(&fields.str_field("profile")?),
-            epoch: fields.u64_field("epoch")?,
-            src: fields.usize_field("src")?,
-            dst: fields.usize_field("dst")?,
-            attempts: u32::try_from(fields.u64_field("attempts")?).ok()?,
-        },
-        "netsim_fault" => Event::NetsimFault {
-            profile: intern(&fields.str_field("profile")?),
-            epoch: fields.u64_field("epoch")?,
-            node: fields.usize_field("node")?,
-            kind: intern(&fields.str_field("kind")?),
-            state_words: fields.usize_field("state_words")?,
-        },
-        "worker" => Event::Worker {
-            worker: u32::try_from(fields.u64_field("worker")?).ok()?,
-            event: Box::new(event_from_json(&fields.obj_field("inner")?)?),
-        },
-        "reset" => Event::Reset {
-            rounds: fields.u64_field("rounds")?,
-            words: fields.u64_field("words")?,
-            epoch: fields.u64_field("epoch")?,
-        },
-        "barrier_lane" => Event::BarrierLane {
-            backend: intern(&fields.str_field("backend")?),
-            epoch: fields.u64_field("epoch")?,
-            worker: u32::try_from(fields.u64_field("worker")?).ok()?,
-            wall_ns: fields.u64_field("wall_ns")?,
-        },
-        _ => return None,
-    };
-    Some(event)
+    )*};
+}
+
+number_fields!(u64, usize, u32, f64);
+
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        write_str(out, self);
+    }
+
+    fn read(value: &Value<'_>) -> Option<Self> {
+        match value {
+            Value::Str(s) => Some(s.clone()),
+            _ => None,
+        }
+    }
+}
+
+/// Names: parsed back through [`intern`], so the decoded event has the
+/// `'static` shape the emitting side used.
+impl Field for &'static str {
+    fn write(&self, out: &mut String) {
+        write_str(out, self);
+    }
+
+    fn read(value: &Value<'_>) -> Option<Self> {
+        match value {
+            Value::Str(s) => Some(intern(s)),
+            _ => None,
+        }
+    }
+}
+
+/// A JSON array of exactly [`LinkHistogram::BUCKETS`] counts.
+impl Field for LinkHistogram {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, bucket) in self.buckets.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{bucket}");
+        }
+        out.push(']');
+    }
+
+    fn read(value: &Value<'_>) -> Option<Self> {
+        match value {
+            Value::Arr(buckets) => Some(Self {
+                buckets: buckets.as_slice().try_into().ok()?,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// [`Event::Worker`]'s payload, a nested object. `merge_worker` wraps once
+/// and workers never emit `Worker`, so an inner `worker` tag is rejected
+/// before it is decoded: nesting cannot make the decoder recurse.
+impl Field for Box<Event> {
+    fn write(&self, out: &mut String) {
+        write_event(self, out);
+    }
+
+    fn read(value: &Value<'_>) -> Option<Self> {
+        let Value::Obj(raw) = value else { return None };
+        let fields = parse_object(raw)?;
+        if fields.tag()? == "worker" {
+            return None;
+        }
+        decode(&fields).map(Box::new)
+    }
 }
 
 /// Returns a `'static` copy of `s`, deduplicated through a process-global
@@ -599,295 +504,191 @@ pub fn event_from_json(line: &str) -> Option<Event> {
 /// the same [`Event`] shape the emitting side used; the registry bounds
 /// the leak to one allocation per distinct name ever parsed.
 fn intern(s: &str) -> &'static str {
-    use std::collections::BTreeMap;
+    use std::collections::BTreeSet;
     use std::sync::{Mutex, OnceLock};
-    // Fast path: the names the instrumented layers actually emit.
-    const KNOWN: &[&str] = &[
-        "inmemory",
-        "socket",
-        "tcp",
-        "lan",
-        "wan",
-        "lossy",
-        "flaky-node",
-        "naive",
-        "blocked",
-        "strassen",
-        "bitset",
-        "planes",
-        "probe",
-        "mul_i64",
-        "mul_bool",
-        "minplus_witness",
-        "exec_cutover",
-        "crash",
-        "recover",
-    ];
-    if let Some(k) = KNOWN.iter().find(|k| **k == s) {
-        return k;
-    }
-    static REGISTRY: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
-    let mut map = REGISTRY
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
+    static NAMES: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
+    let mut names = NAMES
+        .get_or_init(Mutex::default)
         .lock()
         .expect("intern registry poisoned");
-    if let Some(interned) = map.get(s) {
-        return interned;
+    if let Some(&name) = names.get(s) {
+        return name;
     }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    map.insert(s.to_string(), leaked);
-    leaked
+    let name: &'static str = Box::leak(s.into());
+    names.insert(name);
+    name
 }
 
-/// The parsed fields of one flat JSON object: raw number slices (so `u64`
-/// stays exact), unescaped strings, `u64` arrays (histograms), and raw
-/// nested-object text (re-parsed recursively for [`Event::Worker`]).
-struct Fields {
-    entries: Vec<(String, Value)>,
-}
+/// The parsed fields of one flat JSON object, in line order.
+struct Fields<'a>(Vec<(String, Value<'a>)>);
 
-enum Value {
+/// One parsed JSON value: raw number text (so `u64` stays exact), an
+/// unescaped string, a `u64` array (histograms), or the raw text of a
+/// nested object (decoded on demand for [`Event::Worker`]).
+enum Value<'a> {
     Str(String),
-    Num(String),
+    Num(&'a str),
     Arr(Vec<u64>),
-    Obj(String),
+    Obj(&'a str),
 }
 
-impl Fields {
-    fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+impl<'a> Fields<'a> {
+    fn get(&self, key: &str) -> Option<&Value<'a>> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    fn str_field(&self, key: &str) -> Option<String> {
-        match self.get(key)? {
-            Value::Str(s) => Some(s.clone()),
-            _ => None,
-        }
-    }
-
-    fn u64_field(&self, key: &str) -> Option<u64> {
-        match self.get(key)? {
-            Value::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn usize_field(&self, key: &str) -> Option<usize> {
-        usize::try_from(self.u64_field(key)?).ok()
-    }
-
-    fn f64_field(&self, key: &str) -> Option<f64> {
-        match self.get(key)? {
-            Value::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn array_field(&self, key: &str) -> Option<Vec<u64>> {
-        match self.get(key)? {
-            Value::Arr(v) => Some(v.clone()),
-            _ => None,
-        }
-    }
-
-    fn obj_field(&self, key: &str) -> Option<String> {
-        match self.get(key)? {
-            Value::Obj(raw) => Some(raw.clone()),
+    /// The `"event"` wire tag.
+    fn tag(&self) -> Option<&str> {
+        match self.get("event")? {
+            Value::Str(tag) => Some(tag),
             _ => None,
         }
     }
 }
 
-fn parse_object(text: &str) -> Option<Fields> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+fn parse_object(text: &str) -> Option<Fields<'_>> {
+    let mut p = Parser { text, pos: 0 };
     let fields = p.object()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return None; // trailing garbage after the object
-    }
-    Some(fields)
+    // Trailing garbage after the object rejects the line.
+    (p.pos == text.len()).then_some(fields)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
     fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn eat(&mut self, b: u8) -> Option<()> {
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
+        (self.peek() == Some(b)).then(|| self.pos += 1)
     }
 
-    fn object(&mut self) -> Option<Fields> {
+    fn object(&mut self) -> Option<Fields<'a>> {
         self.eat(b'{')?;
         let mut entries = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Some(Fields { entries });
+        if self.eat(b'}').is_some() {
+            return Some(Fields(entries));
         }
         loop {
             let key = self.string()?;
             self.eat(b':')?;
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Some(Fields { entries });
-                }
-                _ => return None,
+            entries.push((key, self.value()?));
+            if self.eat(b'}').is_some() {
+                return Some(Fields(entries));
             }
+            self.eat(b',')?;
         }
     }
 
-    fn value(&mut self) -> Option<Value> {
+    fn value(&mut self) -> Option<Value<'a>> {
         self.skip_ws();
-        match self.bytes.get(self.pos)? {
-            b'"' => Some(Value::Str(self.string()?)),
-            b'[' => Some(Value::Arr(self.array()?)),
-            b'{' => Some(Value::Obj(self.raw_object()?)),
-            _ => Some(Value::Num(self.number()?)),
-        }
+        Some(match self.peek()? {
+            b'"' => Value::Str(self.string()?),
+            b'[' => Value::Arr(self.array()?),
+            b'{' => Value::Obj(self.raw_object()?),
+            _ => Value::Num(self.number()?),
+        })
     }
 
     fn string(&mut self) -> Option<String> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through verbatim;
-                    // re-slice on char boundaries via str indexing.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Everything up to the next quote or backslash passes through
+            // verbatim in one slice; both stops are ASCII, so every cut
+            // lands on a char boundary.
+            let rest = &self.text[self.pos..];
+            let run = rest.find(['"', '\\'])?;
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Some(out);
             }
-        }
-    }
-
-    fn number(&mut self) -> Option<String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
+            let escape = self.peek()?;
             self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        String::from_utf8(self.bytes[start..self.pos].to_vec()).ok()
-    }
-
-    fn array(&mut self) -> Option<Vec<u64>> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Some(out);
-        }
-        loop {
-            out.push(self.number()?.parse().ok()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Some(out);
+            match escape {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self.text.get(self.pos..self.pos + 4)?;
+                    out.push(char::from_u32(u32::from_str_radix(hex, 16).ok()?)?);
+                    self.pos += 4;
                 }
                 _ => return None,
             }
         }
     }
 
-    /// Consumes one balanced nested object and returns its raw text
-    /// (strings skipped correctly so braces inside values don't miscount).
-    fn raw_object(&mut self) -> Option<String> {
+    fn number(&mut self) -> Option<&'a str> {
         self.skip_ws();
         let start = self.pos;
-        if self.bytes.get(self.pos) != Some(&b'{') {
-            return None;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
         }
+        (self.pos > start).then(|| &self.text[start..self.pos])
+    }
+
+    fn array(&mut self) -> Option<Vec<u64>> {
+        self.eat(b'[')?;
+        let mut out = Vec::new();
+        if self.eat(b']').is_some() {
+            return Some(out);
+        }
+        loop {
+            out.push(self.number()?.parse().ok()?);
+            if self.eat(b']').is_some() {
+                return Some(out);
+            }
+            self.eat(b',')?;
+        }
+    }
+
+    /// Consumes one balanced nested object and returns its raw text. A
+    /// depth count, not recursion, so deep nesting costs no stack; strings
+    /// are skipped whole, so braces inside values don't miscount.
+    fn raw_object(&mut self) -> Option<&'a str> {
+        let start = self.pos;
         let mut depth = 0usize;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'{' => {
-                    depth += 1;
-                    self.pos += 1;
-                }
-                b'}' => {
-                    depth -= 1;
-                    self.pos += 1;
-                    if depth == 0 {
-                        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-                        return Some(raw.to_string());
-                    }
-                }
+        loop {
+            match self.peek()? {
                 b'"' => {
                     self.string()?;
+                    continue;
                 }
-                _ => self.pos += 1,
+                b'{' => depth += 1,
+                b'}' => depth -= 1,
+                _ => {}
+            }
+            self.pos += 1;
+            if depth == 0 {
+                return Some(&self.text[start..self.pos]);
             }
         }
-        None
     }
 }
 
 /// Minimal JSON string quoting: escapes quotes, backslashes, and control
 /// characters (config warnings carry raw environment values).
-fn js(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -896,17 +697,20 @@ fn js(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::TestRng;
 
     #[test]
     fn histogram_buckets_are_power_of_two_ranges() {
@@ -948,6 +752,13 @@ mod tests {
     #[test]
     fn event_json_covers_every_variant() {
         let events = [
+            Event::ConfigWarning {
+                owner: "cc-runtime".to_string(),
+                var: "CC_EXECUTOR",
+                raw: "x".to_string(),
+                expected: "names".to_string(),
+                using: "Sequential".to_string(),
+            },
             Event::Counter {
                 name: "c",
                 delta: 1,
@@ -1054,12 +865,15 @@ mod tests {
                 "malformed line for {e:?}: {line}"
             );
         }
+        for tag in TAGS {
+            let prefix = format!("{{\"event\":\"{tag}\",");
+            assert!(
+                events.iter().any(|e| event_json(e).starts_with(&prefix)),
+                "variant {tag} is not covered"
+            );
+        }
     }
 
-    /// The distributed-capture wire format is `event_json` lines parsed
-    /// back by `event_from_json`; every variant must survive the trip
-    /// bit-for-bit (including a non-trivial histogram, an escaped raw
-    /// value, and a nested worker wrapper).
     #[test]
     fn event_json_round_trips_through_the_parser() {
         let mut hist = LinkHistogram::default();
@@ -1180,6 +994,417 @@ mod tests {
             let parsed = event_from_json(&line);
             assert_eq!(parsed.as_ref(), Some(e), "round trip failed: {line}");
         }
+    }
+
+    /// The wire format, pinned byte for byte: one exact line per variant,
+    /// plus escaped strings, extreme integers, `f64` renderings, a full
+    /// histogram and `Worker` wrapping (one level, as `merge_worker`
+    /// produces). Adding an event means adding its line here.
+    fn golden() -> Vec<(Event, String)> {
+        let mut full = LinkHistogram::default();
+        for (i, b) in full.buckets.iter_mut().enumerate() {
+            *b = i as u64 * 3 + 1;
+        }
+        full.buckets[LinkHistogram::BUCKETS - 1] = u64::MAX;
+        let escaped = Event::ConfigWarning {
+            owner: "cc-runtime".to_string(),
+            var: "CC_EXECUTOR",
+            raw: "para\"llel\\x\n\r\t\u{1}\u{1f}/\u{7f}é☃🦀".to_string(),
+            expected: "sequential or parallel[:t]".to_string(),
+            using: "Sequential".to_string(),
+        };
+        let escaped_line = "{\"event\":\"config_warning\",\"owner\":\"cc-runtime\",\
+            \"var\":\"CC_EXECUTOR\",\"raw\":\"para\\\"llel\\\\x\\n\\r\\t\\u0001\\u001f/\u{7f}é☃🦀\",\
+            \"expected\":\"sequential or parallel[:t]\",\"using\":\"Sequential\"}";
+        let frame_batch = Event::FrameBatch {
+            backend: "socket",
+            frames: 17,
+            bytes: 65_536,
+        };
+        let frame_batch_line = "{\"event\":\"frame_batch\",\"backend\":\"socket\",\"frames\":17,\
+            \"bytes\":65536}";
+        let cases: Vec<(Event, &str)> = vec![
+            (escaped.clone(), escaped_line),
+            (
+                Event::ConfigWarning {
+                    owner: String::new(),
+                    var: "CC_TRACE",
+                    raw: "banana".to_string(),
+                    expected: "off".to_string(),
+                    using: "off".to_string(),
+                },
+                "{\"event\":\"config_warning\",\"owner\":\"\",\"var\":\"CC_TRACE\",\
+                 \"raw\":\"banana\",\"expected\":\"off\",\"using\":\"off\"}",
+            ),
+            (
+                Event::Counter {
+                    name: "config_warnings",
+                    delta: 3,
+                },
+                "{\"event\":\"counter\",\"name\":\"config_warnings\",\"delta\":3}",
+            ),
+            (
+                Event::Counter {
+                    name: "worker_events_dropped",
+                    delta: u64::MAX,
+                },
+                "{\"event\":\"counter\",\"name\":\"worker_events_dropped\",\
+                 \"delta\":18446744073709551615}",
+            ),
+            (
+                Event::Gauge {
+                    name: "service_cache_hits",
+                    value: 0.125,
+                },
+                "{\"event\":\"gauge\",\"name\":\"service_cache_hits\",\"value\":0.125}",
+            ),
+            (
+                Event::Gauge {
+                    name: "g",
+                    value: 3.0,
+                },
+                "{\"event\":\"gauge\",\"name\":\"g\",\"value\":3}",
+            ),
+            (
+                Event::Gauge {
+                    name: "g",
+                    value: 1e-7,
+                },
+                "{\"event\":\"gauge\",\"name\":\"g\",\"value\":0.0000001}",
+            ),
+            (
+                Event::PhaseStart {
+                    name: "triangles".to_string(),
+                },
+                "{\"event\":\"phase_start\",\"name\":\"triangles\"}",
+            ),
+            (
+                Event::PhaseEnd {
+                    name: "triangles".to_string(),
+                    rounds: 12,
+                    words: 3_456,
+                    wall_ns: 7_890_123,
+                },
+                "{\"event\":\"phase_end\",\"name\":\"triangles\",\"rounds\":12,\"words\":3456,\
+                 \"wall_ns\":7890123}",
+            ),
+            (
+                Event::EngineRound {
+                    round: 4,
+                    live: usize::MAX,
+                    step_ns: 100,
+                    barrier_ns: 200,
+                    rounds: 1,
+                    words: u64::MAX,
+                },
+                "{\"event\":\"engine_round\",\"round\":4,\"live\":18446744073709551615,\
+                 \"step_ns\":100,\"barrier_ns\":200,\"rounds\":1,\
+                 \"words\":18446744073709551615}",
+            ),
+            (
+                Event::ExecutorDispatch {
+                    pieces: 64,
+                    threads: 1,
+                },
+                "{\"event\":\"executor_dispatch\",\"pieces\":64,\"threads\":1}",
+            ),
+            (
+                Event::KernelDecision {
+                    kernel: "planes",
+                    op: "minplus_witness",
+                    n: 256,
+                    tile: 0,
+                },
+                "{\"event\":\"kernel_decision\",\"kernel\":\"planes\",\
+                 \"op\":\"minplus_witness\",\"n\":256,\"tile\":0}",
+            ),
+            (
+                Event::TransportRound {
+                    backend: "inmemory",
+                    epoch: 7,
+                    links: 3,
+                    words: 9,
+                    max_link: 4,
+                    mean_link: 3.0,
+                    barrier_ns: 100,
+                    hist: LinkHistogram::default(),
+                },
+                "{\"event\":\"transport_round\",\"backend\":\"inmemory\",\"epoch\":7,\
+                 \"links\":3,\"words\":9,\"max_link\":4,\"mean_link\":3,\"barrier_ns\":100,\
+                 \"hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}",
+            ),
+            (
+                Event::TransportRound {
+                    backend: "socket",
+                    epoch: u64::MAX,
+                    links: 240,
+                    words: 9_999,
+                    max_link: 52,
+                    mean_link: 41.662_5,
+                    barrier_ns: 1_234_567,
+                    hist: full,
+                },
+                "{\"event\":\"transport_round\",\"backend\":\"socket\",\
+                 \"epoch\":18446744073709551615,\"links\":240,\"words\":9999,\
+                 \"max_link\":52,\"mean_link\":41.6625,\"barrier_ns\":1234567,\
+                 \"hist\":[1,4,7,10,13,16,19,22,25,28,31,34,37,40,43,18446744073709551615]}",
+            ),
+            (frame_batch.clone(), frame_batch_line),
+            (
+                Event::ResidentRound {
+                    backend: "tcp",
+                    epoch: 3,
+                    live: 5,
+                    peer_bytes: 2_048,
+                    orchestrator_bytes: 0,
+                },
+                "{\"event\":\"resident_round\",\"backend\":\"tcp\",\"epoch\":3,\"live\":5,\
+                 \"peer_bytes\":2048,\"orchestrator_bytes\":0}",
+            ),
+            (
+                Event::NetsimRound {
+                    profile: "lossy",
+                    epoch: 2,
+                    links: 12,
+                    sim_ns: 1_500_000,
+                    retransmits: 3,
+                    stragglers: 1,
+                },
+                "{\"event\":\"netsim_round\",\"profile\":\"lossy\",\"epoch\":2,\"links\":12,\
+                 \"sim_ns\":1500000,\"retransmits\":3,\"stragglers\":1}",
+            ),
+            (
+                Event::NetsimRetransmit {
+                    profile: "lossy",
+                    epoch: 2,
+                    src: 0,
+                    dst: 5,
+                    attempts: u32::MAX,
+                },
+                "{\"event\":\"netsim_retransmit\",\"profile\":\"lossy\",\"epoch\":2,\"src\":0,\
+                 \"dst\":5,\"attempts\":4294967295}",
+            ),
+            (
+                Event::NetsimFault {
+                    profile: "flaky-node",
+                    epoch: 11,
+                    node: 4,
+                    kind: "recover",
+                    state_words: 64,
+                },
+                "{\"event\":\"netsim_fault\",\"profile\":\"flaky-node\",\"epoch\":11,\
+                 \"node\":4,\"kind\":\"recover\",\"state_words\":64}",
+            ),
+            (
+                Event::Reset {
+                    rounds: 40,
+                    words: 9_000,
+                    epoch: 17,
+                },
+                "{\"event\":\"reset\",\"rounds\":40,\"words\":9000,\"epoch\":17}",
+            ),
+            (
+                Event::BarrierLane {
+                    backend: "tcp",
+                    epoch: 5,
+                    worker: u32::MAX,
+                    wall_ns: 120_000,
+                },
+                "{\"event\":\"barrier_lane\",\"backend\":\"tcp\",\"epoch\":5,\
+                 \"worker\":4294967295,\"wall_ns\":120000}",
+            ),
+        ];
+        let mut golden: Vec<(Event, String)> = cases
+            .into_iter()
+            .map(|(e, line)| (e, line.to_string()))
+            .collect();
+        golden.push((
+            Event::Gauge {
+                name: "g",
+                value: -1e300,
+            },
+            format!(
+                "{{\"event\":\"gauge\",\"name\":\"g\",\"value\":-1{}}}",
+                "0".repeat(300)
+            ),
+        ));
+        for (worker, inner, inner_line) in [
+            (2, frame_batch, frame_batch_line),
+            (0, escaped, escaped_line),
+        ] {
+            golden.push((
+                Event::Worker {
+                    worker,
+                    event: Box::new(inner),
+                },
+                format!("{{\"event\":\"worker\",\"worker\":{worker},\"inner\":{inner_line}}}"),
+            ));
+        }
+        golden.push((
+            Event::Worker {
+                worker: u32::MAX,
+                event: Box::new(Event::Counter {
+                    name: "worker_events_dropped",
+                    delta: 5,
+                }),
+            },
+            "{\"event\":\"worker\",\"worker\":4294967295,\"inner\":{\"event\":\"counter\",\
+             \"name\":\"worker_events_dropped\",\"delta\":5}}"
+                .to_string(),
+        ));
+        golden
+    }
+
+    #[test]
+    fn golden_lines_pin_the_wire_format() {
+        for (event, line) in golden() {
+            assert_eq!(event_json(&event), line, "encoding of {event:?}");
+            assert_eq!(event_from_json(&line), Some(event), "decoding of {line}");
+        }
+    }
+
+    #[test]
+    fn every_tag_has_a_golden_line() {
+        let golden = golden();
+        for (i, tag) in TAGS.iter().enumerate() {
+            assert!(!TAGS[..i].contains(tag), "tag {tag} used twice");
+            let prefix = format!("{{\"event\":\"{tag}\",");
+            assert!(
+                golden.iter().any(|(_, line)| line.starts_with(&prefix)),
+                "variant {tag} has no golden line"
+            );
+        }
+    }
+
+    /// Random instances for the round-trip property: full-range integers
+    /// (extremes included), finite `f64`s of every exponent, strings mixing
+    /// control characters, JSON punctuation and non-ASCII, and `Worker`
+    /// wrapping any non-`Worker` variant.
+    pub(super) trait Arbitrary {
+        fn arbitrary(rng: &mut TestRng) -> Self;
+    }
+
+    impl Arbitrary for u64 {
+        fn arbitrary(rng: &mut TestRng) -> Self {
+            match rng.below(4) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => rng.next_u64() >> rng.below(64),
+            }
+        }
+    }
+
+    impl Arbitrary for usize {
+        fn arbitrary(rng: &mut TestRng) -> Self {
+            u64::arbitrary(rng) as usize
+        }
+    }
+
+    impl Arbitrary for u32 {
+        fn arbitrary(rng: &mut TestRng) -> Self {
+            u64::arbitrary(rng) as u32
+        }
+    }
+
+    impl Arbitrary for f64 {
+        fn arbitrary(rng: &mut TestRng) -> Self {
+            loop {
+                let v = f64::from_bits(rng.next_u64());
+                if v.is_finite() {
+                    return v;
+                }
+            }
+        }
+    }
+
+    impl Arbitrary for String {
+        fn arbitrary(rng: &mut TestRng) -> Self {
+            (0..rng.below(24))
+                .map(|_| {
+                    let code = match rng.below(4) {
+                        0 => rng.below(0x20),
+                        1 => u64::from(b"\"\\/{}[],:"[rng.below(9) as usize]),
+                        2 => 0x20 + rng.below(0x60),
+                        _ => rng.below(0x11_0000),
+                    };
+                    char::from_u32(code as u32).unwrap_or('\u{fffd}')
+                })
+                .collect()
+        }
+    }
+
+    impl Arbitrary for &'static str {
+        fn arbitrary(rng: &mut TestRng) -> Self {
+            intern(&String::arbitrary(rng))
+        }
+    }
+
+    impl Arbitrary for LinkHistogram {
+        fn arbitrary(rng: &mut TestRng) -> Self {
+            let mut hist = LinkHistogram::default();
+            for bucket in &mut hist.buckets {
+                *bucket = u64::arbitrary(rng);
+            }
+            hist
+        }
+    }
+
+    impl Arbitrary for Box<Event> {
+        fn arbitrary(rng: &mut TestRng) -> Self {
+            let plain: Vec<usize> = (0..TAGS.len()).filter(|&i| TAGS[i] != "worker").collect();
+            let pick = plain[rng.below(plain.len() as u64) as usize];
+            Box::new(ARBITRARY[pick](rng))
+        }
+    }
+
+    /// One random instance of every variant, in table order.
+    struct EveryVariant;
+
+    impl Strategy for EveryVariant {
+        type Value = Vec<Event>;
+
+        fn sample(&self, rng: &mut TestRng) -> Vec<Event> {
+            ARBITRARY.iter().map(|make| make(rng)).collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn every_variant_round_trips(events in EveryVariant) {
+            for event in events {
+                let line = event_json(&event);
+                prop_assert!(!line.contains('\n'), "one line per event: {line}");
+                prop_assert_eq!(event_from_json(&line), Some(event), "{}", line);
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_mebibyte_raw_value_round_trips() {
+        let raw: String = "env=\"väl\\ue\"\n🦀 ".repeat(1 << 16);
+        assert!(raw.len() >= 1 << 20);
+        let event = Event::ConfigWarning {
+            owner: "cc-runtime".to_string(),
+            var: "CC_EXECUTOR",
+            raw,
+            expected: "sequential or parallel[:t]".to_string(),
+            using: "Sequential".to_string(),
+        };
+        assert_eq!(event_from_json(&event_json(&event)), Some(event));
+    }
+
+    #[test]
+    fn nested_worker_lines_are_rejected_without_recursing() {
+        let inner = "{\"event\":\"counter\",\"name\":\"c\",\"delta\":1}";
+        let nest = |depth: usize| {
+            let open = "{\"event\":\"worker\",\"worker\":0,\"inner\":".repeat(depth);
+            format!("{open}{inner}{}", "}".repeat(depth))
+        };
+        assert!(event_from_json(&nest(1)).is_some(), "one level decodes");
+        assert_eq!(event_from_json(&nest(2)), None, "a worker in a worker");
+        assert_eq!(event_from_json(&nest(10_000)), None);
     }
 
     #[test]

@@ -43,6 +43,16 @@
 //! branch on an already-resolved handle and the event is never even
 //! constructed.
 //!
+//! ## Wire format
+//!
+//! [`event_json`] writes one event as one JSON line and [`event_from_json`]
+//! reads it back: the format of [`JsonlSink`] files and of the lines
+//! worker processes ship to the orchestrator
+//! ([`Telemetry::merge_worker`]). Each [`Event`] variant is one row of the
+//! table in `event.rs`, which generates the variant, its encoder and its
+//! decoder. Adding an event means one table row plus one golden line in
+//! that file's tests; a round-trip property there covers every row.
+//!
 //! ## Programmatic use
 //!
 //! ```rust
@@ -473,6 +483,7 @@ mod tests {
             (agg.events, agg.frame_batches, agg.frame_bytes),
             (2, 1, 128)
         );
+        assert_eq!(agg.events_dropped, 5, "the worker's overflow count arrives");
         // Worker traffic stays out of the orchestrator's transport view.
         assert!(snap.transports.is_empty());
         // A sink-less handle ignores merges without panicking.

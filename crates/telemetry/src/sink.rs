@@ -120,6 +120,9 @@ pub struct WorkerAgg {
     pub lane_ns: u64,
     /// Barrier lanes observed for this worker.
     pub lanes: u64,
+    /// Events the worker's [`WireSink`] dropped on overflow (reported by
+    /// its `worker_events_dropped` counter line).
+    pub events_dropped: u64,
 }
 
 /// One epoch's critical path derived from merged [`Event::BarrierLane`]s:
@@ -423,6 +426,10 @@ impl TelemetrySink for MemorySink {
                         agg.peer_bytes += peer_bytes;
                     }
                     Event::KernelDecision { .. } => agg.kernel_decisions += 1,
+                    Event::Counter {
+                        name: "worker_events_dropped",
+                        delta,
+                    } => agg.events_dropped += delta,
                     Event::ConfigWarning {
                         owner,
                         var,

@@ -45,6 +45,38 @@ fn render_hist(hist: &LinkHistogram) -> String {
         .collect()
 }
 
+/// The ring line of a wire-visible event (frame batch, resident round,
+/// config warning) on the lane `prefix` names: empty for the
+/// orchestrator, `"w<id> "` for a merged worker event. Other events render
+/// nothing here.
+fn lane_line(f: &mut fmt::Formatter<'_>, prefix: &str, event: &Event) -> fmt::Result {
+    match event {
+        Event::FrameBatch {
+            backend,
+            frames,
+            bytes,
+        } => writeln!(
+            f,
+            "  {prefix}{backend} batch: frames={frames} bytes={bytes}"
+        ),
+        Event::ResidentRound {
+            backend,
+            epoch,
+            live,
+            peer_bytes,
+            orchestrator_bytes,
+        } => writeln!(
+            f,
+            "  {prefix}{backend} resident epoch {epoch:>4}: live={live} \
+             peer_bytes={peer_bytes} orchestrator_bytes={orchestrator_bytes}"
+        ),
+        Event::ConfigWarning { owner, var, .. } => {
+            writeln!(f, "  {prefix}warning: {owner} ignored malformed {var}")
+        }
+        _ => Ok(()),
+    }
+}
+
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1_000_000.0
 }
@@ -102,22 +134,9 @@ impl fmt::Display for RoundTimeline {
                     ms(*barrier_ns),
                     render_hist(hist)
                 )?,
-                Event::FrameBatch {
-                    backend,
-                    frames,
-                    bytes,
-                } => writeln!(f, "  {backend} batch: frames={frames} bytes={bytes}")?,
-                Event::ResidentRound {
-                    backend,
-                    epoch,
-                    live,
-                    peer_bytes,
-                    orchestrator_bytes,
-                } => writeln!(
-                    f,
-                    "  {backend} resident epoch {epoch:>4}: live={live} \
-                     peer_bytes={peer_bytes} orchestrator_bytes={orchestrator_bytes}"
-                )?,
+                Event::FrameBatch { .. }
+                | Event::ResidentRound { .. }
+                | Event::ConfigWarning { .. } => lane_line(f, "", event)?,
                 Event::NetsimRound {
                     profile,
                     epoch,
@@ -142,9 +161,6 @@ impl fmt::Display for RoundTimeline {
                     "  netsim[{profile}] epoch {epoch:>4}: {kind} node {node} \
                      (state_words={state_words})"
                 )?,
-                Event::ConfigWarning { owner, var, .. } => {
-                    writeln!(f, "  warning: {owner} ignored malformed {var}")?;
-                }
                 Event::Reset {
                     rounds,
                     words,
@@ -156,31 +172,7 @@ impl fmt::Display for RoundTimeline {
                 // Merged worker events render with a `w<id>` lane prefix;
                 // only the worker's wire-visible activity shows in the
                 // ring — the rest lands in the per-worker footer.
-                Event::Worker { worker, event } => match event.as_ref() {
-                    Event::FrameBatch {
-                        backend,
-                        frames,
-                        bytes,
-                    } => writeln!(
-                        f,
-                        "  w{worker} {backend} batch: frames={frames} bytes={bytes}"
-                    )?,
-                    Event::ResidentRound {
-                        backend,
-                        epoch,
-                        live,
-                        peer_bytes,
-                        orchestrator_bytes,
-                    } => writeln!(
-                        f,
-                        "  w{worker} {backend} resident epoch {epoch:>4}: live={live} \
-                         peer_bytes={peer_bytes} orchestrator_bytes={orchestrator_bytes}"
-                    )?,
-                    Event::ConfigWarning { owner, var, .. } => {
-                        writeln!(f, "  w{worker} warning: {owner} ignored malformed {var}")?;
-                    }
-                    _ => {}
-                },
+                Event::Worker { worker, event } => lane_line(f, &format!("w{worker} "), event)?,
                 Event::Counter { .. }
                 | Event::Gauge { .. }
                 | Event::ExecutorDispatch { .. }
@@ -297,7 +289,7 @@ impl fmt::Display for RoundTimeline {
                 writeln!(
                     f,
                     "  w{id}: events={} batches={} resident={} peer_bytes={} kernel={} \
-                     warnings={} busy={:.3}ms idle={:.3}ms",
+                     warnings={} busy={:.3}ms idle={:.3}ms dropped={}",
                     agg.events,
                     agg.frame_batches,
                     agg.resident_rounds,
@@ -305,7 +297,8 @@ impl fmt::Display for RoundTimeline {
                     agg.kernel_decisions,
                     agg.config_warnings,
                     ms(busy),
-                    ms(idle)
+                    ms(idle),
+                    agg.events_dropped
                 )?;
             }
         }

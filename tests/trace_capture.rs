@@ -12,7 +12,9 @@ use congested_clique::clique::{Clique, CliqueConfig, ExecutorKind, TransportKind
 use congested_clique::graph::{generators, oracle};
 use congested_clique::service::{Query, Service, ServiceConfig, ServiceMode};
 use congested_clique::subgraph::{count_triangles, count_triangles_program};
-use congested_clique::telemetry::{self, MemorySink, Telemetry, TraceLevel};
+use congested_clique::telemetry::{
+    self, event_from_json, event_json, MemorySink, MemorySnapshot, Telemetry, TraceLevel,
+};
 
 /// Installs the shared full-level memory sink (idempotent across the test
 /// binary; first install wins and later calls see the same sink).
@@ -21,6 +23,17 @@ fn sink() -> &'static MemorySink {
     let tel = telemetry::global();
     assert_eq!(tel.level(), TraceLevel::Full, "install must precede use");
     tel.memory().expect("memory-backed handle")
+}
+
+/// Every event the real stack put in the ring survives the wire codec:
+/// real names such as `"planes"`, and worker events that were already
+/// decoded once off the wire and wrapped by the merge.
+fn assert_ring_round_trips(snap: &MemorySnapshot) {
+    assert!(!snap.recent.is_empty(), "the run left events in the ring");
+    for event in &snap.recent {
+        let line = event_json(event);
+        assert_eq!(event_from_json(&line).as_ref(), Some(event), "{line}");
+    }
 }
 
 fn cfg(transport: TransportKind) -> CliqueConfig {
@@ -126,6 +139,7 @@ fn full_capture_holds_phases_rounds_links_and_dispatches() {
     assert!(engine.step_ns > 0, "per-round step wall-clock");
     assert!(engine.barrier_ns > 0, "per-round barrier wall-clock");
     assert!(engine.words > 0, "engine rounds carried traffic");
+    assert_ring_round_trips(&mem.snapshot());
 }
 
 #[test]
@@ -276,6 +290,13 @@ fn tcp_peer_resident_capture_attributes_worker_events() {
         "tcp barrier lanes captured: {:?}",
         snap.lanes.keys()
     );
+    assert!(
+        snap.recent
+            .iter()
+            .any(|e| matches!(e, telemetry::Event::Worker { .. })),
+        "merged worker events in the ring"
+    );
+    assert_ring_round_trips(&snap);
 }
 
 #[test]
