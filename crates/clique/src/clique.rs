@@ -375,7 +375,7 @@ impl Clique {
     }
 
     fn charge_loads(&mut self, loads: &LinkLoads) {
-        self.stats.record_fingerprint(loads.iter());
+        self.stats.record_fingerprint(loads);
         self.stats.charge(loads.rounds(), loads.words());
         self.sync_sim_time();
     }
@@ -418,27 +418,35 @@ impl Clique {
             out.iter()
                 .map(move |(dst, words)| (v, *dst, words.as_slice()))
         });
-        self.net.send_slab(LinkSlab::from_runs(self.n, runs));
-        let (inboxes, loads) = self.net.flush();
-        self.charge_loads(&loads);
-        inboxes
+        self.exchange_slab(LinkSlab::from_runs(self.n, runs))
     }
 
     /// [`Clique::exchange`] with the per-node generator evaluated on the
-    /// configured executor. Requires a `Fn + Sync` generator (each node's
-    /// messages may be computed on any worker thread); semantics, costs,
-    /// and results are identical to the sequential primitive.
+    /// configured executor, writing each node's messages into one flat
+    /// [`Outbox`] (a generator that already holds `Vec<(usize, Vec<Word>)>`
+    /// converts with `.into()`). Requires a `Fn + Sync` generator (each
+    /// node's messages may be computed on any worker thread); semantics,
+    /// costs, and results are identical to the sequential primitive.
     pub fn exchange_par<F>(&mut self, messages: F) -> Inboxes
     where
-        F: Fn(usize) -> Vec<(usize, Vec<Word>)> + Sync,
+        F: Fn(usize) -> Outbox + Sync,
     {
         // Fail fast before any generator fan-out, like `exchange` does.
         self.require_unicast("exchange");
-        // Fan the generator out, then replay the results through the
-        // sequential primitive (map returns them in node order), so the
-        // enqueue/validation logic exists once.
-        let mut per_node = self.exec.map(self.n, &messages).into_iter();
-        self.exchange(|_| per_node.next().expect("one result per node"))
+        let outboxes = self.exec.map(self.n, &messages);
+        let runs = outboxes
+            .iter()
+            .enumerate()
+            .flat_map(|(v, out)| out.messages().map(move |(dst, words)| (v, dst, words)));
+        self.exchange_slab(LinkSlab::from_runs(self.n, runs))
+    }
+
+    /// Ships one direct exchange step and charges the fabric's accounting.
+    fn exchange_slab(&mut self, slab: LinkSlab) -> Inboxes {
+        self.net.send_slab(slab);
+        let (inboxes, loads) = self.net.flush();
+        self.charge_loads(&loads);
+        inboxes
     }
 
     /// Balanced two-phase routing (Lenzen-style): every word is sent to a
@@ -465,8 +473,11 @@ impl Clique {
     /// compares the whole shape, message by message (a hash only
     /// pre-filters); a hit writes every word straight to its slot, a miss
     /// draws and compiles first — results, rounds, words and fingerprints
-    /// are identical either way. The cache is least-recently-used and
-    /// bounded by a fixed 8 MiB of tables; a step whose compiled tables
+    /// are identical either way. A schedule also holds both phases' relay
+    /// loads, computed once when it is drawn: each phase's slab carries
+    /// them to the fabric, so an in-memory barrier charges a cached step
+    /// without recounting its `n²` links. The cache is least-recently-used
+    /// and bounded by a fixed 8 MiB of tables; a step whose compiled tables
     /// would exceed that is drawn, used once and dropped, without tables.
     /// [`Clique::route_dynamic`] steps are drawn on every call and never
     /// enter the cache: their shapes follow the data.
@@ -587,7 +598,7 @@ impl Clique {
         // identical to the engine's built-in delivery.
         let mut fabric = TransportFabric::new(self.net.transport_mut());
         let report = engine.run_traced_on(&mut fabric, programs, |loads| {
-            stats.record_fingerprint(loads.iter());
+            stats.record_fingerprint(loads);
         });
         stats.charge(report.rounds, report.words);
         self.sync_sim_time();
@@ -613,7 +624,7 @@ impl Clique {
         let stats = &mut self.stats;
         let mut fabric = TransportFabric::new(self.net.transport_mut());
         let report = engine.run_wire_traced_on(&mut fabric, programs, |loads| {
-            stats.record_fingerprint(loads.iter());
+            stats.record_fingerprint(loads);
         });
         stats.charge(report.rounds, report.words);
         self.sync_sim_time();

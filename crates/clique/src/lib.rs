@@ -37,7 +37,7 @@
 //! pattern fingerprints bit-identical. [`Clique::exchange_par`]
 //! / [`Clique::route_par`] / [`Clique::route_dynamic_par`] /
 //! [`Clique::gossip_par`] accept `Fn + Sync` generators evaluated on the
-//! backend — the two routed ones write each node's messages into one flat
+//! backend — all but `gossip_par` write each node's messages into one flat
 //! [`Outbox`] — and [`Clique::run_programs`] drives per-node [`NodeProgram`]
 //! state machines round by round. The `CC_EXECUTOR` environment variable
 //! retargets every default-configured clique.

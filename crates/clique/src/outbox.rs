@@ -1,12 +1,13 @@
-//! One node's outgoing messages for a routed step, in one flat buffer.
+//! One node's outgoing messages for a communication step, in one flat
+//! buffer.
 
 use crate::word::{Word, WordWriter};
 
-/// The messages one node hands to [`crate::Clique::route_par`] (or its
-/// `route_dynamic_par` twin): an ordered list of `(destination, words)`
-/// messages whose words all live in **one** [`WordWriter`], so a generator
-/// that emits thousands of small messages allocates twice, not thousands of
-/// times.
+/// The messages one node hands to [`crate::Clique::route_par`] (its
+/// `route_dynamic_par` twin, or [`crate::Clique::exchange_par`]): an
+/// ordered list of `(destination, words)` messages whose words all live in
+/// **one** [`WordWriter`], so a generator that emits thousands of small
+/// messages allocates twice, not thousands of times.
 ///
 /// [`Outbox::message`] opens the next message and returns the writer its
 /// words go to; the message ends where the next one starts. Messages to the
@@ -47,6 +48,17 @@ impl Outbox {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An outbox with room for `messages` messages of `words` words in all,
+    /// for generators whose message lengths the plan fixes: filling it
+    /// exactly never reallocates.
+    #[must_use]
+    pub fn with_capacity(messages: usize, words: usize) -> Self {
+        Self {
+            heads: Vec::with_capacity(messages),
+            words: WordWriter::with_capacity(words),
+        }
     }
 
     /// Opens the next message, addressed to `dst`, and returns the writer

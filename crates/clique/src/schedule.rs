@@ -4,18 +4,20 @@
 use crate::clique::RelayPolicy;
 use crate::outbox::Outbox;
 use crate::word::Word;
+use cc_runtime::LinkLoads;
 use cc_transport::{LinkSlab, SlabWriter};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
 
 /// Byte budget of the process-wide schedule cache. A fast product at
-/// n = 128 needs ≈ 0.4 MB per routed step (six bytes per routed word — a
+/// n = 128 needs ≈ 0.46 MB per routed step (six bytes per routed word — a
 /// phase-A slot and a phase-B row offset — four per message for its place
-/// in the delivery, and two `n²` load tables of 16-bit counts), so the
-/// budget holds the four steps of a fast product up to n ≈ 256 (≈ 6 MB
-/// there); beyond that steps are drawn per call, as they were before the
-/// cache existed.
+/// in the delivery, and two `n²` load tables of 32-bit counts; 1 822 976 B
+/// for its four steps), so the budget holds the four steps of a fast
+/// product up to n = 256 (7 014 656 B there; `crates/core/tests/
+/// schedule_budget.rs` checks it); beyond that steps are drawn per call, as
+/// they were before the cache existed.
 const SCHEDULE_CACHE_BYTES: usize = 8 << 20;
 
 /// One message of a routed step as the schedule sees it — `(src, dst, len)`
@@ -49,9 +51,12 @@ pub(crate) struct RouteSchedule {
     n: usize,
     /// The shape this schedule was drawn for ([`pack_head`] per message).
     shape: Vec<u64>,
-    /// Words per link, headers included, laid out like the slabs they size:
-    /// phase A `[relay * n + src]`, phase B `[dst * n + relay]`.
-    loads: [Packed; 2],
+    /// Each phase's words per link, headers and self-links included: the
+    /// destination-major counts of the slab it sizes (phase A
+    /// `[relay * n + src]`, phase B `[dst * n + relay]`). Computed once per
+    /// schedule; every slab a phase emits carries them, and its offset
+    /// table is their prefix sums.
+    loads: [LinkLoads; 2],
     /// Where each word goes, in shape order.
     placement: Placement,
 }
@@ -130,7 +135,7 @@ impl RouteSchedule {
         Self {
             n,
             shape,
-            loads: [Packed::U32(a_load), Packed::U32(b_load)],
+            loads: [a_load, b_load].map(|counts| LinkLoads::from_counts(n, counts)),
             placement: Placement::Relays { relays, headers },
         }
     }
@@ -174,8 +179,8 @@ impl RouteSchedule {
     /// Compiles a drawn, header-free step: the cursor fill a per-call
     /// scatter would run assigns every word its phase-A slot and its
     /// phase-B row offset, once, a stable sort orders the messages the way
-    /// the delivery holds them, and the relays are dropped. Load tables and
-    /// row offsets narrow to 16 bits wherever every entry fits.
+    /// the delivery holds them, and the relays are dropped. Row offsets
+    /// narrow to 16 bits when every entry fits.
     ///
     /// # Panics
     ///
@@ -190,7 +195,7 @@ impl RouteSchedule {
             panic!("only a drawn, header-free step compiles");
         };
         let n = self.n;
-        let starts = [self.loads[0].offsets(), self.loads[1].offsets()];
+        let starts = self.loads.each_ref().map(|loads| offsets(loads.counts()));
         let [mut a_cursor, mut b_cursor] = starts.clone();
         let mut a = Vec::with_capacity(relays.len());
         let mut b = Vec::with_capacity(relays.len());
@@ -213,18 +218,19 @@ impl RouteSchedule {
         );
         // The delivery slab is link-major, and a link's messages follow
         // each other in shape order: a stable sort by link.
-        let mut delivery: Vec<u32> = (0..self.shape.len() as u32)
+        let messages =
+            u32::try_from(self.shape.len()).expect("a routed step holds fewer than 2^32 messages");
+        let mut delivery: Vec<u32> = (0..messages)
             .filter(|&i| self.shape[i as usize] as u32 > 0)
             .collect();
         delivery.sort_by_key(|&i| {
             let (src, dst, _) = unpack_head(self.shape[i as usize]);
             dst * n + src
         });
-        let [a_load, b_load] = self.loads;
         Self {
             n,
             shape: self.shape,
-            loads: [a_load.narrowed(), b_load.narrowed()],
+            loads: self.loads,
             placement: Placement::Slots {
                 a,
                 b: Packed::U32(b).narrowed(),
@@ -237,32 +243,37 @@ impl RouteSchedule {
     /// any table is built: four bytes per word for its phase-A slot, two or
     /// four for its phase-B row offset (four when some destination's row
     /// holds more than 2^16 words), four per non-empty message for the
-    /// delivery order, and the load tables narrowed.
+    /// delivery order, and the two load tables.
     fn compiled_bytes(&self) -> usize {
         let lens = self.shape.iter().map(|&head| head as u32 as usize);
         let (words, messages) = (lens.clone().sum::<usize>(), lens.filter(|&l| l > 0).count());
-        let n = self.n;
-        let mut widest_row = 0;
-        let mut row = 0;
-        for (at, count) in self.loads[1].values().enumerate() {
-            row += count;
-            if (at + 1) % n == 0 {
-                widest_row = widest_row.max(row);
-                row = 0;
-            }
-        }
+        let widest_row = self.loads[1]
+            .counts()
+            .chunks_exact(self.n)
+            .map(|row| row.iter().map(|&c| c as usize).sum::<usize>())
+            .max()
+            .unwrap_or(0);
         let b_width = if widest_row <= 1 << 16 { 2 } else { 4 };
         std::mem::size_of::<Self>()
             + std::mem::size_of_val(&self.shape[..])
-            + self.loads.iter().map(Packed::narrowed_bytes).sum::<usize>()
+            + self.load_bytes()
             + words * (4 + b_width)
             + messages * 4
     }
 
+    /// The two load tables' counts.
+    fn load_bytes(&self) -> usize {
+        self.loads
+            .iter()
+            .map(|loads| std::mem::size_of_val(loads.counts()))
+            .sum()
+    }
+
     /// Phase `phase`'s slab (0: src → relay, 1: relay → dst) of the step
-    /// `outboxes` hold, whose messages must be this schedule's shape. A
-    /// compiled step writes each word straight to its slot; a drawn one
-    /// runs the counting sort's second pass with a cursor per link.
+    /// `outboxes` hold, whose messages must be this schedule's shape,
+    /// carrying the phase's loads. A compiled step writes each word straight
+    /// to its slot; a drawn one runs the counting sort's second pass with a
+    /// cursor per link.
     ///
     /// # Panics
     ///
@@ -276,7 +287,7 @@ impl RouteSchedule {
             }
             Placement::Slots { a, b, .. } => (a, b),
         };
-        let offsets = self.loads[phase].offsets();
+        let offsets = offsets(self.loads[phase].counts());
         let mut words = vec![0; offsets[n * n]];
         if phase == 0 {
             let mut slots = &a[..];
@@ -293,7 +304,7 @@ impl RouteSchedule {
                 Packed::U32(b) => place_in_rows(n, b, &offsets, outboxes, &mut words),
             }
         }
-        LinkSlab::from_raw(n, offsets, words)
+        LinkSlab::from_raw(n, offsets, words).with_loads(self.loads[phase].clone())
     }
 
     /// The per-call scatter of a drawn step: pass two of the counting sort,
@@ -305,7 +316,9 @@ impl RouteSchedule {
         headers: bool,
         outboxes: &[Outbox],
     ) -> LinkSlab {
-        let mut slab = SlabWriter::from_counts(self.n, self.loads[phase].values().collect());
+        let loads = &self.loads[phase];
+        let counts = loads.counts().iter().map(|&c| c as usize).collect();
+        let mut slab = SlabWriter::from_counts(self.n, counts);
         let mut relays = relays.iter().map(|&r| usize::from(r));
         for (src, out) in outboxes.iter().enumerate() {
             for (dst, words) in out.messages() {
@@ -322,7 +335,7 @@ impl RouteSchedule {
                 }
             }
         }
-        slab.finish()
+        slab.finish().with_loads(loads.clone())
     }
 
     /// What the step delivers: every message whole, each `(src, dst)` link
@@ -361,7 +374,7 @@ impl RouteSchedule {
         };
         std::mem::size_of::<Self>()
             + std::mem::size_of_val(&self.shape[..])
-            + self.loads.iter().map(Packed::bytes).sum::<usize>()
+            + self.load_bytes()
             + placement
     }
 }
@@ -388,6 +401,18 @@ fn place_in_rows<T: Entry>(
     }
 }
 
+/// The prefix sums of a destination-major count table, from 0 to its total:
+/// the offset table of the slab it sizes.
+fn offsets(counts: &[u32]) -> Vec<usize> {
+    let mut at = 0;
+    std::iter::once(0)
+        .chain(counts.iter().map(|&c| {
+            at += c as usize;
+            at
+        }))
+        .collect()
+}
+
 /// Unsigned table entries, stored in 16 bits when every one fits and in 32
 /// otherwise.
 #[derive(Debug)]
@@ -407,42 +432,11 @@ impl Packed {
         }
     }
 
-    /// What [`Packed::narrowed`] would keep resident.
-    fn narrowed_bytes(&self) -> usize {
-        let narrow = self.values().all(|x| x <= usize::from(u16::MAX));
-        self.values().count() * if narrow { 2 } else { 4 }
-    }
-
     fn bytes(&self) -> usize {
         match self {
             Self::U16(v) => std::mem::size_of_val(&v[..]),
             Self::U32(v) => std::mem::size_of_val(&v[..]),
         }
-    }
-
-    /// The entries, widened.
-    fn values(&self) -> impl Iterator<Item = usize> + '_ {
-        let (narrow, wide) = match self {
-            Self::U16(v) => (&v[..], &[][..]),
-            Self::U32(v) => (&[][..], &v[..]),
-        };
-        // One of the two is empty.
-        narrow
-            .iter()
-            .map(|&x| x.at())
-            .chain(wide.iter().map(|&x| x.at()))
-    }
-
-    /// The entries' prefix sums, from 0 to their total: the offset table of
-    /// the slab they are the link counts of.
-    fn offsets(&self) -> Vec<usize> {
-        let mut at = 0;
-        std::iter::once(0)
-            .chain(self.values().map(|c| {
-                at += c;
-                at
-            }))
-            .collect()
     }
 }
 
@@ -600,7 +594,7 @@ mod tests {
     }
 
     fn total_load(s: &RouteSchedule, phase: usize) -> usize {
-        s.loads[phase].values().sum()
+        s.loads[phase].counts().iter().map(|&c| c as usize).sum()
     }
 
     #[test]
@@ -719,7 +713,7 @@ mod tests {
                 assert_eq!(a, oracle[0], "n={n} {policy:?}: phase-A slots");
                 // Phase-B offsets count from the start of the destination's
                 // row.
-                let row_starts = compiled.loads[1].offsets();
+                let row_starts = offsets(compiled.loads[1].counts());
                 let mut word = 0;
                 for &head in &shape {
                     let (_, dst, len) = unpack_head(head);
@@ -743,6 +737,32 @@ mod tests {
                     again.delivery(&outboxes),
                     "n={n} {policy:?} delivery"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn attached_loads_equal_the_loads_recounted_from_the_slab() {
+        for (n, shape) in shapes() {
+            for policy in [RelayPolicy::SingleHash, RelayPolicy::TwoChoice] {
+                let drawn = RouteSchedule::build(n, 17, policy, false, shape.clone());
+                let expected_bytes = drawn.compiled_bytes();
+                let compiled = drawn.compile();
+                assert_eq!(compiled.bytes(), expected_bytes, "n={n} {policy:?}");
+                let outboxes = numbered_outboxes(n, &shape);
+                let silent = vec![Vec::new(); n];
+                for phase in 0..2 {
+                    let mut slab = compiled.slab(phase, &outboxes);
+                    slab.validate(n);
+                    let attached = slab.take_loads().expect("every emitted slab carries loads");
+                    let recounted = slab.link_loads(&silent);
+                    let totals = |l: &LinkLoads| (l.rounds(), l.words());
+                    assert_eq!(totals(&attached), totals(&recounted), "n={n} {policy:?}");
+                    assert!(
+                        attached.iter().eq(recounted.iter()),
+                        "n={n} {policy:?} phase {phase}: canonical triples"
+                    );
+                }
             }
         }
     }

@@ -57,6 +57,13 @@ impl WordWriter {
         Self::default()
     }
 
+    /// Creates an empty writer with room for `words` words.
+    pub(crate) fn with_capacity(words: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(words),
+        }
+    }
+
     /// Appends one word.
     // Called once per routed word from other crates' encoders: without the
     // hint it is an out-of-line call per word (no LTO in this workspace).

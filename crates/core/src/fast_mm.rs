@@ -117,6 +117,10 @@ where
     );
     let (q, sub) = (plan.q(), plan.sub());
     let real = |x: usize| plan.real_indices_with_label(x);
+    // Every routed generator below knows its message count and length from
+    // the plan alone, and reserves its outbox exactly.
+    let width = ring.elem_width();
+    let real_cols: usize = (0..q).map(|x| real(x).len()).sum();
 
     clique.phase("fastmm", |clique| {
         // Node-local steps (2, 4, 6, and the row assemblies) are
@@ -129,7 +133,7 @@ where
         let inbox1 = clique.phase("fastmm.scatter", |c| {
             c.route_par(|v| {
                 let x1 = plan.label_of(v);
-                let mut out = Outbox::new();
+                let mut out = Outbox::with_capacity(q, 2 * real_cols * width);
                 for x2 in 0..q {
                     let wr = out.message(plan.cell_owner(x1, x2));
                     for row in [a.row(v), b.row(v)] {
@@ -148,9 +152,11 @@ where
         // ---- Step 3: cells send Ŝ⁽ʷ⁾, T̂⁽ʷ⁾ sub-blocks to term owners. ----
         let inbox3 = clique.phase("fastmm.to_terms", |c| {
             c.route_par(|u| {
-                let mut out = Outbox::new();
+                let pair_len = 2 * sub * sub;
+                let mut out =
+                    Outbox::with_capacity(hats[u].len() / pair_len, hats[u].len() * width);
                 // One (Ŝ⁽ʷ⁾, T̂⁽ʷ⁾) pair per owned cell per term, as laid out.
-                for (k, pair) in hats[u].chunks_exact(2 * sub * sub).enumerate() {
+                for (k, pair) in hats[u].chunks_exact(pair_len).enumerate() {
                     let wr = out.message(plan.term_owner(k % plan.m()));
                     for e in pair {
                         ring.write_elem(e, wr);
@@ -171,7 +177,8 @@ where
         // ---- Step 5: term owners return P̂⁽ʷ⁾ sub-blocks to cell owners. ----
         let inbox5 = clique.phase("fastmm.from_terms", |c| {
             c.route_par(|t| {
-                let mut out = Outbox::new();
+                let messages = phat[t].len() * q * q;
+                let mut out = Outbox::with_capacity(messages, messages * sub * sub * width);
                 for product in &phat[t] {
                     for x1 in 0..q {
                         for x2 in 0..q {
@@ -197,7 +204,13 @@ where
         // ---- Step 7: cells return product rows to row owners. ----
         let inbox7 = clique.phase("fastmm.assemble", |c| {
             c.route_par(|u| {
-                let mut out = Outbox::new();
+                let cells = plan
+                    .cells_of(u)
+                    .iter()
+                    .map(|&(x1, x2)| (real(x1).len(), real(x2).len()));
+                let messages = cells.clone().map(|(rows, _)| rows).sum();
+                let words: usize = cells.map(|(rows, cols)| rows * cols).sum();
+                let mut out = Outbox::with_capacity(messages, words * width);
                 for (p_cell, &(x1, x2)) in p_cells[u].iter().zip(plan.cells_of(u)) {
                     // Cell row k is the k-th real row with label x₁, and
                     // its real columns are a prefix (see `form_hats`).

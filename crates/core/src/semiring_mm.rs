@@ -22,7 +22,9 @@ fn scatter_row<S: Semiring>(
     v: usize,
 ) -> Outbox {
     let (p, rb) = (plan.p(), plan.block_of_row(v));
-    let mut out = Outbox::new();
+    // p² messages per operand, each operand's row cut into its p blocks.
+    let blocks: usize = (0..p).map(|u| plan.block_range(u).len()).sum();
+    let mut out = Outbox::with_capacity(2 * p * p, 2 * p * blocks * s.elem_width());
     let mut send = |dst: usize, slice: &[S::Elem]| {
         let w = out.message(dst);
         for e in slice {
@@ -153,14 +155,16 @@ where
         // Step 3: active nodes return product row slices to the row owners.
         let inbox2 = clique.phase("mm3d.gather", |c| {
             c.route_par(|u| {
-                let mut out = Outbox::new();
-                if u < plan.active() {
-                    let (u1, _, _) = plan.digits(u);
-                    for (idx, r) in plan.block_range(u1).enumerate() {
-                        let w = out.message(r);
-                        for e in partials[u].row(idx) {
-                            s.write_elem(e, w);
-                        }
+                if u >= plan.active() {
+                    return Outbox::new();
+                }
+                let (u1, _, _) = plan.digits(u);
+                let (rows, cols) = (partials[u].rows(), partials[u].cols());
+                let mut out = Outbox::with_capacity(rows, rows * cols * s.elem_width());
+                for (idx, r) in plan.block_range(u1).enumerate() {
+                    let w = out.message(r);
+                    for e in partials[u].row(idx) {
+                        s.write_elem(e, w);
                     }
                 }
                 out
@@ -253,18 +257,19 @@ pub fn distance_product_with_witness(
         // Step 3: return (distance, witness) pairs — two words per entry.
         let inbox2 = clique.phase("mm3d.gather", |c| {
             c.route_par(|u| {
-                let mut out = Outbox::new();
-                if u < plan.active() {
-                    let (u1, _, u3) = plan.digits(u);
-                    let h3 = plan.block_range(u3).len();
-                    let (d, q) = &partials[u];
-                    for (idx, r) in plan.block_range(u1).enumerate() {
-                        let w = out.message(r);
-                        let row = idx * h3..(idx + 1) * h3;
-                        for (&dist, &wit) in d[row.clone()].iter().zip(&q[row]) {
-                            w.push(dist as u64);
-                            w.push(wit);
-                        }
+                if u >= plan.active() {
+                    return Outbox::new();
+                }
+                let (u1, _, u3) = plan.digits(u);
+                let (h1, h3) = (plan.block_range(u1).len(), plan.block_range(u3).len());
+                let mut out = Outbox::with_capacity(h1, 2 * h1 * h3);
+                let (d, q) = &partials[u];
+                for (idx, r) in plan.block_range(u1).enumerate() {
+                    let w = out.message(r);
+                    let row = idx * h3..(idx + 1) * h3;
+                    for (&dist, &wit) in d[row.clone()].iter().zip(&q[row]) {
+                        w.push(dist as u64);
+                        w.push(wit);
                     }
                 }
                 out

@@ -39,7 +39,7 @@ use crate::row_matrix::RowMatrix;
 use crate::semiring_mm;
 use crate::sparse_plan::SparsePlan;
 use cc_algebra::{Dist, MinPlus, Ring, Semiring, INFINITY};
-use cc_clique::{pack_pair, unpack_pair, Clique, WordReader, WordWriter};
+use cc_clique::{pack_pair, unpack_pair, Clique, Outbox, WordReader, WordWriter};
 use std::collections::BTreeMap;
 
 /// Which multiplication engine a dispatching front door selected.
@@ -102,7 +102,13 @@ where
     });
     let b_nnz: Vec<usize> = exec.map(n, |k| b.row(k).iter().filter(|e| !s.is_zero(e)).count());
     let pings = clique.phase("sparsemm.census", |c| {
-        c.exchange_par(|x| supports[x].iter().map(|&k| (k, vec![1u64])).collect())
+        c.exchange_par(|x| {
+            let mut out = Outbox::with_capacity(supports[x].len(), supports[x].len());
+            for &k in &supports[x] {
+                out.message(k).push(1);
+            }
+            out
+        })
     });
     let counts = clique.broadcast(|k| pack_pair(pings.total_received(k), b_nnz[k]));
     let (a_col, b_row): (Vec<usize>, Vec<usize>) = counts.into_iter().map(unpack_pair).unzip();

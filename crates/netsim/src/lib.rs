@@ -673,7 +673,7 @@ mod tests {
             loss_permille: 1000,
             crash_period: 0,
         };
-        let mut loads = LinkLoads::new();
+        let mut loads = LinkLoads::new(2);
         loads.add(0, 1, 4);
         let _ = condition_round(&model, "partitioned", 7, 0, &loads);
     }

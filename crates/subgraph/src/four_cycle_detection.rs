@@ -20,7 +20,7 @@
 //!    loads are `O(n)`, so this is `O(1)` rounds); `x` reports a 4-cycle
 //!    iff two walks share an endpoint `z ≠ x`.
 
-use cc_clique::{pack_pair, unpack_pair, Clique};
+use cc_clique::{pack_pair, unpack_pair, Clique, Outbox};
 use cc_graph::Graph;
 use std::collections::BTreeMap;
 
@@ -276,7 +276,7 @@ pub fn detect_4cycle(clique: &mut Clique, g: &Graph) -> bool {
         // Step 1: y sends N_A(y, a) to each a ∈ A(y); ≤ 8 words per link.
         let inbox_a = clique.exchange_par(|y| {
             let Some(t) = plan.tile(y) else {
-                return Vec::new();
+                return Outbox::new();
             };
             (0..t.size)
                 .map(|j| {
@@ -288,7 +288,8 @@ pub fn detect_4cycle(clique: &mut Clique, g: &Graph) -> bool {
                             .collect(),
                     )
                 })
-                .collect()
+                .collect::<Vec<_>>()
+                .into()
         });
 
         // Step 2: a forwards N_A(y, a) to each b ∈ B(y); the tiles are
@@ -302,7 +303,7 @@ pub fn detect_4cycle(clique: &mut Clique, g: &Graph) -> bool {
                     out.push((t.col0 + j, payload.clone()));
                 }
             }
-            out
+            out.into()
         });
 
         // Step 3 (local): b reassembles N(y) and builds W(y, b).

@@ -21,7 +21,8 @@ pub fn transpose(clique: &mut Clique, m: &RowMatrix<i64>) -> RowMatrix<i64> {
             (0..n)
                 .filter(|&u| u != v)
                 .map(|u| (u, vec![m.row(v)[u] as u64]))
-                .collect()
+                .collect::<Vec<_>>()
+                .into()
         })
     });
     RowMatrix::par_from_fn(&clique.executor(), n, |u, v| {

@@ -11,9 +11,11 @@ use std::sync::Arc;
 /// [`Transport::send_slab`] — and the barrier **moves** it into the
 /// [`RoundDelivery`]: no word is copied and no per-link queue exists.
 /// Rounds assembled from several `send`/`send_slab` calls are merged by one
-/// counting sort first. The accounting is read off the slab's offset table
-/// in canonical `(src, dst)` order, so round counts and pattern fingerprints
-/// are identical to every other backend's without a sort.
+/// counting sort first. A round that is exactly one slab carrying its own
+/// loads ([`LinkSlab::with_loads`]) and no broadcast is charged those loads
+/// as they are; any other round is accounted off the slab's offset table in
+/// one pass. Either way the loads are the ones every other backend reports,
+/// so round counts and pattern fingerprints are identical.
 ///
 /// Broadcast slabs are delivered zero-copy: [`RoundDelivery::broadcast`]
 /// holds the sender's own `Arc<[Word]>` allocations, once per source.
@@ -56,9 +58,12 @@ impl Transport for InMemoryTransport {
     }
 
     fn finish_round(&mut self) -> RoundDelivery {
-        let unicast = self.pending.take_slab();
+        let mut unicast = self.pending.take_slab();
         let broadcast = self.pending.take_bcasts();
-        let loads = unicast.link_loads(&broadcast);
+        let loads = match unicast.take_loads() {
+            Some(loads) if broadcast.iter().all(Vec::is_empty) => loads,
+            _ => unicast.link_loads(&broadcast),
+        };
         self.epoch += 1;
         RoundDelivery {
             unicast,
@@ -135,5 +140,53 @@ mod tests {
         assert_eq!(rd.unicast.link(0, 1).as_ptr(), at);
         let got: Vec<_> = rd.loads.iter().collect();
         assert_eq!(got, vec![(0, 1, 2), (2, 1, 1)]);
+    }
+
+    /// Two words on `(0, 1)` and one on `(2, 1)`.
+    fn plain_slab() -> LinkSlab {
+        LinkSlab::from_runs(
+            3,
+            [(0usize, 1usize, &[1u64, 2][..]), (2, 1, &[3][..])].into_iter(),
+        )
+    }
+
+    /// [`plain_slab`] carrying its own loads.
+    fn loaded_slab() -> LinkSlab {
+        let slab = plain_slab();
+        let loads = slab.link_loads(&[vec![], vec![], vec![]]);
+        slab.with_loads(loads)
+    }
+
+    #[test]
+    fn attached_loads_are_charged_only_for_a_lone_slab() {
+        // Alone: charged as attached, and detached from the delivery.
+        let mut t = InMemoryTransport::new(3);
+        t.send_slab(loaded_slab());
+        let rd = t.finish_round();
+        assert_eq!(rd.loads.iter().collect::<Vec<_>>(), [(0, 1, 2), (2, 1, 1)]);
+        assert_eq!(rd.unicast, plain_slab());
+
+        // Merged with a second part, or with a broadcast, the round is
+        // recounted: the attached loads would miss the other traffic.
+        let mut t = InMemoryTransport::new(3);
+        t.send_slab(loaded_slab());
+        t.send(1, 2, &[4]);
+        let rd = t.finish_round();
+        assert_eq!(
+            rd.loads.iter().collect::<Vec<_>>(),
+            [(0, 1, 2), (1, 2, 1), (2, 1, 1)]
+        );
+        t.send_slab(loaded_slab());
+        t.send_slab(loaded_slab());
+        let rd = t.finish_round();
+        assert_eq!(rd.loads.iter().collect::<Vec<_>>(), [(0, 1, 4), (2, 1, 2)]);
+        t.send_slab(loaded_slab());
+        t.broadcast(0, vec![9].into());
+        let rd = t.finish_round();
+        assert_eq!(
+            rd.loads.iter().collect::<Vec<_>>(),
+            [(0, 1, 3), (0, 2, 1), (2, 1, 1)]
+        );
+        assert_eq!(rd.unicast, plain_slab());
     }
 }

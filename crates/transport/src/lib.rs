@@ -58,9 +58,20 @@
 //! and ships every peer the peer's range; the receiver cuts its nodes'
 //! inboxes from the shards, each source's words from the shard of the worker
 //! owning that source. Either way the workers' commit tokens carry their
-//! charged words as dense tables in the same link order, so the canonical
-//! loads are read off them without a sort. Nothing on any path keeps a queue
+//! charged words as dense tables in the same link order, and those tables
+//! laid end to end *are* the round's [`LinkLoads`] table (destination-major,
+//! like the slab), taken over in one pass. Nothing on any path keeps a queue
 //! per link.
+//!
+//! A slab may arrive carrying its own loads ([`LinkSlab::with_loads`]): a
+//! cached routed step knows both relay phases' per-link counts before it
+//! places a word, and `send_slab` checks them against the offset table. The
+//! in-memory barrier charges those attached loads as they are when the
+//! round is exactly that one slab with no broadcast; a round merged from
+//! several parts, or with a broadcast, is recounted off the merged offset
+//! table in one pass ([`LinkSlab::link_loads`]). The stream fabrics always
+//! charge what their workers' commit tables report, which is what actually
+//! crossed the wire.
 //!
 //! ## Determinism contract
 //!
@@ -128,8 +139,7 @@ use std::sync::Arc;
 pub type BcastLanes = Vec<Vec<Arc<[Word]>>>;
 
 /// Everything a round barrier yields: the delivered unicast traffic, the
-/// broadcast slabs, and the round's per-link word accounting in canonical
-/// `(src, dst)` order.
+/// broadcast slabs, and the round's per-link word accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundDelivery {
     /// The delivered unicast words: node `dst` received
@@ -140,8 +150,9 @@ pub struct RoundDelivery {
     /// once per source and shared by all recipients (on every backend they
     /// are the sender's own `Arc`s).
     pub broadcast: BcastLanes,
-    /// Canonical `(src, dst)`-ordered link loads; self-links are free and
-    /// never appear.
+    /// The round's link loads; self-links are free, and
+    /// [`LinkLoads::iter`] yields the charged links in canonical
+    /// `(src, dst)` order.
     pub loads: LinkLoads,
 }
 

@@ -19,22 +19,26 @@ use std::sync::Arc;
 /// transport's pending buffer and the barrier to the delivery the caller
 /// reads back ([`crate::RoundDelivery::unicast`]); the in-memory barrier
 /// *moves* it, never copies it.
+///
+/// A slab whose per-link counts were known before it was filled (a routed
+/// step's, from its relay schedule) can carry them as [`LinkLoads`] ([`LinkSlab::with_loads`]),
+/// so the barrier need not recount them; [`LinkSlab::validate`] checks them
+/// against the offset table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkSlab {
     n: usize,
     offsets: Vec<usize>,
     words: Vec<Word>,
+    /// The per-link counts of `offsets`, when whoever built the slab knew
+    /// them already.
+    loads: Option<LinkLoads>,
 }
 
 impl LinkSlab {
     /// A slab with no traffic for a clique of `n` nodes.
     #[must_use]
     pub fn empty(n: usize) -> Self {
-        Self {
-            n,
-            offsets: vec![0; n * n + 1],
-            words: Vec::new(),
-        }
+        Self::from_raw(n, vec![0; n * n + 1], Vec::new())
     }
 
     /// Assembles a slab from its raw parts **without validating them**:
@@ -42,7 +46,27 @@ impl LinkSlab {
     /// slab is handed to a fabric (see [`LinkSlab::validate`]).
     #[must_use]
     pub fn from_raw(n: usize, offsets: Vec<usize>, words: Vec<Word>) -> Self {
-        Self { n, offsets, words }
+        Self {
+            n,
+            offsets,
+            words,
+            loads: None,
+        }
+    }
+
+    /// Attaches the slab's own per-link word counts, self-links included
+    /// (`loads.counts()[dst * n + src]` must be the length of link
+    /// `(src, dst)`; [`LinkSlab::validate`] checks it). An in-memory round
+    /// that is exactly this slab is charged these loads as they are.
+    #[must_use]
+    pub fn with_loads(mut self, loads: LinkLoads) -> Self {
+        self.loads = Some(loads);
+        self
+    }
+
+    /// Detaches the loads [`LinkSlab::with_loads`] attached, if any.
+    pub fn take_loads(&mut self) -> Option<LinkLoads> {
+        self.loads.take()
     }
 
     /// Builds a slab from `(src, dst, words)` runs by a two-pass counting
@@ -104,15 +128,18 @@ impl LinkSlab {
     ///
     /// # Panics
     ///
-    /// The iterator panics on a link holding more than `u32::MAX` words.
+    /// The iterator panics, naming the link, on a link holding more than
+    /// `u32::MAX` words.
     pub(crate) fn shard(
         &self,
         dsts: Range<usize>,
     ) -> (impl ExactSizeIterator<Item = u32> + '_, &[Word]) {
-        let offsets = &self.offsets[dsts.start * self.n..=dsts.end * self.n];
-        let lens = offsets
-            .windows(2)
-            .map(|w| u32::try_from(w[1] - w[0]).expect("link length fits the wire's u32"));
+        let (n, first) = (self.n, dsts.start * self.n);
+        let offsets = &self.offsets[first..=dsts.end * n];
+        let lens = offsets.windows(2).enumerate().map(move |(i, w)| {
+            let at = first + i;
+            LinkLoads::count(at % n, at / n, w[1] - w[0])
+        });
         let words = &self.words[offsets[0]..offsets[offsets.len() - 1]];
         (lens, words)
     }
@@ -136,7 +163,7 @@ impl LinkSlab {
     /// Panics — with a distinct message per violation — if the slab was
     /// built for a different `n`, its offset table is not `n² + 1` long,
     /// does not start at zero, decreases anywhere, or does not end at
-    /// `words.len()`.
+    /// `words.len()`, or if attached loads disagree with a link's length.
     pub fn validate(&self, n: usize) {
         assert_eq!(
             self.n, n,
@@ -161,24 +188,49 @@ impl LinkSlab {
             self.offsets[n * n],
             self.words.len()
         );
+        if let Some(loads) = &self.loads {
+            assert_eq!(loads.n(), n, "attached loads laid out for n={}", loads.n());
+            let lens = self.offsets.windows(2).map(|w| w[1] - w[0]);
+            if let Some(at) = lens
+                .zip(loads.counts())
+                .position(|(len, &count)| len != count as usize)
+            {
+                panic!("attached loads disagree with the slab at link index {at}");
+            }
+        }
     }
 
-    /// The round's per-link accounting in canonical `(src, dst)` order,
-    /// read straight off the offset table: a link is charged its unicast
-    /// words plus everything `src` broadcast this round (`bcasts[src]`);
+    /// The round's per-link accounting, read straight off the offset table
+    /// in one pass: a link is charged its unicast words plus everything
+    /// `src` broadcast this round (`bcasts[src]`, one lane per node);
     /// self-links are free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bcasts` does not hold exactly one lane per node, and,
+    /// naming the link, if a link's charge does not fit in a `u32`.
     #[must_use]
     pub fn link_loads(&self, bcasts: &[Vec<Arc<[Word]>>]) -> LinkLoads {
         let n = self.n;
-        let mut loads = LinkLoads::new();
-        for (src, slabs) in bcasts.iter().enumerate() {
-            let bcast: usize = slabs.iter().map(|s| s.len()).sum();
-            for dst in 0..n {
-                let at = dst * n + src;
-                loads.add(src, dst, self.offsets[at + 1] - self.offsets[at] + bcast);
-            }
+        assert_eq!(
+            bcasts.len(),
+            n,
+            "link_loads needs one broadcast lane per node (n={n}), got {}",
+            bcasts.len()
+        );
+        let bcast: Vec<usize> = bcasts
+            .iter()
+            .map(|slabs| slabs.iter().map(|s| s.len()).sum())
+            .collect();
+        let mut counts = Vec::with_capacity(n * n);
+        for dst in 0..n {
+            let row = self.offsets[dst * n..=dst * n + n].windows(2);
+            counts.extend(row.zip(&bcast).enumerate().map(|(src, (w, &extra))| {
+                let extra = if src == dst { 0 } else { extra };
+                LinkLoads::count(src, dst, w[1] - w[0] + extra)
+            }));
         }
-        loads
+        LinkLoads::from_counts(n, counts)
     }
 }
 
@@ -211,11 +263,7 @@ impl SlabWriter {
         }
         offsets.push(at);
         Self {
-            slab: LinkSlab {
-                n,
-                offsets,
-                words: vec![0; at],
-            },
+            slab: LinkSlab::from_raw(n, offsets, vec![0; at]),
             cursor,
         }
     }
@@ -312,11 +360,7 @@ impl SlabAppender {
 
     pub(crate) fn finish(mut self) -> LinkSlab {
         self.offsets.resize(self.n * self.n + 1, self.words.len());
-        LinkSlab {
-            n: self.n,
-            offsets: self.offsets,
-            words: self.words,
-        }
+        LinkSlab::from_raw(self.n, self.offsets, self.words)
     }
 }
 
@@ -354,6 +398,34 @@ mod tests {
         assert_eq!(got, vec![(0, 2, 2), (1, 0, 3), (1, 2, 3), (2, 0, 2)]);
         let none = vec![Vec::new(); 3];
         assert_eq!(LinkSlab::empty(3).link_loads(&none).iter().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "link (1, 0) carries 4294967296 words")]
+    fn a_link_charge_past_u32_names_its_link() {
+        // Never validated, so no word is allocated: only the offsets count.
+        let slab = LinkSlab::from_raw(2, vec![0, 0, 1 << 32, 1 << 32, 1 << 32], vec![]);
+        let _ = slab.link_loads(&[vec![], vec![]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "link_loads needs one broadcast lane per node (n=2), got 1")]
+    fn link_loads_refuses_a_short_broadcast_list() {
+        let _ = LinkSlab::empty(2).link_loads(&[vec![]]);
+    }
+
+    #[test]
+    fn attached_loads_are_checked_against_the_offsets() {
+        let runs = [(0usize, 1usize, [5u64, 6]), (1, 1, [7, 7])];
+        let slab = LinkSlab::from_runs(2, runs.iter().map(|(s, d, w)| (*s, *d, &w[..])));
+        let exact = LinkLoads::from_counts(2, vec![0, 0, 2, 2]);
+        slab.clone().with_loads(exact.clone()).validate(2);
+        // Equal as loads (self-links are free), but not the slab's lengths.
+        let free_self = LinkLoads::from_counts(2, vec![0, 0, 2, 0]);
+        assert_eq!(free_self, exact);
+        let refused = std::panic::catch_unwind(|| slab.with_loads(free_self).validate(2));
+        let msg = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(msg, "attached loads disagree with the slab at link index 3");
     }
 
     #[test]

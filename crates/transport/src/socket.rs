@@ -9,7 +9,7 @@
 
 use crate::frame::{push_frame, read_frame, write_frame, Frame, MAX_FRAME_BYTES};
 use crate::pending::Pending;
-use crate::star::{self, check, loads_from_commits, protocol_error};
+use crate::star::{self, check, protocol_error};
 use crate::tcp::{resident_session, Mesh};
 use crate::{LinkSlab, RoundDelivery, Transport};
 use cc_runtime::{LinkLoads, ResidentOutcome, ResidentRegistry, Word};
@@ -562,7 +562,7 @@ impl Transport for StreamTransport {
                     other => panic!("unexpected frame from resident worker: {other:?}"),
                 }
             }
-            let loads = loads_from_commits(n, &charged);
+            let loads = LinkLoads::from_counts(n, charged);
             engine_rounds += 1;
             self.peer_bytes += round_peer_bytes;
             cc_telemetry::global().emit(cc_telemetry::TraceLevel::Rounds, || {

@@ -9,9 +9,9 @@
 //! the shard against its assignment, accounts from the length table, echoes
 //! the shard as one frame and commits the epoch with a dense table of the
 //! words it charged on each owned link ([`Frame::Commit`]); the orchestrator
-//! appends each echoed shard to the delivered slab in one step and reads the
-//! canonical [`LinkLoads`] off the workers' tables. A shard nothing was sent
-//! to is not shipped and not echoed.
+//! appends each echoed shard to the delivered slab in one step, and the
+//! workers' tables laid end to end are the round's [`LinkLoads`] table. A
+//! shard nothing was sent to is not shipped and not echoed.
 
 use crate::frame::{
     push_bcast_frame, push_frame, push_frame_bytes, push_shard_frame, read_frame, Frame,
@@ -125,7 +125,7 @@ pub(crate) fn finish_round(
             }
         }
     }
-    let loads = loads_from_commits(n, &charged);
+    let loads = LinkLoads::from_counts(n, charged);
 
     // Broadcast lanes are the orchestrator's own slabs: the workers counted
     // them, but immutable shared data is not echoed back to its publisher.
@@ -247,34 +247,14 @@ pub(crate) fn commit_table(
             } else {
                 unicast(d, src) + bcast
             };
-            loads.push(
-                u32::try_from(charged)
-                    .map_err(|_| protocol_error("link load overflows the commit table"))?,
-            );
+            loads.push(u32::try_from(charged).map_err(|_| {
+                protocol_error(&format!(
+                    "link ({src}, {dst}) carries {charged} words, more than the commit table holds"
+                ))
+            })?);
         }
     }
     Ok(loads)
-}
-
-/// The round's canonical [`LinkLoads`], read off the workers' commit tables
-/// laid end to end in shard order (`charged[dst * n + src]`).
-///
-/// # Panics
-///
-/// Panics if the tables do not cover the clique's `n²` links.
-pub(crate) fn loads_from_commits(n: usize, charged: &[u32]) -> LinkLoads {
-    assert_eq!(
-        charged.len(),
-        n * n,
-        "worker shards must partition the clique"
-    );
-    let mut loads = LinkLoads::new();
-    for src in 0..n {
-        for dst in 0..n {
-            loads.add(src, dst, charged[dst * n + src] as usize);
-        }
-    }
-    loads
 }
 
 pub(crate) fn check(ok: bool, msg: &str) -> io::Result<()> {

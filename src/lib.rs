@@ -257,8 +257,9 @@
 //! [`Transport::send_slab`](transport::Transport::send_slab) once; the
 //! barrier returns a [`RoundDelivery`](transport::RoundDelivery) holding
 //! the delivered slab, the round's broadcast slabs (one list per *source*,
-//! shared by every recipient), and the canonical `(src, dst)`-ordered
-//! [`LinkLoads`](runtime::LinkLoads).
+//! shared by every recipient), and the round's
+//! [`LinkLoads`](runtime::LinkLoads): one destination-major count table,
+//! walked in canonical `(src, dst)` order only by what iterates it.
 //! [`Inboxes::received`](clique::Inboxes::received) is a slice of that
 //! slab. Word-at-a-time [`Transport::send`](transport::Transport::send)
 //! still exists for hand-driven rounds; such calls are logged and

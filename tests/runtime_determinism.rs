@@ -5,7 +5,7 @@
 
 use congested_clique::algebra::{IntRing, Matrix};
 use congested_clique::apsp;
-use congested_clique::clique::{Clique, CliqueConfig, ExecutorKind, TransportKind};
+use congested_clique::clique::{Clique, CliqueConfig, ExecutorKind, Outbox, TransportKind};
 use congested_clique::core::{fast_mm, semiring_mm, RowMatrix};
 use congested_clique::graph::generators;
 use congested_clique::subgraph;
@@ -98,7 +98,8 @@ proptest! {
     ) {
         let run = |kind: ExecutorKind| {
             let mut c = Clique::with_config(n, cfg(kind));
-            let via_links = c.exchange_par(pattern(n, seed));
+            let links = pattern(n, seed);
+            let via_links = c.exchange_par(|v| links(v).into());
             let relayed = pattern(n, seed ^ 0xabc);
             let via_relays = c.route_par(|v| relayed(v).into());
             let inboxes: Vec<Vec<Vec<u64>>> = (0..n)
@@ -729,7 +730,8 @@ proptest! {
     ) {
         let run = |kind: TransportKind| {
             let mut c = Clique::with_config(n, cfg_transport(kind));
-            let via_links = c.exchange_par(pattern(n, seed));
+            let links = pattern(n, seed);
+            let via_links = c.exchange_par(|v| links(v).into());
             let via_relays = c.route_dynamic(pattern(n, seed ^ 0xabc));
             let union = c.gossip(|v| vec![seed ^ v as u64; v % 3]);
             let knowledge = c.broadcast(|v| seed.wrapping_mul(v as u64 + 1));
@@ -1018,9 +1020,9 @@ fn round_counts_match_the_seed_link_level_semantics() {
     assert_eq!(c.rounds(), 1, "one-word broadcast is one round");
     let _ = c.exchange_par(|v| {
         if v == 0 {
-            vec![(1, vec![1, 2, 3])]
+            vec![(1, vec![1, 2, 3])].into()
         } else {
-            vec![]
+            Outbox::new()
         }
     });
     assert_eq!(c.rounds(), 4, "3-word link queue costs 3 more rounds");
