@@ -17,7 +17,7 @@
 //!   default [`DEFAULT_TILE`]) for integer products, routing large square
 //!   tiles through local Strassen above [`STRASSEN_ROUTE`];
 //! * `bitset` — everything `blocked` does, plus bit-packed
-//!   [`BitMatrix`](crate::BitMatrix) `AND`/`OR` products for the Boolean
+//!   [`BitMatrix`] `AND`/`OR` products for the Boolean
 //!   semiring (64 lanes per word, threshold-free).
 //!
 //! The **default is the auto-selecting `bitset` kernel** (spelled `auto` or

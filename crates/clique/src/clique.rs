@@ -2,13 +2,14 @@
 
 use crate::inbox::Inboxes;
 use crate::network::Network;
-use crate::outbox::Outbox;
 use crate::schedule::{pack_head, splitmix, RouteSchedule};
 use crate::stats::Stats;
 use crate::word::Word;
 use cc_netsim::{NetsimConfig, NetsimTransport};
-use cc_runtime::{Engine, Executor, ExecutorKind, LinkLoads, NodeProgram, WireProgram};
-use cc_transport::{LinkSlab, TransportFabric, TransportKind};
+use cc_runtime::{
+    Engine, Executor, ExecutorKind, LinkLoads, LinkSlab, NodeProgram, Outbox, WireProgram,
+};
+use cc_transport::{TransportFabric, TransportKind};
 use std::sync::Arc;
 
 /// Communication regime of the simulated clique.
@@ -434,11 +435,7 @@ impl Clique {
         // Fail fast before any generator fan-out, like `exchange` does.
         self.require_unicast("exchange");
         let outboxes = self.exec.map(self.n, &messages);
-        let runs = outboxes
-            .iter()
-            .enumerate()
-            .flat_map(|(v, out)| out.messages().map(move |(dst, words)| (v, dst, words)));
-        self.exchange_slab(LinkSlab::from_runs(self.n, runs))
+        self.exchange_slab(LinkSlab::gather(self.n, 0, &outboxes))
     }
 
     /// Ships one direct exchange step and charges the fabric's accounting.

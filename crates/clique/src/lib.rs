@@ -50,7 +50,7 @@
 //! multi-process simulation over unix sockets or TCP (`cc-clique-node`
 //! worker processes, length-prefixed frames, round-commit barrier). Every primitive builds
 //! its step's traffic as one flat destination-major buffer
-//! (`cc_transport::LinkSlab`, a two-pass counting sort over the generated
+//! (`cc_runtime::LinkSlab`, a two-pass counting sort over the generated
 //! messages — for a [`Clique::route`] step whose shape repeats, one write
 //! per word to a slot compiled once per shape) and hands it to the fabric
 //! in one call; the
@@ -119,25 +119,23 @@
 mod clique;
 mod inbox;
 mod network;
-mod outbox;
 mod schedule;
 mod stats;
 mod word;
 
 pub use crate::clique::{Clique, CliqueConfig, Mode, RelayPolicy};
 pub use crate::inbox::Inboxes;
-pub use crate::outbox::Outbox;
 pub use crate::schedule::{route_schedule_stats, single_hash_relay};
 pub use crate::stats::{PhaseStats, Stats};
-pub use crate::word::{
-    pack_pair, read_exact, unpack_pair, write_all, AsWords, Word, WordReader, WordWriter,
-};
+pub use crate::word::{pack_pair, read_exact, unpack_pair, write_all, AsWords, Word, WordReader};
 // Runtime surface, re-exported so algorithm crates need no direct
-// `cc_runtime` dependency to opt in. `LinkLoads` — the link-level cost
-// model — lives in `cc_runtime` so engine- and flush-driven accounting
+// `cc_runtime` dependency to opt in. The round's shared types — the
+// link-level cost model `LinkLoads`, and the `Outbox` a node's messages are
+// written to — live in `cc_runtime`, so engine- and clique-driven rounds
 // share one definition.
 pub use cc_runtime::{
-    Control, Executor, ExecutorKind, LinkLoads, NodeProgram, RoundCtx, WireProgram,
+    Control, Executor, ExecutorKind, LinkLoads, NodeProgram, Outbox, RoundCtx, WireProgram,
+    WordWriter,
 };
 // Transport surface, re-exported for the same reason: `CliqueConfig`
 // selects the fabric by `TransportKind`, and callers building custom

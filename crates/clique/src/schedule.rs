@@ -2,10 +2,8 @@
 //! compiled into slab slots, kept in a process-wide cache bounded by bytes.
 
 use crate::clique::RelayPolicy;
-use crate::outbox::Outbox;
 use crate::word::Word;
-use cc_runtime::LinkLoads;
-use cc_transport::{LinkSlab, SlabWriter};
+use cc_runtime::{LinkLoads, LinkSlab, Outbox, SlabWriter};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
@@ -344,14 +342,13 @@ impl RouteSchedule {
     /// counting-sorts them.
     pub(crate) fn delivery(&self, outboxes: &[Outbox]) -> LinkSlab {
         let n = self.n;
-        let messages = outboxes
-            .iter()
-            .enumerate()
-            .flat_map(|(src, out)| out.messages().map(move |(dst, words)| (src, dst, words)));
         let Placement::Slots { delivery, .. } = &self.placement else {
-            return LinkSlab::from_runs(n, messages);
+            return LinkSlab::gather(n, 0, outboxes);
         };
-        let messages: Vec<&[Word]> = messages.map(|(_, _, words)| words).collect();
+        let messages: Vec<&[Word]> = outboxes
+            .iter()
+            .flat_map(|out| out.messages().map(|(_, words)| words))
+            .collect();
         let total = outboxes.iter().map(|out| out.words().len()).sum();
         let mut offsets = Vec::with_capacity(n * n + 1);
         let mut words = Vec::with_capacity(total);

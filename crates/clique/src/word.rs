@@ -6,6 +6,8 @@
 //! `b / log n` multiplicative factor from the paper for wide entries (e.g.
 //! the degree-capped polynomials used for distance products).
 
+use cc_runtime::WordWriter;
+
 /// A single `O(log n)`-bit message word.
 pub type Word = u64;
 
@@ -39,66 +41,6 @@ pub fn pack_pair(a: usize, b: usize) -> Word {
 #[must_use]
 pub fn unpack_pair(w: Word) -> (usize, usize) {
     ((w >> 32) as usize, (w & 0xffff_ffff) as usize)
-}
-
-/// Incremental writer used by [`AsWords::write_words`].
-///
-/// A thin wrapper around `Vec<Word>` so that encoders cannot observe or
-/// rewrite previously written traffic.
-#[derive(Debug, Default)]
-pub struct WordWriter {
-    buf: Vec<Word>,
-}
-
-impl WordWriter {
-    /// Creates an empty writer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty writer with room for `words` words.
-    pub(crate) fn with_capacity(words: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(words),
-        }
-    }
-
-    /// Appends one word.
-    // Called once per routed word from other crates' encoders: without the
-    // hint it is an out-of-line call per word (no LTO in this workspace).
-    #[inline]
-    pub fn push(&mut self, w: Word) {
-        self.buf.push(w);
-    }
-
-    /// Number of words written so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Returns `true` if nothing has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Consumes the writer, returning the written words.
-    #[must_use]
-    pub fn into_words(self) -> Vec<Word> {
-        self.buf
-    }
-
-    /// Appends already encoded words.
-    pub(crate) fn extend_from_slice(&mut self, words: &[Word]) {
-        self.buf.extend_from_slice(words);
-    }
-
-    /// Everything written so far — for the router, which owns the writer.
-    pub(crate) fn as_slice(&self) -> &[Word] {
-        &self.buf
-    }
 }
 
 /// Sequential reader used by [`AsWords::read_words`].

@@ -780,6 +780,49 @@ mod tests {
     }
 
     #[test]
+    fn unit_weight_witness_ties_break_like_the_dense_engine() {
+        // Unit weights make many candidates tie at every entry; sparse
+        // graphs make the census give helpers several inner indices, so
+        // ties meet inside one helper's accumulator, where only the
+        // smallest-index rule picks the dense engine's witness.
+        let graph = |n: usize, percent: u64, seed: u64| {
+            let mut st = seed ^ ((n as u64) << 16) ^ (percent << 32);
+            let mut w = Matrix::filled(n, n, INFINITY);
+            for u in 0..n {
+                w[(u, u)] = Dist::finite(0);
+                for v in u + 1..n {
+                    st = st
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    if (st >> 33) % 100 < percent {
+                        w[(u, v)] = Dist::finite(1);
+                        w[(v, u)] = Dist::finite(1);
+                    }
+                }
+            }
+            w
+        };
+        for n in [8, 16, 27] {
+            for percent in [10, 20, 35, 50, 70] {
+                for seed in 0..6 {
+                    let w = graph(n, percent, seed);
+                    let rw = RowMatrix::from_matrix(&w);
+                    let (pd, qd) =
+                        semiring_mm::distance_product_with_witness(&mut Clique::new(n), &rw, &rw);
+                    let (ps, qs) = distance_product_with_witness(&mut Clique::new(n), &rw, &rw);
+                    let at = format!("n={n} p={percent}% seed={seed}");
+                    assert_eq!(ps.to_matrix(), pd.to_matrix(), "distances, {at}");
+                    for u in 0..n {
+                        for v in (0..n).filter(|&v| ps.row(u)[v].is_finite()) {
+                            assert_eq!(qs.row(u)[v], qd.row(u)[v], "witness ({u},{v}), {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn sparse_beats_fast_mm_on_rounds_and_words_for_sparse_inputs() {
         // The acceptance criterion: on a genuinely sparse instance the
         // sparse path must win *both* cost metrics against the dense

@@ -535,7 +535,7 @@ impl Transport for NetsimTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_runtime::{EchoRingProgram, Engine, EngineFabric, ExecutorKind};
+    use cc_runtime::{EchoRingProgram, Engine, ExecutorKind};
     use cc_transport::{InMemoryTransport, TransportFabric};
 
     fn lossy(seed: u64) -> NetsimConfig {
@@ -722,7 +722,8 @@ mod tests {
         let n = 6;
         let programs = || (0..n).map(|_| EchoRingProgram::new(30)).collect::<Vec<_>>();
 
-        let mut plain_fabric = EngineFabric::new(engine.executor());
+        let mut plain_transport = InMemoryTransport::new(n);
+        let mut plain_fabric = TransportFabric::new(&mut plain_transport);
         let plain = engine.run_wire_traced_on(&mut plain_fabric, programs(), |_| {});
 
         let cfg = NetsimConfig {

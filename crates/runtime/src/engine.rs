@@ -2,10 +2,9 @@
 
 use crate::executor::{Executor, ExecutorKind};
 use crate::loads::LinkLoads;
-use crate::program::{Control, NodeInbox, NodeOutbox, NodeProgram, RoundCtx};
-use crate::resident::{ResidentOutcome, WireProgram};
-use crate::Word;
-use std::sync::Arc;
+use crate::program::{Control, NodeInbox, NodeProgram};
+use crate::resident::{step_node, ResidentOutcome, WireProgram};
+use crate::{BcastLanes, LinkSlab, Outbox, RoundDelivery, Word};
 
 /// Result of [`Engine::run`].
 #[derive(Debug)]
@@ -21,24 +20,25 @@ pub struct RunReport<P> {
     pub words: u64,
 }
 
-/// The engine's round barrier: merges one round's outboxes into the next
-/// round's inboxes and accounts the per-link traffic.
+/// The engine's round barrier: turns one round's gathered traffic into
+/// the delivery the next round reads, and accounts the per-link words.
 ///
-/// This is the seam that makes the barrier *pluggable*: the default
-/// [`EngineFabric`] performs the classical in-process delivery (sharded by
-/// destination on the engine's executor), while `cc-transport` adapts the
-/// same contract onto message fabrics whose rendezvous crosses threads or
-/// processes. Implementations must be deterministic — for a given outbox
-/// sequence, the returned inboxes and canonical `(src, dst)`-ordered
-/// [`LinkLoads`] may not depend on scheduling — which is what keeps
-/// results, round counts, and pattern fingerprints bit-identical across
-/// fabrics.
+/// This is the seam that makes the barrier *pluggable*. The default body
+/// is the in-memory delivery ([`RoundDelivery::in_memory`]), which is what
+/// [`Engine::run`] uses; `cc-transport` adapts the same contract onto
+/// message fabrics whose rendezvous crosses threads or processes.
+/// Implementations must be deterministic — for given traffic, the returned
+/// delivery and its canonical `(src, dst)`-ordered [`LinkLoads`] may not
+/// depend on scheduling — which is what keeps results, round counts, and
+/// pattern fingerprints bit-identical across fabrics.
 pub trait Fabric {
-    /// Delivers one engine round: consumes the per-node outboxes (node
-    /// order) and returns the next inboxes (node order) plus this round's
-    /// link loads in canonical `(src, dst)` order.
-    fn deliver_round(&mut self, n: usize, outboxes: Vec<NodeOutbox>)
-        -> (Vec<NodeInbox>, LinkLoads);
+    /// Delivers one engine round: takes the round's unicast traffic,
+    /// gathered from every node's [`Outbox`] into one slab, and the
+    /// broadcast lanes (one per source), and returns what the next round
+    /// reads plus this round's link loads.
+    fn deliver_round(&mut self, unicast: LinkSlab, broadcast: BcastLanes) -> RoundDelivery {
+        RoundDelivery::in_memory(unicast, broadcast)
+    }
 
     /// True when this fabric can host program-resident sessions — i.e.
     /// [`Fabric::run_resident`] would return `Some`. The engine checks this
@@ -86,47 +86,27 @@ pub trait Fabric {
     }
 }
 
-/// The default in-process [`Fabric`]: per-link loads tallied into one
-/// `n²` table, inboxes assembled sharded by destination on the executor,
-/// and broadcast slabs delivered zero-copy.
-#[derive(Debug, Clone)]
-pub struct EngineFabric {
-    exec: Executor,
-}
+/// The engine's default barrier: [`Fabric`]'s in-memory delivery.
+struct InMemory;
 
-impl EngineFabric {
-    /// Creates the fabric, delivering on `exec`.
-    #[must_use]
-    pub fn new(exec: Executor) -> Self {
-        Self { exec }
-    }
-}
-
-impl Fabric for EngineFabric {
-    fn deliver_round(
-        &mut self,
-        n: usize,
-        outboxes: Vec<NodeOutbox>,
-    ) -> (Vec<NodeInbox>, LinkLoads) {
-        let loads = link_loads(n, &outboxes);
-        (deliver(&self.exec, n, outboxes), loads)
-    }
-}
+impl Fabric for InMemory {}
 
 /// Drives a set of [`NodeProgram`]s through synchronous rounds.
 ///
 /// Per round the engine: (1) steps every live node — in parallel shards
-/// under [`ExecutorKind::Parallel`] — each into its own outbox; (2) merges
-/// outboxes at the barrier in node order, computing per-link loads in the
-/// canonical `(src, dst)` order; (3) charges rounds equal to the maximum
-/// per-link load; (4) builds the next inboxes sharded by destination. Steps
-/// 2–4 live behind the [`Fabric`] seam (default: [`EngineFabric`]) and are
+/// under [`ExecutorKind::Parallel`] — each into its own [`Outbox`] and
+/// broadcast lane; (2) gathers the outboxes in node order into one
+/// [`LinkSlab`] (a counting sort); (3) hands slab and lanes to the
+/// [`Fabric`] (default: the in-memory delivery), which returns the
+/// delivered slab and the round's per-link loads; (4) charges rounds equal
+/// to the maximum per-link load. Every node's next inbox is a view of its
+/// row of the delivered slab, so no per-node inbox is built. Steps 2–4 are
 /// deterministic by construction, so neither the executor choice nor the
 /// fabric ever changes results.
 ///
 /// All fan-out goes through the [`Executor`] handle, so a pooled executor's
-/// persistent workers serve both the stepping and the delivery shards — the
-/// engine itself never spawns threads.
+/// persistent workers step the nodes — the engine itself never spawns
+/// threads.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     exec: Executor,
@@ -172,15 +152,14 @@ impl Engine {
         programs: Vec<P>,
         on_loads: impl FnMut(&LinkLoads),
     ) -> RunReport<P> {
-        let mut fabric = EngineFabric::new(self.exec.clone());
-        self.run_traced_on(&mut fabric, programs, on_loads)
+        self.run_traced_on(&mut InMemory, programs, on_loads)
     }
 
     /// Like [`Engine::run_traced`], delivering each round barrier through an
-    /// explicit [`Fabric`] instead of the default in-process one. This is
+    /// explicit [`Fabric`] instead of the default in-memory one. This is
     /// how transport backends plug in: the engine still steps node state
-    /// machines on its executor, while outbox merging, inbox assembly, and
-    /// link accounting happen wherever the fabric puts them (another
+    /// machines on its executor and gathers their outboxes, while delivery
+    /// and link accounting happen wherever the fabric puts them (another
     /// thread's queue, another process's socket) — with results guaranteed
     /// identical by the fabric's determinism contract.
     ///
@@ -211,7 +190,7 @@ impl Engine {
     ) -> RunReport<P> {
         let n = programs.len();
         assert!(n > 0, "cannot run an empty program set");
-        let mut inboxes: Vec<NodeInbox> = (0..n).map(|_| NodeInbox::empty(n)).collect();
+        let mut delivered = RoundDelivery::in_memory(LinkSlab::empty(n), vec![Vec::new(); n]);
         let mut halted = vec![false; n];
         let mut live = n;
         let mut rounds = 0u64;
@@ -225,15 +204,17 @@ impl Engine {
 
         while live > 0 {
             let step_start = timed.then(std::time::Instant::now);
-            let outboxes = self.step_all(&mut programs, &inboxes, &mut halted, engine_rounds);
+            let (outboxes, lanes) =
+                self.step_all(&mut programs, &delivered, &mut halted, engine_rounds);
             let step_ns = step_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
             live = halted.iter().filter(|&&h| !h).count();
             engine_rounds += 1;
 
             let barrier_start = timed.then(std::time::Instant::now);
-            let (delivered, loads) = fabric.deliver_round(n, outboxes);
+            delivered = fabric.deliver_round(LinkSlab::gather(n, 0, &outboxes), lanes);
             let barrier_ns = barrier_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            on_loads(&loads);
+            let loads = &delivered.loads;
+            on_loads(loads);
             rounds += loads.rounds();
             words += loads.words();
             tel.emit(cc_telemetry::TraceLevel::Rounds, || {
@@ -246,7 +227,6 @@ impl Engine {
                     words: loads.words(),
                 }
             });
-            inboxes = delivered;
             after_round(fabric, &mut programs);
         }
 
@@ -343,119 +323,42 @@ impl Engine {
         })
     }
 
-    /// Steps every live node once, returning outboxes in node order.
+    /// Steps every live node once over its view of `delivered`, returning
+    /// the outboxes and broadcast lanes in node order.
     fn step_all<P: NodeProgram>(
         &self,
         programs: &mut [P],
-        inboxes: &[NodeInbox],
+        delivered: &RoundDelivery,
         halted: &mut [bool],
         round: u64,
-    ) -> Vec<NodeOutbox> {
-        let n = programs.len();
+    ) -> (Vec<Outbox>, BcastLanes) {
         // One piece per node, dispatched on the executor (inline when
         // sequential or below the cutover, pooled otherwise):
         // `map_chunks_mut` hands each worker exclusive ownership of its
-        // `(program, halted)` pairs and merges outboxes back in node order
-        // — deterministic by construction. The engine itself never spawns.
+        // `(program, halted)` pairs and merges the results back in node
+        // order — deterministic by construction. The engine itself never
+        // spawns.
         let mut pairs: Vec<(&mut P, &mut bool)> =
             programs.iter_mut().zip(halted.iter_mut()).collect();
-        self.exec.map_chunks_mut(&mut pairs, 1, |node, piece| {
+        let stepped = self.exec.map_chunks_mut(&mut pairs, 1, |node, piece| {
             let (p, h) = &mut piece[0];
-            let mut outbox = NodeOutbox::default();
-            if !**h {
-                let mut ctx = RoundCtx {
-                    node,
-                    n,
-                    round,
-                    inbox: &inboxes[node],
-                    outbox: &mut outbox,
-                };
-                if p.round(&mut ctx) == Control::Halt {
-                    **h = true;
-                }
+            if **h {
+                return (Outbox::new(), Vec::new());
             }
-            outbox
-        })
+            let inbox = NodeInbox::new(&delivered.unicast, &delivered.broadcast, node);
+            let (control, outbox, broadcast) = step_node(*p, round, inbox);
+            **h = control == Control::Halt;
+            (outbox, broadcast)
+        });
+        stepped.into_iter().unzip()
     }
-}
-
-/// Builds the next round's inboxes, sharded by destination.
-fn deliver(exec: &Executor, n: usize, mut outboxes: Vec<NodeOutbox>) -> Vec<NodeInbox> {
-    /// One destination's pending `(src, payload)` deliveries.
-    type Bucket = Vec<(usize, Vec<Word>)>;
-
-    // Shard step: bucket unicast payloads by destination. Entries land
-    // in (src, send-order) order because sources are drained in index
-    // order — the per-destination assembly below is order-preserving.
-    let mut buckets: Vec<Bucket> = (0..n).map(|_| Vec::new()).collect();
-    for (src, outbox) in outboxes.iter_mut().enumerate() {
-        for (dst, payload) in outbox.unicast.drain(..) {
-            buckets[dst].push((src, payload));
-        }
-    }
-    let broadcasts: Vec<Vec<Arc<[Word]>>> = outboxes
-        .iter_mut()
-        .map(|o| std::mem::take(&mut o.broadcast))
-        .collect();
-
-    // Per-destination assembly runs on the executor; `map_chunks_mut`
-    // hands each worker exclusive ownership of its bucket.
-    exec.map_chunks_mut(&mut buckets, 1, |_dst, piece| {
-        let entries = std::mem::take(&mut piece[0]);
-        let mut inbox = NodeInbox::empty(n);
-        for (src, payload) in entries {
-            if inbox.unicast[src].is_empty() {
-                inbox.unicast[src] = payload;
-            } else {
-                inbox.unicast[src].extend(payload);
-            }
-        }
-        for (src, slabs) in broadcasts.iter().enumerate() {
-            if !slabs.is_empty() {
-                // Zero-copy: recipients share the sender's slabs.
-                inbox.broadcast[src] = slabs.clone();
-            }
-        }
-        inbox
-    })
-}
-
-/// Per-link loads of one engine round, tallied straight into the
-/// destination-major table. Self-addressed messages are local moves and
-/// carry no load.
-///
-/// Costs O(n²) per round whatever the traffic: the table holds all n²
-/// links, and building [`LinkLoads`] scans it once. [`deliver`] already
-/// builds 2n² inbox lanes per round, so this adds about a twelfth to the
-/// memory a round touches (on a 2-CPU x86-64 host a one-word-per-node
-/// ring round took ≈ 3–4 % longer at n = 1024 and n = 2048 than with a
-/// sparse tally).
-fn link_loads(n: usize, outboxes: &[NodeOutbox]) -> LinkLoads {
-    let mut counts = vec![0u32; n * n];
-    let mut charge = |src: usize, dst: usize, words: usize| {
-        if words > 0 && dst != src {
-            let count = &mut counts[dst * n + src];
-            *count = LinkLoads::count(src, dst, *count as usize + words);
-        }
-    };
-    for (src, outbox) in outboxes.iter().enumerate() {
-        if outbox.is_empty() {
-            continue;
-        }
-        for (dst, payload) in &outbox.unicast {
-            charge(src, *dst, payload.len());
-        }
-        let bcast: usize = outbox.broadcast.iter().map(|s| s.len()).sum();
-        for dst in 0..n {
-            charge(src, dst, bcast);
-        }
-    }
-    LinkLoads::from_counts(n, counts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::RoundCtx;
+    use std::sync::Arc;
 
     /// Sends `round * 10 + node` to the next node for `k` rounds, recording
     /// everything received.
@@ -507,6 +410,7 @@ mod tests {
     fn broadcast_slabs_are_shared_not_cloned() {
         struct OneShot {
             seen: usize,
+            slab: Option<Arc<[Word]>>,
         }
         impl NodeProgram for OneShot {
             fn round(&mut self, ctx: &mut RoundCtx<'_>) -> Control {
@@ -517,16 +421,43 @@ mod tests {
                     Control::Continue
                 } else {
                     self.seen = ctx.broadcasts_from(0).map(<[Word]>::len).sum();
+                    self.slab = ctx.inbox.broadcast[0].first().cloned();
                     Control::Halt
                 }
             }
         }
-        let report = Engine::new(ExecutorKind::Sequential)
-            .run((0..8).map(|_| OneShot { seen: 0 }).collect());
+        let report = Engine::new(ExecutorKind::Sequential).run(
+            (0..8)
+                .map(|_| OneShot {
+                    seen: 0,
+                    slab: None,
+                })
+                .collect(),
+        );
         assert!(report.programs.iter().all(|p| p.seen == 3));
+        let slab = |node: usize| report.programs[node].slab.as_ref().unwrap();
+        assert!(
+            Arc::ptr_eq(slab(3), slab(7)),
+            "every recipient reads the sender's one allocation"
+        );
         // One 3-word slab on 7 links: 3 rounds, 21 words.
         assert_eq!(report.rounds, 3);
         assert_eq!(report.words, 21);
+    }
+
+    #[test]
+    #[should_panic(expected = "destination 5 out of range (n=4)")]
+    fn a_send_out_of_range_fails_at_the_send() {
+        struct Stray;
+        impl NodeProgram for Stray {
+            fn round(&mut self, ctx: &mut RoundCtx<'_>) -> Control {
+                if ctx.node() == 2 {
+                    ctx.send(5, vec![1]);
+                }
+                Control::Halt
+            }
+        }
+        let _ = Engine::new(ExecutorKind::Sequential).run((0..4).map(|_| Stray).collect());
     }
 
     #[test]
@@ -553,12 +484,11 @@ mod tests {
     fn crash_recovery_replays_the_faultless_run_bit_for_bit() {
         use crate::resident::EchoRingProgram;
 
-        /// Wraps the default fabric with a scripted fault plan: after the
+        /// The default barrier with a scripted fault plan: after the
         /// barriers listed in `crash_at`, the matching node "crashes" and
         /// must be re-shipped through the WireProgram codec.
         #[derive(Debug)]
         struct CrashyFabric {
-            inner: EngineFabric,
             barriers: u64,
             crash_at: Vec<(u64, usize)>,
             pending: Option<usize>,
@@ -566,12 +496,8 @@ mod tests {
         }
 
         impl Fabric for CrashyFabric {
-            fn deliver_round(
-                &mut self,
-                n: usize,
-                outboxes: Vec<NodeOutbox>,
-            ) -> (Vec<NodeInbox>, LinkLoads) {
-                let out = self.inner.deliver_round(n, outboxes);
+            fn deliver_round(&mut self, unicast: LinkSlab, broadcast: BcastLanes) -> RoundDelivery {
+                let out = RoundDelivery::in_memory(unicast, broadcast);
                 if let Some(&(_, node)) = self.crash_at.iter().find(|(b, _)| *b == self.barriers) {
                     self.pending = Some(node);
                 }
@@ -597,7 +523,6 @@ mod tests {
         let plain = engine.run((0..n).map(|_| EchoRingProgram::new(4)).collect());
 
         let mut fabric = CrashyFabric {
-            inner: EngineFabric::new(engine.executor()),
             barriers: 0,
             crash_at: vec![(1, 2), (3, 0)],
             pending: None,

@@ -141,7 +141,7 @@ impl Executor {
     /// lifetime (see the pool-lifecycle notes on [`Executor`]).
     ///
     /// The parallel kinds self-tune the inline cutover from a one-shot
-    /// startup micro-probe (see [`probed_cutover`]) instead of assuming the
+    /// startup micro-probe (the private `probed_cutover`) instead of assuming the
     /// hardcoded [`DEFAULT_SEQ_CUTOVER`] fits every machine;
     /// [`Executor::with_cutover`] sets it explicitly.
     #[must_use]

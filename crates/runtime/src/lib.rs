@@ -25,13 +25,39 @@
 //!   coordinator closure invoked per node id, each node owns its state and
 //!   the engine drives all `n` state machines round by round.
 //! * [`Engine`] — the synchronous-round driver: steps every live node
-//!   (possibly in parallel), merges per-node outboxes at the round barrier,
-//!   charges link-level rounds exactly like the wire simulator (a round
-//!   costs the maximum per-link word count), and delivers the next round's
-//!   inboxes via a sharded, per-destination build.
+//!   (possibly in parallel), gathers the round's outboxes at the barrier,
+//!   and charges link-level rounds exactly like the wire simulator (a round
+//!   costs the maximum per-link word count).
 //! * Zero-copy broadcasts — [`RoundCtx::broadcast`] stores one shared
 //!   `Arc<[Word]>` slab per broadcast; every recipient's inbox references
 //!   the same allocation instead of cloning a `Vec<Word>` per recipient.
+//!
+//! ## One round, one representation
+//!
+//! A round of the congested clique is one thing — every node puts words on
+//! its links — and this crate holds its one representation, shared by the
+//! engine and by every `cc-clique` primitive:
+//!
+//! * a node writes its sends into an [`Outbox`] (messages end to end in one
+//!   [`WordWriter`]) and, for programs, a broadcast lane of shared slabs;
+//! * [`LinkSlab::gather`] counting-sorts a round's outboxes into one
+//!   destination-major [`LinkSlab`], the round's unicast traffic in one
+//!   buffer ([`SlabWriter`] is the same sort's second pass for callers that
+//!   know their per-link counts);
+//! * the barrier turns slab and [`BcastLanes`] into a [`RoundDelivery`]:
+//!   the delivered slab, the lanes, and the round's [`LinkLoads`]. The one
+//!   in-memory barrier, [`RoundDelivery::in_memory`], moves both into the
+//!   delivery and reads the accounting off the slab's offset table;
+//! * a node's next inbox ([`NodeInbox`]) is a view of its row of the
+//!   delivered slab plus the shared lanes, so [`RoundCtx::received`] is a
+//!   slice of the slab and no per-node inbox is ever built.
+//!
+//! The barrier is the [`Fabric`] seam: [`Engine::run`] delivers in memory,
+//! and `cc-transport`'s `TransportFabric` ships the same slab onto a
+//! transport (in-memory, unix sockets, TCP) and hands its delivery back
+//! unchanged. A program-resident worker steps its nodes with the same
+//! [`step_node`] and builds its own rows' delivered slab from the peers'
+//! shards.
 //!
 //! ## Determinism contract
 //!
@@ -39,8 +65,8 @@
 //! identical outputs, identical inbox contents, identical executed round
 //! counts, and identical per-round link-load sequences. The engine achieves
 //! this by only parallelising *independent per-node* work (stepping node
-//! state machines, assembling per-destination inboxes) and merging results
-//! in node-index order at each barrier.
+//! state machines) and gathering their outboxes in node-index order at each
+//! barrier.
 //!
 //! ## Variant ledger
 //!
@@ -98,23 +124,27 @@
 mod engine;
 mod executor;
 mod loads;
+mod outbox;
 mod pool;
 mod program;
 mod resident;
+mod slab;
 
-pub use crate::engine::{Engine, EngineFabric, Fabric, RunReport};
+pub use crate::engine::{Engine, Fabric, RunReport};
 // The shared `CC_*` knob parser moved to the bottom of the crate stack
 // (`cc-telemetry`) so malformed-env warnings can flow through the telemetry
 // sink; re-exported here so `cc_runtime::env_config::*` call sites are
 // unchanged.
 pub use crate::executor::{Executor, ExecutorKind, DEFAULT_SEQ_CUTOVER};
 pub use crate::loads::LinkLoads;
+pub use crate::outbox::{Outbox, WordWriter};
 pub use crate::pool::threads_spawned as pool_threads_spawned;
-pub use crate::program::{Control, NodeInbox, NodeOutbox, NodeProgram, RoundCtx};
+pub use crate::program::{Control, NodeInbox, NodeProgram, RoundCtx};
 pub use crate::resident::{
     step_node, EchoRingProgram, ResidentNode, ResidentOutcome, ResidentRegistry, ScriptProgram,
     WireProgram,
 };
+pub use crate::slab::{BcastLanes, LinkSlab, RoundDelivery, SlabWriter};
 pub use cc_telemetry::env_config;
 
 /// A single `O(log n)`-bit message word (the same convention as the wire

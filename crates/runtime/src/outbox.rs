@@ -1,40 +1,91 @@
 //! One node's outgoing messages for a communication step, in one flat
 //! buffer.
 
-use crate::word::{Word, WordWriter};
+use crate::Word;
 
-/// The messages one node hands to [`crate::Clique::route_par`] (its
-/// `route_dynamic_par` twin, or [`crate::Clique::exchange_par`]): an
-/// ordered list of `(destination, words)` messages whose words all live in
-/// **one** [`WordWriter`], so a generator that emits thousands of small
+/// Incremental word writer: a node's encoders append to it.
+///
+/// A thin wrapper around `Vec<Word>` so that encoders cannot observe or
+/// rewrite previously written traffic.
+#[derive(Debug, Default)]
+pub struct WordWriter {
+    buf: Vec<Word>,
+}
+
+impl WordWriter {
+    /// Creates an empty writer.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Creates an empty writer with room for `words` words.
+    fn with_capacity(words: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(words),
+        }
+    }
+
+    /// Appends one word.
+    // Called once per routed word from other crates' encoders: without the
+    // hint it is an out-of-line call per word (no LTO in this workspace).
+    #[inline]
+    pub fn push(&mut self, w: Word) {
+        self.buf.push(w);
+    }
+
+    /// Number of words written so far.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Returns `true` if nothing has been written.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Consumes the writer, returning the written words.
+    #[must_use]
+    pub fn into_words(self) -> Vec<Word> {
+        self.buf
+    }
+
+    /// Appends already encoded words.
+    pub(crate) fn extend_from_slice(&mut self, words: &[Word]) {
+        self.buf.extend_from_slice(words);
+    }
+}
+
+/// The messages one node sends in one communication step — a routed or
+/// exchanged step of a clique, or one round of a [`crate::NodeProgram`]:
+/// an ordered list of `(destination, words)` messages whose words all live
+/// in **one** [`WordWriter`], so a generator that emits thousands of small
 /// messages allocates twice, not thousands of times.
 ///
 /// [`Outbox::message`] opens the next message and returns the writer its
 /// words go to; the message ends where the next one starts. Messages to the
 /// same destination are delivered concatenated in the order they were
-/// opened, and an empty message is legal (it routes no word).
+/// opened, and an empty message is legal (it carries no word). A round's
+/// outboxes become one [`crate::LinkSlab`] by [`crate::LinkSlab::gather`].
 ///
 /// # Examples
 ///
 /// ```rust
-/// use cc_clique::{AsWords, Clique, Outbox};
+/// use cc_runtime::Outbox;
 ///
-/// let n = 4;
-/// let mut clique = Clique::new(n);
-/// let inboxes = clique.route_par(|v| {
-///     let mut out = Outbox::new();
-///     // Two messages to the right-hand neighbour, encoded in place.
-///     (v as u64).write_words(out.message((v + 1) % n));
-///     let second = out.message((v + 1) % n);
-///     second.push(10);
-///     second.push(20);
-///     out
-/// });
-/// assert_eq!(inboxes.received(1, 0), &[0, 10, 20]);
+/// let mut out = Outbox::new();
+/// out.message(1).push(7);
+/// let second = out.message(1);
+/// second.push(10);
+/// second.push(20);
+/// let got: Vec<_> = out.messages().collect();
+/// assert_eq!(got, [(1, &[7][..]), (1, &[10, 20][..])]);
 ///
 /// // Cold callers keep building per-message vectors and convert.
-/// let inboxes = clique.route_par(|v| vec![(0, vec![v as u64; v]), (3, vec![])].into());
-/// assert_eq!(inboxes.received(0, 2), &[2, 2]);
+/// let out: Outbox = vec![(0, vec![2, 2]), (3, vec![])].into();
+/// assert_eq!(out.words(), &[2, 2]);
 /// ```
 #[derive(Debug, Default)]
 pub struct Outbox {
@@ -62,20 +113,21 @@ impl Outbox {
     }
 
     /// Opens the next message, addressed to `dst`, and returns the writer
-    /// its words are appended to. (`dst` is range-checked by the routing
-    /// primitive the outbox is handed to, which knows `n`.)
+    /// its words are appended to. (`dst` is range-checked by the primitive
+    /// the outbox is handed to, which knows `n`.)
     pub fn message(&mut self, dst: usize) -> &mut WordWriter {
         self.heads.push((dst, self.words.len()));
         &mut self.words
     }
 
     /// Every message's words end to end, in send order.
-    pub(crate) fn words(&self) -> &[Word] {
-        self.words.as_slice()
+    #[must_use]
+    pub fn words(&self) -> &[Word] {
+        &self.words.buf
     }
 
     /// The messages as `(destination, words)`, in send order.
-    pub(crate) fn messages(&self) -> impl Iterator<Item = (usize, &[Word])> + Clone {
+    pub fn messages(&self) -> impl Iterator<Item = (usize, &[Word])> + Clone {
         let words = self.words();
         let ends = self
             .heads

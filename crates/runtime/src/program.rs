@@ -1,6 +1,6 @@
 //! Per-node state machines and their round-scoped I/O surface.
 
-use crate::Word;
+use crate::{LinkSlab, Outbox, Word};
 use std::sync::Arc;
 
 /// What a node wants after finishing a round.
@@ -26,111 +26,73 @@ pub trait NodeProgram: Send {
     fn round(&mut self, ctx: &mut RoundCtx<'_>) -> Control;
 }
 
-/// Messages delivered to one node at a round barrier.
+/// What one node received at a round barrier: a view of its row of the
+/// delivered [`LinkSlab`], plus the round's broadcast lanes, which every
+/// recipient shares.
 ///
-/// Unicast payloads from each source are concatenated in send order.
-/// Broadcast payloads are *shared* `Arc<[Word]>` slabs: every recipient's
-/// inbox references the same allocation (zero-copy delivery).
-#[derive(Debug, Clone, Default)]
-pub struct NodeInbox {
-    pub(crate) unicast: Vec<Vec<Word>>,
-    pub(crate) broadcast: Vec<Vec<Arc<[Word]>>>,
+/// Unicast payloads from each source are concatenated in send order, and
+/// [`NodeInbox::received`] is a slice of the slab. Broadcast payloads are
+/// the senders' own `Arc<[Word]>` slabs (zero-copy delivery).
+#[derive(Debug, Clone, Copy)]
+pub struct NodeInbox<'a> {
+    unicast: &'a LinkSlab,
+    pub(crate) broadcast: &'a [Vec<Arc<[Word]>>],
+    dst: usize,
 }
 
-impl NodeInbox {
-    pub(crate) fn empty(n: usize) -> Self {
-        Self {
-            unicast: vec![Vec::new(); n],
-            broadcast: vec![Vec::new(); n],
-        }
-    }
-
-    /// Builds an inbox from per-source lanes: `unicast[src]` is the
-    /// concatenated unicast payload from `src`, `broadcast[src]` its slabs.
-    /// Used by [`crate::Fabric`] implementations that assemble deliveries
-    /// outside the engine (transport backends).
+impl<'a> NodeInbox<'a> {
+    /// Node `dst`'s view of a round's delivered `unicast` slab and
+    /// `broadcast` lanes (one per source).
     ///
     /// # Panics
     ///
-    /// Panics if the two lane vectors have different lengths.
+    /// Panics if `dst` is out of range or the lanes do not cover the slab's
+    /// nodes.
     #[must_use]
-    pub fn from_parts(unicast: Vec<Vec<Word>>, broadcast: Vec<Vec<Arc<[Word]>>>) -> Self {
-        assert_eq!(
-            unicast.len(),
-            broadcast.len(),
-            "inbox lanes must cover the same node range"
-        );
-        Self { unicast, broadcast }
+    pub fn new(unicast: &'a LinkSlab, broadcast: &'a [Vec<Arc<[Word]>>], dst: usize) -> Self {
+        let n = unicast.n();
+        assert!(dst < n, "inbox of node {dst} out of range (n={n})");
+        assert_eq!(broadcast.len(), n, "one broadcast lane per node");
+        Self {
+            unicast,
+            broadcast,
+            dst,
+        }
     }
 
     /// Unicast words received from `src` this round, in send order.
     #[must_use]
-    pub fn received(&self, src: usize) -> &[Word] {
-        &self.unicast[src]
+    pub fn received(&self, src: usize) -> &'a [Word] {
+        self.unicast.link(src, self.dst)
     }
 
     /// Broadcast slabs received from `src` this round, in send order.
-    pub fn broadcasts_from(&self, src: usize) -> impl Iterator<Item = &[Word]> {
+    pub fn broadcasts_from(&self, src: usize) -> impl Iterator<Item = &'a [Word]> {
         self.broadcast[src].iter().map(|a| &a[..])
     }
-
-    /// Total words delivered (unicast + broadcast).
-    #[must_use]
-    pub fn total_words(&self) -> usize {
-        self.unicast.iter().map(Vec::len).sum::<usize>()
-            + self
-                .broadcast
-                .iter()
-                .flat_map(|s| s.iter().map(|a| a.len()))
-                .sum::<usize>()
-    }
 }
 
-/// One node's sends for the current round, merged at the barrier.
-#[derive(Debug, Default)]
-pub struct NodeOutbox {
-    /// `(dst, words)` in send order.
-    pub(crate) unicast: Vec<(usize, Vec<Word>)>,
-    /// Shared broadcast slabs in send order.
-    pub(crate) broadcast: Vec<Arc<[Word]>>,
-}
-
-impl NodeOutbox {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.unicast.is_empty() && self.broadcast.is_empty()
-    }
-
-    /// Consumes the outbox into its `(dst, words)` unicast payloads (send
-    /// order) and broadcast slabs (send order). Used by [`crate::Fabric`]
-    /// implementations that ship outboxes onto an external transport.
-    #[must_use]
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(self) -> (Vec<(usize, Vec<Word>)>, Vec<Arc<[Word]>>) {
-        (self.unicast, self.broadcast)
-    }
-}
-
-/// A node's view of one synchronous round.
+/// A node's view of one synchronous round: its inbox, and the [`Outbox`]
+/// and broadcast lane its sends this round go to.
 #[derive(Debug)]
 pub struct RoundCtx<'a> {
-    pub(crate) node: usize,
-    pub(crate) n: usize,
     pub(crate) round: u64,
-    pub(crate) inbox: &'a NodeInbox,
-    pub(crate) outbox: &'a mut NodeOutbox,
+    pub(crate) inbox: NodeInbox<'a>,
+    pub(crate) outbox: Outbox,
+    pub(crate) broadcast: Vec<Arc<[Word]>>,
 }
 
 impl RoundCtx<'_> {
     /// This node's id in `0..n`.
     #[must_use]
     pub fn node(&self) -> usize {
-        self.node
+        self.inbox.dst
     }
 
     /// Clique size.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.n
+        self.inbox.unicast.n()
     }
 
     /// Zero-based index of the current round.
@@ -150,25 +112,19 @@ impl RoundCtx<'_> {
         self.inbox.broadcasts_from(src)
     }
 
-    /// The whole inbox, for bulk processing.
-    #[must_use]
-    pub fn inbox(&self) -> &NodeInbox {
-        self.inbox
-    }
-
     /// Sends `words` to `dst` over the `(self, dst)` link. Self-addressed
     /// messages are local memory moves and cost no rounds, matching the
     /// wire simulator.
-    pub fn send(&mut self, dst: usize, words: impl Into<Vec<Word>>) {
-        assert!(
-            dst < self.n,
-            "destination {dst} out of range (n={})",
-            self.n
-        );
-        let words = words.into();
-        if !words.is_empty() {
-            self.outbox.unicast.push((dst, words));
-        }
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is out of range: the [`Outbox`] does not check it,
+    /// so this keeps a bad destination failing here, by name, in-process and
+    /// in a resident worker alike.
+    pub fn send(&mut self, dst: usize, words: impl AsRef<[Word]>) {
+        let n = self.n();
+        assert!(dst < n, "destination {dst} out of range (n={n})");
+        self.outbox.message(dst).extend_from_slice(words.as_ref());
     }
 
     /// Broadcasts `words` to every node (including the sender's own next
@@ -178,7 +134,7 @@ impl RoundCtx<'_> {
     pub fn broadcast(&mut self, words: impl Into<Arc<[Word]>>) {
         let slab: Arc<[Word]> = words.into();
         if !slab.is_empty() {
-            self.outbox.broadcast.push(slab);
+            self.broadcast.push(slab);
         }
     }
 }

@@ -25,9 +25,10 @@
 //! the classical round loop, with results, rounds, words, and per-round
 //! [`crate::LinkLoads`] sequences bit-identical either way.
 
-use crate::program::{Control, NodeInbox, NodeOutbox, NodeProgram, RoundCtx};
-use crate::Word;
+use crate::program::{Control, NodeInbox, NodeProgram, RoundCtx};
+use crate::{Outbox, Word};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A [`NodeProgram`] whose complete state can cross the wire as words.
 ///
@@ -119,29 +120,27 @@ impl ResidentRegistry {
     }
 }
 
-/// Steps one program through one round, exactly as the engine would:
-/// builds the [`RoundCtx`] over `inbox`, runs the program, and returns its
-/// control decision plus the outbox it filled. This lives here (not in the
-/// transport crates) because the context's internals are deliberately
-/// private — workers get the same I/O surface as in-process programs, and
-/// nothing else.
+/// Steps one program through one round, exactly as the engine does: builds
+/// the [`RoundCtx`] over `inbox` (whose destination is the node stepped),
+/// runs the program, and returns its control decision plus the [`Outbox`]
+/// and broadcast lane it filled. This lives here (not in the transport
+/// crates) because the context's internals are deliberately private —
+/// workers get the same I/O surface as in-process programs, and nothing
+/// else.
 #[must_use]
 pub fn step_node(
     program: &mut dyn NodeProgram,
-    node: usize,
-    n: usize,
     round: u64,
-    inbox: &NodeInbox,
-) -> (Control, NodeOutbox) {
-    let mut outbox = NodeOutbox::default();
-    let control = program.round(&mut RoundCtx {
-        node,
-        n,
+    inbox: NodeInbox<'_>,
+) -> (Control, Outbox, Vec<Arc<[Word]>>) {
+    let mut ctx = RoundCtx {
         round,
         inbox,
-        outbox: &mut outbox,
-    });
-    (control, outbox)
+        outbox: Outbox::new(),
+        broadcast: Vec::new(),
+    };
+    let control = program.round(&mut ctx);
+    (control, ctx.outbox, ctx.broadcast)
 }
 
 /// What a program-resident session hands back to the engine: the final
@@ -295,9 +294,9 @@ impl NodeProgram for ScriptProgram {
             let (words, tail) = tail.split_at(*len as usize);
             if *round == ctx.round() {
                 if *dst == Self::BROADCAST {
-                    ctx.broadcast(words.to_vec());
+                    ctx.broadcast(words);
                 } else {
-                    ctx.send(*dst as usize, words.to_vec());
+                    ctx.send(*dst as usize, words);
                 }
             }
             rest = tail;
@@ -329,7 +328,7 @@ impl WireProgram for ScriptProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, ExecutorKind};
+    use crate::{Engine, ExecutorKind, LinkSlab, RoundDelivery};
 
     #[test]
     fn echo_ring_round_trips_through_its_wire_state() {
@@ -358,11 +357,11 @@ mod tests {
         assert!(reg.decode("cc.unknown", 0, 4, &[]).is_none());
 
         // A decoded program steps exactly like the original.
-        let inbox = NodeInbox::empty(4);
-        let (control, outbox) = step_node(boxed.as_mut(), 1, 4, 0, &inbox);
+        let (nothing, lanes) = (LinkSlab::empty(4), vec![Vec::new(); 4]);
+        let inbox = NodeInbox::new(&nothing, &lanes, 1);
+        let (control, outbox, _) = step_node(boxed.as_mut(), 0, inbox);
         assert_eq!(control, Control::Continue);
-        let (unicast, _) = outbox.into_parts();
-        assert_eq!(unicast, vec![(2, vec![1])]);
+        assert_eq!(outbox.messages().collect::<Vec<_>>(), vec![(2, &[1][..])]);
     }
 
     #[test]
@@ -383,42 +382,46 @@ mod tests {
         assert_eq!(report.engine_rounds, 3);
 
         let mut listener = programs[1].clone();
-        let mut inbox = NodeInbox::empty(2);
-        inbox.unicast[0] = vec![1, 2, 3];
-        for round in 0..2 {
-            let _ = step_node(&mut listener, 1, 2, round, &inbox);
+        let lanes = vec![Vec::new(); 2];
+        let heard = LinkSlab::from_runs(2, [(0, 1, &[1, 2, 3][..])].into_iter());
+        for (round, unicast) in [heard, LinkSlab::empty(2)].iter().enumerate() {
+            let _ = step_node(
+                &mut listener,
+                round as u64,
+                NodeInbox::new(unicast, &lanes, 1),
+            );
             listener = ScriptProgram::decode_state(1, 2, &WireProgram::encode_state(&listener));
-            inbox = NodeInbox::empty(2);
         }
         assert_eq!(listener.log(), &[0, 3, 1, 2, 3]);
     }
 
     #[test]
     fn step_node_matches_the_engine_loop() {
-        // Drive the ring by hand with step_node + the default fabric's
+        // Drive the ring by hand with step_node + the default barrier's
         // delivery, and compare against Engine::run.
         let n = 4;
         let expected = Engine::new(ExecutorKind::Sequential)
             .run((0..n).map(|_| EchoRingProgram::new(2)).collect());
 
         let mut programs: Vec<EchoRingProgram> = (0..n).map(|_| EchoRingProgram::new(2)).collect();
-        let mut inboxes: Vec<NodeInbox> = (0..n).map(|_| NodeInbox::empty(n)).collect();
+        let mut delivered = RoundDelivery::in_memory(LinkSlab::empty(n), vec![Vec::new(); n]);
         let mut halted = vec![false; n];
-        let mut fabric = crate::EngineFabric::new(crate::Executor::new(ExecutorKind::Sequential));
         let mut round = 0u64;
         while halted.iter().any(|h| !h) {
-            let mut outboxes = Vec::with_capacity(n);
+            let (mut outboxes, mut lanes) = (Vec::with_capacity(n), Vec::with_capacity(n));
             for (node, p) in programs.iter_mut().enumerate() {
                 if halted[node] {
-                    outboxes.push(NodeOutbox::default());
+                    outboxes.push(Outbox::new());
+                    lanes.push(Vec::new());
                     continue;
                 }
-                let (control, outbox) = step_node(p, node, n, round, &inboxes[node]);
+                let inbox = NodeInbox::new(&delivered.unicast, &delivered.broadcast, node);
+                let (control, outbox, broadcast) = step_node(p, round, inbox);
                 halted[node] = control == Control::Halt;
                 outboxes.push(outbox);
+                lanes.push(broadcast);
             }
-            let (delivered, _) = crate::Fabric::deliver_round(&mut fabric, n, outboxes);
-            inboxes = delivered;
+            delivered = RoundDelivery::in_memory(LinkSlab::gather(n, 0, &outboxes), lanes);
             round += 1;
         }
         for (a, b) in programs.iter().zip(&expected.programs) {

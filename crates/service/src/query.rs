@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 /// One question about one registered graph.
 ///
-/// Every variant maps to a *computation kind* ([`Query::compute_kind`])
+/// Every variant maps to a *computation kind* (the private `Query::compute_kind`)
 /// that, together with the graph's content fingerprint and the service's
 /// config-relevant knobs, forms the canonical cache key. Point-to-point
 /// [`Query::Distance`] queries deliberately share the [`Query::ApspTable`]

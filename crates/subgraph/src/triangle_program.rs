@@ -550,6 +550,7 @@ mod tests {
     use crate::triangles::count_triangles_3d;
     use cc_clique::{CliqueConfig, ExecutorKind, RelayPolicy};
     use cc_graph::{generators, oracle};
+    use cc_runtime::{LinkSlab, NodeInbox};
 
     /// A clique whose routing policy the program's header-free relaying
     /// reproduces exactly.
@@ -750,9 +751,10 @@ mod tests {
             .collect();
         let len = unicast[1].len() as isize + delta;
         unicast[1].resize(len as usize, 0);
-        let inbox = cc_runtime::NodeInbox::from_parts(unicast, vec![Vec::new(); n]);
+        let runs = unicast.iter().enumerate().map(|(src, w)| (src, 0, &w[..]));
+        let (unicast, lanes) = (LinkSlab::from_runs(n, runs), vec![Vec::new(); n]);
         let mut program = TriangleProgram::new(&g, 0, seed);
-        let _ = cc_runtime::step_node(&mut program, 0, n, 1, &inbox);
+        let _ = cc_runtime::step_node(&mut program, 1, NodeInbox::new(&unicast, &lanes, 0));
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! Adapter plugging a [`Transport`] into the runtime engine's round barrier.
 
-use crate::{LinkSlab, Transport};
-use cc_runtime::{Fabric, LinkLoads, NodeInbox, NodeOutbox, ResidentOutcome, Word};
-use std::sync::Arc;
+use crate::Transport;
+use cc_runtime::{BcastLanes, Fabric, LinkLoads, LinkSlab, ResidentOutcome, RoundDelivery, Word};
 
 /// Routes [`cc_runtime::Engine`] round barriers through a [`Transport`]:
-/// each engine round's outboxes are gathered into one [`LinkSlab`] and
-/// shipped onto the fabric, the barrier is the transport's round
-/// rendezvous, and the returned accounting comes from the transport's
-/// per-link word counts. The delivered slab is cut back into the per-node
-/// rows the engine's [`NodeInbox`] is made of. On the in-memory backend this is
-/// behaviourally identical to the engine's built-in
-/// [`cc_runtime::EngineFabric`] (same loads, same inbox assembly, shared
-/// broadcast slabs); on the socket and TCP backends the same program
-/// traffic physically crosses process boundaries.
+/// the slab the engine gathered from its nodes' outboxes is shipped onto
+/// the fabric whole ([`Transport::send_slab`]), then the broadcast slabs;
+/// the barrier is the transport's round rendezvous, and its
+/// [`RoundDelivery`] goes back to the engine as it is — every node's next
+/// inbox is a view of the delivered slab. On the in-memory backend this is
+/// the engine's default barrier ([`RoundDelivery::in_memory`]) behind a
+/// transport; on the socket and TCP backends the same program traffic
+/// physically crosses process boundaries.
 #[derive(Debug)]
 pub struct TransportFabric<'a> {
     transport: &'a mut dyn Transport,
@@ -27,46 +25,15 @@ impl<'a> TransportFabric<'a> {
     }
 }
 
-/// One node's round as [`NodeOutbox::into_parts`] yields it: `(dst, words)`
-/// unicast payloads and broadcast slabs, both in send order.
-type OutboxParts = (Vec<(usize, Vec<Word>)>, Vec<Arc<[Word]>>);
-
-/// Gathers the unicast sends of consecutive nodes' outboxes (`parts[i]`
-/// belongs to node `first + i`) into one slab of an `n`-clique, each link's
-/// payloads in send order.
-pub(crate) fn gather_outboxes(n: usize, first: usize, parts: &[OutboxParts]) -> LinkSlab {
-    let runs = parts.iter().enumerate().flat_map(|(i, (unicast, _))| {
-        unicast
-            .iter()
-            .map(move |(dst, words)| (first + i, *dst, words.as_slice()))
-    });
-    LinkSlab::from_runs(n, runs)
-}
-
 impl Fabric for TransportFabric<'_> {
-    fn deliver_round(
-        &mut self,
-        n: usize,
-        outboxes: Vec<NodeOutbox>,
-    ) -> (Vec<NodeInbox>, LinkLoads) {
-        assert_eq!(n, self.transport.n(), "engine and transport disagree on n");
-        let parts: Vec<_> = outboxes.into_iter().map(NodeOutbox::into_parts).collect();
-        self.transport.send_slab(gather_outboxes(n, 0, &parts));
-        for (src, (_, broadcast)) in parts.into_iter().enumerate() {
-            for slab in broadcast {
+    fn deliver_round(&mut self, unicast: LinkSlab, broadcast: BcastLanes) -> RoundDelivery {
+        self.transport.send_slab(unicast);
+        for (src, lane) in broadcast.into_iter().enumerate() {
+            for slab in lane {
                 self.transport.broadcast(src, slab);
             }
         }
-        let round = self.transport.finish_round();
-        let inboxes = (0..n)
-            .map(|dst| {
-                let unicast = (0..n)
-                    .map(|src| round.unicast.link(src, dst).to_vec())
-                    .collect();
-                NodeInbox::from_parts(unicast, round.broadcast.clone())
-            })
-            .collect();
-        (inboxes, round.loads)
+        self.transport.finish_round()
     }
 
     fn is_resident(&self) -> bool {

@@ -8,14 +8,16 @@ use std::sync::Arc;
 
 /// The classical fabric. Queued unicast traffic is one [`LinkSlab`] — built
 /// by whoever generated the round and handed over with
-/// [`Transport::send_slab`] — and the barrier **moves** it into the
-/// [`RoundDelivery`]: no word is copied and no per-link queue exists.
-/// Rounds assembled from several `send`/`send_slab` calls are merged by one
-/// counting sort first. A round that is exactly one slab carrying its own
-/// loads ([`LinkSlab::with_loads`]) and no broadcast is charged those loads
-/// as they are; any other round is accounted off the slab's offset table in
-/// one pass. Either way the loads are the ones every other backend reports,
-/// so round counts and pattern fingerprints are identical.
+/// [`Transport::send_slab`] — and the barrier is the workspace's one
+/// in-memory delivery, [`RoundDelivery::in_memory`], which **moves** the
+/// slab into the [`RoundDelivery`]: no word is copied and no per-link queue
+/// exists. Rounds assembled from several `send`/`send_slab` calls are
+/// merged by one counting sort first. A round that is exactly one slab
+/// carrying its own loads ([`LinkSlab::with_loads`]) and no broadcast is
+/// charged those loads as they are; any other round is accounted off the
+/// slab's offset table in one pass. Either way the loads are the ones every
+/// other backend reports, so round counts and pattern fingerprints are
+/// identical.
 ///
 /// Broadcast slabs are delivered zero-copy: [`RoundDelivery::broadcast`]
 /// holds the sender's own `Arc<[Word]>` allocations, once per source.
@@ -58,18 +60,8 @@ impl Transport for InMemoryTransport {
     }
 
     fn finish_round(&mut self) -> RoundDelivery {
-        let mut unicast = self.pending.take_slab();
-        let broadcast = self.pending.take_bcasts();
-        let loads = match unicast.take_loads() {
-            Some(loads) if broadcast.iter().all(Vec::is_empty) => loads,
-            _ => unicast.link_loads(&broadcast),
-        };
         self.epoch += 1;
-        RoundDelivery {
-            unicast,
-            broadcast,
-            loads,
-        }
+        RoundDelivery::in_memory(self.pending.take_slab(), self.pending.take_bcasts())
     }
 
     fn epoch(&self) -> u64 {

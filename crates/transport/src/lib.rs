@@ -41,37 +41,41 @@
 //!
 //! A round's unicast traffic is a single flat, destination-major
 //! [`LinkSlab`]: link `(src, dst)` is the slice
-//! `words[offsets[dst * n + src]..offsets[dst * n + src + 1]]`. The
-//! primitive that generates the traffic builds the slab by a two-pass
-//! counting sort ([`SlabWriter`]) and hands it over in one call
-//! ([`Transport::send_slab`]); the barrier hands a slab back
-//! ([`RoundDelivery::unicast`]) together with the round's broadcast slabs
-//! (one list per *source*, shared by every recipient) and its canonical
-//! [`LinkLoads`]. On the stream backend the slab is also the wire unit: each
-//! worker owns a contiguous range of destinations, hence a contiguous range
-//! of any slab, which ships as **one** [`Frame::Shard`] (the range's
-//! per-link lengths, then its words, encoded straight from the slab's
-//! slices). On the star the orchestrator ships each worker its range of the
-//! round's slab, the worker echoes it as one frame, and it is appended to
-//! the delivered slab in one step. On the program-resident peer mesh each
-//! worker gathers its own nodes' outboxes into a slab, keeps its own range
-//! and ships every peer the peer's range; the receiver cuts its nodes'
-//! inboxes from the shards, each source's words from the shard of the worker
-//! owning that source. Either way the workers' commit tokens carry their
-//! charged words as dense tables in the same link order, and those tables
-//! laid end to end *are* the round's [`LinkLoads`] table (destination-major,
-//! like the slab), taken over in one pass. Nothing on any path keeps a queue
-//! per link.
+//! `words[offsets[dst * n + src]..offsets[dst * n + src + 1]]`. The slab,
+//! the delivery and the in-memory barrier are `cc_runtime`'s (re-exported
+//! here): the engine and every clique primitive speak them, and this crate
+//! keeps only the fabrics and the wire. The primitive that generates the
+//! traffic builds the slab by a two-pass counting sort ([`SlabWriter`]) and
+//! hands it over in one call ([`Transport::send_slab`]); the barrier hands
+//! a slab back ([`RoundDelivery::unicast`]) together with the round's
+//! broadcast slabs (one list per *source*, shared by every recipient) and
+//! its canonical [`LinkLoads`]. On the stream backend the slab is also the
+//! wire unit: each worker owns a contiguous range of destinations, hence a
+//! contiguous range of any slab, which ships as **one** [`Frame::Shard`]
+//! (the range's per-link lengths, then its words, encoded straight from the
+//! slab's slices). On the star the orchestrator ships each worker its range
+//! of the round's slab, the worker echoes it as one frame, and it is
+//! appended to the delivered slab in one step. On the program-resident peer
+//! mesh each worker gathers its own nodes' outboxes into a slab, keeps its
+//! own range and ships every peer the peer's range; the receiver lays its
+//! destinations' rows of the delivered slab out link by link, each source's
+//! words from the shard of the worker owning that source, and its nodes
+//! read their next inboxes as views of those rows. Either way the workers'
+//! commit tokens carry their charged words as dense tables in the same link
+//! order, and those tables laid end to end *are* the round's [`LinkLoads`]
+//! table (destination-major, like the slab), taken over in one pass.
+//! Nothing on any path keeps a queue per link.
 //!
 //! A slab may arrive carrying its own loads ([`LinkSlab::with_loads`]): a
 //! cached routed step knows both relay phases' per-link counts before it
 //! places a word, and `send_slab` checks them against the offset table. The
-//! in-memory barrier charges those attached loads as they are when the
-//! round is exactly that one slab with no broadcast; a round merged from
-//! several parts, or with a broadcast, is recounted off the merged offset
-//! table in one pass ([`LinkSlab::link_loads`]). The stream fabrics always
-//! charge what their workers' commit tables report, which is what actually
-//! crossed the wire.
+//! in-memory barrier ([`RoundDelivery::in_memory`], the engine's default
+//! barrier too) charges those attached loads as they are when the round is
+//! exactly that one slab with no broadcast; a round merged from several
+//! parts, or with a broadcast, is recounted off the merged offset table in
+//! one pass ([`LinkSlab::link_loads`]). The stream fabrics always charge
+//! what their workers' commit tables report, which is what actually crossed
+//! the wire.
 //!
 //! ## Determinism contract
 //!
@@ -125,36 +129,16 @@ pub use crate::frame::{
     read_frame, write_frame, Frame, FrameError, MAX_FRAME_BYTES,
 };
 pub use crate::inmemory::InMemoryTransport;
-pub use crate::slab::{LinkSlab, SlabWriter};
 pub use crate::socket::{worker_main, StreamTransport, DEFAULT_STREAM_WORKERS};
 pub use crate::traced::TracedTransport;
+// The round's shared types live in `cc_runtime`, beside the engine that
+// speaks them; re-exported here, where the fabrics use them.
+pub use cc_runtime::{BcastLanes, LinkSlab, RoundDelivery, SlabWriter};
 
 use cc_runtime::{Executor, LinkLoads, ResidentOutcome, Word};
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::Arc;
-
-/// Broadcast slabs of one round, indexed by source: `lanes[src]` holds the
-/// slabs `src` broadcast, in send order.
-pub type BcastLanes = Vec<Vec<Arc<[Word]>>>;
-
-/// Everything a round barrier yields: the delivered unicast traffic, the
-/// broadcast slabs, and the round's per-link word accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundDelivery {
-    /// The delivered unicast words: node `dst` received
-    /// `unicast.link(src, dst)` from `src`, in send order.
-    pub unicast: LinkSlab,
-    /// `broadcast[src]` — broadcast slabs from `src`, in send order. Every
-    /// node receives every slab, the sender included, so the lanes are kept
-    /// once per source and shared by all recipients (on every backend they
-    /// are the sender's own `Arc`s).
-    pub broadcast: BcastLanes,
-    /// The round's link loads; self-links are free, and
-    /// [`LinkLoads::iter`] yields the charged links in canonical
-    /// `(src, dst)` order.
-    pub loads: LinkLoads,
-}
 
 /// A synchronous-round message fabric for `n` clique nodes.
 ///

@@ -1,8 +1,6 @@
 //! The parent-side buffer accumulating one round's outgoing traffic.
 
-use crate::slab::{LinkSlab, SlabWriter};
-use crate::BcastLanes;
-use cc_runtime::Word;
+use cc_runtime::{BcastLanes, LinkSlab, SlabWriter, Word};
 use std::sync::Arc;
 
 /// One piece of a round's queued unicast traffic, in call order.

@@ -28,14 +28,15 @@
 //! link drains incoming frames into a shared queue, so the blocking batched
 //! writes on the send side can never distributed-deadlock.
 
-use crate::fabric::gather_outboxes;
 use crate::frame::{
     push_bcast_frame, push_frame, push_shard_frame, read_frame, write_frame, Frame,
 };
 use crate::socket::{push_telemetry, shard, Assignment, ACCEPT_DEADLINE};
 use crate::star::{check, commit_table, protocol_error};
-use crate::{BcastLanes, LinkSlab};
-use cc_runtime::{step_node, Control, NodeInbox, NodeOutbox, ResidentNode, ResidentRegistry, Word};
+use cc_runtime::{
+    step_node, BcastLanes, Control, LinkSlab, NodeInbox, Outbox, ResidentNode, ResidentRegistry,
+    Word,
+};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
@@ -194,8 +195,8 @@ struct MeshRound<'a> {
 
 /// What one peer's nodes sent into this worker's destinations: the per-link
 /// lengths (`lens[(dst - lo) * n + src]`, zero wherever the peer does not
-/// own `src`), the words end to end, and how many of them have been handed
-/// out to inboxes so far.
+/// own `src`), the words end to end, and how many of them have been moved
+/// into the delivered slab so far.
 #[derive(Debug)]
 struct PeerShard {
     lens: Vec<u32>,
@@ -286,33 +287,35 @@ impl<'a> MeshRound<'a> {
         Ok(())
     }
 
-    /// Closes the round: the next inboxes of the owned destinations —
-    /// per-source unicast lanes, cut from `own` (this worker's slab) or from
-    /// the shard of the peer owning the source, plus the full broadcast
-    /// lane set (every node hears every slab, sender included) — and the
-    /// round's commit table.
-    fn deliver(mut self, own: &LinkSlab) -> io::Result<(Vec<NodeInbox>, Vec<u32>)> {
+    /// Closes the round: the delivered slab of the owned destinations —
+    /// their rows laid out link by link, each source's words taken from
+    /// `own` (this worker's slab) or from the shard of the peer owning the
+    /// source; every other row is empty — the full broadcast lane set
+    /// (every node hears every slab, sender included), and the round's
+    /// commit table, read off the delivered slab.
+    fn deliver(mut self, own: &LinkSlab) -> io::Result<(LinkSlab, BcastLanes, Vec<u32>)> {
         let n = self.n;
         let owned = self.workers[self.me].clone();
-        let mut inboxes = Vec::with_capacity(owned.len());
+        let mut offsets = vec![0; owned.start * n];
+        let mut words = Vec::new();
         for (d, dst) in owned.clone().enumerate() {
-            let mut unicast = Vec::with_capacity(n);
             for (j, sources) in self.workers.iter().enumerate() {
                 for src in sources.clone() {
-                    let words = match &mut self.shards[j] {
+                    offsets.push(words.len());
+                    words.extend_from_slice(match &mut self.shards[j] {
                         _ if j == self.me => own.link(src, dst),
                         Some(shard) => shard.next_link(d * n + src),
                         None => &[],
-                    };
-                    unicast.push(words.to_vec());
+                    });
                 }
             }
-            inboxes.push(NodeInbox::from_parts(unicast, self.bcast_slabs.clone()));
         }
-        let loads = commit_table(owned, &self.bcast_words, |d, src| {
-            inboxes[d].received(src).len()
+        offsets.resize(n * n + 1, words.len());
+        let unicast = LinkSlab::from_raw(n, offsets, words);
+        let loads = commit_table(owned.clone(), &self.bcast_words, |d, src| {
+            unicast.link(src, owned.start + d).len()
         })?;
-        Ok((inboxes, loads))
+        Ok((unicast, self.bcast_slabs, loads))
     }
 }
 
@@ -369,25 +372,27 @@ pub(crate) fn resident_session<R: Read, W: Write>(
         .collect::<io::Result<_>>()?;
 
     let mut halted = vec![false; count];
-    let mut inboxes: Vec<NodeInbox> = (0..count)
-        .map(|_| NodeInbox::from_parts(vec![Vec::new(); n], vec![Vec::new(); n]))
-        .collect();
+    // The last delivery: the owned rows of the delivered slab, and the
+    // broadcast lanes. Every owned node's inbox is a view of it.
+    let (mut unicast, mut lanes) = (LinkSlab::empty(n), vec![Vec::new(); n]);
     let mut round = 0u64;
     loop {
         // Step phase: exactly the engine's loop — halted programs produce
         // empty outboxes, a program's same-round sends are delivered even
         // when it halts this round.
         let mut outboxes = Vec::with_capacity(count);
+        let mut broadcasts = Vec::with_capacity(count);
         for (i, program) in programs.iter_mut().enumerate() {
             if halted[i] {
-                outboxes.push(NodeOutbox::default());
+                outboxes.push(Outbox::new());
+                broadcasts.push(Vec::new());
                 continue;
             }
-            let (control, outbox) = step_node(program.as_mut(), lo + i, n, round, &inboxes[i]);
-            if control == Control::Halt {
-                halted[i] = true;
-            }
+            let inbox = NodeInbox::new(&unicast, &lanes, lo + i);
+            let (control, outbox, broadcast) = step_node(program.as_mut(), round, inbox);
+            halted[i] = control == Control::Halt;
             outboxes.push(outbox);
+            broadcasts.push(broadcast);
         }
         let live_local = halted.iter().filter(|&&h| !h).count();
         round += 1;
@@ -397,12 +402,11 @@ pub(crate) fn resident_session<R: Read, W: Write>(
         // when nothing goes there), every broadcast slab — encoded once —
         // and the round delimiter, as one batch in one write; this worker's
         // own shard never leaves the slab.
-        let parts: Vec<_> = outboxes.into_iter().map(NodeOutbox::into_parts).collect();
-        let slab = gather_outboxes(n, lo, &parts);
+        let slab = LinkSlab::gather(n, lo, &outboxes);
         let mut arrivals = MeshRound::new(epoch, n, &mesh.shards, mesh.me);
         let mut bcast_batch = Vec::new();
         let mut bcast_frames = 0usize;
-        for (i, (_, broadcast)) in parts.into_iter().enumerate() {
+        for (i, broadcast) in broadcasts.into_iter().enumerate() {
             for words in broadcast {
                 push_bcast_frame(&mut bcast_batch, epoch, (lo + i) as u32, &words);
                 bcast_frames += 1;
@@ -442,8 +446,8 @@ pub(crate) fn resident_session<R: Read, W: Write>(
                 .map_err(|_| protocol_error("peer mesh closed mid-round"))?;
             arrivals.accept(peer, frame?)?;
         }
-        let (delivered, loads) = arrivals.deliver(&slab)?;
-        inboxes = delivered;
+        let loads;
+        (unicast, lanes, loads) = arrivals.deliver(&slab)?;
 
         // The worker's own view of the round: its shard's live count and
         // the bytes it pushed into the mesh.
@@ -527,9 +531,8 @@ mod tests {
     #[test]
     fn tcp_star_matches_inmemory() {
         let n = 5;
-        let mut reference =
-            cc_runtime::EngineFabric::new(cc_runtime::Executor::new(ExecutorKind::Sequential));
-        let expected = run_echo_ring(&mut reference, n);
+        let mut reference = crate::InMemoryTransport::new(n);
+        let expected = run_echo_ring(&mut TransportFabric::new(&mut reference), n);
 
         let mut transport = StreamTransport::tcp(n, 2, false, None);
         let mut fabric = TransportFabric::new(&mut transport);
@@ -545,9 +548,8 @@ mod tests {
     #[test]
     fn tcp_resident_matches_inmemory_and_bypasses_the_orchestrator() {
         let n = 5;
-        let mut reference =
-            cc_runtime::EngineFabric::new(cc_runtime::Executor::new(ExecutorKind::Sequential));
-        let expected = run_echo_ring(&mut reference, n);
+        let mut reference = crate::InMemoryTransport::new(n);
+        let expected = run_echo_ring(&mut TransportFabric::new(&mut reference), n);
 
         let mut transport = StreamTransport::tcp(n, 3, true, None);
         let mut fabric = TransportFabric::new(&mut transport);
@@ -730,13 +732,18 @@ mod tests {
         round.accept(0, Frame::RoundEnd { epoch: 9 }).unwrap();
         assert_eq!(round.ends, 2);
 
-        let (inboxes, loads) = round.deliver(&own).unwrap();
+        let (unicast, lanes, loads) = round.deliver(&own).unwrap();
+        let inboxes = [2, 3].map(|dst| NodeInbox::new(&unicast, &lanes, dst));
         assert_eq!(inboxes[0].received(4), &[0]);
         assert_eq!(inboxes[1].received(2), &[20, 21]);
         assert_eq!(inboxes[1].received(3), &[33]);
         assert_eq!(inboxes[1].received(6), &[1, 2]);
-        assert_eq!(inboxes[0].total_words(), 1 + 3);
-        assert_eq!(inboxes[1].total_words(), 5 + 3);
+        // Each owned row, plus the 3 broadcast words every node hears; the
+        // rows this worker does not own stay empty.
+        let bcast: usize = lanes.iter().flatten().map(|slab| slab.len()).sum();
+        assert_eq!(unicast.row(2).len() + bcast, 1 + 3);
+        assert_eq!(unicast.row(3).len() + bcast, 5 + 3);
+        assert_eq!(unicast.total_words(), 6);
         // Links into 2, then into 3: unicast plus the source's broadcast
         // words, nothing on the self links (2→2 and 3→3).
         assert_eq!(loads, vec![0, 0, 0, 0, 1, 0, 1, 0, 0, 4, 0, 0, 0, 3]);
@@ -787,10 +794,9 @@ mod tests {
             (0..n).map(|_| EchoRingProgram::new(2)).collect(),
             |_: &LinkLoads| {},
         );
-        let mut reference =
-            cc_runtime::EngineFabric::new(cc_runtime::Executor::new(ExecutorKind::Sequential));
+        let mut reference = crate::InMemoryTransport::new(n);
         let expected = engine.run_wire_traced_on(
-            &mut reference,
+            &mut TransportFabric::new(&mut reference),
             (0..n).map(|_| EchoRingProgram::new(2)).collect(),
             |_: &LinkLoads| {},
         );

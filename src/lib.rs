@@ -79,12 +79,17 @@
 //!
 //! What the executor fans out is *node-local* work: message generators
 //! (`exchange_par` / `route_par` / `gossip_par`), the local steps of the
-//! algorithms, and engine rounds. The communication step itself is one
-//! sequential pass, because it is cheap by construction: the generators'
-//! messages are counting-sorted into **one flat buffer per round** (a
-//! [`LinkSlab`](transport::LinkSlab), see "Transport layer" below), handed
-//! to the fabric in a single call, and — on the in-memory fabric — handed
-//! back as the inboxes without a word being copied. The balanced router
+//! algorithms, and the steps of [`NodeProgram`](runtime::NodeProgram)s.
+//! The communication step itself is one sequential pass, because it is
+//! cheap by construction: a round's messages — a generator's or a program's
+//! [`Outbox`](runtime::Outbox) — are counting-sorted into **one flat buffer
+//! per round** (a [`LinkSlab`](runtime::LinkSlab), see "Transport layer"
+//! below), handed to the fabric in a single call, and — on the in-memory
+//! fabric, [`RoundDelivery::in_memory`](runtime::RoundDelivery::in_memory)
+//! — handed back as the inboxes without a word being copied. A program's
+//! inbox is a view of its row of that slab; the engine's barrier is the
+//! [`Fabric`](runtime::Fabric) seam, where a transport plugs in. The
+//! balanced router
 //! draws a relay per word and counts per-link loads once per message
 //! *shape* (pass one, cached process-wide: see "Relay schedules" in
 //! [`clique`]), then scatters the words into each phase's slab by that
@@ -247,20 +252,24 @@
 //! barrier is a rendezvous, selected by
 //! [`CliqueConfig::transport`](clique::CliqueConfig).
 //!
-//! A round's unicast traffic has **one representation end to end**: a
-//! [`LinkSlab`](transport::LinkSlab) — `n`, an offset table of `n² + 1`
+//! A round's unicast traffic has **one representation end to end**, for
+//! clique primitives and engine rounds alike: a
+//! [`LinkSlab`](runtime::LinkSlab) — `n`, an offset table of `n² + 1`
 //! entries, and one word buffer, laid out destination-major so that link
 //! `(src, dst)` is `words[offsets[dst·n + src] .. offsets[dst·n + src + 1]]`
 //! and everything one node receives is contiguous. The primitive that
 //! generates the traffic builds it (a two-pass counting sort,
-//! [`SlabWriter`](transport::SlabWriter)) and calls
+//! [`SlabWriter`](runtime::SlabWriter), or
+//! [`LinkSlab::gather`](runtime::LinkSlab::gather) over the nodes'
+//! outboxes) and calls
 //! [`Transport::send_slab`](transport::Transport::send_slab) once; the
-//! barrier returns a [`RoundDelivery`](transport::RoundDelivery) holding
+//! barrier returns a [`RoundDelivery`](runtime::RoundDelivery) holding
 //! the delivered slab, the round's broadcast slabs (one list per *source*,
 //! shared by every recipient), and the round's
 //! [`LinkLoads`](runtime::LinkLoads): one destination-major count table,
 //! walked in canonical `(src, dst)` order only by what iterates it.
-//! [`Inboxes::received`](clique::Inboxes::received) is a slice of that
+//! [`Inboxes::received`](clique::Inboxes::received) and
+//! [`RoundCtx::received`](runtime::RoundCtx::received) are slices of that
 //! slab. Word-at-a-time [`Transport::send`](transport::Transport::send)
 //! still exists for hand-driven rounds; such calls are logged and
 //! counting-sorted into the slab at the barrier, in call order per link.
