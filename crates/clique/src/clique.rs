@@ -5,11 +5,11 @@ use crate::network::Network;
 use crate::schedule::{pack_head, splitmix, RouteSchedule};
 use crate::stats::Stats;
 use crate::word::Word;
-use cc_netsim::{NetsimConfig, NetsimTransport};
+use cc_netsim::{Netsim, NetsimConfig};
 use cc_runtime::{
     Engine, Executor, ExecutorKind, LinkLoads, LinkSlab, NodeProgram, Outbox, WireProgram,
 };
-use cc_transport::{TransportFabric, TransportKind};
+use cc_transport::TransportKind;
 use std::sync::Arc;
 
 /// Communication regime of the simulated clique.
@@ -79,7 +79,7 @@ pub struct CliqueConfig {
     /// the process onto a given fabric; an unrecognised value is reported
     /// once and falls back to in-memory.
     pub transport: TransportKind,
-    /// Simulated network conditions layered over the transport (see
+    /// Simulated network conditions observed at every round barrier (see
     /// [`NetsimConfig`]): seeded per-link latency/jitter, stragglers,
     /// message loss with retransmission, and node crash/restart fault
     /// plans. Results, rounds, words, and pattern fingerprints are
@@ -157,9 +157,9 @@ pub struct Clique {
     stats: Stats,
     cfg: CliqueConfig,
     exec: Executor,
-    /// Simulated network time already drained from the transport into
-    /// `stats` — the transport's counter is cumulative for its lifetime,
-    /// while `stats` is per-run (it survives `reset`).
+    /// Simulated network time already drained from the network's link
+    /// conditions into `stats` — their counter is cumulative for the
+    /// clique's lifetime, while `stats` is per-run (it survives `reset`).
     sim_seen: u64,
 }
 
@@ -202,14 +202,13 @@ impl Clique {
             n >= 2,
             "a congested clique needs at least 2 nodes (got {n})"
         );
-        // The condition layer wraps the *outside* of the built transport
-        // (including any tracing decorator), so every round barrier —
-        // closure primitives and engine-driven runs alike — is conditioned.
-        // `wrap` is the identity for `NetsimProfile::Off`.
-        let transport = NetsimTransport::wrap(cfg.transport.build(n, exec.clone()), cfg.netsim);
+        // The network observes every round barrier — closure primitives
+        // and engine-driven runs alike — so the link conditions see them
+        // all. An off profile builds no `Netsim`.
+        let transport = cfg.transport.build(n, exec.clone());
         Self {
             n,
-            net: Network::new(n, transport),
+            net: Network::new(n, transport, Netsim::new(n, cfg.netsim)),
             stats: Stats::new(cfg.record_patterns),
             exec,
             cfg,
@@ -239,8 +238,8 @@ impl Clique {
             }
         });
         self.stats = Stats::new(self.cfg.record_patterns);
-        // Simulated network time, like transport epochs, keeps counting on
-        // the fabric across resets; re-anchor so the fresh stats only see
+        // Simulated network time, like transport epochs, keeps counting in
+        // the network across resets; re-anchor so the fresh stats only see
         // time accrued from here on.
         self.sim_seen = self.net.sim_time_ns();
     }
@@ -321,8 +320,8 @@ impl Clique {
         self.stats.sim_time_ns()
     }
 
-    /// Simulated message retransmissions performed by the condition layer
-    /// over the transport's lifetime (like [`Clique::transport_epochs`],
+    /// Simulated message retransmissions drawn by the link conditions
+    /// over the clique's lifetime (like [`Clique::transport_epochs`],
     /// this is a lifetime diagnostic that keeps counting across resets).
     /// `0` unless a lossy `cc-netsim` profile is active.
     #[must_use]
@@ -330,8 +329,8 @@ impl Clique {
         self.net.net_retransmits()
     }
 
-    /// Simulated node crashes injected by the condition layer over the
-    /// transport's lifetime. `0` unless a fault-plan profile
+    /// Simulated node crashes injected by the link conditions over the
+    /// clique's lifetime. `0` unless a fault-plan profile
     /// (`flaky-node`) is active.
     #[must_use]
     pub fn net_faults(&self) -> u64 {
@@ -381,9 +380,10 @@ impl Clique {
         self.sync_sim_time();
     }
 
-    /// Drains simulated network time newly accrued on the transport into
-    /// the per-run stats (attributed to every active phase). A no-op on an
-    /// unconditioned fabric, where the transport's counter stays at zero.
+    /// Drains simulated network time newly accrued by the network's link
+    /// conditions into the per-run stats (attributed to every active
+    /// phase). A no-op on an unconditioned network, whose counter stays at
+    /// zero.
     fn sync_sim_time(&mut self) {
         let total = self.net.sim_time_ns();
         let delta = total - self.sim_seen;
@@ -589,12 +589,12 @@ impl Clique {
         assert_eq!(programs.len(), self.n, "need exactly one program per node");
         let engine = Engine::with_executor(self.exec.clone());
         let stats = &mut self.stats;
-        // Every engine round barrier is a transport rendezvous: outboxes
-        // ship onto the configured fabric, which delivers them and accounts
-        // the traffic. On the in-memory backend this is behaviourally
+        // Every engine round barrier is a transport rendezvous through the
+        // network: outboxes ship onto the configured fabric, which delivers
+        // them and accounts the traffic, and the committed round is observed
+        // like any flush. On the in-memory backend this is behaviourally
         // identical to the engine's built-in delivery.
-        let mut fabric = TransportFabric::new(self.net.transport_mut());
-        let report = engine.run_traced_on(&mut fabric, programs, |loads| {
+        let report = engine.run_traced_on(&mut self.net, programs, |loads| {
             stats.record_fingerprint(loads);
         });
         stats.charge(report.rounds, report.words);
@@ -619,8 +619,7 @@ impl Clique {
         assert_eq!(programs.len(), self.n, "need exactly one program per node");
         let engine = Engine::with_executor(self.exec.clone());
         let stats = &mut self.stats;
-        let mut fabric = TransportFabric::new(self.net.transport_mut());
-        let report = engine.run_wire_traced_on(&mut fabric, programs, |loads| {
+        let report = engine.run_wire_traced_on(&mut self.net, programs, |loads| {
             stats.record_fingerprint(loads);
         });
         stats.charge(report.rounds, report.words);
@@ -1071,6 +1070,49 @@ mod tests {
         assert_eq!(c.sim_time_ns(), 0, "reset re-anchors simulated time");
         c.broadcast(|v| v as u64);
         assert!(c.sim_time_ns() > 0, "post-reset barriers accrue fresh time");
+    }
+
+    #[test]
+    fn crash_recovery_replays_the_faultless_engine_run() {
+        // EchoRing for 30 rounds under the flaky profile: two crashes land
+        // mid-run, the engine re-ships state through the WireProgram codec,
+        // and the final states match an unconditioned run bit for bit.
+        use cc_netsim::NetsimProfile;
+        use cc_runtime::EchoRingProgram;
+        let n = 6;
+        let programs = || (0..n).map(|_| EchoRingProgram::new(30)).collect::<Vec<_>>();
+        let base = CliqueConfig {
+            executor: ExecutorKind::Sequential,
+            transport: TransportKind::InMemory,
+            netsim: NetsimConfig::default(),
+            ..CliqueConfig::default()
+        };
+        let mut plain = Clique::with_config(n, base.clone());
+        let plain_programs = plain.run_wire_programs(programs());
+
+        let mut flaky = Clique::with_config(
+            n,
+            CliqueConfig {
+                netsim: NetsimConfig {
+                    profile: NetsimProfile::FlakyNode,
+                    seed: 17,
+                },
+                ..base
+            },
+        );
+        let programs = flaky.run_wire_programs(programs());
+
+        assert_eq!(flaky.rounds(), plain.rounds());
+        assert_eq!(flaky.stats().words(), plain.stats().words());
+        assert_eq!(flaky.transport_epochs(), plain.transport_epochs());
+        for (node, (a, b)) in programs.iter().zip(&plain_programs).enumerate() {
+            assert_eq!(a, b, "node {node} diverged under crash recovery");
+        }
+        assert!(
+            flaky.net_faults() >= 2,
+            "31 barriers at crash_period 12 must crash at least twice"
+        );
+        assert!(flaky.sim_time_ns() > 0);
     }
 
     #[test]

@@ -89,10 +89,13 @@
 //!
 //! ## Network conditions
 //!
-//! [`CliqueConfig::netsim`] layers a seeded, fully deterministic
-//! condition model (`cc-netsim`) over whichever fabric is selected:
-//! per-link latency and jitter, stragglers, message loss with bounded
-//! retransmission, and node crash/restart fault plans. Conditioning is
+//! [`CliqueConfig::netsim`] selects a seeded, fully deterministic
+//! condition model (`cc-netsim`) that reads every round barrier the
+//! clique commits, whichever fabric is selected — closure primitives,
+//! engine rounds and resident sessions alike: per-link latency and
+//! jitter, stragglers, message loss with bounded retransmission, and node
+//! crash/restart fault plans. It sees each committed round's epoch and
+//! per-link loads, never a delivery or the transport. Conditioning is
 //! **observer-plus-recovery only** — results, rounds, words, and pattern
 //! fingerprints stay bit-identical to an unconditioned run — while a new
 //! accounting column, [`Stats::sim_time_ns`] / [`Clique::sim_time_ns`],

@@ -1,13 +1,17 @@
-//! Link-level execution: a thin shell over the pluggable transport.
+//! Link-level execution: a thin shell over the pluggable transport, and
+//! the one place the orchestrating process observes a committed barrier.
 
 use crate::inbox::Inboxes;
 use crate::word::Word;
+use cc_netsim::Netsim;
 // The cost model (`LinkLoads`) lives in `cc_runtime` so that engine-driven
 // and flush-driven accounting share one source of truth; this crate
 // re-exports it from `lib.rs`.
-use cc_runtime::LinkLoads;
+use cc_runtime::{BcastLanes, Fabric, LinkLoads, ResidentOutcome};
+use cc_telemetry::{Event, LinkHistogram, TraceLevel};
 use cc_transport::{LinkSlab, RoundDelivery, Transport};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The physical network: one round's words on every directed link, carried
 /// by a pluggable [`Transport`] backend.
@@ -24,16 +28,32 @@ use std::sync::Arc;
 /// socket and TCP backends ship it shard by shard to worker processes. All are
 /// bit-identical in deliveries, loads, and therefore rounds and pattern
 /// fingerprints.
+///
+/// Every barrier the orchestrator commits — a closure primitive's flush, a
+/// classical engine round ([`Fabric`]), a resident session's rounds — is
+/// observed here and nowhere else: round tracing emits
+/// [`Event::TransportRound`] (resident rounds excepted, whose traffic never
+/// crosses this process), and the [`Netsim`], when a profile is on, reads
+/// the committed epoch and loads.
 #[derive(Debug)]
 pub struct Network {
     n: usize,
     transport: Box<dyn Transport>,
+    netsim: Option<Netsim>,
+    /// Round tracing was on when the network was built: like the global
+    /// telemetry handle, fixed for the network's lifetime.
+    traced: bool,
 }
 
 impl Network {
-    pub(crate) fn new(n: usize, transport: Box<dyn Transport>) -> Self {
+    pub(crate) fn new(n: usize, transport: Box<dyn Transport>, netsim: Option<Netsim>) -> Self {
         assert_eq!(transport.n(), n, "transport sized for a different clique");
-        Self { n, transport }
+        Self {
+            n,
+            transport,
+            netsim,
+            traced: cc_telemetry::global().enabled(TraceLevel::Rounds),
+        }
     }
 
     /// Queues a whole round's unicast traffic in one call.
@@ -51,19 +71,64 @@ impl Network {
     /// Executes the round barrier, returning the delivered unicast messages
     /// and the loads that determine the round cost.
     pub(crate) fn flush(&mut self) -> (Inboxes, LinkLoads) {
-        let round = self.transport.finish_round();
+        let round = self.flush_full();
         (Inboxes::from_slab(round.unicast), round.loads)
     }
 
     /// Executes the round barrier, returning the full delivery (unicast
-    /// slab and broadcast lanes) for primitives that ship slabs.
+    /// slab and broadcast lanes) for primitives that ship slabs. Every
+    /// barrier the orchestrator commits comes through here, and so do its
+    /// observers: the traced barrier's wall-clock and link statistics,
+    /// then the link conditions of the epoch it committed.
     pub(crate) fn flush_full(&mut self) -> RoundDelivery {
-        self.transport.finish_round()
+        let round = if self.traced {
+            let start = Instant::now();
+            let round = self.transport.finish_round();
+            let barrier_ns = start.elapsed().as_nanos() as u64;
+            self.trace_round(&round.loads, barrier_ns);
+            round
+        } else {
+            self.transport.finish_round()
+        };
+        if let Some(netsim) = &mut self.netsim {
+            // `finish_round` already advanced the epoch; condition the one
+            // this barrier committed.
+            netsim.on_round(self.transport.epoch() - 1, &round.loads);
+        }
+        round
     }
 
-    /// The transport carrying this network's traffic.
-    pub(crate) fn transport_mut(&mut self) -> &mut dyn Transport {
-        &mut *self.transport
+    /// Emits the [`Event::TransportRound`] of the barrier that just
+    /// committed: link count, words, max-vs-mean skew, a per-link
+    /// word-count histogram, and the barrier wall-clock.
+    fn trace_round(&self, loads: &LinkLoads, barrier_ns: u64) {
+        cc_telemetry::global().emit(TraceLevel::Rounds, || {
+            let mut links = 0usize;
+            let mut words = 0u64;
+            let mut max_link = 0u64;
+            let mut hist = LinkHistogram::default();
+            for (_, _, w) in loads.iter() {
+                let w = w as u64;
+                links += 1;
+                words += w;
+                max_link = max_link.max(w);
+                hist.add(w);
+            }
+            Event::TransportRound {
+                backend: self.transport.name(),
+                epoch: self.transport.epoch() - 1,
+                links,
+                words,
+                max_link,
+                mean_link: if links > 0 {
+                    words as f64 / links as f64
+                } else {
+                    0.0
+                },
+                barrier_ns,
+                hist,
+            }
+        });
     }
 
     /// Completed round barriers (the transport epoch).
@@ -77,27 +142,81 @@ impl Network {
         self.transport.orchestrator_bytes()
     }
 
-    /// Cumulative simulated network time (see [`Transport::sim_time_ns`]);
+    /// Cumulative simulated network time (see [`Netsim::sim_time_ns`]);
     /// `0` on an unconditioned fabric.
     pub(crate) fn sim_time_ns(&self) -> u64 {
-        self.transport.sim_time_ns()
+        self.netsim.as_ref().map_or(0, Netsim::sim_time_ns)
     }
 
     /// Simulated retransmissions performed so far (see
-    /// [`Transport::net_retransmits`]).
+    /// [`Netsim::retransmits`]).
     pub(crate) fn net_retransmits(&self) -> u64 {
-        self.transport.net_retransmits()
+        self.netsim.as_ref().map_or(0, Netsim::retransmits)
     }
 
-    /// Simulated node faults injected so far (see
-    /// [`Transport::net_faults`]).
+    /// Simulated node faults injected so far (see [`Netsim::faults`]).
     pub(crate) fn net_faults(&self) -> u64 {
-        self.transport.net_faults()
+        self.netsim.as_ref().map_or(0, Netsim::faults)
     }
 
     /// The backend's name, for diagnostics.
     pub(crate) fn transport_name(&self) -> &'static str {
         self.transport.name()
+    }
+}
+
+/// Engine rounds reach the same barrier as the closure primitives: the
+/// gathered slab and the broadcast lanes ship onto the transport, and the
+/// committed round is observed like any flush.
+impl Fabric for Network {
+    fn deliver_round(&mut self, unicast: LinkSlab, broadcast: BcastLanes) -> RoundDelivery {
+        self.transport.send_slab(unicast);
+        for (src, lane) in broadcast.into_iter().enumerate() {
+            for slab in lane {
+                self.transport.broadcast(src, slab);
+            }
+        }
+        self.flush_full()
+    }
+
+    fn is_resident(&self) -> bool {
+        // A fault plan needs the checkpointable classical loop: resident
+        // sessions run to completion worker-side and cannot be interrupted
+        // for a mid-flight restart.
+        self.transport.is_resident() && !self.has_fault_plan()
+    }
+
+    fn run_resident(
+        &mut self,
+        kind: &str,
+        states: Vec<Vec<Word>>,
+        on_round: &mut dyn FnMut(&LinkLoads),
+    ) -> Option<ResidentOutcome> {
+        let Some(netsim) = &mut self.netsim else {
+            return self.transport.run_resident(kind, states, on_round);
+        };
+        // Resident rounds commit one epoch each, counted from the epoch
+        // before the session.
+        let mut epoch = self.transport.epoch();
+        self.transport.run_resident(kind, states, &mut |loads| {
+            netsim.on_round(epoch, loads);
+            epoch += 1;
+            on_round(loads);
+        })
+    }
+
+    fn has_fault_plan(&self) -> bool {
+        self.netsim.as_ref().is_some_and(Netsim::has_fault_plan)
+    }
+
+    fn take_crash(&mut self) -> Option<usize> {
+        self.netsim.as_mut()?.take_crash()
+    }
+
+    fn on_recovery(&mut self, node: usize, state_words: usize) {
+        if let Some(netsim) = &mut self.netsim {
+            netsim.on_recovery(self.transport.epoch() - 1, node, state_words);
+        }
     }
 }
 
@@ -108,7 +227,7 @@ mod tests {
     use cc_transport::{InMemoryTransport, TransportKind};
 
     fn net(n: usize) -> Network {
-        Network::new(n, Box::new(InMemoryTransport::new(n)))
+        Network::new(n, Box::new(InMemoryTransport::new(n)), None)
     }
 
     #[test]
@@ -171,7 +290,7 @@ mod tests {
         ];
         for backend in backends {
             let name = backend.name();
-            let mut n = Network::new(7, backend);
+            let mut n = Network::new(7, backend, None);
             fill(&mut n);
             assert_eq!(n.flush_full(), reference, "{name} diverged");
             // Backend drains its queues too.

@@ -3,7 +3,7 @@
 
 use crate::clique::RelayPolicy;
 use crate::word::Word;
-use cc_runtime::{LinkLoads, LinkSlab, Outbox, SlabWriter};
+use cc_runtime::{LinkLoads, LinkSlab, Outbox};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
@@ -271,12 +271,9 @@ impl RouteSchedule {
     /// `outboxes` hold, whose messages must be this schedule's shape,
     /// carrying the phase's loads. A compiled step writes each word straight
     /// to its slot; a drawn one runs the counting sort's second pass with a
-    /// cursor per link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a link receives other than the words it was sized for,
-    /// which a shape mismatch would cause.
+    /// cursor per link, and a shape mismatch there leaves links that
+    /// disagree with the attached loads, which [`LinkSlab::validate`]
+    /// refuses.
     pub(crate) fn slab(&self, phase: usize, outboxes: &[Outbox]) -> LinkSlab {
         let n = self.n;
         let (a, b) = match &self.placement {
@@ -306,7 +303,12 @@ impl RouteSchedule {
     }
 
     /// The per-call scatter of a drawn step: pass two of the counting sort,
-    /// pushing every word (and its header) onto its link's cursor.
+    /// pushing every word (and its header) onto its link's cursor. As in
+    /// [`LinkSlab::from_runs`], the offset table is the only `n²` table:
+    /// shifted one slot, `offsets[at + 1]` starts at link `at`'s start,
+    /// serves as its cursor and ends at its end — the next link's start.
+    /// The fill is checked where the slab is sent: [`LinkSlab::validate`],
+    /// which every fabric's `send_slab` runs, compares it with the loads.
     fn cursor_slab(
         &self,
         phase: usize,
@@ -314,26 +316,38 @@ impl RouteSchedule {
         headers: bool,
         outboxes: &[Outbox],
     ) -> LinkSlab {
-        let loads = &self.loads[phase];
-        let counts = loads.counts().iter().map(|&c| c as usize).collect();
-        let mut slab = SlabWriter::from_counts(self.n, counts);
+        let (n, loads) = (self.n, &self.loads[phase]);
+        let mut offsets = Vec::with_capacity(n * n + 2);
+        offsets.extend([0, 0]);
+        let mut at = 0;
+        offsets.extend(loads.counts().iter().map(|&c| {
+            at += c as usize;
+            at
+        }));
+        let mut words = vec![0; at];
+        let mut push = |from: usize, to: usize, w: Word| {
+            let cursor = &mut offsets[to * n + from + 1];
+            words[*cursor] = w;
+            *cursor += 1;
+        };
         let mut relays = relays.iter().map(|&r| usize::from(r));
         for (src, out) in outboxes.iter().enumerate() {
-            for (dst, words) in out.messages() {
-                for (&w, relay) in words.iter().zip(&mut relays) {
+            for (dst, msg) in out.messages() {
+                for (&w, relay) in msg.iter().zip(&mut relays) {
                     let (from, to) = if phase == 0 {
                         (src, relay)
                     } else {
                         (relay, dst)
                     };
-                    slab.push(from, to, w);
+                    push(from, to, w);
                     if headers {
-                        slab.push(from, to, dst as Word);
+                        push(from, to, dst as Word);
                     }
                 }
             }
         }
-        slab.finish().with_loads(loads.clone())
+        offsets.pop();
+        LinkSlab::from_raw(n, offsets, words).with_loads(loads.clone())
     }
 
     /// What the step delivers: every message whole, each `(src, dst)` link
@@ -777,6 +791,23 @@ mod tests {
             d.bytes(),
             std::mem::size_of::<RouteSchedule>() + 2 * 8 + 3 * 2 + 2 * 9 * 4
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "slab offsets are not monotone")]
+    fn a_drawn_step_that_misfills_its_links_is_refused() {
+        // Drawn for one word from node 0 and one from node 2; handed two
+        // from node 0 and none from node 2. The total is unchanged, but the
+        // second word lands on (0, r) instead of (2, r), r its relay: one
+        // link over, one under, and the empty (1, r) between them.
+        let n = 4;
+        let shape = vec![pack_head(0, 1, 1), pack_head(2, 3, 1)];
+        let d = RouteSchedule::build(n, 7, RelayPolicy::TwoChoice, false, shape);
+        let mut outboxes: Vec<Outbox> = (0..n).map(|_| Outbox::new()).collect();
+        let words = outboxes[0].message(1);
+        words.push(10);
+        words.push(11);
+        d.slab(0, &outboxes).validate(n);
     }
 
     #[test]

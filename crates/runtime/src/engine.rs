@@ -25,8 +25,8 @@ pub struct RunReport<P> {
 ///
 /// This is the seam that makes the barrier *pluggable*. The default body
 /// is the in-memory delivery ([`RoundDelivery::in_memory`]), which is what
-/// [`Engine::run`] uses; `cc-transport` adapts the same contract onto
-/// message fabrics whose rendezvous crosses threads or processes.
+/// [`Engine::run`] uses; `cc-clique`'s `Network` adapts the same contract
+/// onto message fabrics whose rendezvous crosses threads or processes.
 /// Implementations must be deterministic — for given traffic, the returned
 /// delivery and its canonical `(src, dst)`-ordered [`LinkLoads`] may not
 /// depend on scheduling — which is what keeps results, round counts, and

@@ -42,8 +42,8 @@
 //!   [`WordWriter`]) and, for programs, a broadcast lane of shared slabs;
 //! * [`LinkSlab::gather`] counting-sorts a round's outboxes into one
 //!   destination-major [`LinkSlab`], the round's unicast traffic in one
-//!   buffer ([`SlabWriter`] is the same sort's second pass for callers that
-//!   know their per-link counts);
+//!   buffer ([`LinkSlab::from_runs`] is the same sort over any
+//!   `(src, dst, words)` runs);
 //! * the barrier turns slab and [`BcastLanes`] into a [`RoundDelivery`]:
 //!   the delivered slab, the lanes, and the round's [`LinkLoads`]. The one
 //!   in-memory barrier, [`RoundDelivery::in_memory`], moves both into the
@@ -53,11 +53,12 @@
 //!   slice of the slab and no per-node inbox is ever built.
 //!
 //! The barrier is the [`Fabric`] seam: [`Engine::run`] delivers in memory,
-//! and `cc-transport`'s `TransportFabric` ships the same slab onto a
-//! transport (in-memory, unix sockets, TCP) and hands its delivery back
-//! unchanged. A program-resident worker steps its nodes with the same
-//! [`step_node`] and builds its own rows' delivered slab from the peers'
-//! shards.
+//! and `cc-clique`'s `Network` ships the same slab onto a transport
+//! (in-memory, unix sockets, TCP), hands its delivery back unchanged, and
+//! observes the committed round — its trace event and simulated link
+//! conditions — exactly as it observes a closure primitive's barrier. A
+//! program-resident worker steps its nodes with the same [`step_node`] and
+//! builds its own rows' delivered slab from the peers' shards.
 //!
 //! ## Determinism contract
 //!
@@ -144,7 +145,7 @@ pub use crate::resident::{
     step_node, EchoRingProgram, ResidentNode, ResidentOutcome, ResidentRegistry, ScriptProgram,
     WireProgram,
 };
-pub use crate::slab::{BcastLanes, LinkSlab, RoundDelivery, SlabWriter};
+pub use crate::slab::{BcastLanes, LinkSlab, RoundDelivery};
 pub use cc_telemetry::env_config;
 
 /// A single `O(log n)`-bit message word (the same convention as the wire

@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// node's inbox row, or the whole round move as a single slice.
 ///
 /// A slab is the single representation of a round from the primitive that
-/// builds it ([`SlabWriter`], a two-pass counting sort, or
+/// builds it ([`LinkSlab::from_runs`], a two-pass counting sort, or
 /// [`LinkSlab::gather`] over per-node [`Outbox`]es) through the fabric and
 /// the barrier to the delivery the caller reads back
 /// ([`RoundDelivery::unicast`]); the in-memory barrier *moves* it, never
@@ -256,72 +256,6 @@ impl LinkSlab {
             }));
         }
         LinkLoads::from_counts(n, counts)
-    }
-}
-
-/// Pass two of the counting sort that builds a [`LinkSlab`]: constructed
-/// from per-link word counts, then fed exactly that many words per link, in
-/// any interleaving across links.
-#[derive(Debug)]
-pub struct SlabWriter {
-    slab: LinkSlab,
-    /// `cursor[link]` — where the link's next word lands.
-    cursor: Vec<usize>,
-}
-
-impl SlabWriter {
-    /// Sizes a slab from per-link word counts (`counts[dst * n + src]`,
-    /// length `n²`): prefix sums become the offset table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() != n * n`.
-    #[must_use]
-    pub fn from_counts(n: usize, counts: Vec<usize>) -> Self {
-        assert_eq!(counts.len(), n * n, "one count per directed link");
-        let mut cursor = counts;
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        let mut at = 0usize;
-        for c in &mut cursor {
-            offsets.push(at);
-            at += std::mem::replace(c, at);
-        }
-        offsets.push(at);
-        Self {
-            slab: LinkSlab::from_raw(n, offsets, vec![0; at]),
-            cursor,
-        }
-    }
-
-    /// Appends one word to the `(src, dst)` link.
-    pub fn push(&mut self, src: usize, dst: usize, word: Word) {
-        debug_assert!(src < self.slab.n && dst < self.slab.n);
-        let c = &mut self.cursor[dst * self.slab.n + src];
-        self.slab.words[*c] = word;
-        *c += 1;
-    }
-
-    /// Appends `words` to the `(src, dst)` link.
-    pub fn extend(&mut self, src: usize, dst: usize, words: &[Word]) {
-        debug_assert!(src < self.slab.n && dst < self.slab.n);
-        let c = &mut self.cursor[dst * self.slab.n + src];
-        self.slab.words[*c..*c + words.len()].copy_from_slice(words);
-        *c += words.len();
-    }
-
-    /// The finished slab.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any link received a different number of words than it was
-    /// sized for (an overfull link would have spilled into its neighbour).
-    #[must_use]
-    pub fn finish(self) -> LinkSlab {
-        assert!(
-            self.cursor.iter().eq(&self.slab.offsets[1..]),
-            "every link must receive exactly the words it was sized for"
-        );
-        self.slab
     }
 }
 

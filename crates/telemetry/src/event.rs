@@ -281,7 +281,7 @@ events! {
             orchestrator_bytes: u64,
         },
         /// One network-conditioned round barrier ([`TraceLevel::Rounds`]): the
-        /// netsim wrapper's per-round aggregate — simulated completion time
+        /// link-condition model's per-round aggregate — simulated completion time
         /// (the max over delivering links, retransmits included) and how many
         /// links retransmitted or straggled.
         ///

@@ -11,7 +11,9 @@ use cc_runtime::{BcastLanes, Fabric, LinkLoads, LinkSlab, ResidentOutcome, Round
 /// inbox is a view of the delivered slab. On the in-memory backend this is
 /// the engine's default barrier ([`RoundDelivery::in_memory`]) behind a
 /// transport; on the socket and TCP backends the same program traffic
-/// physically crosses process boundaries.
+/// physically crosses process boundaries. It observes nothing: round
+/// tracing and link conditions read each barrier in cc-clique's `Network`,
+/// which implements [`Fabric`] itself.
 #[derive(Debug)]
 pub struct TransportFabric<'a> {
     transport: &'a mut dyn Transport,
@@ -47,17 +49,5 @@ impl Fabric for TransportFabric<'_> {
         on_round: &mut dyn FnMut(&LinkLoads),
     ) -> Option<ResidentOutcome> {
         self.transport.run_resident(kind, states, on_round)
-    }
-
-    fn has_fault_plan(&self) -> bool {
-        self.transport.has_fault_plan()
-    }
-
-    fn take_crash(&mut self) -> Option<usize> {
-        self.transport.take_crash()
-    }
-
-    fn on_recovery(&mut self, node: usize, state_words: usize) {
-        self.transport.on_recovery(node, state_words);
     }
 }

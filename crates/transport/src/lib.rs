@@ -45,8 +45,8 @@
 //! the delivery and the in-memory barrier are `cc_runtime`'s (re-exported
 //! here): the engine and every clique primitive speak them, and this crate
 //! keeps only the fabrics and the wire. The primitive that generates the
-//! traffic builds the slab by a two-pass counting sort ([`SlabWriter`]) and
-//! hands it over in one call ([`Transport::send_slab`]); the barrier hands
+//! traffic builds the slab by a two-pass counting sort
+//! ([`LinkSlab::from_runs`]) and hands it over in one call ([`Transport::send_slab`]); the barrier hands
 //! a slab back ([`RoundDelivery::unicast`]) together with the round's
 //! broadcast slabs (one list per *source*, shared by every recipient) and
 //! its canonical [`LinkLoads`]. On the stream backend the slab is also the
@@ -85,6 +85,11 @@
 //! in *where* the traffic physically travels: socket buffers or shared
 //! memory.
 //!
+//! Nothing decorates a backend: [`TransportKind::build`] returns it bare,
+//! and the per-round trace event and the simulated link conditions are
+//! read off each committed [`RoundDelivery`] by whoever drives the barrier
+//! (cc-clique's `Network`).
+//!
 //! The backend is chosen through [`TransportKind`]; like the executor's
 //! `CC_EXECUTOR`, the `CC_TRANSPORT` environment variable retargets every
 //! default-configured simulation in the process
@@ -121,7 +126,6 @@ mod slab;
 mod socket;
 mod star;
 mod tcp;
-mod traced;
 
 pub use crate::fabric::TransportFabric;
 pub use crate::frame::{
@@ -130,10 +134,9 @@ pub use crate::frame::{
 };
 pub use crate::inmemory::InMemoryTransport;
 pub use crate::socket::{worker_main, StreamTransport, DEFAULT_STREAM_WORKERS};
-pub use crate::traced::TracedTransport;
 // The round's shared types live in `cc_runtime`, beside the engine that
 // speaks them; re-exported here, where the fabrics use them.
-pub use cc_runtime::{BcastLanes, LinkSlab, RoundDelivery, SlabWriter};
+pub use cc_runtime::{BcastLanes, LinkSlab, RoundDelivery};
 
 use cc_runtime::{Executor, LinkLoads, ResidentOutcome, Word};
 use std::fmt;
@@ -149,6 +152,12 @@ use std::sync::Arc;
 /// every peer, deliver, account — and advances the epoch. All backends are
 /// deterministic: identical call sequences yield identical
 /// [`RoundDelivery`]s on every backend.
+///
+/// A transport only carries traffic. Round tracing and simulated link
+/// conditions are not layered over it: whoever drives the barrier reads
+/// the committed round's epoch and [`LinkLoads`] off the returned delivery
+/// (cc-clique's `Network` does, for every closure primitive and engine
+/// round).
 pub trait Transport: fmt::Debug + Send {
     /// Human-readable backend name (`"inmemory"`, `"socket"`, `"tcp"`).
     fn name(&self) -> &'static str;
@@ -222,52 +231,6 @@ pub trait Transport: fmt::Debug + Send {
     /// no wire at all.
     fn orchestrator_bytes(&self) -> u64 {
         0
-    }
-
-    /// Accumulated *simulated* time spent at round barriers, in
-    /// nanoseconds. `0` on every ordinary backend: real fabrics take the
-    /// time they take and report nothing. Only a network-conditioning
-    /// wrapper (cc-netsim's `NetsimTransport`) models link latency, and it
-    /// accumulates each round's slowest-link completion time here.
-    fn sim_time_ns(&self) -> u64 {
-        0
-    }
-
-    /// Total simulated retransmissions performed by a lossy conditioning
-    /// wrapper. `0` on every ordinary backend (real fabrics are reliable
-    /// byte streams; loss is a *model*, not an observation).
-    fn net_retransmits(&self) -> u64 {
-        0
-    }
-
-    /// Total simulated node faults (crashes) injected by a conditioning
-    /// wrapper. `0` on every ordinary backend.
-    fn net_faults(&self) -> u64 {
-        0
-    }
-
-    /// True when this fabric injects node crash/restart faults, in which
-    /// case the engine must drive [`cc_runtime::WireProgram`]s through the
-    /// checkpointable classical loop (polling [`Transport::take_crash`]
-    /// each round) rather than a resident session it cannot interrupt.
-    fn has_fault_plan(&self) -> bool {
-        false
-    }
-
-    /// Takes the node index the fault plan crashed at the last barrier, if
-    /// any. The caller (the engine's recovery loop) responds by re-shipping
-    /// that node's serialized program state — see
-    /// [`Transport::on_recovery`]. Draining is destructive: a crash is
-    /// handled exactly once.
-    fn take_crash(&mut self) -> Option<usize> {
-        None
-    }
-
-    /// Notifies the fabric that `node` was restarted and its re-shipped
-    /// program state occupies `state_words` words, letting a conditioning
-    /// wrapper charge the recovery's simulated cost. A no-op by default.
-    fn on_recovery(&mut self, node: usize, state_words: usize) {
-        let _ = (node, state_words);
     }
 }
 
@@ -382,14 +345,15 @@ impl TransportKind {
         )
     }
 
-    /// Builds a transport of this kind for `n` nodes. No backend runs
-    /// anything on the executor — the in-memory barrier moves one slab and
-    /// the stream fabric's concurrency is its worker processes — so `_exec`
-    /// is kept only because `benchmark/` calls this signature; the next
+    /// Builds a transport of this kind for `n` nodes: the bare backend,
+    /// with nothing layered over it. No backend runs anything on the
+    /// executor — the in-memory barrier moves one slab and the stream
+    /// fabric's concurrency is its worker processes — so `_exec` is kept
+    /// only because `benchmark/` calls this signature; the next
     /// `[benchmark]` PR drops it.
     #[must_use]
     pub fn build(self, n: usize, _exec: Executor) -> Box<dyn Transport> {
-        let inner: Box<dyn Transport> = match self {
+        match self {
             TransportKind::InMemory => Box::new(InMemoryTransport::new(n)),
             TransportKind::Socket { workers } => Box::new(StreamTransport::unix(n, workers)),
             TransportKind::Tcp {
@@ -397,13 +361,6 @@ impl TransportKind {
                 resident,
                 addr,
             } => Box::new(StreamTransport::tcp(n, workers, resident, addr)),
-        };
-        // Observer-only instrumentation: wrapped at build time only when
-        // round tracing is on, so untraced runs keep the bare backend.
-        if cc_telemetry::global().enabled(cc_telemetry::TraceLevel::Rounds) {
-            Box::new(TracedTransport::new(inner))
-        } else {
-            inner
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The parent-side buffer accumulating one round's outgoing traffic.
 
-use cc_runtime::{BcastLanes, LinkSlab, SlabWriter, Word};
+use cc_runtime::{BcastLanes, LinkSlab, Word};
 use std::sync::Arc;
 
 /// One piece of a round's queued unicast traffic, in call order.
@@ -18,7 +18,7 @@ enum Part {
 
 impl Part {
     /// Visits this part's non-empty link runs in send order.
-    fn for_each_run(&self, n: usize, mut f: impl FnMut(usize, usize, &[Word])) {
+    fn for_each_run<'a>(&'a self, n: usize, mut f: impl FnMut(usize, usize, &'a [Word])) {
         match self {
             Part::Slab(slab) => slab.runs(0..n).for_each(|(src, dst, run)| f(src, dst, run)),
             Part::Log { runs, words } => {
@@ -101,23 +101,22 @@ impl Pending {
 
     /// Removes and returns the round's unicast traffic as one slab, leaving
     /// the buffer ready for the next round. A round that was sent as a
-    /// single slab is moved out as is.
+    /// single slab is moved out as is, and a round with no unicast traffic
+    /// (a broadcast-only round included) is an empty slab; anything else is
+    /// merged by one counting sort over the parts' runs, in call order.
     pub(crate) fn take_slab(&mut self) -> LinkSlab {
         let n = self.n;
         let parts = match <[Part; 1]>::try_from(std::mem::take(&mut self.parts)) {
             Ok([Part::Slab(slab)]) => return slab,
             Ok([log]) => vec![log],
+            Err(parts) if parts.is_empty() => return LinkSlab::empty(n),
             Err(parts) => parts,
         };
-        let mut counts = vec![0usize; n * n];
+        let mut runs = Vec::new();
         for part in &parts {
-            part.for_each_run(n, |src, dst, run| counts[dst * n + src] += run.len());
+            part.for_each_run(n, |src, dst, run| runs.push((src, dst, run)));
         }
-        let mut writer = SlabWriter::from_counts(n, counts);
-        for part in &parts {
-            part.for_each_run(n, |src, dst, run| writer.extend(src, dst, run));
-        }
-        writer.finish()
+        LinkSlab::from_runs(n, runs.into_iter())
     }
 
     /// Removes and returns the queued broadcast slabs (`[src]`, send

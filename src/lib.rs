@@ -259,7 +259,7 @@
 //! `(src, dst)` is `words[offsets[dst·n + src] .. offsets[dst·n + src + 1]]`
 //! and everything one node receives is contiguous. The primitive that
 //! generates the traffic builds it (a two-pass counting sort,
-//! [`SlabWriter`](runtime::SlabWriter), or
+//! [`LinkSlab::from_runs`](runtime::LinkSlab::from_runs), or
 //! [`LinkSlab::gather`](runtime::LinkSlab::gather) over the nodes'
 //! outboxes) and calls
 //! [`Transport::send_slab`](transport::Transport::send_slab) once; the
@@ -364,10 +364,11 @@
 //!
 //! Transports decide where the words travel; the [`netsim`] layer
 //! ([`cc_netsim`]) decides what the journey *costs* — and what goes wrong
-//! on the way. [`NetsimTransport`](netsim::NetsimTransport) wraps any
-//! [`Transport`](transport::Transport) (the same decorator seam the
-//! telemetry wrapper uses, applied outermost at
-//! [`Clique`](clique::Clique) construction) and conditions every committed
+//! on the way. A [`Netsim`](netsim::Netsim) is no layer over the
+//! transport: it is data the clique's network consults at the one place
+//! it observes a committed barrier — closure primitives, classical engine
+//! rounds and resident sessions alike — reading only that round's epoch
+//! and [`LinkLoads`](runtime::LinkLoads). It conditions every committed
 //! round from **one seeded RNG keyed by (seed, epoch, src, dst)** — no
 //! wall-clock, no OS entropy, no delivery-order dependence:
 //!
@@ -466,10 +467,12 @@
 //! * the [`Engine`](runtime::Engine) times each round barrier (node
 //!   stepping vs delivery) and the [`Executor`](runtime::Executor) reports
 //!   every dispatch-vs-inline decision at the cutover boundary;
-//! * every [`Transport`](transport::Transport) backend reports per-round
-//!   link histograms — words per link, max-vs-mean skew, barrier wait, and
-//!   (socket) coalesced frame-batch sizes — via an observer-only wrapper
-//!   applied at build time;
+//! * every round barrier the clique commits reports its backend's
+//!   per-round link histogram — words per link, max-vs-mean skew, barrier
+//!   wait — observed by the clique's network at the same point the
+//!   simulated link conditions read the round (whether round tracing is on
+//!   is fixed when the clique is built); the socket fabrics add their
+//!   coalesced frame-batch sizes;
 //! * [`Clique::phase`](clique::Clique::phase) adds wall-clock to the
 //!   rounds/words it already attributes
 //!   ([`PhaseStats::wall_ns`](clique::PhaseStats)), and emits phase
