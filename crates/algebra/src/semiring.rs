@@ -107,6 +107,24 @@ pub trait Ring: Semiring {
             acc
         }
     }
+
+    /// `dst[k] += coeff · src[k]` for every `k`: one fixed linear
+    /// combination step over a whole block, the shape in which the fast
+    /// product's cell owners form `Ŝ⁽ʷ⁾`, `T̂⁽ʷ⁾` and evaluate `λ`.
+    ///
+    /// The provided body is [`Semiring::add`] of [`Ring::scale`], element
+    /// by element; an override must return exactly what it returns (for
+    /// the integers, bit-identical also where `i64` arithmetic wraps).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` differ in length.
+    fn axpy_slice(&self, coeff: i64, src: &[Self::Elem], dst: &mut [Self::Elem]) {
+        assert_eq!(src.len(), dst.len(), "axpy_slice operands differ in length");
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = self.add(d, &self.scale(coeff, s));
+        }
+    }
 }
 
 /// The Boolean semiring `({false, true}, ∨, ∧)`.
@@ -242,6 +260,12 @@ mod tests {
             }
             assert_eq!(r.scale(coeff, &7), acc);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn axpy_slice_refuses_ragged_operands() {
+        IntRing.axpy_slice(1, &[1, 2], &mut [0]);
     }
 
     #[test]

@@ -97,12 +97,7 @@ pub fn apsp_exact(clique: &mut Clique, g: &Graph) -> ApspTables {
     let mut dist = crate::weight_rows(&exec, g);
     // R[u][v] = v for direct edges; self/unreachable entries are sentinels
     // fixed up on improvement.
-    let mut routing =
-        RowMatrix::par_from_fn(
-            &exec,
-            n,
-            |u, v| if g.has_edge(u, v) { v } else { usize::MAX },
-        );
+    let mut routing = RowMatrix::from_rows(exec.map(n, |u| g.out_row(u, usize::MAX, |v, _| v)));
 
     clique.phase("apsp_exact", |clique| {
         let mut hops = 1usize;

@@ -49,15 +49,13 @@ use cc_graph::Graph;
 /// The row-distributed weight matrix every APSP entry point starts from
 /// (zero diagonal, edge weights, `∞` for non-edges — the `Graph::weight_matrix`
 /// convention), tabulated per node on the clique's executor: row `v` is node
-/// `v`'s local view, and graph lookups are tree-map walks worth fanning out.
+/// `v`'s local view, filled from its neighbour list.
 fn weight_rows(exec: &Executor, g: &Graph) -> RowMatrix<Dist> {
-    RowMatrix::par_from_fn(exec, g.n(), |u, v| {
-        if u == v {
-            Dist::zero()
-        } else {
-            g.weight(u, v).map_or(INFINITY, Dist::finite)
-        }
-    })
+    RowMatrix::from_rows(exec.map(g.n(), |u| {
+        let mut row = g.out_row(u, INFINITY, |_, w| Dist::finite(w));
+        row[u] = Dist::zero();
+        row
+    }))
 }
 
 pub use crate::approx::{apsp_approx, delta_for_target};

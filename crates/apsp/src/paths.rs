@@ -46,7 +46,9 @@ pub fn successors_from_distances(
     assert_eq!(g.n(), n, "graph and clique sizes must match");
     assert_eq!(dist.n(), n, "distance matrix size mismatch");
 
-    let adjacency = embed(&RowMatrix::from_fn(n, |u, v| g.has_edge(u, v)));
+    let adjacency = embed(&RowMatrix::from_rows(
+        (0..n).map(|u| g.out_row(u, false, |_, _| true)).collect(),
+    ));
     let mut product = |clique: &mut Clique, s: &RowMatrix<Dist>, t: &RowMatrix<Dist>| {
         distance::distance_product(clique, s, t)
     };

@@ -38,7 +38,8 @@ pub fn apsp_seidel(clique: &mut Clique, g: &Graph) -> RowMatrix<Dist> {
     );
 
     let alg = FastPlan::best_strassen(n);
-    let a = RowMatrix::par_from_fn(&clique.executor(), n, |u, v| g.has_edge(u, v));
+    let exec = clique.executor();
+    let a = RowMatrix::from_rows(exec.map(n, |u| g.out_row(u, false, |_, _| true)));
     clique.phase("seidel", |clique| seidel_rec(clique, &alg, &a, 0))
 }
 

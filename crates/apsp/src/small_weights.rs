@@ -14,8 +14,11 @@ pub fn reachability(clique: &mut Clique, g: &Graph) -> RowMatrix<bool> {
     let alg = FastPlan::best_strassen(n);
     // Start from A ∨ I so squaring accumulates all path lengths; rows are
     // tabulated per node on the configured backend.
-    let mut reach =
-        RowMatrix::par_from_fn(&clique.executor(), n, |u, v| u == v || g.has_edge(u, v));
+    let mut reach = RowMatrix::from_rows(clique.executor().map(n, |u| {
+        let mut row = g.out_row(u, false, |_, _| true);
+        row[u] = true;
+        row
+    }));
     clique.phase("reachability", |clique| {
         let mut hops = 1usize;
         while hops < n {

@@ -42,11 +42,12 @@ pub fn triangle_count(clique: &mut Clique, g: &Graph) -> u64 {
         // nodes need A[v, V_k].
         let inbox = clique.route(|v| {
             let b = part_of(n, p, v);
+            let row = g.out_row(v, false, |_, _| true);
             let mut out = Vec::new();
             let slice = |range: std::ops::Range<usize>| {
                 let mut w = WordWriter::new();
-                for u in range {
-                    cc_algebra::BoolSemiring.write_elem(&g.has_edge(v, u), &mut w);
+                for e in &row[range] {
+                    cc_algebra::BoolSemiring.write_elem(e, &mut w);
                 }
                 w.into_words()
             };
@@ -147,6 +148,7 @@ pub fn kcycle_detect(clique: &mut Clique, g: &Graph, k: usize) -> bool {
         // node whose tuple contains part(v), for every part c in that tuple.
         let inbox = clique.route(|v| {
             let b = part_of(n, t, v);
+            let row = g.out_row(v, false, |_, _| true);
             let mut out = Vec::new();
             for u in 0..tuples {
                 let tup = tuple_of(u);
@@ -156,8 +158,8 @@ pub fn kcycle_detect(clique: &mut Clique, g: &Graph, k: usize) -> bool {
                 // Deterministic order: slices for tuple positions ascending.
                 let mut w = WordWriter::new();
                 for &c in &tup {
-                    for x in part_range(n, t, c) {
-                        cc_algebra::BoolSemiring.write_elem(&g.has_edge(v, x), &mut w);
+                    for e in &row[part_range(n, t, c)] {
+                        cc_algebra::BoolSemiring.write_elem(e, &mut w);
                     }
                 }
                 out.push((u, w.into_words()));

@@ -23,14 +23,19 @@
 //! where every block sits on every link, so
 //!
 //! * **step 2** reads row `ρ`'s `(S, T)` slice pair for cell `(x₁, x₂)` at
-//!   the offset of the cells this node owns earlier in label row `x₁`, and
-//!   accumulates `Ŝ⁽ʷ⁾`/`T̂⁽ʷ⁾` by row slices into one flat buffer per node,
-//!   laid out `[cell][w][Ŝ, T̂][r][c]` — the order step 3 transmits it in;
+//!   the offset of the cells this node owns earlier in label row `x₁`,
+//!   straight into a *block-major* cell: block `(i, j)` of the `d × d`
+//!   grid is `sub²` contiguous elements. Each `Ŝ⁽ʷ⁾`/`T̂⁽ʷ⁾` is then one
+//!   [`Ring::axpy_slice`] per `α`/`β` coefficient over a whole block, into
+//!   one flat buffer per node laid out `[cell][w][Ŝ, T̂][r][c]` — the order
+//!   step 3 transmits it in;
 //! * **step 4** decodes each link front to back into `sub`-long row slices
 //!   of the full `Ŝ⁽ʷ⁾`, `T̂⁽ʷ⁾`;
 //! * **step 6** finds block `idx` of term `w` (slot `w / n` of node
 //!   `w mod n`) at element `(slot · cells + idx) · sub²` of that node's
-//!   link and evaluates `λ` by row slices.
+//!   link and evaluates each block of `P` with one [`Ring::axpy_slice`] per
+//!   `λ` coefficient, into a block-major cell whose rows' real prefixes
+//!   step 7 sends.
 //!
 //! Before decoding, every step checks **every** incoming link's length
 //! against what the plan says it carries, and names the step and both nodes
@@ -40,6 +45,7 @@ use crate::fast_plan::FastPlan;
 use crate::row_matrix::RowMatrix;
 use cc_algebra::{BilinearAlgorithm, Matrix, Ring};
 use cc_clique::{Clique, Inboxes, Outbox, WordReader};
+use std::ops::Range;
 
 /// Computes `P = S·T` over a ring with the fast bilinear algorithm.
 ///
@@ -197,8 +203,9 @@ where
         drop(phat);
 
         // ---- Step 6: cell owners decode P̂⁽ʷ⁾ and evaluate λ. ----
-        // p_cells[u] = per owned cell: the (d·sub)² block P[∗x₁∗, ∗x₂∗].
-        let p_cells: Vec<Vec<Matrix<R::Elem>>> =
+        // p_cells[u] = per owned cell: the (d·sub)² block P[∗x₁∗, ∗x₂∗],
+        // block-major.
+        let p_cells: Vec<Vec<Vec<R::Elem>>> =
             exec.map(n, |u| evaluate_lambda(plan, ring, alg, &inbox5, u));
 
         // ---- Step 7: cells return product rows to row owners. ----
@@ -216,8 +223,10 @@ where
                     // its real columns are a prefix (see `form_hats`).
                     for (k, &rho) in real(x1).iter().enumerate() {
                         let wr = out.message(rho);
-                        for e in &p_cell.row(k)[..real(x2).len()] {
-                            ring.write_elem(e, wr);
+                        for run in row_runs(plan, k, real(x2).len()) {
+                            for e in &p_cell[run] {
+                                ring.write_elem(e, wr);
+                            }
                         }
                     }
                 }
@@ -260,11 +269,18 @@ fn link(inbox: &Inboxes, step: u8, src: usize, dst: usize, expect: usize) -> &[u
     words
 }
 
-/// `dst += coeff · src`, slice against slice.
-fn axpy<R: Ring>(ring: &R, coeff: i64, src: &[R::Elem], dst: &mut [R::Elem]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = ring.add(d, &ring.scale(coeff, s));
-    }
+/// Where the first `len` columns of row `k` of a block-major cell sit: a
+/// cell is `d × d` blocks of `sub × sub` elements, block `(i, j)` the
+/// `sub²` contiguous elements from `(i·d + j)·sub²` on, each row-major. The
+/// row crosses blocks `(k / sub, j)` left to right, `sub` elements each but
+/// the last, which holds what remains of `len`.
+fn row_runs(plan: &FastPlan, k: usize, len: usize) -> impl Iterator<Item = Range<usize>> {
+    let (d, sub) = (plan.d(), plan.sub());
+    let (i, r) = (k / sub, k % sub);
+    (0..len.div_ceil(sub)).map(move |j| {
+        let at = ((i * d + j) * sub + r) * sub;
+        at..at + sub.min(len - j * sub)
+    })
 }
 
 /// Step 2 at cell owner `u`: decodes the cells it owns from `inbox1` and
@@ -277,8 +293,7 @@ fn form_hats<R: Ring>(
     inbox1: &Inboxes,
     u: usize,
 ) -> Vec<R::Elem> {
-    let (m, sub, width) = (plan.m(), plan.sub(), ring.elem_width());
-    let side = plan.d() * sub;
+    let (d, m, sub, width) = (plan.d(), plan.m(), plan.sub(), ring.elem_width());
     let cells = plan.cells_of(u);
     let real = |x: usize| plan.real_indices_with_label(x);
     // A row owner with label x₁ sends one (S, T) slice pair per cell this
@@ -299,17 +314,20 @@ fn form_hats<R: Ring>(
         // Real indices with one label are ascending and padding cuts only a
         // suffix, so the k-th of them has cell-local index k: row ρ's
         // slices are a prefix of cell row k, and the rest stays zero.
-        let mut s_cell = Matrix::filled(side, side, ring.zero());
+        let mut s_cell = vec![ring.zero(); d * d * block];
         let mut t_cell = s_cell.clone();
         for (k, &rho) in real(x1).iter().enumerate() {
             let mut rd = WordReader::new(&inbox1.received(u, rho)[skip[x1] * width..]);
             for cell in [&mut s_cell, &mut t_cell] {
-                for e in &mut cell.row_mut(k)[..real(x2).len()] {
-                    *e = ring.read_elem(&mut rd);
+                for run in row_runs(plan, k, real(x2).len()) {
+                    for e in &mut cell[run] {
+                        *e = ring.read_elem(&mut rd);
+                    }
                 }
             }
         }
         skip[x1] += 2 * real(x2).len();
+        // Each hat is one block: a fixed ±-combination of whole cell blocks.
         for (w, pair) in hats.chunks_exact_mut(2 * block).enumerate() {
             let (s_hat, t_hat) = pair.split_at_mut(block);
             for (cell, hat, terms) in [
@@ -317,14 +335,7 @@ fn form_hats<R: Ring>(
                 (&t_cell, t_hat, alg.beta(w)),
             ] {
                 for &(i, j, coeff) in terms {
-                    for (r, hat_row) in hat.chunks_exact_mut(sub).enumerate() {
-                        axpy(
-                            ring,
-                            coeff,
-                            &cell.row(i * sub + r)[j * sub..][..sub],
-                            hat_row,
-                        );
-                    }
+                    ring.axpy_slice(coeff, &cell[(i * d + j) * block..][..block], hat);
                 }
             }
         }
@@ -369,14 +380,15 @@ fn multiply_terms<R: Ring>(
 }
 
 /// Step 6 at cell owner `u`: decodes `P̂⁽ʷ⁾[x₁∗, x₂∗]` of every term from
-/// `inbox5` and returns, per owned cell, the block `P[∗x₁∗, ∗x₂∗]`.
+/// `inbox5` and returns, per owned cell, the block `P[∗x₁∗, ∗x₂∗]`,
+/// block-major (see [`row_runs`]).
 fn evaluate_lambda<R: Ring>(
     plan: &FastPlan,
     ring: &R,
     alg: &BilinearAlgorithm,
     inbox5: &Inboxes,
     u: usize,
-) -> Vec<Matrix<R::Elem>> {
+) -> Vec<Vec<R::Elem>> {
     let (n, d, m, sub, width) = (plan.n(), plan.d(), plan.m(), plan.sub(), ring.elem_width());
     let cells = plan.cells_of(u).len();
     let block = sub * sub;
@@ -401,19 +413,11 @@ fn evaluate_lambda<R: Ring>(
                 let mut rd = WordReader::new(&inbox5.received(u, t)[at..]);
                 phat.extend((0..block).map(|_| ring.read_elem(&mut rd)));
             }
-            let mut p_cell = Matrix::filled(d * sub, d * sub, ring.zero());
-            for i in 0..d {
-                for j in 0..d {
-                    for &(w, coeff) in alg.lambda(i, j) {
-                        for (r, src) in phat[w * block..][..block].chunks_exact(sub).enumerate() {
-                            axpy(
-                                ring,
-                                coeff,
-                                src,
-                                &mut p_cell.row_mut(i * sub + r)[j * sub..][..sub],
-                            );
-                        }
-                    }
+            // Block (i, j) of P is a fixed combination of whole P̂ blocks.
+            let mut p_cell = vec![ring.zero(); d * d * block];
+            for (ij, p_block) in p_cell.chunks_exact_mut(block).enumerate() {
+                for &(w, coeff) in alg.lambda(ij / d, ij % d) {
+                    ring.axpy_slice(coeff, &phat[w * block..][..block], p_block);
                 }
             }
             p_cell
@@ -465,6 +469,30 @@ mod tests {
                 &RowMatrix::from_matrix(&b),
             );
             assert_eq!(p.to_matrix(), Matrix::mul(&IntRing, &a, &b), "n={n}");
+        }
+    }
+
+    #[test]
+    fn matches_the_schoolbook_at_the_benchmarked_plan() {
+        // The triangle and Seidel benchmarks run n = 128, where the plan is
+        // Strassen squared on an 8 × 8 label grid with 4 × 4 sub-blocks.
+        let n = 128;
+        let plan = FastPlan::new(n, &FastPlan::best_strassen(n));
+        assert_eq!((plan.d(), plan.q(), plan.sub()), (4, 8, 4));
+        let signed = |seed| rand_matrix(n, seed);
+        let zero_one = |seed| signed(seed).map(|&x| i64::from(x > 0));
+        for (what, a, b) in [
+            ("0/1", zero_one(41), zero_one(42)),
+            ("[-4, 4]", signed(43), signed(44)),
+        ] {
+            let mut clique = Clique::new(n);
+            let p = multiply_auto(
+                &mut clique,
+                &IntRing,
+                &RowMatrix::from_matrix(&a),
+                &RowMatrix::from_matrix(&b),
+            );
+            assert_eq!(p.to_matrix(), Matrix::mul(&IntRing, &a, &b), "{what}");
         }
     }
 

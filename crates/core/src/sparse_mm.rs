@@ -166,8 +166,13 @@ where
         w.push(tagged);
         s.write_elem(e, w);
     };
-    let flush = |msgs: BTreeMap<usize, WordWriter>| -> Vec<(usize, Vec<u64>)> {
-        msgs.into_iter().map(|(d, w)| (d, w.into_words())).collect()
+    let flush = |msgs: BTreeMap<usize, WordWriter>| -> Outbox {
+        let words = msgs.values().map(WordWriter::len).sum();
+        let mut out = Outbox::with_capacity(msgs.len(), words);
+        for (d, w) in msgs {
+            out.message(d).extend_from_slice(&w.into_words());
+        }
+        out
     };
     // Decode one ship inbox into per-(inner index) S-side and T-side
     // entry lists.
@@ -218,7 +223,7 @@ where
                     );
                 }
             }
-            flush(msgs).into()
+            flush(msgs)
         })
     });
     // Each node parses its seed inbox exactly once (on the executor); the
@@ -264,7 +269,7 @@ where
                     }
                 }
             }
-            flush(msgs).into()
+            flush(msgs)
         })
     });
     let fwd_ent = exec.map(n, |h| decode(&fwds, h));
@@ -310,30 +315,18 @@ where
                     }
                 }
             }
-            // One message per destination row owner.
-            let mut out: Vec<(usize, Vec<u64>)> = Vec::new();
-            let mut cur: Option<(usize, WordWriter)> = None;
-            for ((x, z), v) in &acc {
-                match &mut cur {
-                    Some((cx, w)) if cx == x => {
-                        w.push(*z as u64);
-                        emit(v, w);
-                    }
-                    _ => {
-                        if let Some((cx, w)) = cur.take() {
-                            out.push((cx, w.into_words()));
-                        }
-                        let mut w = WordWriter::new();
-                        w.push(*z as u64);
-                        emit(v, &mut w);
-                        cur = Some((*x, w));
-                    }
+            // One message per destination row owner: `acc` is keyed by
+            // (x, z), so each row owner's records are consecutive.
+            let mut out = Outbox::new();
+            let mut records = acc.iter().peekable();
+            while let Some(&(&(x, _), _)) = records.peek() {
+                let w = out.message(x);
+                while let Some((&(_, z), v)) = records.next_if(|((cx, _), _)| *cx == x) {
+                    w.push(z as u64);
+                    emit(v, w);
                 }
             }
-            if let Some((cx, w)) = cur.take() {
-                out.push((cx, w.into_words()));
-            }
-            out.into()
+            out
         })
     });
 

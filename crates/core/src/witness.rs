@@ -19,7 +19,7 @@
 
 use crate::row_matrix::RowMatrix;
 use cc_algebra::{Dist, INFINITY};
-use cc_clique::{pack_pair, unpack_pair, Clique};
+use cc_clique::{pack_pair, unpack_pair, Clique, Outbox};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,20 +104,23 @@ pub fn verify_witnesses(
     let n = clique.n();
     clique.phase("witness.verify", |clique| {
         // Query: node u asks node w = Q[u][v] for T[w][v].
-        let queries = clique.route_dynamic(|u| {
-            (0..n)
-                .filter(|&v| p.row(u)[v].is_finite() && q.row(u)[v] < n)
-                .map(|v| (q.row(u)[v], vec![pack_pair(u, v)]))
-                .collect()
+        let queries = clique.route_dynamic_par(|u| {
+            let mut out = Outbox::new();
+            for v in (0..n).filter(|&v| p.row(u)[v].is_finite() && q.row(u)[v] < n) {
+                out.message(q.row(u)[v]).push(pack_pair(u, v));
+            }
+            out
         });
         // Response: w answers with (v, T[w][v]) — two words — so u can
         // match replies to its outstanding queries.
-        let replies = clique.route_dynamic(|w| {
-            let mut out = Vec::new();
+        let replies = clique.route_dynamic_par(|w| {
+            let mut out = Outbox::new();
             for src in 0..n {
                 for &word in queries.received(w, src) {
                     let (u, v) = unpack_pair(word);
-                    out.push((u, vec![v as u64, t.row(w)[v].raw() as u64]));
+                    let wr = out.message(u);
+                    wr.push(v as u64);
+                    wr.push(t.row(w)[v].raw() as u64);
                 }
             }
             out

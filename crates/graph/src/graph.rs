@@ -162,33 +162,74 @@ impl Graph {
         out
     }
 
+    /// Row `u` of an `n`-column matrix over this graph: `present(v, w)` at
+    /// every out-neighbour `v` of `u` (`w` the edge weight), `absent` at
+    /// every other column, the diagonal included (graphs have no
+    /// self-loops, so a caller that wants a diagonal entry sets it).
+    ///
+    /// Built from `u`'s neighbour list in `O(n + deg(u))`, where `n`
+    /// [`Graph::has_edge`] / [`Graph::weight`] lookups would each walk a
+    /// tree map: this is the one way the crates tabulate a graph's rows.
+    ///
+    /// # Examples
+    ///
+    /// ```rust
+    /// use cc_graph::Graph;
+    /// let mut g = Graph::directed(4);
+    /// g.add_weighted_edge(1, 3, 7);
+    /// g.add_edge(1, 0);
+    /// assert_eq!(g.out_row(1, 0, |_, _| 1), vec![1, 0, 0, 1]);
+    /// assert_eq!(g.out_row(1, None, |_, w| Some(w)), vec![Some(1), None, None, Some(7)]);
+    /// assert_eq!(g.out_row(3, false, |_, _| true), vec![false; 4]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    #[must_use]
+    pub fn out_row<T: Clone>(
+        &self,
+        u: usize,
+        absent: T,
+        present: impl Fn(usize, i64) -> T,
+    ) -> Vec<T> {
+        let mut row = vec![absent; self.n];
+        for (&v, &w) in &self.adj[u] {
+            row[v] = present(v, w);
+        }
+        row
+    }
+
+    /// The `n × n` matrix whose row `u` is [`Graph::out_row`]`(u, ..)`.
+    fn tabulate<T: Clone>(&self, absent: T, present: impl Fn(usize, i64) -> T) -> Matrix<T> {
+        let rows: Vec<Vec<T>> = (0..self.n)
+            .map(|u| self.out_row(u, absent.clone(), &present))
+            .collect();
+        Matrix::from_rows(&rows)
+    }
+
     /// 0/1 adjacency matrix over the integers (undirected edges oriented
     /// both ways, as in the paper's Section 3.1).
     #[must_use]
     pub fn adjacency_matrix(&self) -> Matrix<i64> {
-        Matrix::from_fn(self.n, self.n, |u, v| i64::from(self.has_edge(u, v)))
+        self.tabulate(0, |_, _| 1)
     }
 
     /// Boolean adjacency matrix.
     #[must_use]
     pub fn bool_adjacency(&self) -> Matrix<bool> {
-        Matrix::from_fn(self.n, self.n, |u, v| self.has_edge(u, v))
+        self.tabulate(false, |_, _| true)
     }
 
     /// The weight matrix `W` of Section 3.3: `0` on the diagonal, the edge
     /// weight where an edge exists, and `∞` elsewhere.
     #[must_use]
     pub fn weight_matrix(&self) -> Matrix<Dist> {
-        Matrix::from_fn(self.n, self.n, |u, v| {
-            if u == v {
-                Dist::zero()
-            } else {
-                match self.weight(u, v) {
-                    Some(w) => Dist::finite(w),
-                    None => INFINITY,
-                }
-            }
-        })
+        let mut w = self.tabulate(INFINITY, |_, w| Dist::finite(w));
+        for u in 0..self.n {
+            w.row_mut(u)[u] = Dist::zero();
+        }
+        w
     }
 
     /// Largest edge weight, or `None` for an edgeless graph.
@@ -290,6 +331,43 @@ mod tests {
         assert_eq!(w[(0, 1)], Dist::finite(4));
         assert_eq!(w[(1, 0)], Dist::finite(4));
         assert_eq!(w[(0, 2)], INFINITY);
+    }
+
+    #[test]
+    fn out_rows_match_the_per_entry_lookups() {
+        let mut weighted = Graph::undirected(6);
+        weighted.add_weighted_edge(0, 5, 9);
+        weighted.add_weighted_edge(2, 1, -3);
+        weighted.add_edge(4, 2);
+        let graphs = [
+            crate::generators::gnp(12, 0.3, 4),
+            crate::generators::gnp_directed(12, 0.3, 5),
+            crate::generators::weighted_gnp(10, 0.4, 5, true, 6),
+            weighted,
+            Graph::undirected(5),
+            Graph::directed(3),
+            Graph::undirected(0),
+        ];
+        for g in &graphs {
+            let n = g.n();
+            for u in 0..n {
+                let by_lookup: Vec<Option<i64>> = (0..n).map(|v| g.weight(u, v)).collect();
+                assert_eq!(g.out_row(u, None, |_, w| Some(w)), by_lookup);
+                let tagged: Vec<usize> = (0..n)
+                    .map(|v| if g.has_edge(u, v) { v } else { usize::MAX })
+                    .collect();
+                assert_eq!(g.out_row(u, usize::MAX, |v, _| v), tagged);
+            }
+            let adjacency = Matrix::from_fn(n, n, |u, v| i64::from(g.has_edge(u, v)));
+            assert_eq!(g.adjacency_matrix(), adjacency);
+            assert_eq!(g.bool_adjacency(), adjacency.map(|&x| x == 1));
+            let weights = Matrix::from_fn(n, n, |u, v| match g.weight(u, v) {
+                _ if u == v => Dist::zero(),
+                Some(w) => Dist::finite(w),
+                None => INFINITY,
+            });
+            assert_eq!(g.weight_matrix(), weights);
+        }
     }
 
     #[test]

@@ -52,8 +52,9 @@ impl WordWriter {
         self.buf
     }
 
-    /// Appends already encoded words.
-    pub(crate) fn extend_from_slice(&mut self, words: &[Word]) {
+    /// Appends already encoded words (a relay forwarding what it
+    /// received, say).
+    pub fn extend_from_slice(&mut self, words: &[Word]) {
         self.buf.extend_from_slice(words);
     }
 }

@@ -44,7 +44,7 @@ pub fn detect_colourful_cycle(clique: &mut Clique, g: &Graph, colours: &[usize],
     assert!(colours.iter().all(|&c| c < k), "colours must lie in [k]");
 
     let alg = FastPlan::best_strassen(n);
-    let a = RowMatrix::from_fn(n, |u, v| g.has_edge(u, v));
+    let a = RowMatrix::from_rows((0..n).map(|u| g.out_row(u, false, |_, _| true)).collect());
 
     clique.phase("colour_coding", |clique| {
         let mut memo: HashMap<u32, RowMatrix<bool>> = HashMap::new();

@@ -200,8 +200,8 @@ impl TilePlan {
 
 /// Splits a sorted neighbour list into `parts` pieces of size ≤ 8 by
 /// round-robin; piece `j` is `N_A(y, row0+j)` / `N_B(y, col0+j)`.
-fn piece(neighbors: &[usize], parts: usize, j: usize) -> Vec<usize> {
-    neighbors.iter().copied().skip(j).step_by(parts).collect()
+fn piece(neighbors: &[usize], parts: usize, j: usize) -> impl Iterator<Item = usize> + '_ {
+    neighbors.iter().copied().skip(j).step_by(parts)
 }
 
 /// Detects whether the graph contains a 4-cycle, in `O(1)` rounds
@@ -278,38 +278,34 @@ pub fn detect_4cycle(clique: &mut Clique, g: &Graph) -> bool {
             let Some(t) = plan.tile(y) else {
                 return Outbox::new();
             };
-            (0..t.size)
-                .map(|j| {
-                    (
-                        t.row0 + j,
-                        piece(&sorted_neighbors[y], t.size, j)
-                            .iter()
-                            .map(|&x| x as u64)
-                            .collect(),
-                    )
-                })
-                .collect::<Vec<_>>()
-                .into()
+            let mut out = Outbox::with_capacity(t.size, sorted_neighbors[y].len());
+            for j in 0..t.size {
+                let wr = out.message(t.row0 + j);
+                for x in piece(&sorted_neighbors[y], t.size, j) {
+                    wr.push(x as u64);
+                }
+            }
+            out
         });
 
         // Step 2: a forwards N_A(y, a) to each b ∈ B(y); the tiles are
         // disjoint, so each (a, b) link carries at most one piece (≤ 8 words).
         let inbox_b = clique.exchange_par(|a| {
-            let mut out = Vec::new();
+            let mut out = Outbox::new();
             for y in plan.tiles_with_row(a) {
                 let t = plan.tile(y).expect("tile exists");
-                let payload: Vec<u64> = inbox_a.received(a, y).to_vec();
+                let payload = inbox_a.received(a, y);
                 for j in 0..t.size {
-                    out.push((t.col0 + j, payload.clone()));
+                    out.message(t.col0 + j).extend_from_slice(payload);
                 }
             }
-            out.into()
+            out
         });
 
         // Step 3 (local): b reassembles N(y) and builds W(y, b).
         // Step 4: route each walk (x, y, z) to x.
         let walks = clique.route_dynamic_par(|b| {
-            let mut out = Vec::new();
+            let mut out = Outbox::new();
             for y in plan.tiles_with_col(b) {
                 let t = plan.tile(y).expect("tile exists");
                 // N(y) = interleaved union of the pieces from all a ∈ A(y).
@@ -333,17 +329,18 @@ pub fn detect_4cycle(clique: &mut Clique, g: &Graph) -> bool {
                 }
                 debug_assert_eq!(ny.len(), degrees[y], "N({y}) reassembly");
                 ny.sort_unstable();
-                let nb = piece(&ny, t.size, b - t.col0);
-                let mut count = 0usize;
+                let nb: Vec<usize> = piece(&ny, t.size, b - t.col0).collect();
+                debug_assert!(
+                    ny.len() * nb.len() <= 8 * degrees[y],
+                    "Lemma 13 bound per tile"
+                );
                 for &x in &ny {
                     for &z in &nb {
-                        out.push((x, vec![pack_pair(y, z)]));
-                        count += 1;
+                        out.message(x).push(pack_pair(y, z));
                     }
                 }
-                debug_assert!(count <= 8 * degrees[y], "Lemma 13 bound per tile");
             }
-            out.into()
+            out
         });
 
         // Each x checks for two walks meeting at the same z ≠ x (scanned on

@@ -24,7 +24,7 @@ use cc_graph::Graph;
 pub fn count_4cycles(clique: &mut Clique, g: &Graph) -> u64 {
     let n = clique.n();
     assert_eq!(g.n(), n, "graph and clique sizes must match");
-    let a = RowMatrix::from_fn(n, |u, v| i64::from(g.has_edge(u, v)));
+    let a = RowMatrix::from_rows((0..n).map(|u| g.out_row(u, 0, |_, _| 1)).collect());
     clique.phase("four_cycles", |clique| {
         let a2 = fast_mm::multiply_auto(clique, &IntRing, &a, &a);
         let tr4 = traces::trace_of_product(clique, &a2, &a2);
@@ -63,7 +63,7 @@ pub fn count_5cycles(clique: &mut Clique, g: &Graph) -> u64 {
         !g.is_directed(),
         "count_5cycles expects an undirected graph"
     );
-    let a = RowMatrix::from_fn(n, |u, v| i64::from(g.has_edge(u, v)));
+    let a = RowMatrix::from_rows((0..n).map(|u| g.out_row(u, 0, |_, _| 1)).collect());
     clique.phase("five_cycles", |clique| {
         let a2 = fast_mm::multiply_auto(clique, &IntRing, &a, &a);
         let a3 = fast_mm::multiply_auto(clique, &IntRing, &a2, &a);

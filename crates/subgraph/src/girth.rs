@@ -117,7 +117,8 @@ pub fn directed_girth(clique: &mut Clique, g: &Graph) -> Option<usize> {
     assert!(g.is_directed(), "use girth for undirected graphs");
 
     let alg = FastPlan::best_strassen(n);
-    let a = RowMatrix::par_from_fn(&clique.executor(), n, |u, v| g.has_edge(u, v));
+    let exec = clique.executor();
+    let a = RowMatrix::from_rows(exec.map(n, |u| g.out_row(u, false, |_, _| true)));
 
     clique.phase("directed_girth", |clique| {
         let has_cycle_diag =

@@ -56,7 +56,7 @@ pub fn sparse_square(clique: &mut Clique, g: &Graph) -> Option<RowMatrix<i64>> {
             return None; // dense: fall back to Theorem 1 multiplication
         }
 
-        let a = RowMatrix::par_from_fn(&exec, n, |u, v| i64::from(g.has_edge(u, v)));
+        let a = RowMatrix::from_rows(exec.map(n, |u| g.out_row(u, 0, |_, _| 1)));
         Some(sparse_mm::multiply(clique, &IntRing, &a, &a))
     })
 }

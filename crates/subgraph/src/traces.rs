@@ -7,7 +7,7 @@
 //! broadcast-sum reduce the trace, since
 //! `tr(X·Y) = Σ_{u,v} X[u][v] · Y[v][u]`.
 
-use cc_clique::Clique;
+use cc_clique::{Clique, Outbox};
 use cc_core::RowMatrix;
 
 /// Transposes a row-distributed integer matrix: node `v` sends entry
@@ -18,11 +18,11 @@ pub fn transpose(clique: &mut Clique, m: &RowMatrix<i64>) -> RowMatrix<i64> {
     let n = clique.n();
     let inbox = clique.phase("transpose", |c| {
         c.exchange_par(|v| {
-            (0..n)
-                .filter(|&u| u != v)
-                .map(|u| (u, vec![m.row(v)[u] as u64]))
-                .collect::<Vec<_>>()
-                .into()
+            let mut out = Outbox::with_capacity(n - 1, n - 1);
+            for (u, &e) in m.row(v).iter().enumerate().filter(|&(u, _)| u != v) {
+                out.message(u).push(e as u64);
+            }
+            out
         })
     });
     RowMatrix::par_from_fn(&clique.executor(), n, |u, v| {

@@ -43,7 +43,7 @@
 //! | 5 | local dot product; broadcast it |
 //! | 6 | sum broadcasts → `tr(A²·A)`; halt |
 
-use cc_clique::{single_hash_relay, Clique, Control, NodeProgram, RoundCtx, WireProgram};
+use cc_clique::{single_hash_relay, Clique, Control, NodeProgram, Outbox, RoundCtx, WireProgram};
 use cc_core::Plan3d;
 use cc_graph::Graph;
 use std::sync::{Arc, Mutex};
@@ -182,13 +182,13 @@ impl RelaySchedule {
 /// Phase A of a route step: split this node's real messages word-by-word
 /// over the hashed relays, preserving the global enumeration order so
 /// relays and destinations can reconstruct the streams.
-fn send_via_relays(ctx: &mut RoundCtx<'_>, seed: u64, messages: &[(usize, Vec<u64>)]) {
+fn send_via_relays(ctx: &mut RoundCtx<'_>, seed: u64, messages: &Outbox) {
     let n = ctx.n();
     let src = ctx.node();
     let mut per_relay: Vec<Vec<u64>> = vec![Vec::new(); n];
-    for (dst, words) in messages {
+    for (dst, words) in messages.messages() {
         for (j, &w) in words.iter().enumerate() {
-            per_relay[single_hash_relay(seed, n, src, *dst, j)].push(w);
+            per_relay[single_hash_relay(seed, n, src, dst, j)].push(w);
         }
     }
     for (relay, words) in per_relay.into_iter().enumerate() {
@@ -283,7 +283,7 @@ impl TriangleProgram {
     pub fn new(g: &Graph, v: usize, seed: u64) -> Self {
         let n = g.n();
         Self {
-            row: (0..n).map(|u| i64::from(g.has_edge(v, u))).collect(),
+            row: g.out_row(v, 0, |_, _| 1),
             directed: g.is_directed(),
             seed,
             plan: Plan3d::new(n),
@@ -300,24 +300,26 @@ impl TriangleProgram {
 
     /// The scatter messages node `me` emits (lengths follow
     /// [`scatter_pattern`]; contents are its own row slices).
-    fn scatter_messages(&self, me: usize) -> Vec<(usize, Vec<u64>)> {
+    fn scatter_messages(&self, me: usize) -> Outbox {
         let plan = &self.plan;
         let p = plan.p();
         let my_rb = plan.block_of_row(me);
-        let encode = |r: std::ops::Range<usize>| -> Vec<u64> {
-            self.row[r].iter().map(|&x| x as u64).collect()
+        // 2p² messages; each half ships every block of the row p times.
+        let mut out = Outbox::with_capacity(2 * p * p, 2 * p * self.row.len());
+        let mut emit = |dst: usize, cols: std::ops::Range<usize>| {
+            let wr = out.message(dst);
+            for &x in &self.row[cols] {
+                wr.push(x as u64);
+            }
         };
-        let mut out = Vec::with_capacity(2 * p * p);
         for u2 in 0..p {
-            let payload = encode(plan.block_range(u2));
             for u3 in 0..p {
-                out.push((plan.node_of(my_rb, u2, u3), payload.clone()));
+                emit(plan.node_of(my_rb, u2, u3), plan.block_range(u2));
             }
         }
         for u3 in 0..p {
-            let payload = encode(plan.block_range(u3));
             for u1 in 0..p {
-                out.push((plan.node_of(u1, my_rb, u3), payload.clone()));
+                emit(plan.node_of(u1, my_rb, u3), plan.block_range(u3));
             }
         }
         out
@@ -385,7 +387,7 @@ impl NodeProgram for TriangleProgram {
             // Block product on the subcube owners; gather phase A.
             2 => {
                 let me = ctx.node();
-                let mut msgs: Vec<(usize, Vec<u64>)> = Vec::new();
+                let mut msgs = Outbox::new();
                 if me < plan.active() {
                     let from = reassemble(ctx, seed, |src| scatter_pattern(&plan, src));
                     let (u1, u2, u3) = plan.digits(me);
@@ -426,19 +428,13 @@ impl NodeProgram for TriangleProgram {
                             }
                         }
                     }
-                    msgs = plan
-                        .block_range(u1)
-                        .enumerate()
-                        .map(|(idx, r)| {
-                            (
-                                r,
-                                prod[idx * h3..(idx + 1) * h3]
-                                    .iter()
-                                    .map(|&x| x as u64)
-                                    .collect(),
-                            )
-                        })
-                        .collect();
+                    msgs = Outbox::with_capacity(h1, h1 * h3);
+                    for (idx, r) in r1.enumerate() {
+                        let wr = msgs.message(r);
+                        for &x in &prod[idx * h3..][..h3] {
+                            wr.push(x as u64);
+                        }
+                    }
                 }
                 send_via_relays(ctx, seed, &msgs);
                 Control::Continue
@@ -474,7 +470,7 @@ impl NodeProgram for TriangleProgram {
                 // ordered pair, exactly like `traces::transpose`.
                 for u in 0..n {
                     if u != me {
-                        ctx.send(u, vec![self.row[u] as u64]);
+                        ctx.send(u, [self.row[u] as u64]);
                     }
                 }
                 Control::Continue

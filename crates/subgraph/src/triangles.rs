@@ -30,7 +30,7 @@ use cc_graph::Graph;
 pub fn count_triangles(clique: &mut Clique, g: &Graph) -> u64 {
     let n = clique.n();
     assert_eq!(g.n(), n, "graph and clique sizes must match");
-    let a = RowMatrix::par_from_fn(&clique.executor(), n, |u, v| i64::from(g.has_edge(u, v)));
+    let a = RowMatrix::from_rows(clique.executor().map(n, |u| g.out_row(u, 0, |_, _| 1)));
     clique.phase("triangles", |clique| {
         let a2 = fast_mm::multiply_auto(clique, &IntRing, &a, &a);
         let tr = traces::trace_of_product(clique, &a2, &a);
@@ -52,7 +52,7 @@ pub fn count_triangles(clique: &mut Clique, g: &Graph) -> u64 {
 pub fn count_triangles_auto(clique: &mut Clique, g: &Graph) -> u64 {
     let n = clique.n();
     assert_eq!(g.n(), n, "graph and clique sizes must match");
-    let a = RowMatrix::par_from_fn(&clique.executor(), n, |u, v| i64::from(g.has_edge(u, v)));
+    let a = RowMatrix::from_rows(clique.executor().map(n, |u| g.out_row(u, 0, |_, _| 1)));
     clique.phase("triangles", |clique| {
         let a2 = sparse_mm::multiply_auto_ring(clique, &IntRing, &a, &a);
         let tr = traces::trace_of_product(clique, &a2, &a);
@@ -72,7 +72,7 @@ pub fn count_triangles_auto(clique: &mut Clique, g: &Graph) -> u64 {
 pub fn count_triangles_3d(clique: &mut Clique, g: &Graph) -> u64 {
     let n = clique.n();
     assert_eq!(g.n(), n, "graph and clique sizes must match");
-    let a = RowMatrix::par_from_fn(&clique.executor(), n, |u, v| i64::from(g.has_edge(u, v)));
+    let a = RowMatrix::from_rows(clique.executor().map(n, |u| g.out_row(u, 0, |_, _| 1)));
     clique.phase("triangles3d", |clique| {
         let a2 = semiring_mm::multiply(clique, &IntRing, &a, &a);
         let tr = traces::trace_of_product(clique, &a2, &a);

@@ -118,7 +118,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fabric;
 pub mod frame;
 mod inmemory;
 mod pending;
@@ -127,7 +126,6 @@ mod socket;
 mod star;
 mod tcp;
 
-pub use crate::fabric::TransportFabric;
 pub use crate::frame::{
     encode_frame_batch, push_bcast_frame, push_frame, push_frame_bytes, push_shard_frame,
     read_frame, write_frame, Frame, FrameError, MAX_FRAME_BYTES,

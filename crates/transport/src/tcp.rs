@@ -510,10 +510,49 @@ pub(crate) fn resident_session<R: Read, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{StreamTransport, Transport as _, TransportFabric};
+    use crate::{StreamTransport, Transport};
     use cc_runtime::{
-        EchoRingProgram, Engine, ExecutorKind, Fabric as _, LinkLoads, ScriptProgram,
+        BcastLanes, EchoRingProgram, Engine, ExecutorKind, Fabric, LinkLoads, LinkSlab,
+        ResidentOutcome, RoundDelivery, ScriptProgram,
     };
+
+    /// Drives engine round barriers straight through a transport: the
+    /// unicast slab, then each broadcast lane, then the round rendezvous —
+    /// cc-clique's `Network` without its observers.
+    struct TransportFabric<'a> {
+        transport: &'a mut dyn Transport,
+    }
+
+    impl<'a> TransportFabric<'a> {
+        fn new(transport: &'a mut dyn Transport) -> Self {
+            Self { transport }
+        }
+    }
+
+    impl Fabric for TransportFabric<'_> {
+        fn deliver_round(&mut self, unicast: LinkSlab, broadcast: BcastLanes) -> RoundDelivery {
+            self.transport.send_slab(unicast);
+            for (src, lane) in broadcast.into_iter().enumerate() {
+                for slab in lane {
+                    self.transport.broadcast(src, slab);
+                }
+            }
+            self.transport.finish_round()
+        }
+
+        fn is_resident(&self) -> bool {
+            self.transport.is_resident()
+        }
+
+        fn run_resident(
+            &mut self,
+            kind: &str,
+            states: Vec<Vec<Word>>,
+            on_round: &mut dyn FnMut(&LinkLoads),
+        ) -> Option<ResidentOutcome> {
+            self.transport.run_resident(kind, states, on_round)
+        }
+    }
 
     fn run_echo_ring(fabric: &mut dyn cc_runtime::Fabric, n: usize) -> (Vec<Vec<Word>>, u64, u64) {
         let engine = Engine::new(ExecutorKind::Sequential);
