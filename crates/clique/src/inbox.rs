@@ -57,6 +57,14 @@ impl Inboxes {
             .map(|(src, _, words)| (src, words))
     }
 
+    /// Everything `dst` received, every source's words end to end in source
+    /// order: one slice of the slab, for a reader that knows each source's
+    /// length (an oblivious step) and wants no per-link lookup.
+    #[must_use]
+    pub fn row(&self, dst: usize) -> &[Word] {
+        self.slab.row(dst)
+    }
+
     /// Total number of words delivered to `dst`.
     #[must_use]
     pub fn total_received(&self, dst: usize) -> usize {

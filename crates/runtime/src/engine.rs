@@ -249,7 +249,9 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if `programs` is empty, or if a resident fabric returns a
-    /// final-state set of the wrong size.
+    /// final-state set of the wrong size or a final state that does not
+    /// decode (the message names the program kind and the node), and
+    /// likewise if a crashed node's checkpoint does not decode.
     pub fn run_wire_traced_on<P: WireProgram>(
         &self,
         fabric: &mut dyn Fabric,
@@ -283,7 +285,14 @@ impl Engine {
                     .finals
                     .iter()
                     .enumerate()
-                    .map(|(node, state)| P::decode_state(node, n, state))
+                    .map(|(node, state)| {
+                        P::decode_state(node, n, state).unwrap_or_else(|e| {
+                            panic!(
+                                "final {} state of node {node} does not decode: {e}",
+                                P::KIND
+                            )
+                        })
+                    })
                     .collect();
                 RunReport {
                     programs,
@@ -317,7 +326,9 @@ impl Engine {
         self.run_classical(fabric, programs, on_loads, |fabric, programs| {
             while let Some(node) = fabric.take_crash() {
                 let state = programs[node].encode_state();
-                programs[node] = P::decode_state(node, n, &state);
+                programs[node] = P::decode_state(node, n, &state).unwrap_or_else(|e| {
+                    panic!("checkpoint of {} node {node} does not decode: {e}", P::KIND)
+                });
                 fabric.on_recovery(node, state.len());
             }
         })
@@ -552,6 +563,40 @@ mod tests {
             vec![2, 0]
         );
         assert!(fabric.recoveries.iter().all(|&(_, words)| words > 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "final cc.echo-ring state of node 0 does not decode")]
+    fn a_resident_final_state_that_does_not_decode_names_kind_and_node() {
+        use crate::resident::EchoRingProgram;
+
+        /// A resident fabric whose workers hand back empty final states.
+        struct Garbled;
+
+        impl Fabric for Garbled {
+            fn is_resident(&self) -> bool {
+                true
+            }
+
+            fn run_resident(
+                &mut self,
+                _kind: &str,
+                states: Vec<Vec<Word>>,
+                _on_round: &mut dyn FnMut(&LinkLoads),
+            ) -> Option<ResidentOutcome> {
+                Some(ResidentOutcome {
+                    finals: vec![Vec::new(); states.len()],
+                    engine_rounds: 1,
+                })
+            }
+        }
+
+        let programs = (0..3).map(|_| EchoRingProgram::new(1)).collect::<Vec<_>>();
+        let _ = Engine::new(ExecutorKind::Sequential).run_wire_traced_on(
+            &mut Garbled,
+            programs,
+            |_| {},
+        );
     }
 
     #[test]

@@ -44,7 +44,13 @@ pub trait WireProgram: NodeProgram + Sized + 'static {
     fn encode_state(&self) -> Vec<Word>;
 
     /// Rebuilds node `node`'s program (clique size `n`) from encoded state.
-    fn decode_state(node: usize, n: usize, state: &[Word]) -> Self;
+    ///
+    /// # Errors
+    ///
+    /// Says why, when `state` is not an encoding of this kind for a clique
+    /// of `n` nodes: the words come from another process, so a malformed
+    /// state is an error for the caller to report, not a panic.
+    fn decode_state(node: usize, n: usize, state: &[Word]) -> Result<Self, String>;
 }
 
 /// Object-safe view of a worker-resident program: steppable (it is a
@@ -61,7 +67,7 @@ impl<P: WireProgram> ResidentNode for P {
     }
 }
 
-type DecodeFn = fn(usize, usize, &[Word]) -> Box<dyn ResidentNode>;
+type DecodeFn = fn(usize, usize, &[Word]) -> Result<Box<dyn ResidentNode>, String>;
 
 /// Worker-side table of decodable program kinds.
 ///
@@ -69,7 +75,7 @@ type DecodeFn = fn(usize, usize, &[Word]) -> Box<dyn ResidentNode>;
 /// binaries use [`ResidentRegistry::with_builtins`]; binaries linked
 /// against algorithm crates [`register`](ResidentRegistry::register) their
 /// program types on top) and decodes every shipped shard through it.
-/// Unknown kinds are a loud protocol error, not a silent fallback.
+/// Unknown kinds and malformed states are errors, not a silent fallback.
 #[derive(Debug, Default)]
 pub struct ResidentRegistry {
     decoders: BTreeMap<&'static str, DecodeFn>,
@@ -97,21 +103,26 @@ impl ResidentRegistry {
     /// wins).
     pub fn register<P: WireProgram>(&mut self) {
         self.decoders.insert(P::KIND, |node, n, state| {
-            Box::new(P::decode_state(node, n, state))
+            P::decode_state(node, n, state).map(|p| Box::new(p) as Box<dyn ResidentNode>)
         });
     }
 
-    /// Decodes node `node`'s program of the named kind, or `None` when the
-    /// kind is unregistered.
-    #[must_use]
+    /// Decodes node `node`'s program of the named kind.
+    ///
+    /// # Errors
+    ///
+    /// Says why when the kind is unregistered or `state` is malformed.
     pub fn decode(
         &self,
         kind: &str,
         node: usize,
         n: usize,
         state: &[Word],
-    ) -> Option<Box<dyn ResidentNode>> {
-        self.decoders.get(kind).map(|f| f(node, n, state))
+    ) -> Result<Box<dyn ResidentNode>, String> {
+        let decode = self.decoders.get(kind).ok_or_else(|| {
+            format!("unknown resident program kind {kind:?}; register it in the worker binary")
+        })?;
+        decode(node, n, state)
     }
 
     /// The registered kind keys, in sorted order.
@@ -211,11 +222,14 @@ impl WireProgram for EchoRingProgram {
         state
     }
 
-    fn decode_state(_node: usize, _n: usize, state: &[Word]) -> Self {
-        Self {
-            k: state[0],
-            log: state[1..].to_vec(),
-        }
+    fn decode_state(node: usize, _n: usize, state: &[Word]) -> Result<Self, String> {
+        let (&k, log) = state
+            .split_first()
+            .ok_or_else(|| format!("malformed {} state for node {node}: empty", Self::KIND))?;
+        Ok(Self {
+            k,
+            log: log.to_vec(),
+        })
     }
 }
 
@@ -315,13 +329,20 @@ impl WireProgram for ScriptProgram {
         state
     }
 
-    fn decode_state(_node: usize, _n: usize, state: &[Word]) -> Self {
-        let (script, log) = state[2..].split_at(state[1] as usize);
-        Self {
-            rounds: state[0],
+    fn decode_state(node: usize, _n: usize, state: &[Word]) -> Result<Self, String> {
+        let malformed = || format!("malformed {} state for node {node}", Self::KIND);
+        let [rounds, len, rest @ ..] = state else {
+            return Err(malformed());
+        };
+        let (script, log) = usize::try_from(*len)
+            .ok()
+            .and_then(|len| rest.split_at_checked(len))
+            .ok_or_else(malformed)?;
+        Ok(Self {
+            rounds: *rounds,
             script: script.to_vec(),
             log: log.to_vec(),
-        }
+        })
     }
 }
 
@@ -336,7 +357,7 @@ mod tests {
             .run((0..5).map(|_| EchoRingProgram::new(3)).collect());
         for (node, p) in report.programs.iter().enumerate() {
             let back = EchoRingProgram::decode_state(node, 5, &WireProgram::encode_state(p));
-            assert_eq!(&back, p, "node {node}");
+            assert_eq!(back.as_ref(), Ok(p), "node {node}");
             assert!(!p.log().is_empty());
         }
     }
@@ -354,7 +375,16 @@ mod tests {
             .decode(EchoRingProgram::KIND, 1, 4, &state)
             .expect("builtin registered");
         assert_eq!(boxed.encode_state(), state);
-        assert!(reg.decode("cc.unknown", 0, 4, &[]).is_none());
+        let unknown = reg.decode("cc.unknown", 0, 4, &[]).err();
+        assert!(unknown.is_some_and(|e| e.contains("unknown resident program kind")));
+        // A registered kind refuses a malformed state instead of panicking.
+        for kind in [EchoRingProgram::KIND, ScriptProgram::KIND] {
+            let malformed = reg.decode(kind, 2, 4, &[]).err();
+            assert!(malformed.is_some_and(|e| e.contains(kind) && e.contains("node 2")));
+        }
+        assert!(reg
+            .decode(ScriptProgram::KIND, 0, 4, &[2, 3, 0, 0])
+            .is_err());
 
         // A decoded program steps exactly like the original.
         let (nothing, lanes) = (LinkSlab::empty(4), vec![Vec::new(); 4]);
@@ -390,7 +420,8 @@ mod tests {
                 round as u64,
                 NodeInbox::new(unicast, &lanes, 1),
             );
-            listener = ScriptProgram::decode_state(1, 2, &WireProgram::encode_state(&listener));
+            listener = ScriptProgram::decode_state(1, 2, &WireProgram::encode_state(&listener))
+                .expect("a script's own state decodes");
         }
         assert_eq!(listener.log(), &[0, 3, 1, 2, 3]);
     }

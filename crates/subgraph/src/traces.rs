@@ -25,13 +25,19 @@ pub fn transpose(clique: &mut Clique, m: &RowMatrix<i64>) -> RowMatrix<i64> {
             out
         })
     });
-    RowMatrix::par_from_fn(&clique.executor(), n, |u, v| {
-        if u == v {
-            m.row(u)[u]
-        } else {
-            inbox.received(u, v)[0] as i64
-        }
-    })
+    // Node u heard one word from every other node, in source order: its
+    // delivered row is its transposed row without the diagonal.
+    let rows = clique.executor().map(n, |u| {
+        let heard = inbox.row(u);
+        assert_eq!(heard.len(), n - 1, "node {u} must hear one entry per peer");
+        let (before, after) = heard.split_at(u);
+        let mut row = Vec::with_capacity(n);
+        row.extend(before.iter().map(|&w| w as i64));
+        row.push(m.row(u)[u]);
+        row.extend(after.iter().map(|&w| w as i64));
+        row
+    });
+    RowMatrix::from_rows(rows)
 }
 
 /// Computes `tr(X·Y) = Σ_{u,v} X[u][v]·Y[v][u]` for row-distributed integer

@@ -14,22 +14,32 @@
 //! The closure algorithm leans on [`cc_clique::Clique::route`] — balanced
 //! Valiant relaying — for its scatter and gather. The communication pattern
 //! of the 3D product is *oblivious* (it depends only on `n`, never on the
-//! matrix contents), so the state machine can reproduce the exact same
-//! relaying without headers and without a coordinator: every word is hashed
-//! to its relay with the draw the simulator itself uses
-//! ([`cc_clique::single_hash_relay`], the router's
-//! [`cc_clique::RelayPolicy::SingleHash`] arm), and because the pattern and
-//! the draw depend only on `(n, seed)`, the relays' forwarding schedule is
-//! common knowledge. It is tabulated **once per process** ([`RelaySchedule`]:
-//! for each route step, relay and source, the destinations of the words the
-//! relay receives from that source, in stream order — one flat array behind
-//! an `n² + 1` offset table) on the first forwarding round, and shared by
-//! every node program of the in-process engine or of a worker process; a
-//! relay forwards by zipping each received stream with its table row.
-//! Destinations reassemble payloads by enumerating the messages addressed to
-//! them. Per-round link loads — and therefore executed rounds, total words,
-//! and the final count — are **identical** to [`crate::count_triangles_3d`]
-//! on a `SingleHash` clique, which the tests pin exactly.
+//! matrix contents), and so is the relay each word takes under the
+//! router's [`cc_clique::RelayPolicy::SingleHash`] arm
+//! ([`cc_clique::single_hash_relay`] draws it from `(seed, src, dst, j)`).
+//! The whole relay schedule is therefore common knowledge, fixed by
+//! `(n, seed)`, and the state machine reproduces the router's relaying
+//! without headers and without a coordinator. It draws the schedule **once
+//! per process** ([`RelaySchedule`]) and shares it with every node program of
+//! the in-process engine or of a worker process. One [`StepTable`] per
+//! route step carries all three hops, each laid out flat behind an offset
+//! table:
+//!
+//! * **send**: every word's relay, in each source's emission order — a
+//!   source deals its stream onto the relays by a counting sort;
+//! * **forward**: for relay `r` and source `s`, the destinations of the
+//!   words `r` receives from `s`, in stream order — a relay zips each
+//!   received stream with its row and counting-sorts the words by
+//!   destination;
+//! * **reassembly**: per destination, the messages addressed to it as
+//!   `(source, start, len)`, by source and then emission order — the
+//!   destination reads each message's words off its relays' streams, in
+//!   the order the send table names the relays.
+//!
+//! No word is hashed inside a round. Per-round link loads — and therefore
+//! executed rounds, total words, and the final count — are **identical** to
+//! [`crate::count_triangles_3d`] on a `SingleHash` clique, which the tests
+//! pin exactly.
 //!
 //! Engine-round schedule (7 barriers):
 //!
@@ -43,7 +53,7 @@
 //! | 5 | local dot product; broadcast it |
 //! | 6 | sum broadcasts → `tr(A²·A)`; halt |
 
-use cc_clique::{single_hash_relay, Clique, Control, NodeProgram, Outbox, RoundCtx, WireProgram};
+use cc_clique::{single_hash_relay, Clique, Control, NodeProgram, RoundCtx, WireProgram};
 use cc_core::Plan3d;
 use cc_graph::Graph;
 use std::sync::{Arc, Mutex};
@@ -86,62 +96,141 @@ fn gather_pattern(plan: &Plan3d, src: usize) -> Vec<(usize, usize)> {
     plan.block_range(u1).map(|r| (r, len)).collect()
 }
 
-/// The forwarding schedule of one oblivious route step: for relay `r` and
-/// source `s`, the destinations of the words `r` receives from `s`, in
-/// stream order. Laid out flat, like the transport's link slabs — row
-/// `r * n + s` is `dsts[offsets[r * n + s]..offsets[r * n + s + 1]]` — and
-/// built by the same two-pass counting sort.
+/// One message of a route step as its destination reassembles it: the
+/// source, where the message starts in the source's stream, and its length.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Message {
+    src: u32,
+    start: u32,
+    len: u32,
+}
+
+/// The three hops of one oblivious route step, as tables. Each is laid out
+/// flat behind an offset table, like the transport's link slabs, and built
+/// by counting passes; node ids are `u16`, so the per-word tables cost four
+/// bytes per routed word in all.
 #[derive(Debug)]
 struct StepTable {
     n: usize,
+    /// Send side: source `s`'s words go to the relays
+    /// `relays[streams[s]..streams[s + 1]]`, in emission order.
+    streams: Vec<u32>,
+    relays: Vec<u16>,
+    /// Forward side: row `r * n + s`, `dsts[offsets[r * n + s]..offsets[r
+    /// * n + s + 1]]`, is where relay `r` forwards the words it receives
+    /// from `s`, in stream order.
     offsets: Vec<u32>,
-    dsts: Vec<u32>,
+    dsts: Vec<u16>,
+    /// Reassembly side: the messages addressed to `d` are
+    /// `messages[inbound[d]..inbound[d + 1]]`, by source and then emission
+    /// order.
+    inbound: Vec<u32>,
+    messages: Vec<Message>,
+}
+
+/// Turns per-bucket counts into each bucket's first slot (the scatter
+/// cursors) and returns the `counts.len() + 1` offset table.
+fn prefix_offsets(counts: &mut [u32]) -> Vec<u32> {
+    let mut offsets = Vec::with_capacity(counts.len() + 1);
+    let mut at = 0u32;
+    for c in counts {
+        offsets.push(at);
+        let start = at;
+        at = at
+            .checked_add(*c)
+            .expect("a route step exceeds u32::MAX words");
+        *c = start;
+    }
+    offsets.push(at);
+    offsets
+}
+
+/// A table position or length as the tables store it.
+fn narrow(x: usize) -> u32 {
+    u32::try_from(x).expect("a route step exceeds u32::MAX words")
 }
 
 impl StepTable {
+    /// # Panics
+    ///
+    /// Panics if `n > 65 536` (the router's bound too), or if the step
+    /// routes more than `u32::MAX` words.
     fn build(n: usize, seed: u64, pattern: impl Fn(usize) -> Vec<(usize, usize)>) -> Self {
+        assert!(n <= 1 << 16, "relay tables hold node ids as u16: n={n}");
         let patterns: Vec<Vec<(usize, usize)>> = (0..n).map(pattern).collect();
-        let words = || {
-            patterns.iter().enumerate().flat_map(|(src, messages)| {
-                messages
-                    .iter()
-                    .flat_map(move |&(dst, len)| (0..len).map(move |j| (src, dst, j)))
-            })
-        };
-        // Pass one: draw every word's relay and size every row.
-        let mut cursor = vec![0u32; n * n];
-        let relays: Vec<u32> = words()
-            .map(|(src, dst, j)| {
-                let relay = single_hash_relay(seed, n, src, dst, j);
-                cursor[relay * n + src] += 1;
-                relay as u32
-            })
-            .collect();
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        let mut at = 0u32;
-        for c in &mut cursor {
-            offsets.push(at);
-            at += std::mem::replace(c, at);
+        let total = patterns.iter().flatten().map(|&(_, len)| len).sum();
+        // Pass one: draw every word's relay, in stream order, and size every
+        // forwarding row and every destination's message list.
+        let mut streams = Vec::with_capacity(n + 1);
+        let mut relays = Vec::with_capacity(total);
+        let mut rows = vec![0u32; n * n];
+        let mut inbound = vec![0u32; n];
+        streams.push(0);
+        for (src, list) in patterns.iter().enumerate() {
+            for &(dst, len) in list {
+                inbound[dst] += 1;
+                for j in 0..len {
+                    let relay = single_hash_relay(seed, n, src, dst, j);
+                    rows[relay * n + src] += 1;
+                    relays.push(relay as u16);
+                }
+            }
+            streams.push(narrow(relays.len()));
         }
-        offsets.push(at);
-        // Pass two: scatter the destinations, in the sources' stream order.
-        let mut dsts = vec![0u32; at as usize];
-        for ((src, dst, _), relay) in words().zip(relays) {
-            let c = &mut cursor[relay as usize * n + src];
-            dsts[*c as usize] = dst as u32;
-            *c += 1;
+        let offsets = prefix_offsets(&mut rows);
+        let inbound_offsets = prefix_offsets(&mut inbound);
+        // Pass two: scatter the destinations into the forwarding rows and
+        // the messages into their destinations' lists.
+        let mut dsts = vec![0u16; total];
+        let mut messages = vec![Message::default(); patterns.iter().map(Vec::len).sum()];
+        for (src, list) in patterns.iter().enumerate() {
+            let stream = &relays[streams[src] as usize..streams[src + 1] as usize];
+            let mut start = 0;
+            for &(dst, len) in list {
+                for &relay in &stream[start..][..len] {
+                    let c = &mut rows[relay as usize * n + src];
+                    dsts[*c as usize] = dst as u16;
+                    *c += 1;
+                }
+                let c = &mut inbound[dst];
+                messages[*c as usize] = Message {
+                    src: src as u32,
+                    start: narrow(start),
+                    len: narrow(len),
+                };
+                *c += 1;
+                start += len;
+            }
         }
-        Self { n, offsets, dsts }
+        Self {
+            n,
+            streams,
+            relays,
+            offsets,
+            dsts,
+            inbound: inbound_offsets,
+            messages,
+        }
+    }
+
+    /// The relay of each word `src` emits, in emission order.
+    fn stream(&self, src: usize) -> &[u16] {
+        &self.relays[self.streams[src] as usize..self.streams[src + 1] as usize]
     }
 
     /// Where `relay` forwards the words it received from `src`, in order.
-    fn row(&self, relay: usize, src: usize) -> &[u32] {
+    fn row(&self, relay: usize, src: usize) -> &[u16] {
         let at = relay * self.n + src;
         &self.dsts[self.offsets[at] as usize..self.offsets[at + 1] as usize]
     }
+
+    /// The messages addressed to `dst`, in reassembly order.
+    fn inbound(&self, dst: usize) -> &[Message] {
+        &self.messages[self.inbound[dst] as usize..self.inbound[dst + 1] as usize]
+    }
 }
 
-/// Both route steps' forwarding schedules for one `(n, seed)`.
+/// Both route steps' schedules for one `(n, seed)`.
 #[derive(Debug)]
 struct RelaySchedule {
     n: usize,
@@ -179,27 +268,74 @@ impl RelaySchedule {
     }
 }
 
-/// Phase A of a route step: split this node's real messages word-by-word
-/// over the hashed relays, preserving the global enumeration order so
-/// relays and destinations can reconstruct the streams.
-fn send_via_relays(ctx: &mut RoundCtx<'_>, seed: u64, messages: &Outbox) {
-    let n = ctx.n();
-    let src = ctx.node();
-    let mut per_relay: Vec<Vec<u64>> = vec![Vec::new(); n];
-    for (dst, words) in messages.messages() {
-        for (j, &w) in words.iter().enumerate() {
-            per_relay[single_hash_relay(seed, n, src, dst, j)].push(w);
+/// Words counting-sorted by the link they leave on: link `k` carries
+/// `words[ends[k - 1]..ends[k]]` (from 0 for `k = 0`).
+struct ByLink {
+    words: Vec<u64>,
+    ends: Vec<usize>,
+}
+
+impl ByLink {
+    /// Sorts words by link, stably, into one buffer: each run pairs a slice
+    /// of words with the link each of them leaves on.
+    fn sort<'a>(n: usize, runs: impl Iterator<Item = (&'a [u64], &'a [u16])> + Clone) -> Self {
+        let mut ends = vec![0usize; n + 1];
+        for (_, links) in runs.clone() {
+            for &link in links {
+                ends[link as usize + 1] += 1;
+            }
+        }
+        for k in 0..n {
+            ends[k + 1] += ends[k];
+        }
+        // `ends[k]` is link k's first slot; scattering advances it to the
+        // slot after link k's last word, where link k + 1 starts.
+        let mut sorted = vec![0; ends[n]];
+        for (words, links) in runs {
+            for (&word, &link) in words.iter().zip(links) {
+                let c = &mut ends[link as usize];
+                sorted[*c] = word;
+                *c += 1;
+            }
+        }
+        ends.pop();
+        Self {
+            words: sorted,
+            ends,
         }
     }
-    for (relay, words) in per_relay.into_iter().enumerate() {
-        if !words.is_empty() {
-            ctx.send(relay, words);
+
+    /// One send per non-empty link.
+    fn send(&self, ctx: &mut RoundCtx<'_>) {
+        let mut start = 0;
+        for (link, &end) in self.ends.iter().enumerate() {
+            if end > start {
+                ctx.send(link, &self.words[start..end]);
+            }
+            start = end;
         }
     }
 }
 
+/// Phase A of a route step: deal this node's stream — its messages end to
+/// end, in emission order — onto the relays the table drew for its words.
+///
+/// # Panics
+///
+/// Panics if the stream is not as long as the step's pattern says.
+fn send_via_relays(ctx: &mut RoundCtx<'_>, table: &StepTable, stream: &[u64]) {
+    let me = ctx.node();
+    let relays = table.stream(me);
+    assert_eq!(
+        stream.len(),
+        relays.len(),
+        "node {me} emitted a stream the route pattern does not have"
+    );
+    ByLink::sort(ctx.n(), std::iter::once((stream, relays))).send(ctx);
+}
+
 /// Phase B of a route step: forward every word this node relayed to its
-/// final destination, read off the step's tabulated schedule (no headers on
+/// final destination, read off the step's forwarding rows (no headers on
 /// the wire — the pattern is common knowledge).
 ///
 /// # Panics
@@ -209,53 +345,70 @@ fn send_via_relays(ctx: &mut RoundCtx<'_>, seed: u64, messages: &Outbox) {
 fn forward_as_relay(ctx: &mut RoundCtx<'_>, table: &StepTable) {
     let n = ctx.n();
     let me = ctx.node();
-    let mut per_dst: Vec<Vec<u64>> = vec![Vec::new(); n];
     for src in 0..n {
-        let stream = ctx.received(src);
-        let row = table.row(me, src);
         assert_eq!(
-            stream.len(),
-            row.len(),
+            ctx.received(src).len(),
+            table.row(me, src).len(),
             "relay stream does not match the forwarding schedule \
              (relay {me}, source {src})"
         );
-        for (&word, &dst) in stream.iter().zip(row) {
-            per_dst[dst as usize].push(word);
-        }
     }
-    for (dst, words) in per_dst.into_iter().enumerate() {
-        if !words.is_empty() {
-            ctx.send(dst, words);
-        }
+    let received = (0..n).map(|src| (ctx.received(src), table.row(me, src)));
+    ByLink::sort(n, received).send(ctx);
+}
+
+/// What one destination received in a route step: per source, the
+/// concatenated payloads of the messages it addressed here, in emission
+/// order — the exact view `Clique::route` would have delivered — in one
+/// buffer.
+struct Reassembled {
+    words: Vec<u64>,
+    /// Source `s`'s payload is `words[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<usize>,
+}
+
+impl Reassembled {
+    fn from(&self, src: usize) -> &[u64] {
+        &self.words[self.offsets[src]..self.offsets[src + 1]]
     }
 }
 
-/// After phase B: reassemble, per source, the concatenated payloads of the
-/// messages addressed to this node, in the source's emission order — the
-/// exact view `Clique::route` would have delivered.
-fn reassemble(
-    ctx: &RoundCtx<'_>,
-    seed: u64,
-    pattern: impl Fn(usize) -> Vec<(usize, usize)>,
-) -> Vec<Vec<u64>> {
+/// After phase B: reassemble the messages addressed to this node by reading
+/// each one's words off the relays' streams, in the order the send table
+/// names the relays.
+///
+/// # Panics
+///
+/// Panics if a relay's stream is shorter or longer than the schedule says.
+fn reassemble(ctx: &RoundCtx<'_>, table: &StepTable) -> Reassembled {
     let n = ctx.n();
     let me = ctx.node();
-    let mut cursors = vec![0usize; n]; // per-relay read positions
-    let mut out: Vec<Vec<u64>> = vec![Vec::new(); n];
-    for (src, out_src) in out.iter_mut().enumerate() {
-        for (dst, len) in pattern(src) {
-            if dst != me {
-                continue;
-            }
-            for j in 0..len {
-                let relay = single_hash_relay(seed, n, src, dst, j);
-                let stream = ctx.received(relay);
-                out_src.push(stream[cursors[relay]]);
-                cursors[relay] += 1;
-            }
+    let refuse = |relay: usize| -> ! {
+        panic!(
+            "relay stream does not match the reassembly schedule \
+             (relay {relay}, destination {me})"
+        )
+    };
+    let inbound = table.inbound(me);
+    let mut streams: Vec<_> = (0..n).map(|relay| ctx.received(relay).iter()).collect();
+    let mut words = Vec::with_capacity(inbound.iter().map(|m| m.len as usize).sum());
+    let mut offsets = vec![0; n + 1];
+    for m in inbound {
+        let src = m.src as usize;
+        for &relay in &table.stream(src)[m.start as usize..][..m.len as usize] {
+            let relay = relay as usize;
+            words.push(*streams[relay].next().unwrap_or_else(|| refuse(relay)));
         }
+        offsets[src + 1] = words.len();
     }
-    out
+    if let Some(relay) = streams.iter().position(|rest| !rest.as_slice().is_empty()) {
+        refuse(relay);
+    }
+    // Sources that addressed nothing here end where their predecessor does.
+    for src in 0..n {
+        offsets[src + 1] = offsets[src + 1].max(offsets[src]);
+    }
+    Reassembled { words, offsets }
 }
 
 /// Triangle counting as a per-node state machine: the 3D product `A² = A·A`
@@ -298,28 +451,18 @@ impl TriangleProgram {
         self.count
     }
 
-    /// The scatter messages node `me` emits (lengths follow
-    /// [`scatter_pattern`]; contents are its own row slices).
-    fn scatter_messages(&self, me: usize) -> Outbox {
-        let plan = &self.plan;
-        let p = plan.p();
-        let my_rb = plan.block_of_row(me);
-        // 2p² messages; each half ships every block of the row p times.
-        let mut out = Outbox::with_capacity(2 * p * p, 2 * p * self.row.len());
-        let mut emit = |dst: usize, cols: std::ops::Range<usize>| {
-            let wr = out.message(dst);
-            for &x in &self.row[cols] {
-                wr.push(x as u64);
-            }
-        };
-        for u2 in 0..p {
-            for u3 in 0..p {
-                emit(plan.node_of(my_rb, u2, u3), plan.block_range(u2));
-            }
-        }
-        for u3 in 0..p {
-            for u1 in 0..p {
-                emit(plan.node_of(u1, my_rb, u3), plan.block_range(u3));
+    /// This node's scatter stream, in the order [`scatter_pattern`] lists
+    /// the messages: every block of the row `p` times over for the `S`
+    /// slices, then the same again for the `T` slices.
+    fn scatter_stream(&self) -> Vec<u64> {
+        let p = self.plan.p();
+        let mut out = Vec::with_capacity(2 * p * self.row.len());
+        for _half in 0..2 {
+            for b in 0..p {
+                let slice = &self.row[self.plan.block_range(b)];
+                for _ in 0..p {
+                    out.extend(slice.iter().map(|&x| x as u64));
+                }
             }
         }
         out
@@ -343,27 +486,26 @@ impl WireProgram for TriangleProgram {
         state
     }
 
-    /// # Panics
-    ///
-    /// Panics if `state` is not an encoding for a clique of `n` nodes: no
-    /// header, an `A²` row that is neither absent nor `n` long, or a total
-    /// length other than header + `A²` row + adjacency row.
-    fn decode_state(node: usize, n: usize, state: &[u64]) -> Self {
+    /// Refuses a `state` that is not an encoding for a clique of `n` nodes:
+    /// no header, an `A²` row that is neither absent nor `n` long, or a
+    /// total length other than header + `A²` row + adjacency row.
+    fn decode_state(node: usize, n: usize, state: &[u64]) -> Result<Self, String> {
         let sq_len = state.get(4).map_or(usize::MAX, |&len| len as usize);
-        assert!(
-            (sq_len == 0 || sq_len == n) && state.len() == 5 + sq_len + n,
-            "malformed cc.triangle state for node {node}: {} words for n={n}",
-            state.len()
-        );
+        if !((sq_len == 0 || sq_len == n) && state.len() == 5 + sq_len + n) {
+            return Err(format!(
+                "malformed cc.triangle state for node {node}: {} words for n={n}",
+                state.len()
+            ));
+        }
         let (sq_row, row) = state[5..].split_at(sq_len);
-        Self {
+        Ok(Self {
             row: row.iter().map(|&x| x as i64).collect(),
             directed: state[0] != 0,
             seed: state[1],
             plan: Plan3d::new(n),
             sq_row: sq_row.iter().map(|&x| x as i64).collect(),
             count: (state[2] != 0).then_some(state[3]),
-        }
+        })
     }
 }
 
@@ -373,10 +515,11 @@ impl NodeProgram for TriangleProgram {
         let seed = self.seed;
         let plan = self.plan;
         match ctx.round() {
-            // Scatter phase A: row slices word-hashed to relays.
+            // Scatter phase A: row slices dealt to their relays.
             0 => {
-                let msgs = self.scatter_messages(ctx.node());
-                send_via_relays(ctx, seed, &msgs);
+                let stream = self.scatter_stream();
+                let schedule = RelaySchedule::shared(n, seed);
+                send_via_relays(ctx, &schedule.scatter, &stream);
                 Control::Continue
             }
             // Scatter phase B: forward as relay.
@@ -387,9 +530,10 @@ impl NodeProgram for TriangleProgram {
             // Block product on the subcube owners; gather phase A.
             2 => {
                 let me = ctx.node();
-                let mut msgs = Outbox::new();
+                let schedule = RelaySchedule::shared(n, seed);
+                let mut prod = Vec::new();
                 if me < plan.active() {
-                    let from = reassemble(ctx, seed, |src| scatter_pattern(&plan, src));
+                    let from = reassemble(ctx, &schedule.scatter);
                     let (u1, u2, u3) = plan.digits(me);
                     let (r1, r2, r3) = (
                         plan.block_range(u1),
@@ -403,20 +547,21 @@ impl NodeProgram for TriangleProgram {
                     let mut s_blk = vec![0i64; h1 * h2];
                     let mut t_blk = vec![0i64; h2 * h3];
                     for (idx, r) in r1.clone().enumerate() {
-                        let vals = &from[r];
+                        let vals = from.from(r);
                         for j in 0..h2 {
                             s_blk[idx * h2 + j] = vals[j] as i64;
                         }
                     }
                     for (idx, r) in r2.clone().enumerate() {
-                        let vals = &from[r];
+                        let vals = from.from(r);
                         let off = if plan.block_of_row(r) == u1 { h2 } else { 0 };
                         for j in 0..h3 {
                             t_blk[idx * h3 + j] = vals[off + j] as i64;
                         }
                     }
-                    // Schoolbook block product (ℤ, like IntRing).
-                    let mut prod = vec![0i64; h1 * h3];
+                    // Schoolbook block product (ℤ, like IntRing). Its rows,
+                    // in block(u₁) order, are this node's gather stream.
+                    prod = vec![0i64; h1 * h3];
                     for i in 0..h1 {
                         for k in 0..h2 {
                             let s = s_blk[i * h2 + k];
@@ -428,15 +573,9 @@ impl NodeProgram for TriangleProgram {
                             }
                         }
                     }
-                    msgs = Outbox::with_capacity(h1, h1 * h3);
-                    for (idx, r) in r1.enumerate() {
-                        let wr = msgs.message(r);
-                        for &x in &prod[idx * h3..][..h3] {
-                            wr.push(x as u64);
-                        }
-                    }
                 }
-                send_via_relays(ctx, seed, &msgs);
+                let stream: Vec<u64> = prod.iter().map(|&x| x as u64).collect();
+                send_via_relays(ctx, &schedule.gather, &stream);
                 Control::Continue
             }
             // Gather phase B: forward as relay.
@@ -447,7 +586,7 @@ impl NodeProgram for TriangleProgram {
             // Assemble the A² row; start the trace's transpose exchange.
             4 => {
                 let me = ctx.node();
-                let from = reassemble(ctx, seed, |src| gather_pattern(&plan, src));
+                let from = reassemble(ctx, &RelaySchedule::shared(n, seed).gather);
                 let p = plan.p();
                 let rb = plan.block_of_row(me);
                 let mut row = vec![0i64; n];
@@ -458,8 +597,7 @@ impl NodeProgram for TriangleProgram {
                         // over block(u₃) — so `from[u]` is that slice
                         // verbatim; accumulate in (u₂, u₃) order exactly
                         // like the closure algorithm's step 4.
-                        let u = plan.node_of(rb, u2, u3);
-                        let vals = &from[u];
+                        let vals = from.from(plan.node_of(rb, u2, u3));
                         for (slot, j) in plan.block_range(u3).enumerate() {
                             row[j] += vals[slot] as i64;
                         }
@@ -601,7 +739,12 @@ mod tests {
     /// approximately, but word-for-word and round-for-round.
     #[test]
     fn counts_and_round_costs_match_count_triangles() {
-        for (n, p, seed) in [(16usize, 0.4, 1u64), (27, 0.3, 2), (30, 0.25, 5)] {
+        for (n, p, seed) in [
+            (16usize, 0.4, 1u64),
+            (27, 0.3, 2),
+            (30, 0.25, 5),
+            (64, 0.3, 7),
+        ] {
             let g = generators::gnp(n, p, seed);
 
             let mut closure_clique = single_hash_clique(n, ExecutorKind::Sequential);
@@ -650,7 +793,8 @@ mod tests {
             c.run_programs((0..12).map(|v| TriangleProgram::new(&g, v, 7)).collect())
         });
         for (node, p) in done.iter().enumerate() {
-            let back = TriangleProgram::decode_state(node, 12, &WireProgram::encode_state(p));
+            let back = TriangleProgram::decode_state(node, 12, &WireProgram::encode_state(p))
+                .expect("a program's own state decodes");
             assert_eq!(back.row, p.row, "node {node}");
             assert_eq!(back.sq_row, p.sq_row, "node {node}");
             assert_eq!(back.count, p.count, "node {node}");
@@ -659,32 +803,89 @@ mod tests {
         }
         // Pre-run state (empty sq_row, no count) survives the trip too.
         let fresh = TriangleProgram::new(&g, 3, 7);
-        let back = TriangleProgram::decode_state(3, 12, &WireProgram::encode_state(&fresh));
+        let back = TriangleProgram::decode_state(3, 12, &WireProgram::encode_state(&fresh))
+            .expect("a fresh program's state decodes");
         assert_eq!(back.sq_row, fresh.sq_row);
         assert_eq!(back.count, None);
     }
 
-    /// The schedule as every relay used to derive it: enumerate the whole
-    /// pattern and keep the words whose relay draw is `me`.
-    fn enumerated_rows(
+    /// Every word of a route step as the program once hashed it, one word
+    /// at a time: `(src, dst, relay)` in the sources' emission order.
+    fn enumerated_words(
         n: usize,
         seed: u64,
-        me: usize,
         pattern: impl Fn(usize) -> Vec<(usize, usize)>,
-    ) -> Vec<Vec<u32>> {
-        (0..n)
-            .map(|src| {
-                let mut row = Vec::new();
-                for (dst, len) in pattern(src) {
-                    for j in 0..len {
-                        if single_hash_relay(seed, n, src, dst, j) == me {
-                            row.push(dst as u32);
-                        }
-                    }
+    ) -> Vec<(usize, usize, u16)> {
+        let mut words = Vec::new();
+        for src in 0..n {
+            for (dst, len) in pattern(src) {
+                for j in 0..len {
+                    words.push((src, dst, single_hash_relay(seed, n, src, dst, j) as u16));
                 }
-                row
-            })
-            .collect()
+            }
+        }
+        words
+    }
+
+    /// Checks all three hops of `table` against the per-word enumeration.
+    fn assert_table_matches(
+        table: &StepTable,
+        n: usize,
+        seed: u64,
+        step: &str,
+        pattern: impl Fn(usize) -> Vec<(usize, usize)>,
+    ) {
+        let words = enumerated_words(n, seed, &pattern);
+        // Send: every source's relay sequence.
+        for src in 0..n {
+            let relays: Vec<u16> = words.iter().filter(|w| w.0 == src).map(|w| w.2).collect();
+            assert_eq!(table.stream(src), relays, "{step} n={n} src={src} relays");
+        }
+        for me in 0..n {
+            // Forward: what relay `me` receives from each source.
+            let mut rows = vec![Vec::new(); n];
+            for &(src, dst, relay) in &words {
+                if relay as usize == me {
+                    rows[src].push(dst as u16);
+                }
+            }
+            for (src, row) in rows.iter().enumerate() {
+                assert_eq!(table.row(me, src), row, "{step} n={n} relay={me} src={src}");
+            }
+            // Reassembly: the messages addressed to `me`, and the `(src,
+            // relay)` of every word they hold, read through the send table.
+            let mut messages = Vec::new();
+            for src in 0..n {
+                let mut start = 0;
+                for (dst, len) in pattern(src) {
+                    if dst == me {
+                        let [src, start, len] = [src, start, len].map(|x| x as u32);
+                        messages.push(Message { src, start, len });
+                    }
+                    start += len;
+                }
+            }
+            assert_eq!(
+                table.inbound(me),
+                messages,
+                "{step} n={n} dst={me} messages"
+            );
+            let read: Vec<(usize, u16)> = table
+                .inbound(me)
+                .iter()
+                .flat_map(|m| {
+                    let relays =
+                        &table.stream(m.src as usize)[m.start as usize..][..m.len as usize];
+                    relays.iter().map(move |&r| (m.src as usize, r))
+                })
+                .collect();
+            let expected: Vec<(usize, u16)> = words
+                .iter()
+                .filter(|w| w.1 == me)
+                .map(|w| (w.0, w.2))
+                .collect();
+            assert_eq!(read, expected, "{step} n={n} dst={me} reassembly order");
+        }
     }
 
     #[test]
@@ -692,23 +893,55 @@ mod tests {
         for (n, seed) in [(8usize, 3u64), (27, 0x5eed_c11e), (30, 7), (64, u64::MAX)] {
             let plan = Plan3d::new(n);
             let schedule = RelaySchedule::shared(n, seed);
-            for me in 0..n {
-                let scatter = enumerated_rows(n, seed, me, |src| scatter_pattern(&plan, src));
-                let gather = enumerated_rows(n, seed, me, |src| gather_pattern(&plan, src));
-                for src in 0..n {
-                    assert_eq!(
-                        schedule.scatter.row(me, src),
-                        scatter[src],
-                        "scatter n={n} relay={me} src={src}"
-                    );
-                    assert_eq!(
-                        schedule.gather.row(me, src),
-                        gather[src],
-                        "gather n={n} relay={me} src={src}"
-                    );
-                }
-            }
+            assert_table_matches(&schedule.scatter, n, seed, "scatter", |src| {
+                scatter_pattern(&plan, src)
+            });
+            assert_table_matches(&schedule.gather, n, seed, "gather", |src| {
+                gather_pattern(&plan, src)
+            });
         }
+    }
+
+    /// The program's per-barrier pattern fingerprints at the benchmark's
+    /// size, recorded before the relay hops became table-driven: the
+    /// pattern depends on `n` and the seed alone, never on the graph.
+    #[test]
+    fn pattern_fingerprints_at_n64_are_pinned() {
+        const PINNED: [u64; 7] = [
+            0x0097_059c_9d42_61a2,
+            0x9349_bf67_8b05_56ae,
+            0xc0c0_769a_aeb1_2b0b,
+            0x6ed8_2cee_8831_d3f3,
+            0x38f1_e7a8_bdc4_44a5,
+            0x38f1_e7a8_bdc4_44a5,
+            0xcbf2_9ce4_8422_2325,
+        ];
+        for graph_seed in [7u64, 1] {
+            let g = generators::gnp(64, 0.3, graph_seed);
+            let mut clique = Clique::with_config(
+                64,
+                CliqueConfig {
+                    relay_policy: RelayPolicy::SingleHash,
+                    record_patterns: true,
+                    ..CliqueConfig::default()
+                },
+            );
+            assert_eq!(
+                count_triangles_program(&mut clique, &g),
+                oracle::count_triangles(&g)
+            );
+            assert_eq!(
+                clique.stats().pattern_fingerprints(),
+                PINNED,
+                "graph seed {graph_seed}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "relay tables hold node ids as u16: n=65537")]
+    fn a_clique_beyond_u16_node_ids_is_refused() {
+        let _ = StepTable::build(65_537, 0, |_| Vec::new());
     }
 
     #[test]
@@ -765,35 +998,89 @@ mod tests {
         forward_with_a_wrong_stream(-1);
     }
 
+    /// Steps node 0 of an 8-clique through the scatter's reassembly round
+    /// with `delta` words more (or fewer) on one relay's stream than the
+    /// schedule says, and returns that relay and the refusal.
+    fn reassemble_with_a_wrong_stream(delta: isize) -> (usize, String) {
+        let (n, seed) = (8usize, 5u64);
+        let g = generators::gnp(n, 0.5, 1);
+        let schedule = RelaySchedule::shared(n, seed);
+        let mut unicast: Vec<Vec<u64>> = (0..n)
+            .map(|relay| {
+                let to_me = |src| schedule.scatter.row(relay, src).iter().filter(|&&d| d == 0);
+                vec![0; (0..n).map(|src| to_me(src).count()).sum()]
+            })
+            .collect();
+        let relay = (0..n).rev().find(|&r| !unicast[r].is_empty()).unwrap();
+        let len = unicast[relay].len() as isize + delta;
+        unicast[relay].resize(len as usize, 0);
+        let runs = unicast.iter().enumerate().map(|(src, w)| (src, 0, &w[..]));
+        let (unicast, lanes) = (LinkSlab::from_runs(n, runs), vec![Vec::new(); n]);
+        let mut program = TriangleProgram::new(&g, 0, seed);
+        let refusal = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = cc_runtime::step_node(&mut program, 2, NodeInbox::new(&unicast, &lanes, 0));
+        }))
+        .expect_err("a wrong relay stream must be refused");
+        (relay, *refusal.downcast::<String>().unwrap())
+    }
+
+    #[test]
+    fn a_relay_stream_shorter_than_its_reassembly_row_is_refused() {
+        let (relay, refusal) = reassemble_with_a_wrong_stream(-1);
+        assert!(
+            refusal.contains(&format!(
+                "relay stream does not match the reassembly schedule \
+                 (relay {relay}, destination 0)"
+            )),
+            "{refusal}"
+        );
+    }
+
+    #[test]
+    fn a_relay_stream_longer_than_its_reassembly_row_is_refused() {
+        let (relay, refusal) = reassemble_with_a_wrong_stream(1);
+        assert!(
+            refusal.contains(&format!("(relay {relay}, destination 0)")),
+            "{refusal}"
+        );
+    }
+
     /// A well-formed pre-run state for node 2 of a 6-clique.
     fn fresh_state() -> Vec<u64> {
         let g = generators::gnp(6, 0.5, 2);
         WireProgram::encode_state(&TriangleProgram::new(&g, 2, 9))
     }
 
-    #[test]
-    #[should_panic(expected = "malformed cc.triangle state")]
-    fn a_state_shorter_than_its_header_is_refused() {
-        let _ = TriangleProgram::decode_state(2, 6, &fresh_state()[..4]);
+    /// Node 2 of a 6-clique refuses `state`, naming the program and node.
+    fn assert_refused(state: &[u64]) {
+        let refused = TriangleProgram::decode_state(2, 6, state);
+        let err = refused.expect_err("a malformed state must be refused");
+        assert!(
+            err.contains("malformed cc.triangle state for node 2"),
+            "{err}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "malformed cc.triangle state")]
+    fn a_state_shorter_than_its_header_is_refused() {
+        assert_refused(&fresh_state()[..4]);
+    }
+
+    #[test]
     fn a_state_with_a_partial_square_row_is_refused() {
         // Claims a 3-word A² row on a 6-clique; the total length is kept
         // consistent with the claim so only the row length is wrong.
         let mut state = fresh_state();
         state[4] = 3;
         state.extend([0; 3]);
-        let _ = TriangleProgram::decode_state(2, 6, &state);
+        assert_refused(&state);
     }
 
     #[test]
-    #[should_panic(expected = "malformed cc.triangle state")]
     fn a_state_whose_rows_do_not_fill_it_is_refused() {
         let mut state = fresh_state();
         state.pop();
-        let _ = TriangleProgram::decode_state(2, 6, &state);
+        assert_refused(&state);
     }
 
     #[test]

@@ -349,11 +349,9 @@ pub(crate) fn resident_session<R: Read, W: Write>(
                     (lo..lo + count).contains(&node),
                     "program outside the owned shard",
                 )?;
-                let program = registry.decode(kind, node, n, &state).ok_or_else(|| {
-                    protocol_error(&format!(
-                        "unknown resident program kind {kind:?}; register it in the worker binary"
-                    ))
-                })?;
+                let program = registry
+                    .decode(kind, node, n, &state)
+                    .map_err(|e| protocol_error(&e))?;
                 programs[node - lo] = Some(program);
             }
             Frame::RoundEnd { epoch: e } => {
